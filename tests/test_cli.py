@@ -169,6 +169,14 @@ class TestStochasticCli:
         payload = json.loads(out)
         assert payload["meta"]["cycles"] == 40
 
+    def test_simulate_below_batch_floor(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stochastic", "--policy", "alg1", "--lambda", "1",
+            "--mode", "simulate", "--events", "10")
+        assert code == 2
+        assert out == ""
+        assert "below the 32 batches" in err
+
 
 class TestSweep:
     def test_gamma_sweep_monotone_for_small_gamma(self, capsys, tmp_path):

@@ -4,10 +4,54 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from flowswitch import (Alg3Params, MarkovPolicy, NonErgodicError, RateModel,
-                        alg1, alg2, alg3_analytic_cost, analytic_cost,
-                        scaling_exponent, simulate_alg3, simulate_ctmc,
-                        stationary_distribution)
+from flowswitch import (Alg3Params, CycleOverflowError, MarkovPolicy,
+                        NonErgodicError, RateModel, alg1, alg2,
+                        alg3_analytic_cost, analytic_cost, scaling_exponent,
+                        simulate_alg3, simulate_ctmc, stationary_distribution)
+from flowswitch.stochastic import _batch_ci
+
+
+def closed_form(policy: str, lam: float, alpha: float) -> float:
+    if policy == "alg1":
+        return lam * (1.0 + 2.0 * alpha)
+    return 1.5 * (4.0 * alpha) ** (1.0 / 3.0) * lam
+
+
+def alg3_renewal_cost(lam: float, alpha: float, params: Alg3Params) -> float:
+    """Exact renewal-reward cost of the gated policy as simulated.
+
+    Idle phase: U/lam long with area U(U-1)/(2 lam). Busy phase: an M/M/1
+    drain from U, U/d long with area U(U-1)/(2d) + U mu/d^2, d = mu - lam.
+    """
+    u, mu = params.threshold, params.mu
+    d = mu - lam
+    cycle = u / lam + u / d
+    area = u * (u - 1) / (2 * lam) + u * (u - 1) / (2 * d) + u * mu / d ** 2
+    return area / cycle + alpha * 2 * mu ** 2 / cycle
+
+
+def ctmc_reference(lam, alpha, policy, event_budget, seed, batches=32):
+    """Per-event loop over the same jump chain: (total, ci halfwidth, clock)."""
+    uniforms = np.random.default_rng(seed).random(event_budget)
+    batch_size = event_budget // batches
+    n, mu = 0, 0.0
+    area = sc = clock = 0.0
+    marks = (0.0, 0.0, 0.0)
+    rewards, durations = [], []
+    for event, u in enumerate(uniforms, 1):
+        hold = 1.0 / (lam + mu)
+        area += n * hold
+        clock += hold
+        n += 1 if u < lam / (lam + mu) else -1
+        new_mu = policy.rates(n)
+        sc += (new_mu - mu) ** 2
+        mu = new_mu
+        if event % batch_size == 0:
+            rewards.append(area - marks[0] + alpha * (sc - marks[1]))
+            durations.append(clock - marks[2])
+            marks = (area, sc, clock)
+    total = area / clock + alpha * sc / clock
+    return total, _batch_ci(rewards, durations), clock
 
 
 class TestMarkovPolicy:
@@ -101,10 +145,51 @@ class TestSimulateCtmc:
         with pytest.raises(NonErgodicError):
             simulate_ctmc(1.0, 1.0, dead, event_budget=1000, seed=0)
 
+    def test_non_ergodic_reached_mid_run(self):
+        # mu_i = 0.5 < lam drifts upward into the zero rate at i = 70, past
+        # the states checked before the run starts
+        stall = MarkovPolicy(lambda i: 0.5 if 0 < i < 70 else 0.0, "stall",
+                             RateModel.SINGLE_SERVER_SPEED_SCALING)
+        with pytest.raises(NonErgodicError, match="mu_70"):
+            simulate_ctmc(1.0, 1.0, stall, event_budget=100_000, seed=0)
+        # a zero rate the run never reaches is never evaluated
+        far = MarkovPolicy(lambda i: float(i) if i < 1000 else 0.0, "far",
+                           RateModel.MULTISERVER)
+        est = simulate_ctmc(1.0, 1.0, far, event_budget=10_000, seed=0)
+        assert est.meta["batches"] == 32
+
     def test_ci_reported(self):
         est = simulate_ctmc(1.0, 1.0, alg1(), event_budget=60_000, seed=2)
         assert est.ci_halfwidth > 0
         assert est.meta["batches"] >= 30
+
+    def test_batch_floor(self):
+        with pytest.raises(ValueError, match="below"):
+            simulate_ctmc(1.0, 1.0, alg1(), event_budget=10, seed=0)
+        est = simulate_ctmc(1.0, 1.0, alg1(), event_budget=32, seed=0)
+        assert est.meta["batches"] == 32
+
+    @pytest.mark.parametrize("policy", ["alg1", "alg2"])
+    @pytest.mark.parametrize("lam", [1.0, 4.0])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_grid_matches_closed_form(self, policy, lam, alpha):
+        rates = alg1() if policy == "alg1" else alg2(alpha)
+        exact = closed_form(policy, lam, alpha)
+        for seed in (1, 2, 3):
+            est = simulate_ctmc(lam, alpha, rates, event_budget=100_000,
+                                seed=seed)
+            assert est.meta["batches"] == 32
+            assert abs(est.total - exact) <= 5 * est.ci_halfwidth
+
+    @pytest.mark.parametrize("policy", [alg1(), alg2(0.5)])
+    def test_matches_per_event_reference(self, policy):
+        # 10_007 events in batches of 312 leaves 23 trailing events
+        est = simulate_ctmc(2.0, 0.5, policy, event_budget=10_007, seed=7)
+        total, ci, clock = ctmc_reference(2.0, 0.5, policy, 10_007, 7)
+        assert est.total == pytest.approx(total, rel=1e-9)
+        assert est.ci_halfwidth == pytest.approx(ci, rel=1e-9)
+        assert est.meta["sim_time"] == pytest.approx(clock, rel=1e-9)
+        assert est.meta["batches"] == 32
 
 
 class TestAlg3:
@@ -162,6 +247,19 @@ class TestAlg3:
         a = simulate_alg3(100.0, 1.0, params, cycle_budget=50, seed=3)
         b = simulate_alg3(100.0, 1.0, params, cycle_budget=50, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("lam", [50.0, 100.0, 200.0])
+    def test_matches_exact_renewal_cost(self, lam):
+        params = Alg3Params.from_rates(lam)
+        exact = alg3_renewal_cost(lam, 1.0, params)
+        for seed in (1, 2, 3, 4):
+            est = simulate_alg3(lam, 1.0, params, seed=seed)
+            assert abs(est.total - exact) <= 3 * est.ci_halfwidth
+
+    def test_busy_event_guard(self):
+        params = Alg3Params.from_rates(50.0)  # U = 14 needs >= 14 events
+        with pytest.raises(CycleOverflowError):
+            simulate_alg3(50.0, 1.0, params, busy_event_guard=10)
 
 
 class TestScalingExponent:
