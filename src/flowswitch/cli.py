@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -251,14 +252,16 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
+    max_cells = args.max_cells if args.max_cells is not None \
+        else min(state_budget(), 10_000)
     buf = io.StringIO()
     writer = csv.writer(buf)
     if args.kind == "gamma":
         gammas = _parse_grid(args.gammas or "")
         alphas = _parse_grid(args.alphas or "")
         cells = len(gammas) * len(alphas)
-        if cells > args.max_cells:
-            raise DpBudgetError(cells, args.max_cells)
+        if cells > max_cells:
+            raise DpBudgetError(cells, max_cells)
         writer.writerow(["gamma", "alpha", "policy_cost", "dp_cost", "ratio"])
         instance = _load_instance(args.instance) if cells else None
         for gamma in gammas:
@@ -272,8 +275,8 @@ def _cmd_sweep(args) -> int:
                                  f"{opt_cost:.6g}", f"{total / opt_cost:.6g}"])
     elif args.kind == "alg3":
         lams = _parse_grid(args.lambdas or "")
-        if len(lams) > args.max_cells:
-            raise DpBudgetError(len(lams), args.max_cells)
+        if len(lams) > max_cells:
+            raise DpBudgetError(len(lams), max_cells)
         writer.writerow(["lambda", "cost", "slope"])
         samples = []
         for lam in lams:
@@ -470,7 +473,8 @@ def build_parser() -> _Parser:
     p.add_argument("--theta2", type=float, default=1.0 / 3.0)
     p.add_argument("--s-cap", type=int)
     p.add_argument("--t-cap", type=int)
-    p.add_argument("--max-cells", type=int, default=min(state_budget(), 10_000))
+    p.add_argument("--max-cells", type=int,
+                   help="grid size limit (default: the DP state budget, at most 10000)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_sweep)
 
@@ -484,10 +488,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: building it costs milliseconds."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

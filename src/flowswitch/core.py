@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import operator
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from functools import cached_property
+from itertools import accumulate, chain, repeat
 
 
 class SwitchingKind(str, Enum):
@@ -51,7 +55,6 @@ class ValidationResult:
 _VALID = ValidationResult(True)
 
 
-@dataclass(frozen=True)
 class ArrivalInstance:
     """A job arrival schedule: (slot, size) records kept sorted by slot.
 
@@ -59,44 +62,148 @@ class ArrivalInstance:
         - every slot >= 1 and every size >= 1
         - records are sorted by slot; ties keep construction order
         - job id j is the index of the j-th record in that order
+
+    Unit-job instances can also be built from per-slot arrival counts
+    (``from_counts``). Such an instance keeps only the counts and builds
+    the ``arrivals`` tuple on first read. The aggregates are computed once
+    and cached. However it was built, an instance equals any other with
+    the same records, horizon hint and name. Instances are immutable.
     """
 
-    arrivals: tuple[tuple[int, int], ...]
-    horizon_hint: int | None = None
-    name: str = ""
-
-    def __post_init__(self):
+    def __init__(self, arrivals: tuple[tuple[int, int], ...],
+                 horizon_hint: int | None = None, name: str = ""):
         records = []
-        for slot, size in self.arrivals:
+        for slot, size in arrivals:
             if int(slot) != slot or slot < 1:
                 raise ValueError(f"arrival slot must be a positive integer, got {slot!r}")
             if int(size) != size or size < 1:
                 raise ValueError(f"job size must be a positive integer, got {size!r}")
             records.append((int(slot), int(size)))
         records.sort(key=lambda r: r[0])  # stable: same-slot order preserved
-        object.__setattr__(self, "arrivals", tuple(records))
-        if self.horizon_hint is not None and self.horizon_hint < self.last_slot:
+        self._set(horizon_hint, name, False, arrivals=tuple(records))
+
+    @classmethod
+    def from_counts(cls, counts, horizon_hint: int | None = None,
+                    name: str = "") -> "ArrivalInstance":
+        """Unit jobs, ``counts[i]`` of them arriving at slot i+1."""
+        values = []
+        for count in counts:
+            if int(count) != count or count < 0:
+                raise ValueError(
+                    f"arrival count must be a nonnegative integer, got {count!r}")
+            values.append(int(count))
+        while values and values[-1] == 0:
+            values.pop()
+        return cls._of_counts(tuple(values), horizon_hint, name)
+
+    @classmethod
+    def _of_counts(cls, counts: tuple[int, ...], horizon_hint: int | None,
+                   name: str) -> "ArrivalInstance":
+        """Checked counts with no trailing zero slot."""
+        inst = cls.__new__(cls)
+        inst._set(horizon_hint, name, True, slot_counts=counts)
+        return inst
+
+    def _set(self, horizon_hint, name, from_counts: bool, **data):
+        fields = self.__dict__
+        fields.update(data, horizon_hint=horizon_hint, name=name,
+                      _from_counts=from_counts)
+        if horizon_hint is not None and horizon_hint < self.last_slot:
             raise ValueError("horizon_hint smaller than the last arrival slot")
 
-    @property
-    def job_count(self) -> int:
-        return len(self.arrivals)
+    def __setattr__(self, key, value):
+        raise AttributeError(f"ArrivalInstance is immutable: cannot set {key!r}")
 
-    @property
+    def __delattr__(self, key):
+        raise AttributeError(f"ArrivalInstance is immutable: cannot delete {key!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.horizon_hint, self.name) != (other.horizon_hint, other.name):
+            return False
+        if self._from_counts and other._from_counts:
+            return self.slot_counts == other.slot_counts
+        return self.arrivals == other.arrivals
+
+    def __hash__(self):
+        return hash((self.arrivals, self.horizon_hint, self.name))
+
+    def __repr__(self):
+        return (f"ArrivalInstance(arrivals={self.arrivals!r}, "
+                f"horizon_hint={self.horizon_hint!r}, name={self.name!r})")
+
+    @cached_property
+    def arrivals(self) -> tuple[tuple[int, int], ...]:
+        # built from counts: jobs of one slot share one record tuple
+        return tuple(chain.from_iterable(
+            repeat((t, 1), c) for t, c in enumerate(self.slot_counts, start=1)))
+
+    @cached_property
+    def slot_counts(self) -> tuple[int, ...]:
+        """Jobs (not work) arriving at each slot 1..last_slot."""
+        counts = [0] * self.last_slot
+        for s, _ in self.arrivals:
+            counts[s - 1] += 1
+        return tuple(counts)
+
+    @cached_property
+    def job_count(self) -> int:
+        return sum(self.slot_counts) if self._from_counts else len(self.arrivals)
+
+    @cached_property
     def total_work(self) -> int:
+        if self._from_counts:
+            return self.job_count
         return sum(w for _, w in self.arrivals)
 
-    @property
+    @cached_property
     def last_slot(self) -> int:
+        if self._from_counts:
+            return len(self.slot_counts)
         return self.arrivals[-1][0] if self.arrivals else 0
 
-    @property
+    @cached_property
     def all_unit(self) -> bool:
-        return all(w == 1 for _, w in self.arrivals)
+        return self._from_counts or all(w == 1 for _, w in self.arrivals)
 
-    @property
+    @cached_property
     def sizes_equal(self) -> bool:
-        return len({w for _, w in self.arrivals}) <= 1
+        return self._from_counts or len({w for _, w in self.arrivals}) <= 1
+
+    @cached_property
+    def max_slot_arrivals(self) -> int:
+        """Largest per-slot arrival count (jobs, not work)."""
+        if self._from_counts:
+            return max(self.slot_counts, default=0)
+        counts: dict[int, int] = {}
+        for s, _ in self.arrivals:
+            counts[s] = counts.get(s, 0) + 1
+        return max(counts.values(), default=0)
+
+    @cached_property
+    def instance_id(self) -> str:
+        if self.name:
+            return self.name
+        digest = hashlib.sha256(repr(self.arrivals).encode()).hexdigest()[:8]
+        return f"custom-{digest}"
+
+    def prefix(self, k: int, name: str = "") -> "ArrivalInstance":
+        """The jobs with ids below k, as a new instance without a horizon hint."""
+        if not 0 <= k <= self.job_count:
+            raise ValueError(f"prefix length {k} out of range")
+        if not self.all_unit:
+            return ArrivalInstance(self.arrivals[:k], name=name)
+        if not k:
+            return self._of_counts((), None, name)
+        through = self._arrived_through
+        last = bisect_left(through, k)  # slot index of job k-1
+        before = through[last - 1] if last else 0
+        return self._of_counts(self.slot_counts[:last] + (k - before,), None, name)
+
+    @cached_property
+    def _arrived_through(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.slot_counts))
 
     def work_at(self, slot: int) -> int:
         return sum(w for s, w in self.arrivals if s == slot)
@@ -112,21 +219,6 @@ class ArrivalInstance:
         for j, (s, _) in enumerate(self.arrivals):
             out.setdefault(s, []).append(j)
         return out
-
-    @property
-    def max_slot_arrivals(self) -> int:
-        """Largest per-slot arrival count (jobs, not work)."""
-        counts: dict[int, int] = {}
-        for s, _ in self.arrivals:
-            counts[s] = counts.get(s, 0) + 1
-        return max(counts.values(), default=0)
-
-    @property
-    def instance_id(self) -> str:
-        if self.name:
-            return self.name
-        digest = hashlib.sha256(repr(self.arrivals).encode()).hexdigest()[:8]
-        return f"custom-{digest}"
 
     def to_text(self) -> str:
         lines = [f"# instance {self.instance_id}: {self.job_count} jobs"]
@@ -221,36 +313,154 @@ class SlotRecord:
     served: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class ScheduleTrace:
-    """Per-slot record of a complete schedule plus per-job departure slots.
+class _FifoSlots(Sequence):
+    """The slots of a FIFO trace as SlotRecords, built on access.
 
-    Slots run contiguously from t=1; idle slots (n=0, s=0) are recorded.
-    ``complete_records`` is False for bulk simulation runs that skip per-job
-    bookkeeping; such traces cost fine but cannot be validated.
+    Slot t serves job ids [S(t-1), S(t)), where S is the running sum of s.
     """
 
-    slots: tuple[SlotRecord, ...]
-    departures: Mapping[int, int]
+    __slots__ = ("_n", "_s", "_first")
+
+    def __init__(self, n, s, first):
+        self._n, self._s, self._first = n, s, first
+
+    def __len__(self):
+        return len(self._s)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self._s))[index])
+        i = range(len(self._s))[index]
+        first, s = self._first[i], self._s[i]
+        return SlotRecord(i + 1, self._n[i], s, frozenset(range(first, first + s)))
+
+    def __iter__(self):
+        first = self._first
+        for t, (n, s) in enumerate(zip(self._n, self._s), start=1):
+            yield SlotRecord(t, n, s, frozenset(range(first[t - 1], first[t])))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+class _FifoDepartures(Mapping):
+    """Departure slot per job id of a FIFO trace, found by bisection."""
+
+    __slots__ = ("_served_through", "_total")
+
+    def __init__(self, served_through):
+        self._served_through = served_through
+        self._total = served_through[-1] if served_through else 0
+
+    def __len__(self):
+        return self._total
+
+    def __iter__(self):
+        return iter(range(self._total))
+
+    def __getitem__(self, job):
+        if isinstance(job, int) and 0 <= job < self._total:
+            return bisect_right(self._served_through, job) + 1
+        raise KeyError(job)
+
+
+@dataclass(frozen=True, eq=False)
+class ScheduleTrace:
+    """A complete schedule as per-slot columns: occupancy n and servers s.
+
+    ``n[i]`` and ``s[i]`` belong to slot i+1. Slots run contiguously from
+    t=1, and idle slots (n=0, s=0) are recorded. Unit-job traces keep only
+    these columns: jobs run first-in first-out by id, so slot t serves ids
+    [S(t-1), S(t)) with S the running sum of s, and ``slots`` and
+    ``departures`` are derived from that replay on access. Traces built
+    with ``from_slots`` (general sizes, CSV input, hand-made records) keep
+    their records and departures as given instead.
+
+    ``complete_records`` is False for bulk simulation runs; such traces
+    cost fine but cannot be validated.
+    """
+
+    n: tuple[int, ...]
+    s: tuple[int, ...]
     policy_name: str = ""
     instance_id: str = ""
     complete_records: bool = True
+    recorded_slots: tuple[SlotRecord, ...] | None = field(default=None, repr=False)
+    recorded_departures: Mapping[int, int] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", tuple(self.n))
+        object.__setattr__(self, "s", tuple(self.s))
+        if len(self.n) != len(self.s):
+            raise ValueError("n and s columns differ in length")
+
+    @classmethod
+    def from_slots(cls, slots, departures: Mapping[int, int], policy_name: str = "",
+                   instance_id: str = "",
+                   complete_records: bool = True) -> "ScheduleTrace":
+        """A trace whose per-slot served sets and departures are given."""
+        slots = tuple(slots)
+        return cls(tuple(rec.n for rec in slots), tuple(rec.s for rec in slots),
+                   policy_name, instance_id, complete_records, slots, departures)
+
+    @cached_property
+    def _served_before(self) -> tuple[int, ...]:
+        """S(t-1) per slot, then S(T): jobs served before each slot."""
+        return tuple(accumulate(self.s, initial=0))
+
+    @cached_property
+    def slots(self) -> Sequence[SlotRecord]:
+        if self.recorded_slots is not None:
+            return self.recorded_slots
+        return _FifoSlots(self.n, self.s, self._served_before)
+
+    @cached_property
+    def departures(self) -> Mapping[int, int]:
+        if self.recorded_slots is not None:
+            return self.recorded_departures
+        return _FifoDepartures(self._served_before[1:])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.n, self.s, self.policy_name, self.instance_id,
+                self.complete_records) != (other.n, other.s, other.policy_name,
+                                           other.instance_id, other.complete_records):
+            return False
+        if self.recorded_slots is None and other.recorded_slots is None:
+            return True
+        return self.slots == other.slots and \
+            dict(self.departures) == dict(other.departures)
+
+    __hash__ = None
 
     @property
     def last_slot(self) -> int:
-        return self.slots[-1].t if self.slots else 0
+        if self.recorded_slots is not None:
+            return self.recorded_slots[-1].t if self.recorded_slots else 0
+        return len(self.s)
 
     def server_counts(self) -> tuple[int, ...]:
-        return tuple(rec.s for rec in self.slots)
+        return self.s
 
     def occupancies(self) -> tuple[int, ...]:
-        return tuple(rec.n for rec in self.slots)
+        return self.n
 
     def to_csv(self) -> str:
         lines = ["t,n,s,served_ids"]
-        for rec in self.slots:
-            ids = ";".join(str(j) for j in sorted(rec.served))
-            lines.append(f"{rec.t},{rec.n},{rec.s},{ids}")
+        if self.recorded_slots is None:  # ids straight from the cumulative s
+            first = self._served_before
+            for t, (n, s) in enumerate(zip(self.n, self.s), start=1):
+                ids = ";".join(map(str, range(first[t - 1], first[t])))
+                lines.append(f"{t},{n},{s},{ids}")
+        else:
+            for rec in self.recorded_slots:
+                ids = ";".join(str(j) for j in sorted(rec.served))
+                lines.append(f"{rec.t},{rec.n},{rec.s},{ids}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -268,7 +478,7 @@ class ScheduleTrace:
             for j in served:
                 last_served[j] = rec.t
             slots.append(rec)
-        return cls(tuple(slots), last_served, policy_name, instance_id)
+        return cls.from_slots(slots, last_served, policy_name, instance_id)
 
 
 @dataclass(frozen=True)
@@ -311,22 +521,23 @@ def cost_of_trace(trace: ScheduleTrace, model: CostModel) -> CostBreakdown:
     to zero. Raises TraceValidationError on internally inconsistent slots;
     full validation against an instance is validate_trace's job.
     """
-    flow = 0
-    switching = 0.0
-    servers = 0
-    prev = 0
-    for rec in trace.slots:
-        if rec.n < 0:
-            raise TraceValidationError("negative_occupancy", slot=rec.t)
-        if rec.s < 0 or rec.s > rec.n:
-            raise TraceValidationError(
-                "s_le_n", slot=rec.t,
-                message=f"s={rec.s} exceeds n={rec.n}")
-        flow += rec.n
-        switching += model.transition_cost(prev, rec.s)
-        servers += rec.s
-        prev = rec.s
-    switching += model.transition_cost(prev, 0)  # c(0,0)=0 when already idle
+    n, s = trace.n, trace.s
+    if n and (min(n) < 0 or min(s) < 0 or any(map(operator.gt, s, n))):
+        for rec in trace.slots:  # report the first broken slot
+            if rec.n < 0:
+                raise TraceValidationError("negative_occupancy", slot=rec.t)
+            if rec.s < 0 or rec.s > rec.n:
+                raise TraceValidationError(
+                    "s_le_n", slot=rec.t,
+                    message=f"s={rec.s} exceeds n={rec.n}")
+    flow = sum(n)
+    servers = sum(s)
+    # every step from s(0) = 0 through the final drop back to 0
+    steps = list(map(operator.sub, s + (0,), (0,) + s))
+    if model.switching is SwitchingKind.LINEAR:
+        switching = float(sum(map(abs, steps)))
+    else:
+        switching = float(sum(map(operator.mul, steps, steps)))
     energy = model.theta * servers
     total = flow + model.alpha * switching + energy
     return CostBreakdown(flow, switching, energy, total, model.alpha, model.switching)

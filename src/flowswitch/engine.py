@@ -1,19 +1,36 @@
-"""Deterministic slot simulator: policy picks s(t), multi-server SRPT serves.
+"""Deterministic slot simulator: the policy picks s(t), the engine serves.
 
 Each slot: arrivals join, the policy sees the causal state and requests a
-server count, the engine clamps it to [0, n(t)] (one unit-speed server per
-job), the s(t) jobs with shortest remaining work run for one unit, and jobs
-hitting zero depart at slot end. Preemption and migration are free.
+server count, and the engine rounds a fractional request up and clamps it
+to [0, n(t)] (one unit-speed server per job). The s(t) jobs with the
+shortest remaining work run for one unit, and jobs hitting zero depart at
+slot end. Preemption and migration are free.
+
+Unit jobs never need per-job state: shortest-remaining-work order is
+first-in first-out by job id, so the engine runs the count recurrence
+n(t) = n(t-1) - s(t-1) + a(t) and returns a columnar trace whose served
+sets and departures follow from the cumulative s. General sizes run a
+per-job multi-server SRPT loop, which is also the reference the tests
+compare the count path against.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Protocol, runtime_checkable
 
 from .core import ArrivalInstance, CostModel, ScheduleTrace, SlotRecord
+
+_CEIL_EPS = 1e-9
+
+
+def _ceil(x: float) -> int:
+    """Round up, forgiving float noise of up to 1e-9; never below 0."""
+    return max(0, math.ceil(x - _CEIL_EPS))
 
 
 class PolicyFaultError(Exception):
@@ -73,7 +90,7 @@ def srpt_select(outstanding: Sequence[tuple[int, int, int]], k: int) -> frozense
         raise ValueError("k must be nonnegative")
     if k == 0 or not outstanding:
         return frozenset()
-    ranked = sorted(outstanding, key=lambda rec: (rec[2], rec[1], rec[0]))
+    ranked = sorted(outstanding, key=itemgetter(2, 1, 0))
     return frozenset(rec[0] for rec in ranked[: min(k, len(ranked))])
 
 
@@ -84,6 +101,25 @@ def _check_policy_alpha(policy: PolicyDecision, model: CostModel | None):
             f"policy alpha {alpha} disagrees with cost model alpha {model.alpha}")
 
 
+def _server_request(policy: PolicyDecision, request, t: int) -> int:
+    """A non-int request as a server count; fractional values round up."""
+    if isinstance(request, bool):
+        raise PolicyFaultError(f"{policy.name} returned {request!r} at slot {t}")
+    try:
+        value = float(request)  # accepts numpy scalars too
+    except (TypeError, ValueError):
+        raise PolicyFaultError(
+            f"{policy.name} returned {request!r} at slot {t}") from None
+    if not math.isfinite(value):
+        raise PolicyFaultError(f"{policy.name} returned {request!r} at slot {t}")
+    return _ceil(value)
+
+
+def _stalled(policy: PolicyDecision, zero_streak: int) -> PolicyStallError:
+    return PolicyStallError(
+        f"{policy.name} idled {zero_streak} slots with work outstanding")
+
+
 def simulate(instance: ArrivalInstance, policy: PolicyDecision,
              model: CostModel | None = None, *,
              record_served: bool = True) -> ScheduleTrace:
@@ -91,33 +127,86 @@ def simulate(instance: ArrivalInstance, policy: PolicyDecision,
 
     ``model`` only cross-checks that a policy's alpha parameter matches the
     cost model it will be scored under; the dynamics never depend on it.
-    ``record_served=False`` skips per-job bookkeeping (unit jobs only) for
-    large runs; the resulting trace costs normally but cannot be validated.
+    ``record_served=False`` (unit jobs only) marks the trace as a bulk run:
+    it costs normally but cannot be validated, and policies see no
+    ``outstanding`` snapshot.
 
-    Raises PolicyFaultError on non-finite requests and PolicyStallError if
-    the policy requests 0 with work outstanding for K_stall = total work +
-    last arrival slot consecutive slots.
+    Unit instances run the count recurrence; general sizes run the per-job
+    SRPT loop. Requests that are not finite numbers raise PolicyFaultError;
+    fractional ones round up. PolicyStallError is raised if the policy
+    requests 0 with work outstanding for K_stall = total work + last
+    arrival slot consecutive slots.
     """
     _check_policy_alpha(policy, model)
-    jobs = instance.arrivals
-    if not jobs:
-        return ScheduleTrace((), {}, policy.name, instance.instance_id)
-    if not record_served and not instance.all_unit:
+    if not instance.job_count:
+        return ScheduleTrace((), (), policy.name, instance.instance_id)
+    if instance.all_unit:
+        return _simulate_counts(instance, policy, record_served)
+    if not record_served:
         raise ValueError("record_served=False supports unit-size jobs only")
+    return _simulate_jobs(instance, policy, record_served)
 
+
+def _fifo_outstanding(instance: ArrivalInstance, served: int,
+                      n: int) -> tuple[tuple[int, int, int], ...]:
+    arrivals = instance.arrivals
+    return tuple((j, arrivals[j][0], 1) for j in range(served, served + n))
+
+
+def _simulate_counts(instance: ArrivalInstance, policy: PolicyDecision,
+                     record_served: bool) -> ScheduleTrace:
+    """Unit jobs: n(t) = n(t-1) - s(t-1) + a(t), served first-in first-out."""
+    counts = instance.slot_counts
+    last_arrival = len(counts)
+    k_stall = instance.total_work + last_arrival
+    decide = policy.decide
+    ns: list[int] = []
+    ss: list[int] = []
+    history: list[tuple[int, int, int]] = []
+    provider = None
+    n = s_prev = served = zero_streak = t = 0
+    while True:
+        if t < last_arrival:
+            n += counts[t]
+        t += 1
+        if not n and t > last_arrival:
+            break
+        if record_served:
+            provider = partial(_fifo_outstanding, instance, served, n)
+        request = decide(ObservableState(t, n, s_prev, provider, history))
+        if type(request) is not int:
+            request = _server_request(policy, request, t)
+        if request > 0:
+            zero_streak = 0
+            s = request if request < n else n
+        else:
+            s = 0
+            if n:
+                zero_streak += 1
+                if zero_streak >= k_stall:
+                    raise _stalled(policy, zero_streak)
+            else:
+                zero_streak = 0
+        ns.append(n)
+        ss.append(s)
+        history.append((t, n, s))
+        n -= s
+        served += s
+        s_prev = s
+    return ScheduleTrace(ns, ss, policy.name, instance.instance_id,
+                         complete_records=record_served)
+
+
+def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
+                   record_served: bool) -> ScheduleTrace:
+    """Per-job multi-server SRPT: the engine for general sizes."""
+    jobs = instance.arrivals
     jobs_by_slot = instance.jobs_by_slot()
     last_arrival = instance.last_slot
     k_stall = instance.total_work + last_arrival
-
-    unit_fifo = instance.all_unit
-    # unit jobs: SRPT reduces to FIFO by (arrival, id); ids already arrive
-    # in that order, so a deque of ids suffices
-    fifo: deque[int] = deque()
     general: list[list[int]] = []  # [job_id, arrival, remaining]
 
     def _snapshot() -> tuple[tuple[int, int, int], ...]:
-        if unit_fifo:
-            return tuple((j, jobs[j][0], 1) for j in fifo)
         return tuple(sorted(((j, a, r) for j, a, r in general),
                             key=lambda rec: (rec[1], rec[0])))
 
@@ -129,70 +218,42 @@ def simulate(instance: ArrivalInstance, policy: PolicyDecision,
     zero_streak = 0
     t = 0
     n = 0
-    empty = frozenset()
     while True:
         t += 1
         for j in jobs_by_slot.get(t, ()):
-            if unit_fifo:
-                fifo.append(j)
-            else:
-                general.append([j, jobs[j][0], jobs[j][1]])
+            general.append([j, jobs[j][0], jobs[j][1]])
             n += 1
         if n == 0 and t > last_arrival:
             break
         n_slot = n  # occupancy during slot t, after arrivals, before departures
 
         request = policy.decide(ObservableState(t, n_slot, s_prev, provider, history))
-        if isinstance(request, bool):
-            raise PolicyFaultError(f"{policy.name} returned {request!r} at slot {t}")
-        try:
-            value = float(request)  # accepts numpy scalars too
-        except (TypeError, ValueError):
-            raise PolicyFaultError(
-                f"{policy.name} returned {request!r} at slot {t}") from None
-        if not math.isfinite(value):
-            raise PolicyFaultError(f"{policy.name} returned {request!r} at slot {t}")
-        request = int(value)
-
+        if type(request) is not int:
+            request = _server_request(policy, request, t)
         if request <= 0 and n_slot > 0:
             zero_streak += 1
             if zero_streak >= k_stall:
-                raise PolicyStallError(
-                    f"{policy.name} idled {zero_streak} slots with work outstanding")
+                raise _stalled(policy, zero_streak)
         else:
             zero_streak = 0
 
         s = min(max(request, 0), n_slot)
-        served = empty
-        if unit_fifo:
-            if record_served:
-                picked = [fifo.popleft() for _ in range(s)]
-                for j in picked:
-                    departures[j] = t
-                served = frozenset(picked)
-            else:
-                for _ in range(s):
-                    fifo.popleft()
-            n -= s
-        else:
-            served = srpt_select(_snapshot(), s)
-            keep = []
-            for rec in general:
-                if rec[0] in served:
-                    rec[2] -= 1
-                    if rec[2] == 0:
-                        departures[rec[0]] = t
-                        n -= 1
-                        continue
-                keep.append(rec)
-            general = keep
+        served = srpt_select(general, s)
+        for rec in general:
+            if rec[0] in served:
+                rec[2] -= 1
+                if rec[2] == 0:
+                    departures[rec[0]] = t
+                    n -= 1
+        general = [rec for rec in general if rec[2]]
 
         slots.append(SlotRecord(t, n_slot, s, served))
         history.append((t, n_slot, s))
         s_prev = s
 
-    return ScheduleTrace(tuple(slots), departures, policy.name,
-                         instance.instance_id, complete_records=record_served)
+    return ScheduleTrace.from_slots(slots, departures, policy.name,
+                                    instance.instance_id,
+                                    complete_records=record_served)
 
 
 def trace_from_server_counts(instance: ArrivalInstance,

@@ -22,8 +22,10 @@ def batch(n_jobs: int, size: int = 1) -> ArrivalInstance:
     """All jobs arrive together at slot 1."""
     if n_jobs < 0:
         raise ValueError("n_jobs must be nonnegative")
-    return ArrivalInstance(tuple((1, size) for _ in range(n_jobs)),
-                           name=f"batch(N={n_jobs},w={size})")
+    name = f"batch(N={n_jobs},w={size})"
+    if size == 1:
+        return ArrivalInstance.from_counts((n_jobs,), name=name)
+    return ArrivalInstance(tuple((1, size) for _ in range(n_jobs)), name=name)
 
 
 def periodic(x: int, k: int) -> ArrivalInstance:
@@ -32,22 +34,21 @@ def periodic(x: int, k: int) -> ArrivalInstance:
         raise ValueError(f"x must be a positive even integer, got {x}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    arrivals = tuple((2 * i, 1) for i in range(1, k + 1) for _ in range(x))
-    return ArrivalInstance(arrivals, name=f"periodic(x={x},k={k})")
+    return ArrivalInstance.from_counts((0, x) * k, name=f"periodic(x={x},k={k})")
 
 
 def sigma1(n_jobs: int) -> ArrivalInstance:
     """Single burst: N unit jobs at slot 1."""
-    inst = batch(n_jobs, 1)
-    return ArrivalInstance(inst.arrivals, name=f"sigma1(N={n_jobs})")
+    return ArrivalInstance.from_counts(batch(n_jobs).slot_counts,
+                                       name=f"sigma1(N={n_jobs})")
 
 
 def sigma2(n_jobs: int, horizon: int) -> ArrivalInstance:
     """Sustained load: N unit jobs at every slot 1..T."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    arrivals = tuple((t, 1) for t in range(1, horizon + 1) for _ in range(n_jobs))
-    return ArrivalInstance(arrivals, name=f"sigma2(N={n_jobs},T={horizon})")
+    counts = (n_jobs,) * horizon if n_jobs > 0 else ()  # N <= 0: no jobs
+    return ArrivalInstance.from_counts(counts, name=f"sigma2(N={n_jobs},T={horizon})")
 
 
 def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
@@ -62,11 +63,8 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
         raise ValueError("horizon must be nonnegative")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(rate, horizon)
-    arrivals = tuple((t, 1)
-                     for t, c in enumerate(counts, start=1)
-                     for _ in range(int(c)))
-    return ArrivalInstance(
-        arrivals, name=f"random(rate={rate:g},T={horizon},seed={seed})")
+    return ArrivalInstance.from_counts(
+        counts.tolist(), name=f"random(rate={rate:g},T={horizon},seed={seed})")
 
 
 @dataclass(frozen=True)

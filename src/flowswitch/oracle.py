@@ -42,7 +42,12 @@ class ConvexSolverError(Exception):
 
 def state_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_STATE_BUDGET
+    if not raw:
+        return DEFAULT_STATE_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
         raise UnsupportedInstanceError("dp_opt requires unit job sizes")
     cfg = cfg or DpConfig()
     if instance.job_count == 0:
-        return 0.0, ScheduleTrace((), {}, "dp_opt", instance.instance_id)
+        return 0.0, ScheduleTrace((), (), "dp_opt", instance.instance_id)
     s_cap, t_cap, budget = cfg.resolve(instance)
     n_jobs = instance.job_count
     t_end = t_cap + 1  # virtual slot charging the final down-switch
@@ -91,8 +96,7 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
         raise DpBudgetError(n_states, budget)
 
     arr = np.zeros(t_end + 2, dtype=np.int64)
-    for slot, _ in instance.arrivals:
-        arr[slot] += 1
+    arr[1:instance.last_slot + 1] = instance.slot_counts
     alpha = model.alpha
     sp = np.arange(s_cap + 1, dtype=np.float64)
     cgrid = np.empty((s_cap + 1, s_cap + 1))
@@ -207,11 +211,11 @@ def delta_flow(instance: ArrivalInstance, job: int,
     if not 0 <= job < instance.job_count:
         raise ValueError(f"job index {job} out of range")
     policy = QuadAlg(alpha=alpha, beta=beta)
-    with_job = ArrivalInstance(instance.arrivals[: job + 1])
-    without_job = ArrivalInstance(instance.arrivals[:job])
-    flow_with = sum(rec.n for rec in simulate(with_job, policy).slots)
-    flow_without = sum(rec.n for rec in simulate(without_job, policy).slots)
-    return flow_with - flow_without
+    # named prefixes: an unnamed instance would hash all its records for its id
+    base = instance.instance_id
+    with_job = instance.prefix(job + 1, name=f"{base}[:{job + 1}]")
+    without_job = instance.prefix(job, name=f"{base}[:{job}]")
+    return sum(simulate(with_job, policy).n) - sum(simulate(without_job, policy).n)
 
 
 def dual_bound_from_flow(flow_time: float, beta: float) -> float:
@@ -261,7 +265,7 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
         warnings.warn(f"beta={beta:g} gives a nonpositive dual bound",
                       RuntimeWarning, stacklevel=2)
     trace = simulate(instance, QuadAlg(alpha=alpha, beta=beta))
-    flow_alg = sum(rec.n for rec in trace.slots)
+    flow_alg = sum(trace.n)
     size = instance.arrivals[0][1] if instance.arrivals else 1
     lambdas = tuple(delta_flow(instance, j, alpha, beta) / size
                     for j in range(instance.job_count))

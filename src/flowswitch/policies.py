@@ -12,13 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .engine import ObservableState
-
-_CEIL_EPS = 1e-9
-
-
-def _ceil(x: float) -> int:
-    return max(0, math.ceil(x - _CEIL_EPS))
+from .engine import _CEIL_EPS, ObservableState, _ceil
 
 
 def effective_alpha(alpha: float) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -131,6 +132,29 @@ class TestRun:
             "--oracle", "dp")
         assert code == 3
         assert "budget" in err
+
+
+class TestBudgetEnv:
+    def test_non_integer_budget_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", "lots")
+        for argv in (("opt", "--instance", "batch:N=2", "--model", "quad:alpha=1"),
+                     ("sweep", "--kind", "gamma", "--instance", "sigma1:N=2",
+                      "--gammas", "0", "--alphas", "1")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "FLOWSWITCH_ORACLE_BUDGET" in err
+        # commands that never read the budget are unaffected
+        code, _, _ = run_cli(capsys, "reproduce-figure", "--figure", "quad_a1",
+                             "--seeds", "1", "--rates", "5", "--horizon", "20",
+                             "-o", os.devnull)
+        assert code == 0
+
+    def test_sweep_reads_the_budget_when_it_runs(self, capsys, monkeypatch):
+        argv = ("sweep", "--kind", "gamma", "--instance", "sigma1:N=2",
+                "--gammas", "0,1", "--alphas", "1,2", "-o", os.devnull)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", "3")
+        assert run_cli(capsys, *argv)[0] == 3
 
 
 class TestOptDual:

@@ -11,7 +11,7 @@ from flowswitch.policies import FullParallel, QuadAlg
 
 def make_trace(records, departures):
     slots = tuple(SlotRecord(t, n, s, frozenset(ids)) for t, n, s, ids in records)
-    return ScheduleTrace(slots, dict(departures))
+    return ScheduleTrace.from_slots(slots, dict(departures))
 
 
 class TestArrivalInstance:
@@ -34,6 +34,40 @@ class TestArrivalInstance:
         assert inst.max_slot_arrivals == 2
         assert not inst.all_unit
         assert inst.work_at(1) == 3
+
+    def test_counts_built_equals_tuple_built(self):
+        twin = ArrivalInstance(((3, 1), (1, 1), (1, 1)), name="x")
+        inst = ArrivalInstance.from_counts((2, 0, 1, 0, 0), name="x")
+        assert inst == twin and twin == inst and hash(inst) == hash(twin)
+        assert inst.arrivals == twin.arrivals == ((1, 1), (1, 1), (3, 1))
+        assert inst.slot_counts == twin.slot_counts == (2, 0, 1)
+        for attr in ("job_count", "total_work", "last_slot", "all_unit",
+                     "sizes_equal", "max_slot_arrivals", "instance_id"):
+            assert getattr(inst, attr) == getattr(twin, attr), attr
+        assert ArrivalInstance.from_counts((2, 0, 1)) == ArrivalInstance(twin.arrivals)
+        assert inst != ArrivalInstance.from_counts((2, 0, 1), name="y")
+        assert inst != ArrivalInstance.from_counts((2, 1), name="x")
+        assert ArrivalInstance.from_counts(()) == ArrivalInstance(())
+
+    def test_from_counts_rejects_bad_counts(self):
+        for bad in ((1, -1), (1.5,), (2, 0.5)):
+            with pytest.raises(ValueError, match="arrival count"):
+                ArrivalInstance.from_counts(bad)
+        with pytest.raises(ValueError, match="horizon_hint"):
+            ArrivalInstance.from_counts((1, 0, 1), horizon_hint=2)
+        with pytest.raises(AttributeError):
+            ArrivalInstance.from_counts((1,)).name = "renamed"
+
+    def test_prefix_keeps_the_first_jobs(self):
+        for inst in (ArrivalInstance.from_counts((0, 2, 0, 3)),
+                     ArrivalInstance(((2, 1), (2, 1), (4, 1), (4, 1), (4, 1))),
+                     ArrivalInstance(((2, 2), (2, 2), (4, 2)))):
+            for k in range(inst.job_count + 1):
+                head = inst.prefix(k, name="p")
+                assert head.arrivals == inst.arrivals[:k]
+                assert head.name == "p"
+        with pytest.raises(ValueError):
+            inst.prefix(inst.job_count + 1)
 
     def test_text_round_trip(self, tmp_path):
         inst = ArrivalInstance(((1, 1), (2, 3)), name="rt")
@@ -67,7 +101,7 @@ class TestCostOfTrace:
         assert (b.flow_time, b.switching_cost, b.total) == (3, 2, 7)
 
     def test_empty(self):
-        b = cost_of_trace(ScheduleTrace((), {}), CostModel.linear(1))
+        b = cost_of_trace(ScheduleTrace((), ()), CostModel.linear(1))
         assert b.flow_time == 0 and b.total == 0
 
     def test_two_jobs_one_slot_linear(self):
@@ -186,8 +220,8 @@ class TestValidatorFuzz:
                     continue
                 job = rng.choice(sorted(departures))
                 departures[job] += 1
-            broken = ScheduleTrace(tuple(slots), departures,
-                                   trace.policy_name, trace.instance_id)
+            broken = ScheduleTrace.from_slots(slots, departures,
+                                              trace.policy_name, trace.instance_id)
             assert not validate_trace(inst, broken).ok, kind
             caught += 1
         assert caught >= 15

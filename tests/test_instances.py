@@ -1,8 +1,9 @@
 import statistics
 
+import numpy as np
 import pytest
 
-from flowswitch import validate_trace, simulate
+from flowswitch import ArrivalInstance, validate_trace, simulate
 from flowswitch.instances import (batch, parse_instance_spec, periodic,
                                   random_slotted, sigma1, sigma2)
 from flowswitch.policies import FullParallel
@@ -47,6 +48,27 @@ class TestGenerators:
                      random_slotted(2.0, 10, seed=0)):
             trace = simulate(inst, FullParallel())
             assert validate_trace(inst, trace).ok
+
+
+    def test_count_built_generators_equal_record_built(self):
+        # each generator against the per-job record construction it replaces
+        rate, horizon, seed = 3.0, 40, 5
+        counts = np.random.default_rng(seed).poisson(rate, horizon)
+        records = tuple((t, 1) for t, c in enumerate(counts, start=1)
+                        for _ in range(int(c)))
+        cases = [
+            (random_slotted(rate, horizon, seed), records,
+             "random(rate=3,T=40,seed=5)"),
+            (batch(4), ((1, 1),) * 4, "batch(N=4,w=1)"),
+            (sigma1(3), ((1, 1),) * 3, "sigma1(N=3)"),
+            (sigma2(2, 3), tuple((t, 1) for t in (1, 1, 2, 2, 3, 3)),
+             "sigma2(N=2,T=3)"),
+            (periodic(2, 2), ((2, 1), (2, 1), (4, 1), (4, 1)),
+             "periodic(x=2,k=2)"),
+        ]
+        for inst, arrivals, name in cases:
+            assert inst == ArrivalInstance(arrivals, name=name)
+            assert inst.instance_id == name
 
 
 class TestParseSpec:

@@ -140,6 +140,25 @@ class TestDeltaFlow:
         flow = sum(rec.n for rec in simulate(inst, QuadAlg(alpha=1.0)).slots)
         assert total == flow
 
+    def test_count_prefixes_match_record_prefixes(self, corpus):
+        # prefixes built from slot counts against re-validated record slices
+        def by_records(inst, j, alpha, beta):
+            policy = QuadAlg(alpha=alpha, beta=beta)
+            flows = [sum(rec.n for rec in simulate(
+                ArrivalInstance(inst.arrivals[:k]), policy).slots)
+                for k in (j + 1, j)]
+            return flows[0] - flows[1]
+
+        for i, inst in enumerate(corpus):
+            alpha, beta = (0.5, 1.0, 2.0, 4.0)[i % 4], (1.6, 2.177)[i % 2]
+            cert = dual_lower_bound(inst, alpha, beta)
+            assert cert.lambdas == tuple(
+                float(by_records(inst, j, alpha, beta))
+                for j in range(inst.job_count)), inst.name
+        sized = ArrivalInstance(((1, 2), (1, 2), (3, 2)))
+        assert [delta_flow(sized, j, 1.0, 1.0) for j in range(3)] == \
+            [by_records(sized, j, 1.0, 1.0) for j in range(3)]
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             delta_flow(batch(2), 5, 1.0, 1.0)
