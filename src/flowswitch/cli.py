@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .core import ArrivalInstance, CostModel, cost_of_trace
 from .engine import simulate
 from .instances import parse_instance_spec, random_slotted
-from .oracle import (DpBudgetError, DpConfig, dp_opt, dual_lower_bound,
-                     state_budget)
+from .oracle import (DpBudgetError, DpConfig, UnsupportedInstanceError, dp_opt,
+                     dual_lower_bound, state_budget)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
                        QuadAlg, QuadBalance, make_policy)
 from .stochastic import (Alg3Params, alg1, alg2, alg3_analytic_cost,
@@ -504,7 +504,7 @@ def main(argv=None) -> int:
     except DpBudgetError as exc:
         print(f"oracle budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, UnsupportedInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

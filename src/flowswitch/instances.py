@@ -45,9 +45,11 @@ def sigma1(n_jobs: int) -> ArrivalInstance:
 
 def sigma2(n_jobs: int, horizon: int) -> ArrivalInstance:
     """Sustained load: N unit jobs at every slot 1..T."""
+    if n_jobs < 0:
+        raise ValueError("n_jobs must be nonnegative")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    counts = (n_jobs,) * horizon if n_jobs > 0 else ()  # N <= 0: no jobs
+    counts = (n_jobs,) * horizon if n_jobs > 0 else ()  # N = 0: no jobs
     return ArrivalInstance.from_counts(counts, name=f"sigma2(N={n_jobs},T={horizon})")
 
 

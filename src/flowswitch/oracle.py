@@ -17,6 +17,7 @@ from .policies import QuadAlg, effective_alpha
 
 DEFAULT_STATE_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "FLOWSWITCH_ORACLE_BUDGET"
+_DP_BLOCK = 1 << 20  # float64 elements per dp_opt (n, s_prev, s') block
 
 
 class UnsupportedInstanceError(Exception):
@@ -79,9 +80,17 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     """Exact offline minimum of the slotted objective for unit jobs.
 
     State is (slot, outstanding, previous server count); transitions pick
-    s' in [0, min(n, s_cap)] and ties break toward smaller s', so the
-    returned trace is deterministic. The final ramp-down to 0 is charged
-    through one virtual slot past the horizon.
+    s' in [0, min(n, s_cap)]. The final ramp-down to 0 is charged through
+    one virtual slot past the horizon.
+
+    Each slot t is one numpy step over the block
+    ``cand[n, s_prev, s'] = (n + alpha c(s', s_prev)) + V_{t+1}(n - s' + a_{t+1}, s')``
+    minimised over s'; ``argmin`` keeps the first minimum, so ties break
+    toward smaller s' and the returned trace is deterministic. Only the
+    reachable band is filled: n at most the jobs arrived by slot t, s_prev
+    at most the jobs arrived by slot t - 1 (the backtrack never leaves it;
+    other states stay at inf). Rows of n are taken in chunks so one block
+    holds at most about ``_DP_BLOCK`` floats.
     """
     if not instance.all_unit:
         raise UnsupportedInstanceError("dp_opt requires unit job sizes")
@@ -97,13 +106,11 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
 
     arr = np.zeros(t_end + 2, dtype=np.int64)
     arr[1:instance.last_slot + 1] = instance.slot_counts
-    alpha = model.alpha
+    arrived = np.cumsum(arr)  # arrived[t]: jobs arrived by slot t
     sp = np.arange(s_cap + 1, dtype=np.float64)
-    cgrid = np.empty((s_cap + 1, s_cap + 1))
-    for s_new in range(s_cap + 1):
-        delta = np.abs(s_new - sp)
-        cgrid[s_new] = alpha * (delta if model.switching.value == "linear"
-                                else delta * delta)
+    delta = np.abs(sp[None, :] - sp[:, None])  # [s_prev, s'] = |s' - s_prev|
+    cgrid = model.alpha * (delta if model.switching.value == "linear"
+                           else delta * delta)
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
 
     inf = np.inf
@@ -112,20 +119,24 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     choice = np.zeros((t_end + 1, n_jobs + 1, s_cap + 1), dtype=np.int16)
     for t in range(t_end, 0, -1):
         a_next = int(arr[t + 1])
+        top = int(arrived[t])  # n <= top, hence s' <= min(top, s_cap)
+        s_new = np.arange(min(top, s_cap) + 1)
+        prev_w = min(int(arrived[t - 1]), s_cap) + 1
+        cg = cgrid[:prev_w, :s_new.size]
+        rows = max(1, _DP_BLOCK // cg.size)
         v_t = np.full((n_jobs + 1, s_cap + 1), inf)
-        pick = np.zeros((n_jobs + 1, s_cap + 1), dtype=np.int16)
-        for s_new in range(s_cap + 1):
-            nxt = np.full(n_jobs + 1, inf)
-            n_idx = np.arange(s_new, n_jobs + 1)
-            tgt = n_idx - s_new + a_next
-            ok = tgt <= n_jobs
-            nxt[n_idx[ok]] = v_next[tgt[ok], s_new]
-            cand = n_vals[:, None] + cgrid[s_new][None, :] + nxt[:, None]
-            better = cand < v_t  # strict: ascending s_new keeps the smallest
-            v_t[better] = cand[better]
-            pick[better] = s_new
+        for lo in range(0, top + 1, rows):
+            n_idx = np.arange(lo, min(lo + rows, top + 1))
+            tgt = n_idx[:, None] - s_new + a_next  # <= arrived[t + 1] <= n_jobs
+            ok = s_new <= n_idx[:, None]
+            g = np.where(ok, v_next[np.where(ok, tgt, 0), s_new], inf)
+            cand = np.add(n_vals[n_idx, None, None], cg)
+            cand += g[:, None, :]
+            pick = cand.argmin(axis=2)
+            v_t[n_idx, :prev_w] = np.take_along_axis(
+                cand, pick[..., None], axis=2)[..., 0]
+            choice[t, n_idx, :prev_w] = pick
         v_next = v_t
-        choice[t] = pick
 
     n0 = int(arr[1])
     best = float(v_next[n0, 0])
@@ -211,11 +222,14 @@ def delta_flow(instance: ArrivalInstance, job: int,
     if not 0 <= job < instance.job_count:
         raise ValueError(f"job index {job} out of range")
     policy = QuadAlg(alpha=alpha, beta=beta)
-    # named prefixes: an unnamed instance would hash all its records for its id
-    base = instance.instance_id
-    with_job = instance.prefix(job + 1, name=f"{base}[:{job + 1}]")
-    without_job = instance.prefix(job, name=f"{base}[:{job}]")
-    return sum(simulate(with_job, policy).n) - sum(simulate(without_job, policy).n)
+    return _prefix_flow(instance, job + 1, policy) - _prefix_flow(instance, job, policy)
+
+
+def _prefix_flow(instance: ArrivalInstance, k: int, policy: QuadAlg) -> int:
+    """Flow time of the policy on the first k jobs of the instance."""
+    # named prefix: an unnamed instance would hash all its records for its id
+    prefix = instance.prefix(k, name=f"{instance.instance_id}[:{k}]")
+    return sum(simulate(prefix, policy).n)
 
 
 def dual_bound_from_flow(flow_time: float, beta: float) -> float:
@@ -264,11 +278,16 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
     if degenerate:
         warnings.warn(f"beta={beta:g} gives a nonpositive dual bound",
                       RuntimeWarning, stacklevel=2)
-    trace = simulate(instance, QuadAlg(alpha=alpha, beta=beta))
+    policy = QuadAlg(alpha=alpha, beta=beta)
+    trace = simulate(instance, policy)
     flow_alg = sum(trace.n)
     size = instance.arrivals[0][1] if instance.arrivals else 1
-    lambdas = tuple(delta_flow(instance, j, alpha, beta) / size
-                    for j in range(instance.job_count))
+    # prefix flows F(0..J), one replay each; lambda_j = (F(j+1) - F(j)) / size
+    # is delta_flow(j) / size exactly, since the flows are integers
+    flows = [_prefix_flow(instance, k, policy) for k in range(instance.job_count)]
+    flows.append(flow_alg)  # the whole instance is the last prefix
+    lambdas = tuple((after - before) / size
+                    for before, after in zip(flows, flows[1:]))
     bound = dual_bound_from_flow(flow_alg, beta)
 
     a_eff = effective_alpha(alpha)

@@ -368,6 +368,14 @@ def batch_quad_horizon_search(n: float, alpha: float) -> HorizonSearchResult:
     which restores the departure-slot term and makes the value comparable
     to the slotted objective. The objective is non-increasing in H, so ties
     resolve to the smallest H reaching the plateau.
+
+    The scan stops after the first H whose solved profile ends in an exact
+    0.0. Up to a constant, cost(H) = sum_i i s_i + alpha sum (s_i - s_{i-1})^2
+    over sum s = n, so H enters only through the support. If s_H = 0, the
+    KKT conditions at H give a multiplier lambda <= H - 2 alpha s_{H-1} < H + 1,
+    so the zero-padded profile is KKT-optimal for every H' > H; the problem
+    is strictly convex, hence that optimum is unique and no longer horizon
+    can lower the cost by more than the 1e-9 tie tolerance.
     """
     from .oracle import convex_batch_solve
 
@@ -383,5 +391,7 @@ def batch_quad_horizon_search(n: float, alpha: float) -> HorizonSearchResult:
         cost = sol.objective + n
         if best is None or cost < best.cost - 1e-9:
             best = HorizonSearchResult(h, cost, tuple(float(x) for x in sol.profile))
+        if sol.profile[-1] == 0.0:  # plateau reached: zero padding stays optimal
+            break
     assert best is not None
     return best

@@ -22,6 +22,12 @@ class TestGen:
                  if ln and not ln.startswith("#")]
         assert lines == ["1 1", "1 1", "1 1"]
 
+    def test_negative_sigma2_jobs(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "sigma2:N=-2,T=3")
+        assert code == 2
+        assert "n_jobs must be nonnegative" in err
+        assert not out
+
     def test_bad_spec(self, capsys):
         code, _, err = run_cli(capsys, "gen", "wat:N=3")
         assert code == 2
@@ -175,6 +181,22 @@ class TestOptDual:
         cert = json.loads(out)
         assert cert["per_pair_slack"] <= 0
         assert len(cert["lambdas"]) == 4
+
+
+    @pytest.mark.parametrize("argv", [
+        ("opt", "--model", "quad:alpha=1"),
+        ("run", "--policy", "full_parallel", "--model", "quad:alpha=1",
+         "--oracle", "dp"),
+        ("dual", "--alpha", "1", "--beta", "2"),
+    ], ids=["opt", "run-dp", "dual"])
+    def test_non_unit_instance_is_validation_error(self, capsys, tmp_path, argv):
+        inst = tmp_path / "mixed.txt"
+        inst.write_text("1 1\n1 2\n")
+        code, _, err = run_cli(capsys, *argv, "--instance", str(inst))
+        assert code == 2
+        expected = "equal job sizes" if argv[0] == "dual" else "unit job sizes"
+        assert expected in err
+        assert "Traceback" not in err
 
 
 class TestStochasticCli:

@@ -28,6 +28,9 @@ class TestGenerators:
         assert sigma1(5).arrivals == tuple((1, 1) for _ in range(5))
         assert sigma2(3, 4).job_count == 12
         assert sigma2(6, 1).arrivals == sigma1(6).arrivals
+        assert sigma2(0, 3).arrivals == ()
+        with pytest.raises(ValueError, match="n_jobs must be nonnegative"):
+            sigma2(-2, 3)
 
     def test_random_slotted_determinism(self):
         one = random_slotted(5.0, 50, seed=9)

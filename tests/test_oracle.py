@@ -2,7 +2,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, DpBudgetError, DpConfig,
                         OracleSizeError, UnsupportedInstanceError,
@@ -74,6 +77,105 @@ class TestDpOpt:
         eager = cost_of_trace(simulate(inst, FullParallel()), model).total
         assert cost < eager
         assert trace.server_counts()[0] == 0
+
+
+def _dp_reference(instance, model, cfg=None):
+    """The per-s' DP loop that dp_opt vectorises: (value, server counts).
+
+    One numpy pass per candidate s' over the full (n, s_prev) grid, with a
+    strict ``<`` in ascending s' for the smallest-s' tie rule.
+    """
+    cfg = cfg or DpConfig()
+    if instance.job_count == 0:
+        return 0.0, ()
+    s_cap, t_cap, _ = cfg.resolve(instance)
+    n_jobs = instance.job_count
+    t_end = t_cap + 1
+    arr = np.zeros(t_end + 2, dtype=np.int64)
+    arr[1:instance.last_slot + 1] = instance.slot_counts
+    alpha = model.alpha
+    sp = np.arange(s_cap + 1, dtype=np.float64)
+    cgrid = np.empty((s_cap + 1, s_cap + 1))
+    for s_new in range(s_cap + 1):
+        delta = np.abs(s_new - sp)
+        cgrid[s_new] = alpha * (delta if model.switching.value == "linear"
+                                else delta * delta)
+    n_vals = np.arange(n_jobs + 1, dtype=np.float64)
+    v_next = np.full((n_jobs + 1, s_cap + 1), np.inf)
+    v_next[0, 0] = 0.0
+    choice = np.zeros((t_end + 1, n_jobs + 1, s_cap + 1), dtype=np.int16)
+    for t in range(t_end, 0, -1):
+        a_next = int(arr[t + 1])
+        v_t = np.full((n_jobs + 1, s_cap + 1), np.inf)
+        pick = np.zeros((n_jobs + 1, s_cap + 1), dtype=np.int16)
+        for s_new in range(s_cap + 1):
+            nxt = np.full(n_jobs + 1, np.inf)
+            n_idx = np.arange(s_new, n_jobs + 1)
+            tgt = n_idx - s_new + a_next
+            ok = tgt <= n_jobs
+            nxt[n_idx[ok]] = v_next[tgt[ok], s_new]
+            cand = n_vals[:, None] + cgrid[s_new][None, :] + nxt[:, None]
+            better = cand < v_t
+            v_t[better] = cand[better]
+            pick[better] = s_new
+        v_next = v_t
+        choice[t] = pick
+    n0 = int(arr[1])
+    best = float(v_next[n0, 0])
+    if not math.isfinite(best):
+        raise ValueError("no feasible schedule within t_cap")
+    counts = []
+    n_cur, s_prev = n0, 0
+    for t in range(1, t_end + 1):
+        s_t = int(choice[t][n_cur, s_prev])
+        n_cur = n_cur - s_t + int(arr[t + 1])
+        counts.append(s_t)
+        s_prev = s_t
+        if n_cur == 0 and t >= instance.last_slot:
+            break
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return best, tuple(counts)
+
+
+def assert_dp_matches_reference(instance, model, cfg=None):
+    try:
+        want = _dp_reference(instance, model, cfg)
+    except ValueError:
+        with pytest.raises(ValueError):
+            dp_opt(instance, model, cfg)
+        return
+    value, trace = dp_opt(instance, model, cfg)
+    assert (value, trace.s) == want, (instance.name, model, cfg)
+
+
+class TestDpDifferential:
+    """dp_opt against the per-s' reference loop, by == on value and s."""
+
+    def test_corpus(self, corpus):
+        alphas = (0.3, 0.5, 1.0, 1.7, 2.0, 3.3)
+        for i, inst in enumerate(corpus):
+            alpha = alphas[i % len(alphas)]
+            for model in (CostModel.linear(alpha), CostModel.quadratic(alpha)):
+                for s_cap in (None, inst.job_count, 1):
+                    assert_dp_matches_reference(inst, model, DpConfig(s_cap=s_cap))
+
+    @settings(max_examples=120, deadline=None)
+    @given(counts=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+           alpha=st.sampled_from([0.3, 0.5, 1.0, 1.7, 3.3, 8.0]),
+           quadratic=st.booleans(), cap=st.sampled_from(["default", "jobs", 1]),
+           extra=st.one_of(st.none(), st.integers(0, 12)))
+    def test_generated(self, counts, alpha, quadratic, cap, extra):
+        inst = ArrivalInstance.from_counts(counts)
+        model = CostModel.quadratic(alpha) if quadratic else CostModel.linear(alpha)
+        s_cap = {"default": None, "jobs": inst.job_count}.get(cap, cap)
+        t_cap = None if extra is None else inst.last_slot + extra
+        assert_dp_matches_reference(inst, model, DpConfig(s_cap=s_cap, t_cap=t_cap))
+
+    def test_chunked_rows(self):
+        # 121 x 121 (s_prev, s') cells per row: the rows take two blocks
+        assert_dp_matches_reference(batch(120), CostModel.quadratic(1.7),
+                                    DpConfig(s_cap=120))
 
 
 class TestExhaustive:
@@ -158,6 +260,17 @@ class TestDeltaFlow:
         sized = ArrivalInstance(((1, 2), (1, 2), (3, 2)))
         assert [delta_flow(sized, j, 1.0, 1.0) for j in range(3)] == \
             [by_records(sized, j, 1.0, 1.0) for j in range(3)]
+
+    def test_certificate_lambdas_equal_delta_flow(self, corpus):
+        for i, inst in enumerate(corpus):
+            alpha, beta = (0.5, 1.0, 2.0, 4.0)[i % 4], (1.6, 2.177)[i % 2]
+            cert = dual_lower_bound(inst, alpha, beta)
+            assert cert.lambdas == tuple(delta_flow(inst, j, alpha, beta)
+                                         for j in range(inst.job_count)), inst.name
+        sized = ArrivalInstance(((1, 2), (1, 2), (3, 2), (3, 2)))
+        assert dual_lower_bound(sized, 1.0, 2.177).lambdas == tuple(
+            delta_flow(sized, j, 1.0, 2.177) / 2 for j in range(4))
+        assert dual_lower_bound(ArrivalInstance(()), 1.0, 2.177).lambdas == ()
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,25 @@ class TestHorizonSearch:
         # integral one-slot schedule costs 1 + 2 alpha = 3; relaxation is below
         assert res.cost <= 3.0
 
+    def test_plateau_stop_equals_full_scan(self):
+        from flowswitch import convex_batch_solve
+        from flowswitch.policies import HorizonSearchResult
+
+        def full_scan(n, alpha):
+            h_max = math.ceil(3.0 * math.sqrt(max(alpha, 1.0) * n)) + n
+            best = None
+            for h in range(1, h_max + 1):
+                sol = convex_batch_solve(n, h, alpha=alpha)
+                cost = sol.objective + n
+                if best is None or cost < best.cost - 1e-9:
+                    best = HorizonSearchResult(h, cost, sol.profile)
+            return best
+
+        for n_jobs in (1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 40, 50, 60):
+            for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 9.0):
+                assert batch_quad_horizon_search(n_jobs, alpha) == \
+                    full_scan(n_jobs, alpha), (n_jobs, alpha)
+
     def test_objective_nonincreasing_in_horizon(self):
         from flowswitch import convex_batch_solve
         values = [convex_batch_solve(9.0, h, alpha=2.0).objective
