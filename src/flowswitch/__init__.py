@@ -9,7 +9,7 @@ from .core import (ArrivalInstance, CostBreakdown, CostModel, ScheduleTrace,
                    SlotRecord, SwitchingKind, TraceValidationError,
                    ValidationResult, cost_of_trace, validate_trace)
 from .engine import (ObservableState, PolicyDecision, PolicyFaultError,
-                     PolicyStallError, simulate, srpt_select,
+                     PolicyStallError, ShapedRule, simulate, srpt_select,
                      trace_from_server_counts)
 from .oracle import (ConvexSolverError, DpBudgetError, DpConfig,
                      DualCertificate, OracleSizeError, UnsupportedInstanceError,

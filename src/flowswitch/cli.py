@@ -17,15 +17,15 @@ import sys
 from dataclasses import dataclass
 
 from .core import ArrivalInstance, CostModel, cost_of_trace
-from .engine import simulate
+from .engine import PolicyFaultError, PolicyStallError, simulate
 from .instances import parse_instance_spec, random_slotted
 from .oracle import (DpBudgetError, DpConfig, UnsupportedInstanceError, dp_opt,
                      dual_lower_bound, state_budget)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
-                       QuadAlg, QuadBalance, make_policy)
-from .stochastic import (Alg3Params, alg1, alg2, alg3_analytic_cost,
-                         analytic_cost, scaling_exponent, simulate_alg3,
-                         simulate_ctmc)
+                       QuadAlg, QuadBalance, _check_alpha, make_policy)
+from .stochastic import (Alg3Params, NonErgodicError, TruncationError, alg1,
+                         alg2, alg3_analytic_cost, analytic_cost,
+                         scaling_exponent, simulate_alg3, simulate_ctmc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -224,6 +224,9 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_stochastic(args) -> int:
+    _check_alpha(args.alpha)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     if args.policy == "alg1":
         policy = alg1()
     elif args.policy == "alg2":
@@ -257,6 +260,8 @@ def _cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     if args.kind == "gamma":
+        if not args.instance:
+            raise _UsageError("--kind gamma needs --instance")
         gammas = _parse_grid(args.gammas or "")
         alphas = _parse_grid(args.alphas or "")
         cells = len(gammas) * len(alphas)
@@ -271,9 +276,11 @@ def _cmd_sweep(args) -> int:
                 total = cost_of_trace(simulate(instance, policy), model).total
                 opt_cost, _ = dp_opt(instance, model,
                                      DpConfig(s_cap=args.s_cap, t_cap=args.t_cap))
+                ratio = 1.0 if opt_cost == 0 else total / opt_cost
                 writer.writerow([f"{gamma:g}", f"{alpha:g}", f"{total:.6g}",
-                                 f"{opt_cost:.6g}", f"{total / opt_cost:.6g}"])
+                                 f"{opt_cost:.6g}", f"{ratio:.6g}"])
     elif args.kind == "alg3":
+        _check_alpha(args.alpha)
         lams = _parse_grid(args.lambdas or "")
         if len(lams) > max_cells:
             raise DpBudgetError(len(lams), max_cells)
@@ -390,7 +397,9 @@ def reproduce_figure(figure_id: str, seeds=(1, 2, 3), horizon: int | None = None
 
 
 def _cmd_reproduce_figure(args) -> int:
-    rates = _parse_grid(args.rates) if args.rates else None
+    rates = None if args.rates is None else _parse_grid(args.rates)
+    if rates == []:
+        raise _UsageError("--rates needs at least one rate")
     seeds = tuple(int(s) for s in args.seeds.split(","))
     rows, checks = reproduce_figure(args.figure, seeds=seeds,
                                     horizon=args.horizon, rates=rates)
@@ -504,7 +513,9 @@ def main(argv=None) -> int:
     except DpBudgetError as exc:
         print(f"oracle budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError, UnsupportedInstanceError) as exc:
+    except (ValueError, OSError, KeyError, UnsupportedInstanceError,
+            PolicyFaultError, PolicyStallError, NonErgodicError,
+            TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
@@ -257,8 +258,8 @@ class CostModel:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.theta < 0:
             raise ValueError(f"theta must be nonnegative, got {self.theta}")
         object.__setattr__(self, "switching", SwitchingKind(self.switching))

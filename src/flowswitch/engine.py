@@ -1,17 +1,20 @@
 """Deterministic slot simulator: the policy picks s(t), the engine serves.
 
-Each slot: arrivals join, the policy sees the causal state and requests a
-server count, and the engine rounds a fractional request up and clamps it
-to [0, n(t)] (one unit-speed server per job). The s(t) jobs with the
-shortest remaining work run for one unit, and jobs hitting zero depart at
-slot end. Preemption and migration are free.
+Each slot: arrivals join, the policy sees the causal state (t, n(t),
+s(t-1)) and requests a server count, and the engine rounds a fractional
+request up and clamps it to [0, n(t)] (one unit-speed server per job). The
+s(t) jobs with the shortest remaining work run for one unit, and jobs
+hitting zero depart at slot end. Preemption and migration are free.
 
 Unit jobs never need per-job state: shortest-remaining-work order is
 first-in first-out by job id, so the engine runs the count recurrence
 n(t) = n(t-1) - s(t-1) + a(t) and returns a columnar trace whose served
-sets and departures follow from the cumulative s. General sizes run a
-per-job multi-server SRPT loop, which is also the reference the tests
-compare the count path against.
+sets and departures follow from the cumulative s. A ``ShapedRule`` that
+keeps the shared ``decide`` is not called per slot there: its target(n) is
+evaluated once per distinct n and its shape applied inline. General sizes
+run a per-job multi-server SRPT loop over a heap keyed by (remaining,
+arrival, id), which is also the reference the tests compare the count path
+against.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Callable, Protocol, runtime_checkable
+from typing import ClassVar, Protocol, runtime_checkable
 
 from .core import ArrivalInstance, CostModel, ScheduleTrace, SlotRecord
 
@@ -44,30 +47,17 @@ class PolicyStallError(Exception):
 class ObservableState:
     """What an online policy may look at when choosing s(t).
 
-    ``outstanding`` holds (job_id, arrival_slot, remaining) for every job in
-    the system, in (arrival, id) order. It is materialized lazily and only
-    valid while decide() runs; None in bulk-simulation mode. ``history`` is
-    a read-only live view of past (t, n, s) triples. Policies must treat
-    both as immutable and must not retain them.
+    ``t`` is the slot (from 1), ``n`` the jobs outstanding after this
+    slot's arrivals, and ``s_prev`` the server count of slot t-1 (0 at
+    t = 1).
     """
 
-    __slots__ = ("t", "n", "s_prev", "history", "_provider", "_outstanding")
+    __slots__ = ("t", "n", "s_prev")
 
-    def __init__(self, t: int, n: int, s_prev: int,
-                 provider: Callable[[], tuple] | None = None,
-                 history: Sequence[tuple[int, int, int]] | None = None):
+    def __init__(self, t: int, n: int, s_prev: int):
         self.t = t
         self.n = n
         self.s_prev = s_prev
-        self.history = history
-        self._provider = provider
-        self._outstanding: tuple | None = None
-
-    @property
-    def outstanding(self) -> tuple[tuple[int, int, int], ...] | None:
-        if self._outstanding is None and self._provider is not None:
-            self._outstanding = self._provider()
-        return self._outstanding
 
     def __repr__(self) -> str:
         return f"ObservableState(t={self.t}, n={self.n}, s_prev={self.s_prev})"
@@ -75,9 +65,49 @@ class ObservableState:
 
 @runtime_checkable
 class PolicyDecision(Protocol):
+    """An online policy: a printed ``name`` and ``decide(state)``.
+
+    ``decide`` maps the state (t, n, s_prev) to a server count. The engine
+    ceils a fractional count, clamps it to [0, n], and raises
+    PolicyFaultError on anything that is not a finite number.
+    """
+
     name: str
 
     def decide(self, state: ObservableState) -> int: ...
+
+
+class ShapedRule:
+    """A rule that is one of three shapes applied to an integer target(n).
+
+    - ``"cap"``:  s = min(target(n), n)
+    - ``"add"``:  s = min(s_prev + target(n), n)
+    - ``"lazy"``: s = min(max(s_prev, target(n)), n)
+
+    Any other shape value is read as ``"cap"``. Every shape gives 0 when
+    n = 0. ``target`` must be a pure function of n; a non-int target is
+    ceiled, or raises PolicyFaultError, before the shape applies. Unless a
+    subclass overrides ``decide``, the count engine evaluates target once
+    per distinct n in a run and applies the shape itself.
+    """
+
+    shape: ClassVar[str] = "cap"
+
+    def target(self, n: int) -> int:
+        raise NotImplementedError
+
+    def decide(self, state: ObservableState) -> int:
+        n = state.n
+        if n == 0:
+            return 0
+        f = self.target(n)
+        if type(f) is not int:
+            f = _server_request(self, f, state.t)
+        if self.shape == "add":
+            f += state.s_prev
+        elif self.shape == "lazy" and state.s_prev > f:
+            f = state.s_prev
+        return min(f, n)
 
 
 def srpt_select(outstanding: Sequence[tuple[int, int, int]], k: int) -> frozenset[int]:
@@ -128,8 +158,7 @@ def simulate(instance: ArrivalInstance, policy: PolicyDecision,
     ``model`` only cross-checks that a policy's alpha parameter matches the
     cost model it will be scored under; the dynamics never depend on it.
     ``record_served=False`` (unit jobs only) marks the trace as a bulk run:
-    it costs normally but cannot be validated, and policies see no
-    ``outstanding`` snapshot.
+    it costs normally but cannot be validated.
 
     Unit instances run the count recurrence; general sizes run the per-job
     SRPT loop. Requests that are not finite numbers raise PolicyFaultError;
@@ -147,35 +176,44 @@ def simulate(instance: ArrivalInstance, policy: PolicyDecision,
     return _simulate_jobs(instance, policy, record_served)
 
 
-def _fifo_outstanding(instance: ArrivalInstance, served: int,
-                      n: int) -> tuple[tuple[int, int, int], ...]:
-    arrivals = instance.arrivals
-    return tuple((j, arrivals[j][0], 1) for j in range(served, served + n))
-
-
 def _simulate_counts(instance: ArrivalInstance, policy: PolicyDecision,
                      record_served: bool) -> ScheduleTrace:
     """Unit jobs: n(t) = n(t-1) - s(t-1) + a(t), served first-in first-out."""
     counts = instance.slot_counts
     last_arrival = len(counts)
     k_stall = instance.total_work + last_arrival
-    decide = policy.decide
+    kernel = isinstance(policy, ShapedRule) and \
+        type(policy).decide is ShapedRule.decide
+    if kernel:
+        target = policy.target
+        add, lazy = policy.shape == "add", policy.shape == "lazy"
+        memo = {0: 0}  # target(n) per distinct n; n = 0 always serves 0
+    else:
+        decide = policy.decide
     ns: list[int] = []
     ss: list[int] = []
-    history: list[tuple[int, int, int]] = []
-    provider = None
-    n = s_prev = served = zero_streak = t = 0
+    n = s_prev = zero_streak = t = 0
     while True:
         if t < last_arrival:
             n += counts[t]
         t += 1
         if not n and t > last_arrival:
             break
-        if record_served:
-            provider = partial(_fifo_outstanding, instance, served, n)
-        request = decide(ObservableState(t, n, s_prev, provider, history))
-        if type(request) is not int:
-            request = _server_request(policy, request, t)
+        if kernel:
+            request = memo.get(n)
+            if request is None:
+                request = target(n)
+                if type(request) is not int:
+                    request = _server_request(policy, request, t)
+                memo[n] = request
+            if add:
+                request += s_prev
+            elif lazy and s_prev > request:
+                request = s_prev
+        else:
+            request = decide(ObservableState(t, n, s_prev))
+            if type(request) is not int:
+                request = _server_request(policy, request, t)
         if request > 0:
             zero_streak = 0
             s = request if request < n else n
@@ -189,12 +227,15 @@ def _simulate_counts(instance: ArrivalInstance, policy: PolicyDecision,
                 zero_streak = 0
         ns.append(n)
         ss.append(s)
-        history.append((t, n, s))
         n -= s
-        served += s
         s_prev = s
     return ScheduleTrace(ns, ss, policy.name, instance.instance_id,
                          complete_records=record_served)
+
+
+def _srpt_pop(heap: list[tuple[int, int, int]], k: int) -> list[tuple[int, int, int]]:
+    """Pop the k jobs srpt_select would serve, from a (remaining, arrival, id) heap."""
+    return [heappop(heap) for _ in range(k)]
 
 
 def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
@@ -204,51 +245,36 @@ def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
     jobs_by_slot = instance.jobs_by_slot()
     last_arrival = instance.last_slot
     k_stall = instance.total_work + last_arrival
-    general: list[list[int]] = []  # [job_id, arrival, remaining]
-
-    def _snapshot() -> tuple[tuple[int, int, int], ...]:
-        return tuple(sorted(((j, a, r) for j, a, r in general),
-                            key=lambda rec: (rec[1], rec[0])))
-
-    provider = _snapshot if record_served else None
+    heap: list[tuple[int, int, int]] = []  # (remaining, arrival, job_id)
     slots: list[SlotRecord] = []
-    history: list[tuple[int, int, int]] = []
     departures: dict[int, int] = {}
-    s_prev = 0
-    zero_streak = 0
-    t = 0
-    n = 0
+    s_prev = zero_streak = t = 0
     while True:
         t += 1
         for j in jobs_by_slot.get(t, ()):
-            general.append([j, jobs[j][0], jobs[j][1]])
-            n += 1
+            heappush(heap, (jobs[j][1], t, j))
+        n = len(heap)  # occupancy during slot t, after arrivals, before departures
         if n == 0 and t > last_arrival:
             break
-        n_slot = n  # occupancy during slot t, after arrivals, before departures
 
-        request = policy.decide(ObservableState(t, n_slot, s_prev, provider, history))
+        request = policy.decide(ObservableState(t, n, s_prev))
         if type(request) is not int:
             request = _server_request(policy, request, t)
-        if request <= 0 and n_slot > 0:
+        if request <= 0 and n > 0:
             zero_streak += 1
             if zero_streak >= k_stall:
                 raise _stalled(policy, zero_streak)
         else:
             zero_streak = 0
 
-        s = min(max(request, 0), n_slot)
-        served = srpt_select(general, s)
-        for rec in general:
-            if rec[0] in served:
-                rec[2] -= 1
-                if rec[2] == 0:
-                    departures[rec[0]] = t
-                    n -= 1
-        general = [rec for rec in general if rec[2]]
-
-        slots.append(SlotRecord(t, n_slot, s, served))
-        history.append((t, n_slot, s))
+        s = min(max(request, 0), n)
+        served = _srpt_pop(heap, s)
+        for remaining, arrival, j in served:
+            if remaining > 1:
+                heappush(heap, (remaining - 1, arrival, j))
+            else:
+                departures[j] = t
+        slots.append(SlotRecord(t, n, s, frozenset(j for _, _, j in served)))
         s_prev = s
 
     return ScheduleTrace.from_slots(slots, departures, policy.name,

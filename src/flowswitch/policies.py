@@ -1,18 +1,19 @@
 """Online server-count policies and closed-form batch profiles.
 
-Every online rule maps the causally observable state to an integer server
-count. Fractional formulas are ceiled (with a tiny epsilon guard against
-float noise) and all rules return 0 on an empty system so work neutrality
-holds by construction.
+Every online rule is a ``ShapedRule``: an integer target(n) combined with
+s(t-1) by one of three shapes (cap, add or lazy; see the engine). Targets
+are ceiled (with a tiny epsilon guard against float noise), and every
+shape gives 0 on an empty system, so work neutrality holds by
+construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar
 
-from .engine import _CEIL_EPS, ObservableState, _ceil
+from .engine import _CEIL_EPS, ShapedRule, _ceil
 
 
 def effective_alpha(alpha: float) -> float:
@@ -21,43 +22,53 @@ def effective_alpha(alpha: float) -> float:
 
 
 def _check_alpha(alpha: float):
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
-@dataclass(frozen=True)
-class FullParallel:
-    """s(t) = n(t): one server per outstanding job."""
+class _Rule(ShapedRule):
+    """The built-in rules: alpha checked at construction, a printed name.
+
+    The name is the registry key followed by the dataclass fields, for
+    example ``quad_alg(alpha=2,beta=1.732)``; a rule without fields prints
+    its bare key.
+    """
+
+    key: ClassVar[str]
+
+    def __post_init__(self):
+        if hasattr(self, "alpha"):
+            _check_alpha(self.alpha)
 
     @property
     def name(self) -> str:
-        return "full_parallel"
-
-    def decide(self, state: ObservableState) -> int:
-        return state.n
+        params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        return f"{self.key}({params})" if params else self.key
 
 
 @dataclass(frozen=True)
-class BalanceValue:
+class FullParallel(_Rule):
+    """s(t) = n(t): one server per outstanding job."""
+
+    key, shape = "full_parallel", "cap"
+
+    def target(self, n: int) -> int:
+        return n
+
+
+@dataclass(frozen=True)
+class BalanceValue(_Rule):
     """s(t) = ceil(n(t) / alpha), the value-balancing baseline."""
 
     alpha: float
+    key, shape = "balance_value", "cap"
 
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-
-    @property
-    def name(self) -> str:
-        return f"balance_value(alpha={self.alpha:g})"
-
-    def decide(self, state: ObservableState) -> int:
-        if state.n == 0:
-            return 0
-        return _ceil(state.n / self.alpha)
+    def target(self, n: int) -> int:
+        return _ceil(n / self.alpha)
 
 
 @dataclass(frozen=True)
-class BalanceDelta:
+class BalanceDelta(_Rule):
     """|s(t) - s(t-1)| = n(t)/alpha, moving upward while work remains.
 
     The increment direction is not pinned by the rule itself; downward
@@ -66,145 +77,92 @@ class BalanceDelta:
     """
 
     alpha: float
+    key, shape = "balance_delta", "add"
 
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-
-    @property
-    def name(self) -> str:
-        return f"balance_delta(alpha={self.alpha:g})"
-
-    def decide(self, state: ObservableState) -> int:
-        if state.n == 0:
-            return 0
-        return min(state.s_prev + _ceil(state.n / self.alpha), state.n)
+    def target(self, n: int) -> int:
+        return _ceil(n / self.alpha)
 
 
 @dataclass(frozen=True)
-class SqrtOnline:
+class SqrtOnline(_Rule):
     """s(t) = max(1, ceil(n(t)/sqrt(alpha))) while work remains."""
 
     alpha: float
+    key, shape = "sqrt_online", "cap"
 
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-
-    @property
-    def name(self) -> str:
-        return f"sqrt_online(alpha={self.alpha:g})"
-
-    def decide(self, state: ObservableState) -> int:
-        if state.n == 0:
-            return 0
-        return min(max(1, _ceil(state.n / math.sqrt(self.alpha))), state.n)
+    def target(self, n: int) -> int:
+        return max(1, _ceil(n / math.sqrt(self.alpha)))
 
 
 @dataclass(frozen=True)
-class Lg:
+class Lg(_Rule):
     """Lazy-growth rule: raise s(t) to n(t)/alpha^(1/4), never proactively cut.
 
-    If the carried-over count already exceeds the target, keep it (the
-    engine still clamps at n); otherwise jump up to the target.
+    If the carried-over count already exceeds the target, keep it (clamped
+    at n); otherwise jump up to the target.
     """
 
     alpha: float
+    key, shape = "lg", "lazy"
 
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-
-    @property
-    def name(self) -> str:
-        return f"lg(alpha={self.alpha:g})"
-
-    def decide(self, state: ObservableState) -> int:
-        if state.n == 0:
-            return 0
-        target = _ceil(state.n / self.alpha ** 0.25)
-        if state.s_prev > target:
-            return min(state.s_prev, state.n)
-        return min(target, state.n)
+    def target(self, n: int) -> int:
+        return _ceil(n / self.alpha ** 0.25)
 
 
 @dataclass(frozen=True)
-class GammaPolicy:
+class GammaPolicy(_Rule):
     """s(t) = ceil(n(t) / alpha^gamma), the one-parameter rate family."""
 
     alpha: float
     gamma: float
+    key, shape = "a_gamma", "cap"
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        super().__post_init__()
         if self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
 
-    @property
-    def name(self) -> str:
-        return f"a_gamma(alpha={self.alpha:g},gamma={self.gamma:g})"
-
-    def decide(self, state: ObservableState) -> int:
-        if state.n == 0:
-            return 0
-        return min(_ceil(state.n / self.alpha ** self.gamma), state.n)
+    def target(self, n: int) -> int:
+        return _ceil(n / self.alpha ** self.gamma)
 
 
 @dataclass(frozen=True)
-class QuadAlg:
+class QuadAlg(_Rule):
     """s(t) = min(ceil(beta * sqrt(n(t)/alpha)), n(t)) with alpha floored at 1."""
 
     alpha: float
     beta: float = 1.0
+    key, shape = "quad_alg", "cap"
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        super().__post_init__()
         if self.beta < 1:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
 
-    @property
-    def name(self) -> str:
-        return f"quad_alg(alpha={self.alpha:g},beta={self.beta:g})"
-
-    def decide(self, state: ObservableState) -> int:
-        if state.n == 0:
-            return 0
-        a_eff = effective_alpha(self.alpha)
-        return min(_ceil(self.beta * math.sqrt(state.n / a_eff)), state.n)
+    def target(self, n: int) -> int:
+        return _ceil(self.beta * math.sqrt(n / effective_alpha(self.alpha)))
 
 
 @dataclass(frozen=True)
-class QuadBalance:
+class QuadBalance(_Rule):
     """alpha * (s(t)-s(t-1))^2 = n(t): add ceil(sqrt(n/alpha)) servers."""
 
     alpha: float
+    key, shape = "quad_balance", "add"
 
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-
-    @property
-    def name(self) -> str:
-        return f"quad_balance(alpha={self.alpha:g})"
-
-    def decide(self, state: ObservableState) -> int:
-        if state.n == 0:
-            return 0
-        return min(state.s_prev + _ceil(math.sqrt(state.n / self.alpha)), state.n)
+    def target(self, n: int) -> int:
+        return _ceil(math.sqrt(n / self.alpha))
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 POLICY_REGISTRY: dict[str, Callable[..., object]] = {
-    "full_parallel": FullParallel,
-    "balance_value": BalanceValue,
-    "balance_delta": BalanceDelta,
-    "sqrt_online": SqrtOnline,
-    "lg": Lg,
-    "a_gamma": GammaPolicy,
-    "quad_alg": QuadAlg,
-    "quad_balance": QuadBalance,
-}
+    cls.key: cls for cls in (FullParallel, BalanceValue, BalanceDelta, SqrtOnline,
+                             Lg, GammaPolicy, QuadAlg, QuadBalance)}
 
-_NEEDS_ALPHA = {"balance_value", "balance_delta", "sqrt_online", "lg",
-                "a_gamma", "quad_alg", "quad_balance"}
+_NEEDS_ALPHA = {key for key, cls in POLICY_REGISTRY.items()
+                if "alpha" in cls.__dataclass_fields__}
 
 
 def make_policy(spec: str, default_alpha: float | None = None):

@@ -73,8 +73,8 @@ def alg1() -> MarkovPolicy:
 
 def alg2(alpha: float) -> MarkovPolicy:
     """Proportional speed scaling: mu_i = i / cbrt(4 alpha)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     c = (4.0 * alpha) ** (1.0 / 3.0)
     return MarkovPolicy(lambda i: i / c, f"alg2(alpha={alpha:g})",
                         RateModel.SINGLE_SERVER_SPEED_SCALING)
@@ -115,8 +115,8 @@ def stationary_distribution(lam: float, policy: MarkovPolicy,
     The truncation point doubles until the certified tail mass (geometric
     bound past the cut) drops below 1e-12.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     while True:
         log_r = np.empty(n_max + 1)
         log_r[0] = 0.0
@@ -182,8 +182,8 @@ def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
     them, so ``event_budget`` may not be smaller); leftover events count
     toward the totals but form no batch. Memory is O(batch size).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if batches < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} batches")
     if event_budget < batches:
@@ -264,8 +264,8 @@ class Alg3Params:
                    theta1: float = 2.0 / 3.0,
                    theta2: float = 1.0 / 3.0) -> "Alg3Params":
         """U = ceil(c1 lam^theta1), mu = lam + c2 lam^theta2."""
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         if c1 <= 0 or c2 <= 0:
             raise ValueError("c1 and c2 must be positive")
         if theta1 > 1 or theta2 >= 1:

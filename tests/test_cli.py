@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from flowswitch import (NonErgodicError, PolicyFaultError, PolicyStallError,
+                        TruncationError, cli)
 from flowswitch.cli import main, reproduce_figure
 
 
@@ -279,3 +281,48 @@ class TestReproduceFigure:
     def test_linear_a1_columns_agree(self):
         rows, checks = reproduce_figure("linear_a1", seeds=(1,), horizon=120)
         assert all(ok for _, ok, _ in checks)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, expected_code, needle", [
+        (("run", "--instance", "batch:N=3", "--policy", "quad_alg",
+          "--model", "quad:alpha=inf"), 2, "alpha"),
+        (("stochastic", "--policy", "alg2", "--lambda", "1", "--alpha", "inf"),
+         2, "alpha"),
+        (("stochastic", "--policy", "alg1", "--lambda", "nan"), 2, "lam"),
+        (("stochastic", "--policy", "alg1", "--lambda", "1", "--mode", "simulate",
+          "--seed", "-1"), 2, "--seed"),
+        (("run", "--instance", "batch:N=3", "--policy", "a_gamma:gamma=1",
+          "--model", "linear:alpha=1e30"), 2, "idled"),
+        (("sweep", "--kind", "gamma", "--gammas", "0", "--alphas", "1"),
+         1, "--instance"),
+        (("reproduce-figure", "--figure", "quad_a1", "--rates", ","), 1, "--rates"),
+    ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
+            "policy-stall", "gamma-sweep-no-instance", "empty-rates"])
+    def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [PolicyFaultError, PolicyStallError,
+                                     NonErgodicError, TruncationError])
+    def test_simulation_errors_are_validation_errors(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc("no stationary law")
+
+        monkeypatch.setattr(cli, "analytic_cost", fail)
+        code, out, err = run_cli(capsys, "stochastic", "--policy", "alg1",
+                                 "--lambda", "1")
+        assert code == 2
+        assert "no stationary law" in err
+        assert not out
+
+    def test_gamma_sweep_on_empty_instance(self, capsys, tmp_path):
+        out_path = tmp_path / "empty.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--kind", "gamma", "--instance", "batch:N=0",
+            "--gammas", "0,1", "--alphas", "2", "-o", str(out_path))
+        assert code == 0
+        assert "Traceback" not in err
+        assert out_path.read_text().splitlines()[1:] == ["0,2,0,0,1", "1,2,0,0,1"]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -91,6 +92,9 @@ class TestCostModel:
             CostModel.linear(1, theta=-1)
         with pytest.raises(ValueError):
             CostModel.parse("cubic:alpha=1")
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                CostModel.quadratic(alpha)
 
 
 class TestCostOfTrace:

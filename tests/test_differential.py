@@ -1,8 +1,13 @@
-"""The unit-job count path against the per-job SRPT engine.
+"""The engine's fast paths against their slow references.
 
-``simulate`` runs unit instances through the count recurrence; the per-job
-SRPT loop is the reference. Both must agree on occupancy, server counts,
-served sets and departures, for every online rule and both recording modes.
+``simulate`` runs unit instances through the count recurrence, and a
+built-in rule there through its kernel: target(n) memoised per distinct n,
+the shape applied inline. The references are the same count loop calling
+``decide`` every slot (forced by a wrapper that exposes only ``name`` and
+``decide``) and the per-job SRPT loop. All must agree on occupancy and
+server counts, and the count and per-job paths also on served sets and
+departures, for every online rule and both recording modes. The per-job
+loop's heap is in turn checked against the sort-based ``srpt_select``.
 """
 
 import math
@@ -12,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowswitch import ArrivalInstance, CostModel, cost_of_trace, validate_trace
+from flowswitch import (ArrivalInstance, CostModel, ShapedRule, cost_of_trace,
+                        srpt_select, validate_trace)
 from flowswitch import cli, engine
 from flowswitch.instances import random_slotted
 from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
@@ -28,10 +34,20 @@ def all_policies(alpha: float) -> list:
             QuadAlg(alpha=alpha, beta=2.177), QuadBalance(alpha=alpha)]
 
 
+class _Generic:
+    """Only ``name`` and ``decide``: the count loop must call decide per slot."""
+
+    def __init__(self, policy):
+        self.name = policy.name
+        self.decide = policy.decide
+
+
 def assert_paths_agree(instance, policy, record_served):
     fast = engine.simulate(instance, policy, record_served=record_served)
+    generic = engine.simulate(instance, _Generic(policy), record_served=record_served)
     ref = engine._simulate_jobs(instance, policy, record_served)
     where = (instance.instance_id, policy.name, record_served)
+    assert (fast.n, fast.s) == (generic.n, generic.s), where
     assert fast.n == ref.n, where
     assert fast.s == ref.s, where
     assert [rec.served for rec in fast.slots] == \
@@ -115,3 +131,100 @@ class TestFractionalRequests:
         for bad in (True, math.inf, "two"):
             with pytest.raises(engine.PolicyFaultError):
                 run(ArrivalInstance.from_counts((1,)), _Fixed(bad))
+
+
+class _Shaped(ShapedRule):
+    """A user rule with a settable shape and target; counts target calls."""
+
+    name = "shaped"
+
+    def __init__(self, shape, target):
+        self.shape = shape
+        self._target = target
+        self.calls = []
+
+    def target(self, n):
+        self.calls.append(n)
+        return self._target(n)
+
+
+@pytest.mark.parametrize("shape", ["cap", "add", "lazy"])
+def test_kernel_evaluates_target_once_per_distinct_n(shape):
+    inst = random_slotted(5.0, 200, 3)
+    rule = _Shaped(shape, lambda n: (n + 2) // 3)
+    trace = engine.simulate(inst, rule)
+    assert sorted(rule.calls) == sorted(set(trace.n) - {0})  # n = 0 never asks
+    generic = engine.simulate(inst, _Generic(_Shaped(shape, lambda n: (n + 2) // 3)))
+    assert (trace.n, trace.s) == (generic.n, generic.s)
+
+
+@pytest.mark.parametrize("shape", ["cap", "add", "lazy"])
+@pytest.mark.parametrize("value", [0.5, 2.5, 2 + 1e-12])
+def test_kernel_ceils_fractional_targets(shape, value):
+    inst = ArrivalInstance.from_counts((4, 0, 3))
+    kernel = engine.simulate(inst, _Shaped(shape, lambda n: value))
+    generic = engine.simulate(inst, _Generic(_Shaped(shape, lambda n: value)))
+    assert (kernel.n, kernel.s) == (generic.n, generic.s)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "two", True])
+def test_kernel_faults_like_decide(bad):
+    inst = ArrivalInstance.from_counts((2,))
+    rule = _Shaped("cap", lambda n: bad)
+    for policy in (rule, _Generic(rule)):
+        with pytest.raises(engine.PolicyFaultError):
+            engine.simulate(inst, policy)
+
+
+@pytest.mark.parametrize("policy", [GammaPolicy(alpha=1e30, gamma=1),
+                                    Lg(alpha=1e40), QuadBalance(alpha=1e30)],
+                         ids=lambda p: p.name)
+def test_stalling_rule_stalls_on_both_paths(policy):
+    inst = ArrivalInstance.from_counts((3, 0, 2))
+    errors = []
+    for run in (policy, _Generic(policy)):
+        with pytest.raises(engine.PolicyStallError) as info:
+            engine.simulate(inst, run)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == f"{policy.name} idled 8 slots with work outstanding"
+
+
+def test_decide_override_takes_the_generic_path():
+    class EveryJob(QuadAlg):
+        def decide(self, state):
+            return state.n
+
+    inst = random_slotted(5.0, 100, 2)
+    trace = engine.simulate(inst, EveryJob(alpha=2.0))
+    assert trace.s == engine.simulate(inst, FullParallel()).s
+    assert trace.s != engine.simulate(inst, QuadAlg(alpha=2.0)).s
+
+
+def srpt_by_sorting(instance, s_column):
+    """Served sets and departures of the SRPT loop, ranked by srpt_select."""
+    outstanding, served_sets, departures = [], [], {}
+    by_slot = instance.jobs_by_slot()
+    for t, s in enumerate(s_column, start=1):
+        outstanding += [[j, t, instance.arrivals[j][1]] for j in by_slot.get(t, ())]
+        served = srpt_select(outstanding, s)
+        for rec in outstanding:
+            if rec[0] in served:
+                rec[2] -= 1
+                if not rec[2]:
+                    departures[rec[0]] = t
+        outstanding = [rec for rec in outstanding if rec[2]]
+        served_sets.append(served)
+    return served_sets, departures
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 4)),
+                     min_size=1, max_size=25),
+       alpha=st.sampled_from([0.5, 1.0, 2.0, 16.0]), which=st.integers(0, 7))
+def test_srpt_heap_matches_sorting(jobs, alpha, which):
+    inst = ArrivalInstance(tuple(sorted(jobs)))
+    trace = engine._simulate_jobs(inst, all_policies(alpha)[which], True)
+    served_sets, departures = srpt_by_sorting(inst, trace.s)
+    assert [rec.served for rec in trace.slots] == served_sets
+    assert dict(trace.departures) == departures
+    assert validate_trace(inst, trace).ok

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -7,6 +8,7 @@ from flowswitch import (ArrivalInstance, CostModel, ObservableState,
                         PolicyFaultError, PolicyStallError, cost_of_trace,
                         simulate, srpt_select, trace_from_server_counts,
                         validate_trace)
+from flowswitch import engine
 from flowswitch.instances import batch
 from flowswitch.policies import FullParallel, QuadAlg
 
@@ -42,6 +44,18 @@ class TestSrptSelect:
     def test_negative_k(self):
         with pytest.raises(ValueError):
             srpt_select((), -1)
+
+    def test_heap_pops_the_sorted_choice(self):
+        # the SRPT engine pops from a (remaining, arrival, id) heap
+        rng = random.Random(3)
+        for _ in range(500):
+            outstanding = [(j, rng.randint(1, 4), rng.randint(1, 3))
+                           for j in range(rng.randint(0, 12))]
+            k = rng.randint(0, len(outstanding) + 1)
+            heap = [(r, a, j) for j, a, r in outstanding]
+            heapq.heapify(heap)
+            popped = engine._srpt_pop(heap, min(k, len(outstanding)))
+            assert frozenset(j for _, _, j in popped) == srpt_select(outstanding, k)
 
 
 class TestSimulate:
@@ -129,22 +143,22 @@ class TestSimulate:
 
 
 class TestObservableState:
-    def test_outstanding_snapshot(self):
-        seen = {}
+    @pytest.mark.parametrize("arrivals, expected", [
+        (((1, 2), (2, 1)), [(1, 1, 0), (2, 2, 1), (3, 1, 1)]),
+        (((1, 1), (2, 1)), [(1, 1, 0), (2, 1, 1)]),
+    ], ids=["general", "unit"])
+    def test_policy_sees_t_n_s_prev(self, arrivals, expected):
+        seen = []
 
         class Probe:
             name = "probe"
 
             def decide(self, state):
-                if state.t == 2:
-                    seen["out"] = state.outstanding
-                    seen["hist"] = tuple(state.history)
-                return state.n
+                seen.append((state.t, state.n, state.s_prev))
+                return 1
 
-        inst = ArrivalInstance(((1, 2), (2, 1)))
-        simulate(inst, Probe())
-        assert seen["out"] == ((0, 1, 1), (1, 2, 1))
-        assert seen["hist"] == ((1, 1, 1),)
+        simulate(ArrivalInstance(arrivals), Probe())
+        assert seen == expected
 
 
 class TestMonotonicity:

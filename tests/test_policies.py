@@ -66,6 +66,9 @@ class TestDecisionRules:
             GammaPolicy(alpha=1, gamma=-0.1)
         with pytest.raises(ValueError):
             BalanceValue(alpha=0)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                QuadAlg(alpha=alpha)
 
 
 class TestCausality:

@@ -65,6 +65,11 @@ class TestMarkovPolicy:
         MarkovPolicy(lambda i: 2.0 * i, "fast",
                      RateModel.SINGLE_SERVER_SPEED_SCALING)
 
+    @pytest.mark.parametrize("alpha", [0.0, math.inf, math.nan])
+    def test_alg2_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            alg2(alpha)
+
     def test_alg2_is_speed_scaling(self):
         policy = alg2(0.03125)  # cbrt(4 alpha) = 0.5 < 1 breaks mu_i <= i
         assert policy.model is RateModel.SINGLE_SERVER_SPEED_SCALING
