@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .core import ArrivalInstance, CostModel, cost_of_trace
 from .engine import PolicyFaultError, PolicyStallError, simulate
-from .instances import parse_instance_spec, random_slotted
+from .instances import (GeneratorKind, GeneratorSpec, parse_instance_spec,
+                        random_slotted)
 from .oracle import (DpBudgetError, DpConfig, UnsupportedInstanceError, dp_opt,
                      dual_lower_bound, state_budget)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
@@ -48,6 +49,20 @@ def _load_instance(spec: str) -> ArrivalInstance:
     return parse_instance_spec(spec)
 
 
+def _instance_requests(spec: str, seed: int | None,
+                       reps: int) -> list[str | GeneratorSpec]:
+    """What each repetition loads: an existing file, or a generator spec
+    whose random seed is ``seed`` (if given) plus the repetition index."""
+    request = spec if os.path.exists(spec) else GeneratorSpec.parse(spec)
+    if getattr(request, "kind", None) is GeneratorKind.RANDOM_SLOTTED:
+        base = request._int("seed") if seed is None else seed
+        return [GeneratorSpec(request.kind, {**request.params, "seed": base + i})
+                for i in range(reps)]
+    if reps > 1:
+        raise ValueError("reps > 1 needs a random:...,seed=... instance spec")
+    return [request]
+
+
 def _read_config(path: str) -> dict[str, list[str]]:
     """Declarative key = value lines; keys may repeat (policy)."""
     out: dict[str, list[str]] = {}
@@ -61,27 +76,6 @@ def _read_config(path: str) -> dict[str, list[str]]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             out.setdefault(key.strip(), []).append(value.strip())
     return out
-
-
-def _with_seed(instance_spec: str, seed: int) -> str:
-    """Override the seed parameter of a random instance spec."""
-    if not instance_spec.startswith("random"):
-        return instance_spec
-    if "seed=" not in instance_spec:
-        return f"{instance_spec},seed={seed}"
-    head, _, tail = instance_spec.partition("seed=")
-    rest = tail.partition(",")[2]
-    return f"{head}seed={seed}" + (f",{rest}" if rest else "")
-
-
-def _repeated_specs(instance_spec: str, reps: int) -> list[str]:
-    """Expand a seeded random spec into reps variants with bumped seeds."""
-    if reps <= 1:
-        return [instance_spec]
-    if not instance_spec.startswith("random") or "seed=" not in instance_spec:
-        raise ValueError("reps > 1 needs a random:...,seed=... instance spec")
-    base_seed = int(float(instance_spec.partition("seed=")[2].split(",", 1)[0]))
-    return [_with_seed(instance_spec, base_seed + i) for i in range(reps)]
 
 
 def _write(path: str | None, text: str):
@@ -139,8 +133,8 @@ class ExperimentConfig:
             raise _UsageError("an instance is required (flag or config)")
         if not policy_specs:
             raise _UsageError("at least one policy is required")
-        if seed is not None:
-            instance_spec = _with_seed(instance_spec, seed)
+        if reps is not None and reps < 1:
+            raise _UsageError(f"--reps must be at least 1, got {reps}")
         return cls(instance_spec, policy_specs,
                    CostModel.parse(model_spec or "quad:alpha=1"), oracles,
                    seed, reps or 1, args.out_dir, args.s_cap, args.t_cap,
@@ -150,16 +144,17 @@ class ExperimentConfig:
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_args(args)
     model = cfg.model
-    instance_specs = _repeated_specs(cfg.instance_spec, cfg.reps)
+    requests = _instance_requests(cfg.instance_spec, cfg.seed, cfg.reps)
 
     report: dict = {"instance": cfg.instance_spec, "model": model.label,
-                    "reps": len(instance_specs), "policies": []}
+                    "reps": len(requests), "policies": []}
     if cfg.seed is not None:
         report["seed"] = cfg.seed
     per_policy: dict[str, list[dict]] = {}
     dp_costs = []
-    for rep_spec in instance_specs:
-        instance = _load_instance(rep_spec)
+    for request in requests:
+        instance = request.build() if isinstance(request, GeneratorSpec) \
+            else ArrivalInstance.from_file(request)
         opt_cost = None
         if "dp" in cfg.oracles:
             opt_cost, opt_trace = dp_opt(
@@ -350,7 +345,7 @@ def reproduce_figure(figure_id: str, seeds=(1, 2, 3), horizon: int | None = None
     every policy run on the same seeded instances.
     """
     model, default_rates, default_t = figure_setup(figure_id)
-    horizon = horizon or default_t
+    horizon = default_t if horizon is None else horizon
     rates = tuple(rates) if rates else default_rates
     policies = figure_policies(figure_id, model.alpha)
     rows = []
@@ -400,6 +395,8 @@ def _cmd_reproduce_figure(args) -> int:
     rates = None if args.rates is None else _parse_grid(args.rates)
     if rates == []:
         raise _UsageError("--rates needs at least one rate")
+    if args.horizon is not None and args.horizon < 1:
+        raise _UsageError(f"--horizon must be at least 1, got {args.horizon}")
     seeds = tuple(int(s) for s in args.seeds.split(","))
     rows, checks = reproduce_figure(args.figure, seeds=seeds,
                                     horizon=args.horizon, rates=rates)

@@ -245,6 +245,37 @@ class ArrivalInstance:
             return cls.from_text(fh.read(), name=name or str(path))
 
 
+def parse_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
+    """Split a 'kind', 'kind:key=val,...' or 'kind(key=val,...)' spec.
+
+    The one grammar of cost models, policies and instances: kind and keys
+    are stripped and lower-cased, values are floats and a repeated key keeps
+    its last value. A malformed item raises ValueError naming ``what``.
+    """
+    kind, paren, rest = text.partition("(")
+    if paren:
+        rest, close, tail = rest.partition(")")
+        balanced = close and not tail.strip() and "(" not in rest
+    else:
+        kind, _, rest = text.partition(":")
+        balanced = ")" not in text
+    if not balanced:
+        raise ValueError(f"unbalanced parentheses in {what} spec {text!r}")
+    params: dict[str, float] = {}
+    if rest.strip():
+        for item in rest.split(","):
+            key, eq, value = item.partition("=")
+            key = key.strip().lower()
+            if not (eq and key):
+                raise ValueError(f"malformed {what} parameter {item!r}")
+            try:
+                params[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{what} parameter {key!r} must be a number, "
+                                 f"got {value.strip()!r}") from None
+    return kind.strip().lower(), params
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Switching-cost family plus the tradeoff weight alpha.
@@ -260,7 +291,7 @@ class CostModel:
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.theta < 0:
+        if not (self.theta >= 0):
             raise ValueError(f"theta must be nonnegative, got {self.theta}")
         object.__setattr__(self, "switching", SwitchingKind(self.switching))
 
@@ -281,22 +312,16 @@ class CostModel:
 
     @classmethod
     def parse(cls, spec: str) -> "CostModel":
-        """Parse 'linear:alpha=1' / 'quad:alpha=2,theta=0.5'."""
-        kind, _, rest = spec.partition(":")
-        kind = kind.strip().lower()
+        """Parse 'linear:alpha=1' / 'quad(alpha=2,theta=0.5)' (see parse_spec)."""
+        kind, params = parse_spec(spec, "cost-model")
         kinds = {"linear": SwitchingKind.LINEAR, "quad": SwitchingKind.QUADRATIC,
                  "quadratic": SwitchingKind.QUADRATIC}
         if kind not in kinds:
             raise ValueError(f"unknown switching kind {kind!r}")
-        kwargs = {"alpha": 1.0}
-        if rest.strip():
-            for item in rest.split(","):
-                key, _, value = item.partition("=")
-                key = key.strip()
-                if key not in ("alpha", "theta"):
-                    raise ValueError(f"unknown cost-model parameter {key!r}")
-                kwargs[key] = float(value)
-        return cls(kinds[kind], **kwargs)
+        for key in params:
+            if key not in ("alpha", "theta"):
+                raise ValueError(f"unknown cost-model parameter {key!r}")
+        return cls(kinds[kind], **{"alpha": 1.0, **params})
 
     @property
     def label(self) -> str:

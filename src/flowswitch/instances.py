@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ArrivalInstance
+from .core import ArrivalInstance, parse_spec
 
 
 class GeneratorKind(str, Enum):
@@ -63,6 +63,8 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
         raise ValueError("rate must be positive")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     counts = rng.poisson(rate, horizon)
     return ArrivalInstance.from_counts(
@@ -73,15 +75,11 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
 class GeneratorSpec:
     """A parsed generator request: which family, with which parameters.
 
-    Random generation must carry a seed so builds are reproducible.
+    Random generation needs a seed parameter, so builds are reproducible.
     """
 
     kind: GeneratorKind
     params: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind is GeneratorKind.RANDOM_SLOTTED and "seed" not in self.params:
-            raise ValueError("random workloads need an explicit seed")
 
     def _int(self, key: str, default: int | None = None) -> int:
         if key not in self.params:
@@ -90,7 +88,7 @@ class GeneratorSpec:
                     f"instance kind {self.kind.value!r} needs parameter {key!r}")
             return default
         value = self.params[key]
-        if value != int(value):
+        if not float(value).is_integer():
             raise ValueError(f"parameter {key!r} must be an integer")
         return int(value)
 
@@ -108,23 +106,14 @@ class GeneratorSpec:
 
     @classmethod
     def parse(cls, spec: str) -> "GeneratorSpec":
-        """Parse 'kind:key=val,...' strings, e.g. 'batch:N=4' or
-        'random:rate=5,T=100,seed=1'."""
-        kind_text, _, rest = spec.partition(":")
+        """Parse specs such as 'batch:N=4', 'random(rate=5,T=100,seed=1)'."""
+        kind, params = parse_spec(spec, "instance")
         try:
-            kind = GeneratorKind(kind_text.strip().lower())
+            return cls(GeneratorKind(kind), params)
         except ValueError:
-            raise ValueError(f"unknown instance kind {kind_text.strip()!r}") from None
-        params: dict[str, float] = {}
-        if rest.strip():
-            for item in rest.split(","):
-                key, eq, value = item.partition("=")
-                if not eq:
-                    raise ValueError(f"malformed instance parameter {item!r}")
-                params[key.strip().lower()] = float(value)
-        return cls(kind, params)
+            raise ValueError(f"unknown instance kind {kind!r}") from None
 
 
 def parse_instance_spec(spec: str) -> ArrivalInstance:
-    """Build an instance from 'kind:key=val,...' generator strings."""
+    """Build an instance from a generator spec (see GeneratorSpec.parse)."""
     return GeneratorSpec.parse(spec).build()

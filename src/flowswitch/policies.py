@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar
 
+from .core import parse_spec
 from .engine import _CEIL_EPS, ShapedRule, _ceil
 
 
@@ -119,8 +120,8 @@ class GammaPolicy(_Rule):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
     def target(self, n: int) -> int:
         return _ceil(n / self.alpha ** self.gamma)
@@ -136,8 +137,8 @@ class QuadAlg(_Rule):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
+        if not 1 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
 
     def target(self, n: int) -> int:
         return _ceil(self.beta * math.sqrt(n / effective_alpha(self.alpha)))
@@ -171,23 +172,9 @@ def make_policy(spec: str, default_alpha: float | None = None):
     Policies that take alpha inherit ``default_alpha`` (normally the cost
     model's) when the spec does not pin one.
     """
-    spec = spec.strip()
-    if "(" in spec:
-        if not spec.endswith(")"):
-            raise ValueError(f"unbalanced parentheses in policy spec {spec!r}")
-        name, args = spec[:-1].split("(", 1)
-    else:
-        name, _, args = spec.partition(":")
-    name = name.strip()
+    name, kwargs = parse_spec(spec, "policy")
     if name not in POLICY_REGISTRY:
         raise ValueError(f"unknown policy {name!r}; known: {sorted(POLICY_REGISTRY)}")
-    kwargs: dict[str, float] = {}
-    if args.strip():
-        for item in args.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise ValueError(f"malformed policy parameter {item!r}")
-            kwargs[key.strip()] = float(value)
     if name in _NEEDS_ALPHA and "alpha" not in kwargs:
         if default_alpha is None:
             raise ValueError(f"policy {name!r} needs alpha (none given, no default)")

@@ -33,3 +33,29 @@ def corpus() -> list[ArrivalInstance]:
 @pytest.fixture(scope="session")
 def small_corpus() -> list[ArrivalInstance]:
     return build_corpus(count=40, seed=CORPUS_SEED + 1)
+
+
+# The spec grammar that cost models, policies and instances share
+# (core.parse_spec). Each family's parse tests fill these templates with
+# one of its kinds, one parameter key and a value: {kind} and {key} are
+# lower case, {KIND} and {KEY} upper case.
+SPEC_FORMS = ("{kind}:{key}={value}", "{kind}({key}={value})",
+              "{KIND}:{KEY}={value}", "{KIND}({Key}={value})",
+              "  {Kind} : {key} = {value}  ", " {kind} ( {KEY} = {value} ) ")
+EMPTY_SPEC_FORMS = ("{kind}", "{kind}:", "{kind}()", " {KIND} ( ) ")
+# (malformed spec, text its error must contain besides the family name)
+MALFORMED_SPECS = (
+    ("{kind}:{key}={value},", "parameter ''"),  # trailing comma
+    ("{kind}:{key}", "parameter '{key}'"),  # no '='
+    ("{kind}:{key}=", "parameter '{key}'"),  # empty value
+    ("{kind}:{key}=two", "parameter '{key}'"),  # not a number
+    ("{kind}({key}={value}", "parentheses"),
+    ("{kind}:{key}={value})", "parentheses"),
+    ("{kind}(({key}={value}))", "parentheses"),
+    ("{kind}({key}={value})x", "parentheses"),
+)
+
+
+def spec_text(template: str, kind: str, key: str, value: str = "") -> str:
+    return template.format(kind=kind, KIND=kind.upper(), Kind=kind.title(),
+                           key=key, KEY=key.upper(), Key=key.title(), value=value)

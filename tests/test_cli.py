@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowswitch import (NonErgodicError, PolicyFaultError, PolicyStallError,
                         TruncationError, cli)
@@ -297,8 +302,19 @@ class TestInputErrors:
         (("sweep", "--kind", "gamma", "--gammas", "0", "--alphas", "1"),
          1, "--instance"),
         (("reproduce-figure", "--figure", "quad_a1", "--rates", ","), 1, "--rates"),
+        (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "nan",
+          "--alphas", "2"), 2, "gamma"),
+        (("dual", "--instance", "batch:N=3", "--alpha", "1", "--beta", "nan"),
+         2, "beta"),
+        (("reproduce-figure", "--figure", "quad_a1", "--horizon", "0"),
+         1, "--horizon"),
+        (("run", "--instance", "random:rate=5,T=10,seed=-1",
+          "--policy", "full_parallel"), 2, "seed must be a nonnegative integer"),
+        (("run", "--instance", "random:rate=5,T=10,seed=1", "--seed", "-1",
+          "--policy", "full_parallel"), 2, "seed must be a nonnegative integer"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
-            "policy-stall", "gamma-sweep-no-instance", "empty-rates"])
+            "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
+            "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
@@ -326,3 +342,133 @@ class TestInputErrors:
         assert code == 0
         assert "Traceback" not in err
         assert out_path.read_text().splitlines()[1:] == ["0,2,0,0,1", "1,2,0,0,1"]
+
+
+def _run_totals(capsys, instance, *extra):
+    """The report and the per-repetition totals of one full_parallel run."""
+    code, out, err = run_cli(capsys, "run", "--instance", instance,
+                             "--policy", "full_parallel", *extra)
+    assert code == 0, err
+    report = json.loads(out)
+    entry = report["policies"][0]
+    return report, [r["total"] for r in entry.get("runs", [entry])]
+
+
+class TestSpecGrammar:
+    """One grammar for model, policy and instance specs; seeds edit the dict."""
+
+    def test_seed_flag_overrides_an_upper_case_kind(self, capsys):
+        report, totals = _run_totals(capsys, "RANDOM:rate=5,T=10,seed=1",
+                                     "--seed", "7")
+        assert totals == _run_totals(capsys, "random:rate=5,T=10,seed=7")[1]
+        assert totals != _run_totals(capsys, "random:rate=5,T=10,seed=1")[1]
+        # the report keeps the user's text; the seed field carries the override
+        assert report["instance"] == "RANDOM:rate=5,T=10,seed=1"
+        assert report["seed"] == 7
+
+    def test_seed_flag_overrides_a_repeated_seed(self, capsys):
+        _, totals = _run_totals(capsys, "random:rate=2,T=5,seed=1,seed=2",
+                                "--seed", "9")
+        assert totals == _run_totals(capsys, "random:rate=2,T=5,seed=9")[1]
+
+    def test_reps_read_a_mixed_case_seed_key(self, capsys):
+        report, totals = _run_totals(capsys, "random:rate=5,T=10,Seed=1",
+                                     "--reps", "2")
+        assert report["reps"] == 2
+        assert totals == [_run_totals(capsys, f"random:rate=5,T=10,seed={k}")[1][0]
+                          for k in (1, 2)]
+
+    def test_seed_flag_ignores_an_instance_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "random_inst.txt").write_text("1 1\n2 1\n")
+        report, totals = _run_totals(capsys, "random_inst.txt", "--seed", "3")
+        assert report["policies"][0]["jobs"] == 2
+        assert totals == [4]
+
+    @pytest.mark.parametrize("argv, expected_code, needle", [
+        (("--instance", "random:rate=5,T=10,seed=1.5", "--reps", "2"),
+         2, "parameter 'seed' must be an integer"),
+        (("--instance", "batch:N=3", "--reps", "0"), 1, "--reps"),
+        (("--instance", "batch:N=3", "--reps", "-2"), 1, "--reps"),
+        (("--instance", "batch:N=3", "--model", "linear:alpha"),
+         2, "cost-model parameter 'alpha'"),
+    ], ids=["fractional-seed-reps", "reps-zero", "reps-negative",
+            "model-item-without-value"])
+    def test_rejected(self, capsys, argv, expected_code, needle):
+        code, out, err = run_cli(capsys, "run", "--policy", "full_parallel", *argv)
+        assert (code, out) == (expected_code, "")
+        assert needle in err
+
+    def test_paren_form_and_case_in_every_family(self, capsys):
+        def report(*argv):
+            code, out, err = run_cli(capsys, "run", *argv)
+            assert code == 0, err
+            return {k: v for k, v in json.loads(out).items() if k != "instance"}
+
+        assert report("--instance", "batch(N=3)", "--model", "linear(alpha=2)",
+                      "--policy", "quad_alg:Beta=2") == \
+            report("--instance", "batch:N=3", "--model", "linear:alpha=2",
+                   "--policy", "quad_alg:beta=2")
+        assert report("--instance", "batch:N=3", "--model", "LINEAR:alpha=2",
+                      "--policy", "full_parallel")["model"] == "linear:alpha=2"
+
+
+# Spec tokens for the exit-code property: valid values of at most 3, which
+# keep every instance to about 9 jobs over at most 6 slots, and malformed ones.
+_VALUES = st.one_of(st.sampled_from(["1", "2", "3"]),
+                    st.sampled_from(["0", "0.5", "1.5", "-1", "nan", "inf", ""]))
+_INSTANCE_KEYS = {"batch": ("n", "w"), "periodic": ("x", "k"), "sigma1": ("n",),
+                  "sigma2": ("n", "t"), "random": ("rate", "t", "seed")}
+_MODEL_KEYS = {"linear": ("alpha", "theta"), "quad": ("alpha", "theta")}
+_POLICY_KEYS = {"full_parallel": (), "balance_value": ("alpha",),
+                "balance_delta": ("alpha",), "sqrt_online": ("alpha",),
+                "lg": ("alpha",), "a_gamma": ("alpha", "gamma"),
+                "quad_alg": ("alpha", "beta"), "quad_balance": ("alpha",)}
+
+
+@st.composite
+def _spec(draw, families):
+    kind = draw(st.sampled_from(sorted(families)))
+    keys = [k for k in families[kind] if draw(st.integers(0, 7))]
+    if not draw(st.integers(0, 7)):
+        keys.append("wat")
+    items = ",".join(f"{draw(st.sampled_from([k, k.upper()]))}={draw(_VALUES)}"
+                     for k in keys)
+    if draw(st.booleans()):
+        kind = kind.upper()
+    return f"{kind}({items})" if draw(st.booleans()) else f"{kind}:{items}"
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["gen", "run", "opt", "dual"]))
+    instance = draw(_spec(_INSTANCE_KEYS))
+    if command == "gen":
+        return ["gen", instance]
+    argv = [command, "--instance", instance]
+    if command == "dual":
+        return argv + ["--alpha", draw(_VALUES), "--beta", draw(_VALUES)]
+    argv += ["--model", draw(_spec(_MODEL_KEYS))]
+    if command == "run":
+        argv += ["--policy", draw(_spec(_POLICY_KEYS))]
+        for flag in ("--seed", "--reps"):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(["-1", "0", "1", "2", "1.5"]))]
+        for oracle in draw(st.lists(st.sampled_from(["dp", "dual"]), unique=True)):
+            argv += ["--oracle", oracle]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:.*nonpositive dual bound:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_exit_code_contract(argv):
+    """Any argv built from these tokens exits 0-3 with a message, never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"FLOWSWITCH_ORACLE_BUDGET": "60"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip()

@@ -9,6 +9,8 @@ from flowswitch import (ArrivalInstance, CostModel, ScheduleTrace, SlotRecord,
 from flowswitch.instances import batch
 from flowswitch.policies import FullParallel, QuadAlg
 
+from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
+
 
 def make_trace(records, departures):
     slots = tuple(SlotRecord(t, n, s, frozenset(ids)) for t, n, s, ids in records)
@@ -84,6 +86,22 @@ class TestCostModel:
         assert model.switching is SwitchingKind.QUADRATIC
         assert model.alpha == 2 and model.theta == 0.5
         assert CostModel.parse("linear:alpha=1").transition_cost(1, 4) == 3
+
+    @pytest.mark.parametrize("form", SPEC_FORMS)
+    def test_parse_forms(self, form):
+        assert CostModel.parse(spec_text(form, "quad", "alpha", "2.5")) == \
+            CostModel.quadratic(2.5)
+
+    @pytest.mark.parametrize("form", EMPTY_SPEC_FORMS)
+    def test_parse_empty_parameter_list(self, form):
+        assert CostModel.parse(spec_text(form, "linear", "alpha")) == \
+            CostModel.linear(1.0)
+
+    @pytest.mark.parametrize("form, needle", MALFORMED_SPECS)
+    def test_parse_malformed(self, form, needle):
+        with pytest.raises(ValueError, match="cost-model") as err:
+            CostModel.parse(spec_text(form, "quad", "alpha", "2"))
+        assert spec_text(needle, "quad", "alpha") in str(err.value)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

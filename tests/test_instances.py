@@ -2,11 +2,16 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowswitch import ArrivalInstance, validate_trace, simulate
-from flowswitch.instances import (batch, parse_instance_spec, periodic,
+from flowswitch.instances import (GeneratorKind, GeneratorSpec, batch,
+                                  parse_instance_spec, periodic,
                                   random_slotted, sigma1, sigma2)
 from flowswitch.policies import FullParallel
+
+from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
 
 
 class TestGenerators:
@@ -38,6 +43,9 @@ class TestGenerators:
         other = random_slotted(5.0, 50, seed=10)
         assert one.arrivals == two.arrivals
         assert one.arrivals != other.arrivals
+        with pytest.raises(ValueError,
+                           match="seed must be a nonnegative integer, got -1"):
+            random_slotted(5.0, 50, seed=-1)
 
     def test_random_slotted_mean_load(self):
         rate, horizon = 5.0, 1000
@@ -93,6 +101,39 @@ class TestParseSpec:
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
             parse_instance_spec("random:rate=2,T=5")
+
+    @pytest.mark.parametrize("form", SPEC_FORMS)
+    def test_spec_forms(self, form):
+        assert parse_instance_spec(spec_text(form, "sigma1", "n", "3")) == sigma1(3)
+
+    @pytest.mark.parametrize("form", EMPTY_SPEC_FORMS)
+    def test_empty_parameter_list(self, form):
+        assert GeneratorSpec.parse(spec_text(form, "sigma1", "n")) == \
+            GeneratorSpec(GeneratorKind.SIGMA1, {})
+
+    @pytest.mark.parametrize("form, needle", MALFORMED_SPECS)
+    def test_malformed_spec(self, form, needle):
+        with pytest.raises(ValueError, match="instance") as err:
+            parse_instance_spec(spec_text(form, "sigma1", "n", "3"))
+        assert spec_text(needle, "sigma1", "n") in str(err.value)
+
+    def test_non_finite_integer_parameter(self):
+        for value in ("nan", "inf"):
+            with pytest.raises(ValueError, match="parameter 'n' must be an integer"):
+                parse_instance_spec(f"batch:N={value}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.builds(batch, st.integers(0, 30), st.integers(1, 4)),
+        st.builds(periodic, st.integers(1, 5).map(lambda h: 2 * h),
+                  st.integers(0, 8)),
+        st.builds(sigma1, st.integers(0, 30)),
+        st.builds(sigma2, st.integers(0, 6), st.integers(0, 8)),
+        st.builds(random_slotted,
+                  st.floats(1e-3, 1e3).map(lambda r: float(f"{r:.6g}")),
+                  st.integers(0, 30), st.integers(0, 2**40))))
+    def test_name_rebuilds_the_instance(self, inst):
+        assert parse_instance_spec(inst.name) == inst
 
     def test_generator_spec_round_trip(self):
         from flowswitch.instances import GeneratorKind, GeneratorSpec

@@ -13,6 +13,8 @@ from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  batch_quad_horizon_search, burst_objective,
                                  make_policy)
 
+from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
+
 
 def state(n, s_prev=0, t=1):
     return ObservableState(t, n, s_prev)
@@ -113,6 +115,22 @@ class TestRegistry:
             make_policy("quad_alg:beta")
         with pytest.raises(ValueError):
             make_policy("quad_alg:wat=1", default_alpha=1.0)
+
+    @pytest.mark.parametrize("form", SPEC_FORMS)
+    def test_spec_forms(self, form):
+        spec = spec_text(form, "quad_alg", "beta", "2.5")
+        assert make_policy(spec, default_alpha=2.0) == QuadAlg(alpha=2.0, beta=2.5)
+
+    @pytest.mark.parametrize("form", EMPTY_SPEC_FORMS)
+    def test_empty_parameter_list(self, form):
+        spec = spec_text(form, "quad_alg", "beta")
+        assert make_policy(spec, default_alpha=2.0) == QuadAlg(alpha=2.0)
+
+    @pytest.mark.parametrize("form, needle", MALFORMED_SPECS)
+    def test_malformed_spec(self, form, needle):
+        with pytest.raises(ValueError, match="policy") as err:
+            make_policy(spec_text(form, "quad_alg", "beta", "2"), default_alpha=1.0)
+        assert spec_text(needle, "quad_alg", "beta") in str(err.value)
 
 
 class TestBatchLinearOffline:
