@@ -19,6 +19,8 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 
+import numpy as np
+
 
 class SwitchingKind(str, Enum):
     LINEAR = "linear"
@@ -339,16 +341,18 @@ class SlotRecord:
     served: frozenset[int] = frozenset()
 
 
-class _FifoSlots(Sequence):
-    """The slots of a FIFO trace as SlotRecords, built on access.
+class _SlotView(Sequence):
+    """The slots of a trace as SlotRecords, built on access.
 
-    Slot t serves job ids [S(t-1), S(t)), where S is the running sum of s.
+    Slot i+1 serves ``ids[offsets[i]:offsets[i+1]]``. A FIFO trace passes
+    ``range(S(T))`` as its ids, so its served sets are ranges of ids.
     """
 
-    __slots__ = ("_n", "_s", "_first")
+    __slots__ = ("_t", "_n", "_s", "_ids", "_offsets")
 
-    def __init__(self, n, s, first):
-        self._n, self._s, self._first = n, s, first
+    def __init__(self, t, n, s, ids, offsets):
+        self._t, self._n, self._s = t, n, s
+        self._ids, self._offsets = ids, offsets
 
     def __len__(self):
         return len(self._s)
@@ -357,13 +361,15 @@ class _FifoSlots(Sequence):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(len(self._s))[index])
         i = range(len(self._s))[index]
-        first, s = self._first[i], self._s[i]
-        return SlotRecord(i + 1, self._n[i], s, frozenset(range(first, first + s)))
+        first, end = self._offsets[i], self._offsets[i + 1]
+        return SlotRecord(self._t[i], self._n[i], self._s[i],
+                          frozenset(self._ids[first:end]))
 
     def __iter__(self):
-        first = self._first
-        for t, (n, s) in enumerate(zip(self._n, self._s), start=1):
-            yield SlotRecord(t, n, s, frozenset(range(first[t - 1], first[t])))
+        ids, offsets = self._ids, self._offsets
+        for t, n, s, first, end in zip(self._t, self._n, self._s,
+                                       offsets, offsets[1:]):
+            yield SlotRecord(t, n, s, frozenset(ids[first:end]))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -395,16 +401,47 @@ class _FifoDepartures(Mapping):
 
 
 @dataclass(frozen=True, eq=False)
+class ServedColumns:
+    """The served sets and departures of a trace, as flat columns.
+
+    ``ids`` holds the served ids of every slot, slot after slot, and
+    ``counts`` how many of them belong to each slot. ``slot_numbers`` are
+    the recorded slot numbers, None when they run 1..T. ``departures``
+    are the departures given with the trace; when None, a job departs at
+    the last slot that serves it.
+    """
+
+    ids: tuple[int, ...]
+    counts: tuple[int, ...]
+    slot_numbers: tuple[int, ...] | None = None
+    departures: Mapping[int, int] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "counts", tuple(self.counts))
+        if sum(self.counts) != len(self.ids):
+            raise ValueError("counts do not partition the served ids by slot")
+        if self.slot_numbers is not None:
+            numbers = tuple(self.slot_numbers)
+            if len(numbers) != len(self.counts):
+                raise ValueError("slot_numbers and counts differ in length")
+            contiguous = numbers == tuple(range(1, len(numbers) + 1))
+            object.__setattr__(self, "slot_numbers", None if contiguous else numbers)
+
+
+@dataclass(frozen=True, eq=False)
 class ScheduleTrace:
     """A complete schedule as per-slot columns: occupancy n and servers s.
 
-    ``n[i]`` and ``s[i]`` belong to slot i+1. Slots run contiguously from
-    t=1, and idle slots (n=0, s=0) are recorded. Unit-job traces keep only
-    these columns: jobs run first-in first-out by id, so slot t serves ids
-    [S(t-1), S(t)) with S the running sum of s, and ``slots`` and
-    ``departures`` are derived from that replay on access. Traces built
-    with ``from_slots`` (general sizes, CSV input, hand-made records) keep
-    their records and departures as given instead.
+    ``n[i]`` and ``s[i]`` belong to slot i+1. Idle slots (n=0, s=0) are
+    recorded. A FIFO trace (unit jobs from the count engine or ``dp_opt``)
+    keeps only these columns: slot t serves ids [S(t-1), S(t)), with S the
+    running sum of s. Every other trace (general-size SRPT, CSV input,
+    ``from_slots``) keeps its served sets and departures in ``served``,
+    one flat id column with per-slot counts (see ``ServedColumns``).
+
+    ``slots`` and ``departures`` are views built on access: no SlotRecord
+    or frozenset exists until a caller reads them.
 
     ``complete_records`` is False for bulk simulation runs; such traces
     cost fine but cannot be validated.
@@ -415,14 +452,15 @@ class ScheduleTrace:
     policy_name: str = ""
     instance_id: str = ""
     complete_records: bool = True
-    recorded_slots: tuple[SlotRecord, ...] | None = field(default=None, repr=False)
-    recorded_departures: Mapping[int, int] | None = field(default=None, repr=False)
+    served: ServedColumns | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", tuple(self.n))
         object.__setattr__(self, "s", tuple(self.s))
         if len(self.n) != len(self.s):
             raise ValueError("n and s columns differ in length")
+        if self.served is not None and len(self.served.counts) != len(self.s):
+            raise ValueError("served columns and s differ in length")
 
     @classmethod
     def from_slots(cls, slots, departures: Mapping[int, int], policy_name: str = "",
@@ -430,25 +468,39 @@ class ScheduleTrace:
                    complete_records: bool = True) -> "ScheduleTrace":
         """A trace whose per-slot served sets and departures are given."""
         slots = tuple(slots)
+        served = ServedColumns(chain.from_iterable(rec.served for rec in slots),
+                               [len(rec.served) for rec in slots],
+                               [rec.t for rec in slots], departures)
         return cls(tuple(rec.n for rec in slots), tuple(rec.s for rec in slots),
-                   policy_name, instance_id, complete_records, slots, departures)
+                   policy_name, instance_id, complete_records, served)
 
     @cached_property
-    def _served_before(self) -> tuple[int, ...]:
-        """S(t-1) per slot, then S(T): jobs served before each slot."""
-        return tuple(accumulate(self.s, initial=0))
+    def _offsets(self) -> tuple[int, ...]:
+        """Where each slot's ids start in the flat id sequence, then the end."""
+        counts = self.s if self.served is None else self.served.counts
+        return tuple(accumulate(counts, initial=0))
+
+    @property
+    def _slot_numbers(self) -> Sequence[int]:
+        if self.served is None or self.served.slot_numbers is None:
+            return range(1, len(self.s) + 1)
+        return self.served.slot_numbers
 
     @cached_property
     def slots(self) -> Sequence[SlotRecord]:
-        if self.recorded_slots is not None:
-            return self.recorded_slots
-        return _FifoSlots(self.n, self.s, self._served_before)
+        ids = range(self._offsets[-1]) if self.served is None else self.served.ids
+        return _SlotView(self._slot_numbers, self.n, self.s, ids, self._offsets)
 
     @cached_property
     def departures(self) -> Mapping[int, int]:
-        if self.recorded_slots is not None:
-            return self.recorded_departures
-        return _FifoDepartures(self._served_before[1:])
+        served = self.served
+        if served is None:
+            return _FifoDepartures(self._offsets[1:])
+        if served.departures is not None:
+            return served.departures
+        # later slots overwrite earlier ones: the last slot serving each id
+        return dict(zip(served.ids, chain.from_iterable(
+            map(repeat, self._slot_numbers, served.counts))))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -457,7 +509,7 @@ class ScheduleTrace:
                 self.complete_records) != (other.n, other.s, other.policy_name,
                                            other.instance_id, other.complete_records):
             return False
-        if self.recorded_slots is None and other.recorded_slots is None:
+        if self.served is None and other.served is None:
             return True
         return self.slots == other.slots and \
             dict(self.departures) == dict(other.departures)
@@ -466,9 +518,8 @@ class ScheduleTrace:
 
     @property
     def last_slot(self) -> int:
-        if self.recorded_slots is not None:
-            return self.recorded_slots[-1].t if self.recorded_slots else 0
-        return len(self.s)
+        numbers = self._slot_numbers
+        return numbers[-1] if numbers else 0
 
     def server_counts(self) -> tuple[int, ...]:
         return self.s
@@ -477,34 +528,73 @@ class ScheduleTrace:
         return self.n
 
     def to_csv(self) -> str:
+        """One row per slot: t, n, s and the served ids in ascending order."""
+        offsets = self._offsets
+        rows = zip(self._slot_numbers, self.n, self.s, offsets, offsets[1:])
         lines = ["t,n,s,served_ids"]
-        if self.recorded_slots is None:  # ids straight from the cumulative s
-            first = self._served_before
-            for t, (n, s) in enumerate(zip(self.n, self.s), start=1):
-                ids = ";".join(map(str, range(first[t - 1], first[t])))
-                lines.append(f"{t},{n},{s},{ids}")
+        if self.served is None:  # ids straight from the cumulative s
+            lines += [f"{t},{n},{s},{';'.join(map(str, range(first, end)))}"
+                      for t, n, s, first, end in rows]
         else:
-            for rec in self.recorded_slots:
-                ids = ";".join(str(j) for j in sorted(rec.served))
-                lines.append(f"{rec.t},{rec.n},{rec.s},{ids}")
+            ids = self.served.ids
+            lines += [f"{t},{n},{s},"
+                      f"{';'.join(map(str, sorted(set(ids[first:end]))))}"
+                      for t, n, s, first, end in rows]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, policy_name: str = "",
                  instance_id: str = "") -> "ScheduleTrace":
+        """Read ``to_csv`` output (rows 't,n,s,id;id;...') into columns.
+
+        Ids are kept as written; the ``slots`` view reads each slot's ids
+        as a set, and a job departs at the last row that serves it.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].split(",")[:3] != ["t", "n", "s"]:
             raise ValueError("trace CSV must start with header 't,n,s,served_ids'")
-        slots = []
-        last_served: dict[int, int] = {}
-        for ln in lines[1:]:
-            t_s, n_s, s_s, ids = (ln.split(",", 3) + [""])[:4]
-            served = frozenset(int(x) for x in ids.split(";") if x != "")
-            rec = SlotRecord(int(t_s), int(n_s), int(s_s), served)
-            for j in served:
-                last_served[j] = rec.t
-            slots.append(rec)
-        return cls.from_slots(slots, last_served, policy_name, instance_id)
+        rows = [ln.split(",", 3) for ln in lines[1:]]
+        columns = _csv_columns(rows)
+        if columns is None:
+            columns = _csv_rows(rows)
+        t, n, s, ids, counts = columns
+        return cls(n, s, policy_name, instance_id, True, ServedColumns(ids, counts, t))
+
+
+def _csv_columns(rows: list[list[str]]):
+    """Parse trace CSV rows column by column, all ids in one split.
+
+    Returns None, and leaves the input to ``_csv_rows``, when a row lacks
+    a field, an id field holds an empty item, or any value fails to parse;
+    so the accepted inputs and the error raised are the row reader's.
+    """
+    if any(len(row) != 4 for row in rows):
+        return None
+    t_col, n_col, s_col, id_col = zip(*rows) if rows else ((), (), (), ())
+    joined = ";".join(field for field in id_col if field)
+    if ";;" in joined or joined[:1] == ";" or joined[-1:] == ";":
+        return None
+    try:
+        ids = list(map(int, joined.split(";"))) if joined else []
+        t, n, s = (list(map(int, col)) for col in (t_col, n_col, s_col))
+    except ValueError:
+        return None
+    counts = [field.count(";") + 1 if field else 0 for field in id_col]
+    return t, n, s, ids, counts
+
+
+def _csv_rows(rows: list[list[str]]):
+    """Parse trace CSV rows one by one, raising at the first bad value."""
+    t, n, s, ids, counts = [], [], [], [], []
+    for row in rows:
+        t_s, n_s, s_s, field = (row + [""])[:4]
+        served = [int(x) for x in field.split(";") if x != ""]
+        t.append(int(t_s))
+        n.append(int(n_s))
+        s.append(int(s_s))
+        ids += served
+        counts.append(len(served))
+    return t, n, s, ids, counts
 
 
 @dataclass(frozen=True)
@@ -577,7 +667,96 @@ def validate_trace(instance: ArrivalInstance, trace: ScheduleTrace) -> Validatio
     of arrived work, no service before arrival), s <= n, served-count = s,
     no service beyond a job's size. Global checks follow: every job finishes
     exactly, recorded departures match, and the n(t) column is consistent.
+
+    One array pass over the columns (``_columns_valid``) accepts a valid
+    trace whose slots run 1..T without an id repeated within a slot. Any
+    other trace goes to the per-slot loop ``_validate_reference``, the one
+    place that picks and words the first violation.
     """
+    if _columns_valid(instance, trace):
+        return _VALID
+    return _validate_reference(instance, trace)
+
+
+def _int_column(values) -> np.ndarray | None:
+    """``values`` as a signed integer array, or None if one does not fit."""
+    try:
+        column = np.asarray(values)
+    except OverflowError:
+        return None
+    if column.size == 0:
+        return np.zeros(column.shape, dtype=np.int64)
+    return column if column.dtype.kind == "i" else None
+
+
+def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
+    """True when the trace passes every check of ``_validate_reference``.
+
+    The checks hold as array operations over the flat served ids (FIFO
+    traces: ``range(S(T))``) when slots run 1..T and no slot repeats an
+    id: then each job's service count, its completion slot and the
+    per-slot arrived work are plain reductions. False means "not shown
+    valid", never "invalid".
+    """
+    served = trace.served
+    if not trace.complete_records or (served is not None and (
+            served.slot_numbers is not None or served.counts != trace.s)):
+        return False
+    n, s = _int_column(trace.n), _int_column(trace.s)
+    if n is None or s is None or not ((s >= 0) & (s <= n)).all():
+        return False
+    ids = np.arange(int(s.sum())) if served is None else _int_column(served.ids)
+    unit = instance.all_unit
+    if unit:
+        arrival = np.repeat(np.arange(1, instance.last_slot + 1),
+                            instance.slot_counts)
+        size = 1
+    else:
+        table = _int_column(instance.arrivals)
+        if table is None:
+            return False
+        arrival, size = table.reshape(-1, 2).T
+    jobs, horizon = arrival.size, len(s)
+    if ids is None or instance.last_slot > horizon or \
+            (ids.size and not 0 <= ids.min() <= ids.max() < jobs):
+        return False
+    if not (np.bincount(ids, minlength=jobs) == size).all():
+        return False  # some job served other than exactly its size
+    slot = np.repeat(np.arange(1, horizon + 1), s)  # the slot of each served id
+    if (arrival[ids] > slot).any():
+        return False
+    arrived = np.searchsorted(arrival, np.arange(1, horizon + 1), side="right")
+    work = arrived if unit else np.concatenate(([0], np.cumsum(size)))[arrived]
+    if (np.cumsum(s) > work).any():
+        return False
+    if unit:  # every id served once
+        done = np.empty(jobs, dtype=np.int64)
+        done[ids] = slot
+    else:
+        order = np.argsort(ids, kind="stable")  # by job, then by slot
+        job, at = ids[order], slot[order]
+        again = job[1:] == job[:-1]
+        if (again & (at[1:] == at[:-1])).any():
+            return False  # an id repeated within a slot
+        done = at[np.append(~again, True)]  # each job's last service
+    finished_by = np.cumsum(np.bincount(done, minlength=horizon + 1))
+    if not (n == arrived - finished_by[:horizon]).all():
+        return False
+    if served is None or served.departures is None:
+        return True  # departures are the last serving slots by construction
+    given = served.departures
+    if len(given) != jobs:
+        return False
+    keys, values = _int_column(list(given.keys())), _int_column(list(given.values()))
+    if keys is None or values is None or \
+            (keys.size and not 0 <= keys.min() <= keys.max() < jobs):
+        return False
+    return bool((values == done[keys]).all())
+
+
+def _validate_reference(instance: ArrivalInstance,
+                        trace: ScheduleTrace) -> ValidationResult:
+    """The per-slot validation loop; see ``validate_trace``."""
     if not trace.complete_records:
         return ValidationResult(False, "incomplete_records",
                                 message="trace was recorded without per-job service sets")

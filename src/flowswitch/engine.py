@@ -14,7 +14,9 @@ keeps the shared ``decide`` is not called per slot there: its target(n) is
 evaluated once per distinct n and its shape applied inline. General sizes
 run a per-job multi-server SRPT loop over a heap keyed by (remaining,
 arrival, id), which is also the reference the tests compare the count path
-against.
+against. It records its trace in the same columnar form that CSV input
+uses: the n and s columns plus one flat list of served ids, s(t) of them
+per slot, with no SlotRecord or frozenset built per slot.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import ClassVar, Protocol, runtime_checkable
 
-from .core import ArrivalInstance, CostModel, ScheduleTrace, SlotRecord
+from .core import ArrivalInstance, CostModel, ScheduleTrace, ServedColumns
 
 _CEIL_EPS = 1e-9
 
@@ -240,14 +242,19 @@ def _srpt_pop(heap: list[tuple[int, int, int]], k: int) -> list[tuple[int, int, 
 
 def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
                    record_served: bool) -> ScheduleTrace:
-    """Per-job multi-server SRPT: the engine for general sizes."""
+    """Per-job multi-server SRPT: the engine for general sizes.
+
+    Served ids go to one flat list, s(t) of them per slot; each job
+    departs at the last slot that serves it.
+    """
     jobs = instance.arrivals
     jobs_by_slot = instance.jobs_by_slot()
     last_arrival = instance.last_slot
     k_stall = instance.total_work + last_arrival
     heap: list[tuple[int, int, int]] = []  # (remaining, arrival, job_id)
-    slots: list[SlotRecord] = []
-    departures: dict[int, int] = {}
+    ns: list[int] = []
+    ss: list[int] = []
+    served_ids: list[int] = []
     s_prev = zero_streak = t = 0
     while True:
         t += 1
@@ -268,18 +275,16 @@ def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
             zero_streak = 0
 
         s = min(max(request, 0), n)
-        served = _srpt_pop(heap, s)
-        for remaining, arrival, j in served:
+        for remaining, arrival, j in _srpt_pop(heap, s):
+            served_ids.append(j)
             if remaining > 1:
                 heappush(heap, (remaining - 1, arrival, j))
-            else:
-                departures[j] = t
-        slots.append(SlotRecord(t, n, s, frozenset(j for _, _, j in served)))
+        ns.append(n)
+        ss.append(s)
         s_prev = s
 
-    return ScheduleTrace.from_slots(slots, departures, policy.name,
-                                    instance.instance_id,
-                                    complete_records=record_served)
+    return ScheduleTrace(ns, ss, policy.name, instance.instance_id,
+                         record_served, ServedColumns(served_ids, ss))
 
 
 def trace_from_server_counts(instance: ArrivalInstance,

@@ -81,6 +81,11 @@ class GeneratorSpec:
     kind: GeneratorKind
     params: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for key in self.params:
+            if key not in _PARAMETERS[self.kind]:
+                raise ValueError(f"unknown instance parameter {key!r}")
+
     def _int(self, key: str, default: int | None = None) -> int:
         if key not in self.params:
             if default is None:
@@ -109,9 +114,20 @@ class GeneratorSpec:
         """Parse specs such as 'batch:N=4', 'random(rate=5,T=100,seed=1)'."""
         kind, params = parse_spec(spec, "instance")
         try:
-            return cls(GeneratorKind(kind), params)
+            kind = GeneratorKind(kind)
         except ValueError:
             raise ValueError(f"unknown instance kind {kind!r}") from None
+        return cls(kind, params)
+
+
+# the parameter keys each kind's build reads
+_PARAMETERS = {
+    GeneratorKind.BATCH: ("n", "w"),
+    GeneratorKind.PERIODIC: ("x", "k"),
+    GeneratorKind.SIGMA1: ("n",),
+    GeneratorKind.SIGMA2: ("n", "t"),
+    GeneratorKind.RANDOM_SLOTTED: ("rate", "t", "seed"),
+}
 
 
 def parse_instance_spec(spec: str) -> ArrivalInstance:

@@ -17,7 +17,7 @@ from .policies import QuadAlg, effective_alpha
 
 DEFAULT_STATE_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "FLOWSWITCH_ORACLE_BUDGET"
-_DP_BLOCK = 1 << 20  # float64 elements per dp_opt (n, s_prev, s') block
+_DP_BLOCK = 1 << 20  # float64 elements per dp_opt or dual-slack block
 
 
 class UnsupportedInstanceError(Exception):
@@ -290,19 +290,35 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
                     for before, after in zip(flows, flows[1:]))
     bound = dual_bound_from_flow(flow_alg, beta)
 
-    a_eff = effective_alpha(alpha)
-    occ = trace.occupancies()
-    rhs = [(3.0 / beta) * math.sqrt(a_eff * n) for n in occ]
-    slack = -math.inf
-    for j, lam in enumerate(lambdas):
-        a_j = instance.arrivals[j][0]
-        for idx in range(a_j - 1, len(occ)):
-            t = idx + 1
-            value = lam - (t - a_j) / size - rhs[idx]
-            if value > slack:
-                slack = value
+    slack = _max_pair_slack(instance, lambdas, trace.occupancies(), size,
+                            effective_alpha(alpha), beta)
     return DualCertificate(lambdas, flow_alg, alpha, beta, bound,
                            slack, degenerate)
+
+
+def _max_pair_slack(instance: ArrivalInstance, lambdas, occ, size: int,
+                    a_eff: float, beta: float) -> float:
+    """max of (lam_j - (t - a_j)/size) - rhs(t) over jobs j and slots t >= a_j.
+
+    rhs(t) = (3/beta) sqrt(a_eff n(t)). Each value takes the same IEEE
+    operations in the same order as a scalar loop over (j, t), so the
+    maximum is bit-identical to that loop's. One block holds the rows of
+    as many jobs as fit in ``_DP_BLOCK`` values, and at least one.
+    """
+    horizon = len(occ)
+    if not lambdas or not horizon:
+        return -math.inf
+    rhs = (3.0 / beta) * np.sqrt(a_eff * np.asarray(occ, dtype=np.float64))
+    slots = np.arange(1, horizon + 1)
+    arrival = np.repeat(np.arange(1, instance.last_slot + 1), instance.slot_counts)
+    lam = np.asarray(lambdas, dtype=np.float64)
+    rows = max(1, _DP_BLOCK // horizon)
+    slack = -math.inf
+    for lo in range(0, lam.size, rows):
+        a = arrival[lo:lo + rows, None]
+        value = (lam[lo:lo + rows, None] - (slots - a) / size) - rhs
+        slack = max(slack, float(np.where(slots >= a, value, -np.inf).max()))
+    return slack
 
 
 # ---------------------------------------------------------------------------

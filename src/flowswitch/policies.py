@@ -10,6 +10,7 @@ construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar
 
@@ -27,6 +28,11 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
+# Several targets divide the job count n by a rule constant. From this
+# divisor up, n / divisor stays finite for every n up to 2**53.
+_MIN_DIVISOR = 2.0 ** 54 / sys.float_info.max
+
+
 class _Rule(ShapedRule):
     """The built-in rules: alpha checked at construction, a printed name.
 
@@ -36,10 +42,14 @@ class _Rule(ShapedRule):
     """
 
     key: ClassVar[str]
+    divides_by_alpha: ClassVar[bool] = False  # target(n) computes n / alpha
 
     def __post_init__(self):
         if hasattr(self, "alpha"):
             _check_alpha(self.alpha)
+            if self.divides_by_alpha and self.alpha < _MIN_DIVISOR:
+                raise ValueError(f"alpha={self.alpha:g} is too small for "
+                                 f"{self.key}: n/alpha overflows")
 
     @property
     def name(self) -> str:
@@ -63,6 +73,7 @@ class BalanceValue(_Rule):
 
     alpha: float
     key, shape = "balance_value", "cap"
+    divides_by_alpha = True
 
     def target(self, n: int) -> int:
         return _ceil(n / self.alpha)
@@ -79,6 +90,7 @@ class BalanceDelta(_Rule):
 
     alpha: float
     key, shape = "balance_delta", "add"
+    divides_by_alpha = True
 
     def target(self, n: int) -> int:
         return _ceil(n / self.alpha)
@@ -122,6 +134,13 @@ class GammaPolicy(_Rule):
         super().__post_init__()
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        try:
+            divisor = self.alpha ** self.gamma
+        except OverflowError:
+            divisor = math.inf
+        if not _MIN_DIVISOR <= divisor < math.inf:
+            raise ValueError(f"gamma={self.gamma:g} takes alpha**gamma out of "
+                             f"range (alpha={self.alpha:g})")
 
     def target(self, n: int) -> int:
         return _ceil(n / self.alpha ** self.gamma)
@@ -150,6 +169,7 @@ class QuadBalance(_Rule):
 
     alpha: float
     key, shape = "quad_balance", "add"
+    divides_by_alpha = True
 
     def target(self, n: int) -> int:
         return _ceil(math.sqrt(n / self.alpha))

@@ -125,6 +125,17 @@ class TestRun:
         events = [json.loads(line) for line in err.strip().splitlines()]
         assert events == [{"t": 1, "n": 2, "s": 2, "served": [0, 1]}]
 
+    def test_verbose_event_stream_general_sizes(self, capsys, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_text("1 2\n1 1\n2 1\n")  # job 0 needs two slots
+        code, _, err = run_cli(
+            capsys, "run", "--instance", str(path),
+            "--policy", "full_parallel", "--model", "quad:alpha=1", "-v")
+        assert code == 0
+        events = [json.loads(line) for line in err.strip().splitlines()]
+        assert events == [{"t": 1, "n": 2, "s": 2, "served": [0, 1]},
+                          {"t": 2, "n": 2, "s": 2, "served": [0, 2]}]
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--policy", "full_parallel")
         assert code == 1
@@ -312,9 +323,29 @@ class TestInputErrors:
           "--policy", "full_parallel"), 2, "seed must be a nonnegative integer"),
         (("run", "--instance", "random:rate=5,T=10,seed=1", "--seed", "-1",
           "--policy", "full_parallel"), 2, "seed must be a nonnegative integer"),
+        (("run", "--instance", "batch:N=3", "--model", "linear:alpha=0.5",
+          "--policy", "a_gamma:gamma=2000"), 2, "gamma=2000"),
+        (("run", "--instance", "batch:N=3", "--model", "linear:alpha=2",
+          "--policy", "a_gamma:gamma=2000"), 2, "gamma=2000"),
+        (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "2000",
+          "--alphas", "2"), 2, "gamma=2000"),
+        (("run", "--instance", "batch:N=3", "--model", "linear:alpha=1e-320",
+          "--policy", "balance_value"), 2, "alpha="),
+        (("run", "--instance", "batch:N=3", "--model", "linear:alpha=1e-320",
+          "--policy", "balance_delta"), 2, "alpha="),
+        (("run", "--instance", "batch:N=3", "--model", "linear:alpha=1e-320",
+          "--policy", "quad_balance"), 2, "alpha="),
+        (("run", "--instance", "batch:N=3,wat=1", "--policy", "full_parallel"),
+         2, "unknown instance parameter 'wat'"),
+        (("run", "--instance", "batch:N=3,size=2", "--policy", "full_parallel"),
+         2, "unknown instance parameter 'size'"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
-            "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative"])
+            "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative",
+            "gamma-underflow", "gamma-overflow", "gamma-sweep-overflow",
+            "balance-value-tiny-alpha", "balance-delta-tiny-alpha",
+            "quad-balance-tiny-alpha", "unknown-instance-key",
+            "misspelled-instance-key"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code

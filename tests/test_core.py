@@ -1,13 +1,19 @@
 import json
 import math
+import os
+import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, ScheduleTrace, SlotRecord,
-                        SwitchingKind, TraceValidationError, cost_of_trace,
-                        simulate, trace_from_server_counts, validate_trace)
-from flowswitch.instances import batch
-from flowswitch.policies import FullParallel, QuadAlg
+                        SwitchingKind, TraceValidationError, ValidationResult,
+                        cli, core, cost_of_trace, dp_opt, simulate,
+                        trace_from_server_counts, validate_trace)
+from flowswitch.instances import batch, random_slotted
+from flowswitch.policies import BalanceDelta, FullParallel, Lg, QuadAlg
 
 from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
 
@@ -212,38 +218,44 @@ class TestValidateTrace:
             cost_of_trace(trace, CostModel.quadratic(1)).switching_cost
 
 
+def corrupted_traces(instances, seed=99):
+    """(instance, kind, trace): one seeded corruption of each QuadAlg trace."""
+    import random as _random
+
+    rng = _random.Random(seed)
+    for inst in instances:
+        trace = simulate(inst, QuadAlg(alpha=1.0))
+        if not trace.slots:
+            continue
+        idx = rng.randrange(len(trace.slots))
+        rec = trace.slots[idx]
+        kind = rng.choice(["bump_s", "bump_n", "drop_served", "shift_departure"])
+        slots = list(trace.slots)
+        departures = dict(trace.departures)
+        if kind == "bump_s":
+            slots[idx] = SlotRecord(rec.t, rec.n, rec.s + 1, rec.served)
+        elif kind == "bump_n":
+            slots[idx] = SlotRecord(rec.t, rec.n + 1, rec.s, rec.served)
+        elif kind == "drop_served":
+            if not rec.served:
+                continue
+            kept = frozenset(list(rec.served)[1:])
+            slots[idx] = SlotRecord(rec.t, rec.n, rec.s, kept)
+        else:
+            if not departures:
+                continue
+            job = rng.choice(sorted(departures))
+            departures[job] += 1
+        yield inst, kind, ScheduleTrace.from_slots(
+            slots, departures, trace.policy_name, trace.instance_id)
+
+
 class TestValidatorFuzz:
     def test_random_corruptions_are_caught(self, small_corpus):
-        import random as _random
-
-        rng = _random.Random(99)
-        caught = 0
         for inst in small_corpus[:20]:
-            trace = simulate(inst, QuadAlg(alpha=1.0))
-            assert validate_trace(inst, trace).ok
-            if not trace.slots:
-                continue
-            idx = rng.randrange(len(trace.slots))
-            rec = trace.slots[idx]
-            kind = rng.choice(["bump_s", "bump_n", "drop_served", "shift_departure"])
-            slots = list(trace.slots)
-            departures = dict(trace.departures)
-            if kind == "bump_s":
-                slots[idx] = SlotRecord(rec.t, rec.n, rec.s + 1, rec.served)
-            elif kind == "bump_n":
-                slots[idx] = SlotRecord(rec.t, rec.n + 1, rec.s, rec.served)
-            elif kind == "drop_served":
-                if not rec.served:
-                    continue
-                kept = frozenset(list(rec.served)[1:])
-                slots[idx] = SlotRecord(rec.t, rec.n, rec.s, kept)
-            else:
-                if not departures:
-                    continue
-                job = rng.choice(sorted(departures))
-                departures[job] += 1
-            broken = ScheduleTrace.from_slots(slots, departures,
-                                              trace.policy_name, trace.instance_id)
+            assert validate_trace(inst, simulate(inst, QuadAlg(alpha=1.0))).ok
+        caught = 0
+        for inst, kind, broken in corrupted_traces(small_corpus[:20]):
             assert not validate_trace(inst, broken).ok, kind
             caught += 1
         assert caught >= 15
@@ -259,3 +271,191 @@ class TestTraceCsv:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             ScheduleTrace.from_csv("a,b,c\n1,2,3\n")
+
+
+# The trace CSV reader and writer as they were when every trace kept one
+# SlotRecord and frozenset per slot: the references for the columnar ones.
+# The reader returns what such a trace held: its records and departures.
+def reader_by_records(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].split(",")[:3] != ["t", "n", "s"]:
+        raise ValueError("trace CSV must start with header 't,n,s,served_ids'")
+    slots = []
+    last_served = {}
+    for ln in lines[1:]:
+        t_s, n_s, s_s, ids = (ln.split(",", 3) + [""])[:4]
+        served = frozenset(int(x) for x in ids.split(";") if x != "")
+        rec = SlotRecord(int(t_s), int(n_s), int(s_s), served)
+        for j in served:
+            last_served[j] = rec.t
+        slots.append(rec)
+    return SimpleNamespace(slots=slots, departures=last_served,
+                           complete_records=True)
+
+
+def writer_by_records(trace):
+    lines = ["t,n,s,served_ids"]
+    for rec in trace.slots:
+        ids = ";".join(str(j) for j in sorted(rec.served))
+        lines.append(f"{rec.t},{rec.n},{rec.s},{ids}")
+    return "\n".join(lines) + "\n"
+
+
+def mixed_instances(count=40, seed=7):
+    """Seeded general-size instances: at most 8 jobs of size 1..4 over 6 slots."""
+    rng = random.Random(seed)
+    return [ArrivalInstance(tuple(sorted(
+        (rng.randint(1, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 8)))),
+        name=f"mixed-{seed}-{i}") for i in range(count)]
+
+
+COLUMNAR_POLICIES = (FullParallel(), QuadAlg(alpha=2.0, beta=2.0),
+                     BalanceDelta(alpha=2.0), Lg(alpha=2.0))
+
+
+def recorded_traces(unit_instances):
+    """(instance, trace) for every trace kind the lab writes and validates:
+    unit-engine, SRPT-engine and dp_opt traces, each also read back from
+    its CSV and rebuilt by from_slots with its departures given."""
+    instances = list(unit_instances) + mixed_instances() + \
+        [random_slotted(20.0, 60, 3), ArrivalInstance(((1, 3),) * 30 + ((9, 2),) * 20)]
+    for inst in instances:
+        traces = [simulate(inst, policy) for policy in COLUMNAR_POLICIES]
+        if inst.all_unit and inst.job_count <= 60:
+            traces.append(dp_opt(inst, CostModel.quadratic(2.0))[1])
+        for trace in traces:
+            yield inst, trace
+            yield inst, ScheduleTrace.from_csv(trace.to_csv())
+            yield inst, ScheduleTrace.from_slots(trace.slots, dict(trace.departures))
+
+
+CSV_INSTANCES = (batch(3), ArrivalInstance.from_counts((2, 0, 3, 1)),
+                 random_slotted(3.0, 6, 11),
+                 ArrivalInstance(((1, 2), (1, 1), (2, 3), (4, 1), (4, 2))))
+# applied in this order, so that rows are cut short and dropped last
+CSV_EDITS = ("duplicate_id", "reverse_ids", "shift_t", "repeat_t", "negative_id",
+             "unknown_id", "move_last_id", "empty_item", "bump_n", "bump_s",
+             "short_row", "truncate")
+
+
+def edit_rows(rows, kind, where, k, jobs):
+    """One edit of the split CSV body rows [t, n, s, ids]."""
+    if not rows:
+        return rows
+    i = where % len(rows)
+    if kind == "truncate":
+        return rows[:i]
+    row = rows[i] = list(rows[i])
+    if len(row) < 4:  # already cut short
+        return rows
+    ids = row[3].split(";") if row[3] else []
+    if kind == "short_row":
+        rows[i] = row[:1 + where % 3]
+    elif kind == "shift_t":
+        row[0] = str(int(row[0]) + k)
+    elif kind == "repeat_t" and i:
+        row[0] = rows[i - 1][0]
+    elif kind == "bump_n":
+        row[1] = str(int(row[1]) + k)
+    elif kind == "bump_s":
+        row[2] = str(int(row[2]) + k)
+    elif kind == "move_last_id" and ids and i + 1 < len(rows):
+        later = rows[i + 1 + abs(k) % (len(rows) - i - 1)]
+        later[3] = ";".join(([later[3]] if later[3] else []) + [ids.pop()])
+    else:
+        extra = {"duplicate_id": ids[:1], "negative_id": [str(-1 - abs(k))],
+                 "unknown_id": [str(jobs + abs(k))], "empty_item": [""]}
+        ids = ids[::-1] if kind == "reverse_ids" else ids + extra.get(kind, [])
+    if kind != "short_row":
+        row[3] = ";".join(ids)
+    return rows
+
+
+class TestColumnarTraces:
+    def test_writer_and_reader_match_the_record_forms(self, corpus):
+        for inst, trace in recorded_traces(corpus[:80]):
+            text = trace.to_csv()
+            assert text == writer_by_records(trace), inst.name
+            again, old = ScheduleTrace.from_csv(text), reader_by_records(text)
+            assert again == ScheduleTrace.from_slots(old.slots, old.departures)
+            assert list(again.slots) == old.slots == list(trace.slots), inst.name
+            assert dict(again.departures) == old.departures == \
+                dict(trace.departures)
+            assert again.last_slot == len(old.slots) == len(trace.s)
+            assert again.to_csv() == text
+
+    def test_array_pass_alone_accepts_every_recorded_trace(self, corpus, monkeypatch):
+        def refuse(instance, trace):
+            raise AssertionError("validate_trace fell back to the per-slot loop")
+
+        monkeypatch.setattr(core, "_validate_reference", refuse)
+        for inst, trace in recorded_traces(corpus):
+            assert validate_trace(inst, trace) == ValidationResult(True), inst.name
+
+    def test_audit_path_builds_no_slot_records(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("a per-slot record was built")
+
+        monkeypatch.setattr(core, "SlotRecord", refuse)
+        monkeypatch.setattr(core, "frozenset", refuse, raising=False)
+        path = tmp_path / "mixed.txt"
+        path.write_text("".join(f"{t} {w}\n" for t, w in sorted(
+            (1 + i % 7, 1 + i % 3) for i in range(40))))
+        for k, spec in enumerate((str(path), "random:rate=4,T=30,seed=2")):
+            out = tmp_path / f"out{k}"
+            out.mkdir()
+            assert cli.main(["run", "--instance", spec, "--model", "quad:alpha=2",
+                             "--policy", "quad_alg:beta=2", "--out-dir",
+                             str(out)]) == 0
+            inst = cli._load_instance(spec)
+            for name in os.listdir(out):
+                trace = ScheduleTrace.from_csv((out / name).read_text())
+                assert validate_trace(inst, trace).ok
+                cost_of_trace(trace, CostModel.quadratic(2.0))
+
+    def test_corruptions_match_the_reference(self, corpus, small_corpus):
+        cases = list(corrupted_traces(corpus)) + list(corrupted_traces(small_corpus))
+        bulk = simulate(batch(2), FullParallel(), record_served=False)
+        cases += [
+            (batch(2), "bulk", bulk),
+            (batch(2), "gap_in_t", make_trace([(1, 2, 1, (0,)), (3, 1, 1, (1,))],
+                                              {0: 1, 1: 3})),
+            (ArrivalInstance(((1, 2),)), "repeated_id",
+             make_trace([(1, 1, 1, (0,)), (2, 1, 1, (0,))], {0: 2})),
+            (ArrivalInstance(((1, 2),)), "departure_early",
+             make_trace([(1, 1, 1, (0,)), (2, 1, 1, (0,))], {0: 1})),
+            (batch(2), "extra_departure",
+             make_trace([(1, 2, 2, (0, 1))], {0: 1, 1: 1, 7: 1})),
+        ]
+        for inst, kind, trace in cases:
+            expected = core._validate_reference(inst, trace)
+            assert validate_trace(inst, trace) == expected, (inst.name, kind)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.integers(0, 10**6),
+           edits=st.lists(st.tuples(st.sampled_from(CSV_EDITS), st.integers(0, 10**6),
+                                    st.integers(-2, 3)), min_size=1, max_size=3))
+    def test_mutated_csv_matches_the_reference(self, case, edits):
+        inst = CSV_INSTANCES[case % len(CSV_INSTANCES)]
+        policy = COLUMNAR_POLICIES[case // len(CSV_INSTANCES) % len(COLUMNAR_POLICIES)]
+        header, *rows = simulate(inst, policy).to_csv().splitlines()
+        rows = [row.split(",", 3) for row in rows]
+        for kind, where, k in sorted(edits, key=lambda e: CSV_EDITS.index(e[0])):
+            rows = edit_rows(rows, kind, where, k, inst.job_count)
+        text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+        try:
+            old = reader_by_records(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                ScheduleTrace.from_csv(text)
+            assert str(err.value) == str(exc)
+            return
+        new = ScheduleTrace.from_csv(text)
+        assert new == ScheduleTrace.from_slots(old.slots, old.departures)
+        assert (list(new.slots), dict(new.departures), new.last_slot) == \
+            (old.slots, old.departures, old.slots[-1].t if old.slots else 0)
+        assert new.to_csv() == writer_by_records(old)
+        # the per-slot loop over the records the old reader built
+        expected = core._validate_reference(inst, old)
+        assert core._validate_reference(inst, new) == expected
+        assert validate_trace(inst, new) == expected

@@ -135,6 +135,17 @@ class TestParseSpec:
     def test_name_rebuilds_the_instance(self, inst):
         assert parse_instance_spec(inst.name) == inst
 
+    def test_unknown_parameter_keys(self):
+        for inst in (batch(3, 2), periodic(2, 1), sigma1(2), sigma2(2, 1),
+                     random_slotted(2.0, 3, 1)):
+            assert parse_instance_spec(inst.name) == inst
+            with pytest.raises(ValueError, match="unknown instance parameter 'wat'"):
+                parse_instance_spec(inst.name[:-1] + ",wat=1)")
+        with pytest.raises(ValueError, match="unknown instance parameter 'size'"):
+            parse_instance_spec("batch:N=3,size=2")
+        with pytest.raises(ValueError, match="unknown instance parameter 'seed'"):
+            GeneratorSpec(GeneratorKind.BATCH, {"n": 3, "seed": 1})
+
     def test_generator_spec_round_trip(self):
         from flowswitch.instances import GeneratorKind, GeneratorSpec
         spec = GeneratorSpec.parse("sigma2:N=3,T=2")

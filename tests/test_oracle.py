@@ -12,6 +12,7 @@ from flowswitch import (ArrivalInstance, CostModel, DpBudgetError, DpConfig,
                         convex_batch_solve, cost_of_trace, delta_flow, dp_opt,
                         dual_bound_from_flow, dual_lower_bound, exhaustive_opt,
                         simulate, validate_trace)
+from flowswitch import oracle
 from flowswitch.instances import batch, sigma1
 from flowswitch.policies import (BalanceDelta, FullParallel, QuadAlg,
                                  SqrtOnline, burst_objective)
@@ -279,6 +280,22 @@ class TestDeltaFlow:
             delta_flow(ArrivalInstance(((1, 1), (1, 2))), 0, 1.0, 1.0)
 
 
+def slack_by_loop(instance, cert):
+    """per_pair_slack as the scalar loop over (job, slot) pairs computes it."""
+    occ = simulate(instance, QuadAlg(alpha=cert.alpha, beta=cert.beta)).n
+    size = instance.arrivals[0][1] if instance.arrivals else 1
+    a_eff = max(cert.alpha, 1.0)
+    rhs = [(3.0 / cert.beta) * math.sqrt(a_eff * n) for n in occ]
+    slack = -math.inf
+    for j, lam in enumerate(cert.lambdas):
+        a_j = instance.arrivals[j][0]
+        for idx in range(a_j - 1, len(occ)):
+            value = lam - (idx + 1 - a_j) / size - rhs[idx]
+            if value > slack:
+                slack = value
+    return slack
+
+
 class TestDualCertificate:
     def test_bound_formula(self):
         assert dual_bound_from_flow(40, math.sqrt(3.0)) == pytest.approx(10.0)
@@ -300,6 +317,18 @@ class TestDualCertificate:
             for beta in (math.sqrt(3.0), 2.177):
                 cert = dual_lower_bound(inst, 2.0, beta)
                 assert cert.per_pair_slack <= 1e-12
+
+    def test_slack_equals_scalar_loop(self, corpus, monkeypatch):
+        sized = ArrivalInstance(((1, 2), (1, 2), (3, 2), (4, 2)))
+        cases = [(inst, (0.5, 1.0, 2.0, 4.0)[i % 4], (1.6, 2.177, 3.0)[i % 3])
+                 for i, inst in enumerate(corpus)]
+        cases += [(sized, 2.0, 2.177), (ArrivalInstance(()), 1.0, 2.177)]
+        for block in (None, 7):  # 7 values per block: one job row per block
+            if block:
+                monkeypatch.setattr(oracle, "_DP_BLOCK", block)
+            for inst, alpha, beta in cases:
+                cert = dual_lower_bound(inst, alpha, beta)
+                assert cert.per_pair_slack == slack_by_loop(inst, cert), inst.name
 
     def test_json_round_trip_fields(self):
         cert = dual_lower_bound(batch(2), 1.0, 2.177)

@@ -247,6 +247,39 @@ class TestAlg3:
         envelope = 4.0 * lam ** (2 / 3)
         assert 0.5 * envelope <= est.total <= 1.5 * envelope
 
+    def test_fixed_walk_accounting(self, monkeypatch):
+        # lam = 1, mu = 3, U = 2: a draw below lam/(lam+mu) = 1/4 is an
+        # arrival, and every pre-event occupancy is held 1/(lam+mu) = 1/4.
+        # Each cycle idles U/lam = 2 with area U(U-1)/(2 lam) = 1.
+        up, down = 0.1, 0.9
+        walks = {  # cycle -> draws per chunk, busy length, busy area
+            "a": ([[up, down, down, down]], 1.0, 2.0),  # 2,3,2,1: 4 events, sum 8
+            "b": ([[down, down]], 0.5, 0.75),  # 2,1: 2 events, sum 3
+            # a full 256-event chunk at 2,3,2,3,... (sum 640), then 2,1:
+            # 258 events, sum 643
+            "c": ([[up, down] * 128, [down, down]], 64.5, 160.75),
+        }
+        cycles = "abc" * 10
+
+        class ScriptedUniforms:
+            def __init__(self, seed):
+                self.draws = iter([d for c in cycles for d in walks[c][0]])
+
+            def random(self, size):
+                head = next(self.draws)
+                return np.array(head + [down] * (size - len(head)))
+
+        monkeypatch.setattr(np.random, "default_rng", ScriptedUniforms)
+        est = simulate_alg3(1.0, 2.0, Alg3Params(2, 3.0), cycle_budget=len(cycles))
+        # ten of each cycle: area 10 (3 + 1.75 + 161.75) = 1665 over
+        # length 10 (3 + 2.5 + 66.5) = 720; busy 10 (1 + 0.5 + 64.5) = 660
+        assert sum(1.0 + walks[c][2] for c in cycles) == 1665.0
+        assert sum(2.0 + walks[c][1] for c in cycles) == 720.0
+        assert (est.meta["mean_idle"], est.meta["mean_busy"]) == (2.0, 660 / 30)
+        assert est.mean_occupancy == 1665 / 720
+        assert est.switch_cost_rate == 2 * 3.0 ** 2 * 30 / 720
+        assert est.total == 1665 / 720 + 2.0 * (2 * 3.0 ** 2 * 30 / 720)
+
     def test_deterministic_per_seed(self):
         params = Alg3Params.from_rates(100.0)
         a = simulate_alg3(100.0, 1.0, params, cycle_budget=50, seed=3)
