@@ -12,7 +12,8 @@ from .engine import (ObservableState, PolicyDecision, PolicyFaultError,
                      PolicyStallError, ShapedRule, simulate, srpt_select,
                      trace_from_server_counts)
 from .oracle import (ConvexSolverError, DpBudgetError, DpConfig,
-                     DualCertificate, OracleSizeError, UnsupportedInstanceError,
+                     DualCertificate, Horizon, OracleSizeError,
+                     UnsupportedInstanceError, certified_horizon,
                      convex_batch_solve, delta_flow, dp_opt,
                      dual_bound_from_flow, dual_lower_bound, exhaustive_opt)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,

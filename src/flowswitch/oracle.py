@@ -8,6 +8,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,11 @@ class DpConfig:
 
     s_cap defaults to the largest per-slot arrival count; tests that need a
     provably unrestricted optimum pass the total job count instead (s <= n
-    <= total jobs always). t_cap defaults to last arrival + total work,
-    which no optimal schedule exceeds.
+    <= total jobs always). An explicit s_cap must be at least 1. t_cap
+    defaults to last arrival + total work, which no optimal schedule
+    exceeds; ``resolve`` returns that ceiling, and ``dp_opt`` solves only
+    up to the first slot ``certified_horizon`` proves final. An explicit
+    t_cap is taken as given, with no certificate.
     """
 
     s_cap: int | None = None
@@ -66,6 +70,8 @@ class DpConfig:
     budget: int | None = None
 
     def resolve(self, instance: ArrivalInstance) -> tuple[int, int, int]:
+        if self.s_cap is not None and self.s_cap < 1:
+            raise ValueError(f"s_cap must be at least 1, got {self.s_cap}")
         s_cap = self.s_cap if self.s_cap is not None else instance.max_slot_arrivals
         s_cap = max(1, min(s_cap, instance.job_count))
         t_cap = self.t_cap if self.t_cap is not None \
@@ -75,13 +81,110 @@ class DpConfig:
         return s_cap, t_cap, self.budget if self.budget is not None else state_budget()
 
 
+class Horizon(NamedTuple):
+    """A DP horizon: the slot t_cap, the ceiling it was sought under, and
+    the certificate's margin LB - V at t_cap. t_cap is certified when the
+    margin exceeds ``1e-9 * max(1, V)``; otherwise it is the ceiling.
+    """
+
+    t_cap: int
+    ceiling: int
+    margin: float
+
+
+def _dp_bounds(instance: ArrivalInstance, cfg: DpConfig) -> tuple[int, int]:
+    """(s_cap, t_cap) from cfg, or DpBudgetError if the DP over them is too big."""
+    s_cap, t_cap, budget = cfg.resolve(instance)
+    n_states = (t_cap + 2) * (instance.job_count + 1) * (s_cap + 1)
+    if n_states > budget:
+        raise DpBudgetError(n_states, budget)
+    return s_cap, t_cap
+
+
+def _dp_grids(instance: ArrivalInstance, model: CostModel, s_cap: int,
+              t_end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrivals per slot 0..t_end+1, their running sum, and the switching
+    cost grid ``cgrid[s_prev, s'] = alpha c(s', s_prev)``."""
+    arr = np.zeros(t_end + 2, dtype=np.int64)
+    arr[1:instance.last_slot + 1] = instance.slot_counts
+    sp = np.arange(s_cap + 1, dtype=np.float64)
+    delta = np.abs(sp[None, :] - sp[:, None])  # [s_prev, s'] = |s' - s_prev|
+    cgrid = model.alpha * (delta if model.switching.value == "linear"
+                           else delta * delta)
+    return arr, np.cumsum(arr), cgrid
+
+
+def certified_horizon(instance: ArrivalInstance, model: CostModel,
+                      cfg: DpConfig | None = None) -> Horizon:
+    """The first slot T that a forward lower bound proves final for dp_opt.
+
+    A forward DP ``F_t(n, s_prev)``, the least cost of slots 1..t-1 that
+    reaches slot t with n jobs outstanding and s_prev servers, runs from
+    slot 1 under the same s_cap, reachable band and row blocks as dp_opt.
+    At each T >= last arrival it compares
+        V_T  = min_s F_{T+1}(0, s) + alpha c(0, s)       (done by slot T)
+        LB_T = min_{m>=1, s} F_{T+1}(m, s) + m           (work left after T)
+    Any schedule still holding work after T costs at least LB_T, so once
+    LB_T exceeds V_T by more than ``1e-9 * max(1, V_T)`` (a float-safety
+    margin that can only delay the stop) no longer horizon reaches or ties
+    the optimum: the DP solved with t_cap = T returns the same value and
+    trace as under any larger t_cap. T is the ceiling
+    (``cfg.resolve``'s t_cap) if the bound never holds before it.
+    """
+    if not instance.all_unit:
+        raise UnsupportedInstanceError("dp_opt requires unit job sizes")
+    cfg = cfg or DpConfig()
+    s_cap, ceiling = _dp_bounds(instance, cfg)
+    n_jobs = instance.job_count
+    if n_jobs == 0:
+        return Horizon(0, ceiling, math.inf)
+    arr, arrived, cgrid = _dp_grids(instance, model, s_cap, ceiling)
+    n_vals = np.arange(n_jobs + 1, dtype=np.float64)
+    inf = np.inf
+    # gather[j, s'] indexes h_pad.flat at row j + s', column s': the
+    # sheared read F_{t+1}[a + j, s'] = H[j + s', s'] (n = n' - a + s')
+    cols = s_cap + 1
+    s_idx = np.arange(cols)
+    gather = (np.arange(n_jobs + 1)[:, None] + s_idx) * cols + s_idx
+    h_pad = np.full((n_jobs + cols + 1, cols), inf)
+    slot_cost = np.where(s_idx <= n_vals[:, None], n_vals[:, None], inf)  # s' <= n
+    f = np.full((n_jobs + 1, cols), inf)
+    f[int(arr[1]), 0] = 0.0
+    margin = -inf
+    for t in range(1, ceiling + 1):
+        top = int(arrived[t])
+        s_w = min(top, s_cap) + 1
+        prev_w = min(int(arrived[t - 1]), s_cap) + 1
+        cg = cgrid[:prev_w, :s_w]
+        rows = max(1, _DP_BLOCK // cg.size)
+        # H[n, s'] = n + min_{s_prev} F_t(n, s_prev) + alpha c(s', s_prev)
+        for lo in range(0, top + 1, rows):
+            hi = min(lo + rows, top + 1)
+            h = h_pad[lo:hi, :s_w]
+            np.add(f[lo:hi, :prev_w, None], cg).min(axis=1, out=h)
+            h += slot_cost[lo:hi, :s_w]
+        a_next = int(arr[t + 1])
+        f[:a_next] = inf  # n' >= a_{t+1}
+        f[a_next:] = h_pad.ravel()[gather[:n_jobs + 1 - a_next]]
+        if t >= instance.last_slot:
+            done = float((f[0] + cgrid[:, 0]).min())
+            left = float((f[1:] + n_vals[1:, None]).min())
+            margin = left - done
+            if margin > 1e-9 * max(1.0, done):
+                return Horizon(t, ceiling, margin)
+    return Horizon(ceiling, ceiling, margin)
+
+
 def dp_opt(instance: ArrivalInstance, model: CostModel,
            cfg: DpConfig | None = None) -> tuple[float, ScheduleTrace]:
     """Exact offline minimum of the slotted objective for unit jobs.
 
     State is (slot, outstanding, previous server count); transitions pick
     s' in [0, min(n, s_cap)]. The final ramp-down to 0 is charged through
-    one virtual slot past the horizon.
+    one virtual slot past the horizon. The horizon is ``cfg.t_cap`` when
+    given; by default it is ``certified_horizon``'s slot, which gives the
+    same value and trace as the default ceiling of ``DpConfig.resolve``
+    (the state budget is checked against that ceiling).
 
     Each slot t is one numpy step over the block
     ``cand[n, s_prev, s'] = (n + alpha c(s', s_prev)) + V_{t+1}(n - s' + a_{t+1}, s')``
@@ -94,23 +197,15 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     """
     if not instance.all_unit:
         raise UnsupportedInstanceError("dp_opt requires unit job sizes")
-    cfg = cfg or DpConfig()
     if instance.job_count == 0:
         return 0.0, ScheduleTrace((), (), "dp_opt", instance.instance_id)
-    s_cap, t_cap, budget = cfg.resolve(instance)
+    cfg = cfg or DpConfig()
+    s_cap, t_cap = _dp_bounds(instance, cfg)
+    if cfg.t_cap is None:
+        t_cap = certified_horizon(instance, model, cfg).t_cap
     n_jobs = instance.job_count
     t_end = t_cap + 1  # virtual slot charging the final down-switch
-    n_states = (t_end + 1) * (n_jobs + 1) * (s_cap + 1)
-    if n_states > budget:
-        raise DpBudgetError(n_states, budget)
-
-    arr = np.zeros(t_end + 2, dtype=np.int64)
-    arr[1:instance.last_slot + 1] = instance.slot_counts
-    arrived = np.cumsum(arr)  # arrived[t]: jobs arrived by slot t
-    sp = np.arange(s_cap + 1, dtype=np.float64)
-    delta = np.abs(sp[None, :] - sp[:, None])  # [s_prev, s'] = |s' - s_prev|
-    cgrid = model.alpha * (delta if model.switching.value == "linear"
-                           else delta * delta)
+    arr, arrived, cgrid = _dp_grids(instance, model, s_cap, t_end)
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
 
     inf = np.inf

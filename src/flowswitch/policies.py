@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, ClassVar
 
 from .core import parse_spec
@@ -38,7 +39,7 @@ class _Rule(ShapedRule):
 
     The name is the registry key followed by the dataclass fields, for
     example ``quad_alg(alpha=2,beta=1.732)``; a rule without fields prints
-    its bare key.
+    its bare key. It is built once per rule, on first use.
     """
 
     key: ClassVar[str]
@@ -51,7 +52,7 @@ class _Rule(ShapedRule):
                 raise ValueError(f"alpha={self.alpha:g} is too small for "
                                  f"{self.key}: n/alpha overflows")
 
-    @property
+    @cached_property
     def name(self) -> str:
         params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
         return f"{self.key}({params})" if params else self.key

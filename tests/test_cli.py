@@ -339,13 +339,23 @@ class TestInputErrors:
          2, "unknown instance parameter 'wat'"),
         (("run", "--instance", "batch:N=3,size=2", "--policy", "full_parallel"),
          2, "unknown instance parameter 'size'"),
+        (("opt", "--instance", "sigma2:N=3,T=4", "--model", "linear:alpha=2",
+          "--s-cap", "0"), 2, "s_cap"),
+        (("opt", "--instance", "sigma2:N=3,T=4", "--model", "linear:alpha=2",
+          "--s-cap", "-3"), 2, "s_cap"),
+        (("run", "--instance", "sigma2:N=3,T=4", "--model", "linear:alpha=2",
+          "--policy", "full_parallel", "--oracle", "dp", "--s-cap", "0"), 2, "s_cap"),
+        (("run", "--instance", "sigma2:N=3,T=4", "--model", "linear:alpha=2",
+          "--policy", "full_parallel", "--oracle", "dp", "--s-cap", "-3"),
+         2, "s_cap"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative",
             "gamma-underflow", "gamma-overflow", "gamma-sweep-overflow",
             "balance-value-tiny-alpha", "balance-delta-tiny-alpha",
             "quad-balance-tiny-alpha", "unknown-instance-key",
-            "misspelled-instance-key"])
+            "misspelled-instance-key", "opt-s-cap-zero", "opt-s-cap-negative",
+            "run-dp-s-cap-zero", "run-dp-s-cap-negative"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code

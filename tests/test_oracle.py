@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, DpBudgetError, DpConfig,
                         OracleSizeError, UnsupportedInstanceError,
-                        convex_batch_solve, cost_of_trace, delta_flow, dp_opt,
-                        dual_bound_from_flow, dual_lower_bound, exhaustive_opt,
-                        simulate, validate_trace)
+                        certified_horizon, convex_batch_solve, cost_of_trace,
+                        delta_flow, dp_opt, dual_bound_from_flow,
+                        dual_lower_bound, exhaustive_opt, simulate,
+                        validate_trace)
 from flowswitch import oracle
-from flowswitch.instances import batch, sigma1
+from flowswitch.instances import batch, sigma1, sigma2
 from flowswitch.policies import (BalanceDelta, FullParallel, QuadAlg,
                                  SqrtOnline, burst_objective)
 
@@ -177,6 +178,86 @@ class TestDpDifferential:
         # 121 x 121 (s_prev, s') cells per row: the rows take two blocks
         assert_dp_matches_reference(batch(120), CostModel.quadratic(1.7),
                                     DpConfig(s_cap=120))
+
+
+def default_ceiling(instance):
+    return instance.last_slot + instance.total_work
+
+
+def assert_certified_matches_ceiling(instance, model, s_cap=None):
+    """dp_opt under the certified horizon equals dp_opt under the ceiling."""
+    value, trace = dp_opt(instance, model, DpConfig(s_cap=s_cap))
+    want, full = dp_opt(instance, model,
+                        DpConfig(s_cap=s_cap, t_cap=default_ceiling(instance)))
+    assert value == want, (instance.name, model, s_cap)
+    assert (trace.n, trace.s) == (full.n, full.s), (instance.name, model, s_cap)
+
+
+class TestCertifiedHorizon:
+    @pytest.mark.parametrize("model", [CostModel.linear(2), CostModel.quadratic(2)],
+                             ids=["linear", "quadratic"])
+    def test_sigma2_horizon(self, model):
+        inst = sigma2(20, 10)
+        horizon = certified_horizon(inst, model)
+        _, trace = dp_opt(inst, model)
+        assert horizon.ceiling == default_ceiling(inst) == 210
+        assert trace.last_slot <= horizon.t_cap <= 20
+        assert horizon.margin > 0
+
+    def test_corpus_equals_ceiling(self, corpus):
+        alphas = (0.3, 0.5, 1.0, 1.7, 2.0, 3.3)
+        for i, inst in enumerate(corpus):
+            alpha = alphas[i % len(alphas)]
+            for model in (CostModel.linear(alpha), CostModel.quadratic(alpha)):
+                for s_cap in (None, inst.job_count):
+                    assert_certified_matches_ceiling(inst, model, s_cap)
+
+    @settings(max_examples=120, deadline=None)
+    @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=10),
+           alpha=st.sampled_from([0.3, 1.7, 0.5, 4.0]),
+           quadratic=st.booleans(), cap=st.sampled_from(["default", "jobs", 1]))
+    def test_generated_equals_ceiling(self, counts, alpha, quadratic, cap):
+        inst = ArrivalInstance.from_counts(counts)
+        model = CostModel.quadratic(alpha) if quadratic else CostModel.linear(alpha)
+        s_cap = {"default": None, "jobs": inst.job_count}.get(cap, cap)
+        assert_certified_matches_ceiling(inst, model, s_cap)
+
+    def test_explicit_t_cap_skips_the_certificate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certified_horizon called under an explicit t_cap")
+
+        monkeypatch.setattr(oracle, "certified_horizon", refuse)
+        for t_cap in (4, 9, 16):
+            assert_dp_matches_reference(sigma2(3, 4), CostModel.linear(2),
+                                        DpConfig(t_cap=t_cap))
+
+    def test_ceiling_when_the_bound_never_holds(self):
+        # one server cannot clear three jobs by slot 2: V is inf at every T
+        horizon = certified_horizon(batch(3), CostModel.linear(1),
+                                    DpConfig(s_cap=1, t_cap=2))
+        assert horizon == (2, 2, -math.inf)
+
+    def test_empty_and_non_unit(self):
+        assert certified_horizon(ArrivalInstance(()), CostModel.linear(1)) \
+            == (0, 0, math.inf)
+        with pytest.raises(UnsupportedInstanceError):
+            certified_horizon(ArrivalInstance(((1, 2),)), CostModel.linear(1))
+
+    def test_budget_is_checked_on_the_ceiling(self):
+        inst, model = sigma2(20, 10), CostModel.linear(2)
+        required = (210 + 2) * (200 + 1) * (20 + 1)
+        for fn in (certified_horizon, dp_opt):
+            with pytest.raises(DpBudgetError) as err:
+                fn(inst, model, DpConfig(budget=required - 1))
+            assert err.value.required == required
+        dp_opt(inst, model, DpConfig(budget=required))
+
+    @pytest.mark.parametrize("s_cap", [0, -3])
+    def test_s_cap_below_one_rejected(self, s_cap):
+        with pytest.raises(ValueError, match="s_cap"):
+            DpConfig(s_cap=s_cap).resolve(batch(3))
+        with pytest.raises(ValueError, match="s_cap"):
+            dp_opt(batch(3), CostModel.linear(1), DpConfig(s_cap=s_cap))
 
 
 class TestExhaustive:

@@ -116,6 +116,27 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_policy("quad_alg:wat=1", default_alpha=1.0)
 
+    @pytest.mark.parametrize("spec, name", [
+        ("full_parallel", "full_parallel"),
+        ("balance_value:alpha=2", "balance_value(alpha=2)"),
+        ("balance_delta:alpha=0.5", "balance_delta(alpha=0.5)"),
+        ("sqrt_online:alpha=4", "sqrt_online(alpha=4)"),
+        ("lg:alpha=3", "lg(alpha=3)"),
+        ("a_gamma:alpha=2,gamma=0.25", "a_gamma(alpha=2,gamma=0.25)"),
+        ("quad_alg:alpha=2,beta=1.732", "quad_alg(alpha=2,beta=1.732)"),
+        ("quad_balance:alpha=1.5", "quad_balance(alpha=1.5)"),
+    ])
+    def test_cached_name_leaves_identity_unchanged(self, spec, name):
+        rule, twin = make_policy(spec), make_policy(spec)
+        before = (repr(rule), hash(rule))
+        assert rule.name == name
+        assert rule.name is rule.name  # built once, then reused
+        assert (repr(rule), hash(rule)) == before
+        assert "name=" not in repr(rule)
+        # a read name does not enter ==, hash or repr
+        assert rule == twin and hash(rule) == hash(twin) and repr(rule) == repr(twin)
+        assert twin.name == name
+
     @pytest.mark.parametrize("form", SPEC_FORMS)
     def test_spec_forms(self, form):
         spec = spec_text(form, "quad_alg", "beta", "2.5")
