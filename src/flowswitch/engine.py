@@ -146,8 +146,9 @@ def _server_request(policy: PolicyDecision, request, t: int) -> int:
     return _ceil(value)
 
 
-def _stalled(name: str, zero_streak: int) -> PolicyStallError:
-    return PolicyStallError(f"{name} idled {zero_streak} slots with work outstanding")
+def _stalled(policy: PolicyDecision, zero_streak: int) -> PolicyStallError:
+    return PolicyStallError(
+        f"{policy.name} idled {zero_streak} slots with work outstanding")
 
 
 def simulate(instance: ArrivalInstance, policy: PolicyDecision,
@@ -222,7 +223,7 @@ def _simulate_counts(instance: ArrivalInstance, policy: PolicyDecision,
             if n:
                 zero_streak += 1
                 if zero_streak >= k_stall:
-                    raise _stalled(policy.name, zero_streak)
+                    raise _stalled(policy, zero_streak)
             else:
                 zero_streak = 0
         ns.append(n)
@@ -268,7 +269,7 @@ def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
         if request <= 0 and n > 0:
             zero_streak += 1
             if zero_streak >= k_stall:
-                raise _stalled(policy.name, zero_streak)
+                raise _stalled(policy, zero_streak)
         else:
             zero_streak = 0
 
@@ -286,7 +287,7 @@ def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
 
 
 class _CountReplay:
-    """Replays a server-count column through the general-size SRPT loop."""
+    """A per-slot server-count column replayed as a policy."""
 
     __slots__ = ("name", "counts")
 
@@ -295,15 +296,11 @@ class _CountReplay:
         self.counts = counts
 
     def decide(self, state: ObservableState) -> int:
-        return _replayed(self.counts, state.t, state.n)
-
-
-def _replayed(counts: Sequence[int], t: int, n: int) -> int:
-    """counts[t-1] (0 past the end), or ValueError if it exceeds n."""
-    want = counts[t - 1] if t <= len(counts) else 0
-    if want > n:
-        raise ValueError(f"replay count {want} exceeds n={n} at slot {t}")
-    return want
+        t = state.t
+        want = self.counts[t - 1] if t <= len(self.counts) else 0
+        if want > state.n:
+            raise ValueError(f"replay count {want} exceeds n={state.n} at slot {t}")
+        return want
 
 
 def trace_from_server_counts(instance: ArrivalInstance,
@@ -312,43 +309,6 @@ def trace_from_server_counts(instance: ArrivalInstance,
     """Materialize a trace from a per-slot server-count sequence.
 
     Service order is SRPT, matching the engine. counts[i] is the requested
-    s at slot i+1 and must never exceed the outstanding count there
-    (ValueError); a count at or below 0 idles the slot. The trace ends at
-    the first slot after the last arrival with no work left, so counts
-    past it are ignored, and PolicyStallError is raised, as by
-    ``simulate``, when the counts leave work outstanding for K_stall
-    slots in a row. Unit jobs build the n and s columns directly from the
-    counts; general sizes replay them through the SRPT loop.
+    s at slot i+1 and must never exceed the outstanding count there.
     """
-    counts = tuple(int(c) for c in counts)
-    if not instance.job_count:
-        return ScheduleTrace((), (), policy_name, instance.instance_id)
-    if not instance.all_unit:
-        return _simulate_jobs(instance, _CountReplay(policy_name, counts), True)
-    arrivals = instance.slot_counts
-    last_arrival = len(arrivals)
-    k_stall = instance.total_work + last_arrival
-    ns: list[int] = []
-    ss: list[int] = []
-    n = zero_streak = t = 0
-    while True:
-        if t < last_arrival:
-            n += arrivals[t]
-        t += 1
-        if not n and t > last_arrival:
-            break
-        s = _replayed(counts, t, n)
-        if s > 0:
-            zero_streak = 0
-        else:
-            s = 0
-            if n:
-                zero_streak += 1
-                if zero_streak >= k_stall:
-                    raise _stalled(policy_name, zero_streak)
-            else:
-                zero_streak = 0
-        ns.append(n)
-        ss.append(s)
-        n -= s
-    return ScheduleTrace(ns, ss, policy_name, instance.instance_id)
+    return simulate(instance, _CountReplay(policy_name, tuple(int(c) for c in counts)))

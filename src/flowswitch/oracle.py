@@ -58,11 +58,12 @@ class DpConfig:
 
     s_cap defaults to the largest per-slot arrival count; tests that need a
     provably unrestricted optimum pass the total job count instead (s <= n
-    <= total jobs always). An explicit s_cap must be at least 1. t_cap
-    defaults to last arrival + total work, which no optimal schedule
-    exceeds; ``resolve`` returns that ceiling, and ``dp_opt`` solves only
-    up to the first slot ``certified_horizon`` proves final. An explicit
-    t_cap is taken as given, with no certificate.
+    <= total jobs always). An explicit s_cap must be at least 1, or at
+    least 0 for an instance with no jobs. t_cap defaults to last arrival +
+    total work, which no optimal schedule exceeds; ``resolve`` returns that
+    ceiling, and ``dp_opt`` solves only up to the first slot
+    ``certified_horizon`` proves final. An explicit t_cap is taken as
+    given, with no certificate.
     """
 
     s_cap: int | None = None
@@ -70,8 +71,9 @@ class DpConfig:
     budget: int | None = None
 
     def resolve(self, instance: ArrivalInstance) -> tuple[int, int, int]:
-        if self.s_cap is not None and self.s_cap < 1:
-            raise ValueError(f"s_cap must be at least 1, got {self.s_cap}")
+        low = min(1, instance.job_count)  # the job count is always a valid cap
+        if self.s_cap is not None and self.s_cap < low:
+            raise ValueError(f"s_cap must be at least {low}, got {self.s_cap}")
         s_cap = self.s_cap if self.s_cap is not None else instance.max_slot_arrivals
         s_cap = max(1, min(s_cap, instance.job_count))
         t_cap = self.t_cap if self.t_cap is not None \
@@ -93,10 +95,11 @@ class Horizon(NamedTuple):
 
 
 def _dp_bounds(instance: ArrivalInstance, cfg: DpConfig) -> tuple[int, int]:
-    """(s_cap, t_cap) from cfg, or DpBudgetError if the DP over them is too big."""
+    """(s_cap, t_cap) from cfg, or DpBudgetError if the DP over them is too
+    big; an instance with no jobs needs no DP and is never over budget."""
     s_cap, t_cap, budget = cfg.resolve(instance)
     n_states = (t_cap + 2) * (instance.job_count + 1) * (s_cap + 1)
-    if n_states > budget:
+    if instance.job_count and n_states > budget:
         raise DpBudgetError(n_states, budget)
     return s_cap, t_cap
 
@@ -133,12 +136,18 @@ def certified_horizon(instance: ArrivalInstance, model: CostModel,
     """
     if not instance.all_unit:
         raise UnsupportedInstanceError("dp_opt requires unit job sizes")
-    cfg = cfg or DpConfig()
-    s_cap, ceiling = _dp_bounds(instance, cfg)
-    n_jobs = instance.job_count
-    if n_jobs == 0:
+    s_cap, ceiling = _dp_bounds(instance, cfg or DpConfig())
+    if instance.job_count == 0:
         return Horizon(0, ceiling, math.inf)
-    arr, arrived, cgrid = _dp_grids(instance, model, s_cap, ceiling)
+    return _certify(instance, s_cap, ceiling,
+                    *_dp_grids(instance, model, s_cap, ceiling))
+
+
+def _certify(instance: ArrivalInstance, s_cap: int, ceiling: int,
+             arr: np.ndarray, arrived: np.ndarray, cgrid: np.ndarray) -> Horizon:
+    """certified_horizon for a non-empty unit instance whose bounds are
+    resolved and whose ``_dp_grids`` reach at least slot ceiling + 1."""
+    n_jobs = instance.job_count
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
     inf = np.inf
     # gather[j, s'] indexes h_pad.flat at row j + s', column s': the
@@ -197,15 +206,15 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     """
     if not instance.all_unit:
         raise UnsupportedInstanceError("dp_opt requires unit job sizes")
-    if instance.job_count == 0:
-        return 0.0, ScheduleTrace((), (), "dp_opt", instance.instance_id)
     cfg = cfg or DpConfig()
     s_cap, t_cap = _dp_bounds(instance, cfg)
+    if instance.job_count == 0:
+        return 0.0, ScheduleTrace((), (), "dp_opt", instance.instance_id)
+    arr, arrived, cgrid = _dp_grids(instance, model, s_cap, t_cap + 1)
     if cfg.t_cap is None:
-        t_cap = certified_horizon(instance, model, cfg).t_cap
+        t_cap = _certify(instance, s_cap, t_cap, arr, arrived, cgrid).t_cap
     n_jobs = instance.job_count
     t_end = t_cap + 1  # virtual slot charging the final down-switch
-    arr, arrived, cgrid = _dp_grids(instance, model, s_cap, t_end)
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
 
     inf = np.inf

@@ -348,6 +348,8 @@ class TestInputErrors:
         (("run", "--instance", "sigma2:N=3,T=4", "--model", "linear:alpha=2",
           "--policy", "full_parallel", "--oracle", "dp", "--s-cap", "-3"),
          2, "s_cap"),
+        (("opt", "--instance", "sigma2:N=0,T=3", "--model", "linear:alpha=2",
+          "--s-cap", "-3"), 2, "s_cap"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative",
@@ -355,7 +357,7 @@ class TestInputErrors:
             "balance-value-tiny-alpha", "balance-delta-tiny-alpha",
             "quad-balance-tiny-alpha", "unknown-instance-key",
             "misspelled-instance-key", "opt-s-cap-zero", "opt-s-cap-negative",
-            "run-dp-s-cap-zero", "run-dp-s-cap-negative"])
+            "run-dp-s-cap-zero", "run-dp-s-cap-negative", "opt-empty-s-cap-negative"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code

@@ -202,10 +202,9 @@ class TestMakespanBound:
 
 
 def replay_reference(instance, counts, policy_name="fixed"):
-    """The counts replayed as a policy through ``simulate``.
-
-    This is how trace_from_server_counts built every trace before it built
-    unit-job columns directly; it stays here as their reference.
+    """The counts replayed through ``simulate`` by a frozen dataclass policy
+    built per call, as trace_from_server_counts did before its module-level
+    replay policy; it stays here as that policy's reference.
     """
 
     @dataclass(frozen=True)

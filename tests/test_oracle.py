@@ -224,9 +224,9 @@ class TestCertifiedHorizon:
 
     def test_explicit_t_cap_skips_the_certificate(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("certified_horizon called under an explicit t_cap")
+            raise AssertionError("certificate run under an explicit t_cap")
 
-        monkeypatch.setattr(oracle, "certified_horizon", refuse)
+        monkeypatch.setattr(oracle, "_certify", refuse)
         for t_cap in (4, 9, 16):
             assert_dp_matches_reference(sigma2(3, 4), CostModel.linear(2),
                                         DpConfig(t_cap=t_cap))
@@ -238,8 +238,16 @@ class TestCertifiedHorizon:
         assert horizon == (2, 2, -math.inf)
 
     def test_empty_and_non_unit(self):
-        assert certified_horizon(ArrivalInstance(()), CostModel.linear(1)) \
-            == (0, 0, math.inf)
+        empty, model = ArrivalInstance(()), CostModel.linear(1)
+        assert certified_horizon(empty, model) == (0, 0, math.inf)
+        # no jobs need no DP: the budget never fires, the s_cap check does,
+        # and s_cap = 0, the job count, is a valid cap there
+        for cfg in (DpConfig(budget=0), DpConfig(s_cap=0)):
+            assert certified_horizon(empty, model, cfg) == (0, 0, math.inf)
+            assert dp_opt(empty, model, cfg)[0] == 0.0
+        for fn in (certified_horizon, dp_opt):
+            with pytest.raises(ValueError, match="s_cap"):
+                fn(empty, model, DpConfig(s_cap=-1))
         with pytest.raises(UnsupportedInstanceError):
             certified_horizon(ArrivalInstance(((1, 2),)), CostModel.linear(1))
 
