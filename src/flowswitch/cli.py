@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .core import ArrivalInstance, CostModel, cost_of_trace
 from .engine import PolicyFaultError, PolicyStallError, simulate
@@ -24,9 +23,10 @@ from .oracle import (DpBudgetError, DpConfig, UnsupportedInstanceError, dp_opt,
                      dual_lower_bound, state_budget)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
                        QuadAlg, QuadBalance, _check_alpha, make_policy)
-from .stochastic import (Alg3Params, NonErgodicError, TruncationError, alg1,
-                         alg2, alg3_analytic_cost, analytic_cost,
-                         scaling_exponent, simulate_alg3, simulate_ctmc)
+from .stochastic import (Alg3Params, CycleOverflowError, NonErgodicError,
+                         TruncationError, alg1, alg2, alg3_analytic_cost,
+                         analytic_cost, scaling_exponent, simulate_alg3,
+                         simulate_ctmc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,78 +92,54 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class ExperimentConfig:
-    """One run request: instance, policies, cost model, oracle toggles.
+def _merge_config(args):
+    """Fill the run flags left unset from the --config file (flags win),
+    then check that an instance and a policy are given."""
+    if args.config:
+        cfg = _read_config(args.config)
+        args.instance = args.instance or cfg.get("instance", [None])[0]
+        args.model = args.model or cfg.get("model", [None])[0]
+        args.policy = args.policy or cfg.get("policy")
+        args.oracle = (args.oracle or []) + cfg.get("oracle", [])
+        if args.seed is None and "seed" in cfg:
+            args.seed = int(cfg["seed"][0])
+        if args.reps is None and "reps" in cfg:
+            args.reps = int(cfg["reps"][0])
+    if not args.instance:
+        raise _UsageError("an instance is required (flag or config)")
+    if not args.policy:
+        raise _UsageError("at least one policy is required")
+    if args.reps is not None and args.reps < 1:
+        raise _UsageError(f"--reps must be at least 1, got {args.reps}")
 
-    Built by merging command-line flags over an optional declarative config
-    file; flags win. At least one policy is required, and any policy alpha
-    must agree with the cost model's (the simulator enforces it).
-    """
 
-    instance_spec: str
-    policy_specs: list[str]
-    model: CostModel
-    oracles: set[str]
-    seed: int | None = None
-    reps: int = 1
-    out_dir: str | None = None
-    dp_s_cap: int | None = None
-    dp_t_cap: int | None = None
-    dual_beta: float = math.sqrt(3.0)
-
-    @classmethod
-    def from_args(cls, args) -> "ExperimentConfig":
-        policy_specs = list(args.policy or [])
-        instance_spec = args.instance
-        model_spec = args.model
-        oracles = set(args.oracle or [])
-        seed, reps = args.seed, args.reps
-        if args.config:
-            cfg = _read_config(args.config)
-            instance_spec = instance_spec or cfg.get("instance", [None])[0]
-            model_spec = model_spec or cfg.get("model", [None])[0]
-            policy_specs = policy_specs or cfg.get("policy", [])
-            oracles |= set(cfg.get("oracle", []))
-            if seed is None and "seed" in cfg:
-                seed = int(cfg["seed"][0])
-            if reps is None and "reps" in cfg:
-                reps = int(cfg["reps"][0])
-        if not instance_spec:
-            raise _UsageError("an instance is required (flag or config)")
-        if not policy_specs:
-            raise _UsageError("at least one policy is required")
-        if reps is not None and reps < 1:
-            raise _UsageError(f"--reps must be at least 1, got {reps}")
-        return cls(instance_spec, policy_specs,
-                   CostModel.parse(model_spec or "quad:alpha=1"), oracles,
-                   seed, reps or 1, args.out_dir, args.s_cap, args.t_cap,
-                   args.beta)
+def _dp_config(args) -> DpConfig:
+    return DpConfig(s_cap=args.s_cap, t_cap=args.t_cap)
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_args(args)
-    model = cfg.model
-    requests = _instance_requests(cfg.instance_spec, cfg.seed, cfg.reps)
+    _merge_config(args)
+    model = CostModel.parse(args.model or "quad:alpha=1")
+    oracles = args.oracle or []
+    requests = _instance_requests(args.instance, args.seed, args.reps or 1)
 
-    report: dict = {"instance": cfg.instance_spec, "model": model.label,
+    report: dict = {"instance": args.instance, "model": model.label,
                     "reps": len(requests), "policies": []}
-    if cfg.seed is not None:
-        report["seed"] = cfg.seed
+    if args.seed is not None:
+        report["seed"] = args.seed
     per_policy: dict[str, list[dict]] = {}
     dp_costs = []
     for request in requests:
         instance = request.build() if isinstance(request, GeneratorSpec) \
             else ArrivalInstance.from_file(request)
         opt_cost = None
-        if "dp" in cfg.oracles:
-            opt_cost, opt_trace = dp_opt(
-                instance, model, DpConfig(s_cap=cfg.dp_s_cap, t_cap=cfg.dp_t_cap))
+        if "dp" in oracles:
+            opt_cost, opt_trace = dp_opt(instance, model, _dp_config(args))
             dp_costs.append(opt_cost)
-            if cfg.out_dir:
-                _write(os.path.join(cfg.out_dir, "dp_opt_trace.csv"),
+            if args.out_dir:
+                _write(os.path.join(args.out_dir, "dp_opt_trace.csv"),
                        opt_trace.to_csv())
-        for spec in cfg.policy_specs:
+        for spec in args.policy:
             policy = make_policy(spec, default_alpha=model.alpha)
             trace = simulate(instance, policy, model)
             breakdown = cost_of_trace(trace, model)
@@ -171,8 +147,8 @@ def _cmd_run(args) -> int:
             if opt_cost is not None:
                 entry["ratio"] = 1.0 if opt_cost == 0 else \
                     breakdown.total / opt_cost
-            if "dual" in cfg.oracles:
-                beta = getattr(policy, "beta", cfg.dual_beta)
+            if "dual" in oracles:
+                beta = getattr(policy, "beta", args.beta)
                 cert = dual_lower_bound(instance, model.alpha, beta)
                 entry["dual"] = cert.to_json_dict()
             per_policy.setdefault(policy.name, []).append(entry)
@@ -181,10 +157,10 @@ def _cmd_run(args) -> int:
                     print(json.dumps({"t": rec.t, "n": rec.n, "s": rec.s,
                                       "served": sorted(rec.served)}),
                           file=sys.stderr)
-            if cfg.out_dir:
+            if args.out_dir:
                 safe = policy.name.replace("(", "_").replace(")", "") \
                     .replace(",", "_")
-                _write(os.path.join(cfg.out_dir, f"trace_{safe}.csv"),
+                _write(os.path.join(args.out_dir, f"trace_{safe}.csv"),
                        trace.to_csv())
     if dp_costs:
         report["dp_opt"] = dp_costs[0] if len(dp_costs) == 1 else {
@@ -204,7 +180,7 @@ def _cmd_run(args) -> int:
 def _cmd_opt(args) -> int:
     instance = _load_instance(args.instance)
     model = CostModel.parse(args.model)
-    cost, trace = dp_opt(instance, model, DpConfig(s_cap=args.s_cap, t_cap=args.t_cap))
+    cost, trace = dp_opt(instance, model, _dp_config(args))
     print(json.dumps({"instance": instance.instance_id, "model": model.label,
                       "cost": cost}, indent=2))
     _write(args.output, trace.to_csv())
@@ -229,8 +205,7 @@ def _cmd_stochastic(args) -> int:
     elif args.policy != "alg3":
         raise _UsageError(f"unknown stochastic policy {args.policy!r}")
     if args.policy == "alg3":
-        params = Alg3Params.from_rates(args.lam, args.c1, args.c2,
-                                       args.theta1, args.theta2)
+        params = _alg3_params(args, args.lam)
         if args.mode == "analytic":
             estimate = alg3_analytic_cost(args.lam, args.alpha, params)
         else:
@@ -241,8 +216,19 @@ def _cmd_stochastic(args) -> int:
     else:
         estimate = simulate_ctmc(args.lam, args.alpha, policy,
                                  event_budget=args.events, seed=args.seed)
-    print(json.dumps(estimate.to_json_dict(), indent=2))
+    print(json.dumps(estimate.to_json_dict(), indent=2, allow_nan=False))
     return EXIT_OK
+
+
+_ALG3_CONSTANTS = ("c1", "c2", "theta1", "theta2")
+
+
+def _alg3_params(args, lam: float) -> Alg3Params:
+    """The gated policy's parameters at lam from the alg3 flags given;
+    ``Alg3Params.from_rates`` supplies the defaults."""
+    constants = {key: getattr(args, key) for key in _ALG3_CONSTANTS
+                 if getattr(args, key) is not None}
+    return Alg3Params.from_rates(lam, **constants)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -264,13 +250,15 @@ def _cmd_sweep(args) -> int:
             raise DpBudgetError(cells, max_cells)
         writer.writerow(["gamma", "alpha", "policy_cost", "dp_cost", "ratio"])
         instance = _load_instance(args.instance) if cells else None
+        opt_costs: dict[float, float] = {}  # the optimum depends on alpha only
         for gamma in gammas:
             for alpha in alphas:
                 model = CostModel.linear(alpha)
                 policy = GammaPolicy(alpha=alpha, gamma=gamma)
                 total = cost_of_trace(simulate(instance, policy), model).total
-                opt_cost, _ = dp_opt(instance, model,
-                                     DpConfig(s_cap=args.s_cap, t_cap=args.t_cap))
+                if alpha not in opt_costs:
+                    opt_costs[alpha] = dp_opt(instance, model, _dp_config(args))[0]
+                opt_cost = opt_costs[alpha]
                 ratio = 1.0 if opt_cost == 0 else total / opt_cost
                 writer.writerow([f"{gamma:g}", f"{alpha:g}", f"{total:.6g}",
                                  f"{opt_cost:.6g}", f"{ratio:.6g}"])
@@ -282,8 +270,7 @@ def _cmd_sweep(args) -> int:
         writer.writerow(["lambda", "cost", "slope"])
         samples = []
         for lam in lams:
-            params = Alg3Params.from_rates(lam, args.c1, args.c2,
-                                           args.theta1, args.theta2)
+            params = _alg3_params(args, lam)
             cost = alg3_analytic_cost(lam, args.alpha, params).total
             samples.append((lam, cost))
         slope = scaling_exponent(samples) if len(samples) >= 4 else ""
@@ -385,7 +372,8 @@ def reproduce_figure(figure_id: str, seeds=(1, 2, 3), horizon: int | None = None
                            f"s=n={a:.4g} balance_delta={b:.4g} s=n/2={half:.4g}"))
     if figure_id == "quad_extreme":
         for rate in rates:
-            ratio = means[(rate, "beta=2")] / means[(rate, "quad_balance")]
+            balance = means[(rate, "quad_balance")]  # 0 only with no jobs
+            ratio = 1.0 if balance == 0 else means[(rate, "beta=2")] / balance
             checks.append((f"beta2/balance<2@rate={rate:g}", ratio < 2.0,
                            f"ratio={ratio:.4g}"))
     return rows, checks
@@ -397,9 +385,10 @@ def _cmd_reproduce_figure(args) -> int:
         raise _UsageError("--rates needs at least one rate")
     if args.horizon is not None and args.horizon < 1:
         raise _UsageError(f"--horizon must be at least 1, got {args.horizon}")
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    rows, checks = reproduce_figure(args.figure, seeds=seeds,
-                                    horizon=args.horizon, rates=rates)
+    seeds = {} if args.seeds is None else \
+        {"seeds": tuple(int(s) for s in args.seeds.split(","))}
+    rows, checks = reproduce_figure(args.figure, horizon=args.horizon,
+                                    rates=rates, **seeds)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -415,13 +404,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="flowswitch",
                      description="Flow-time plus switching-cost scheduling lab")
     sub = parser.add_subparsers(dest="command", required=True)
+    dp_caps = _Parser(add_help=False)
+    dp_caps.add_argument("--s-cap", type=int)
+    dp_caps.add_argument("--t-cap", type=int)
+    alg3 = _Parser(add_help=False)
+    alg3.add_argument("--alpha", type=float, default=1.0)
+    for key in _ALG3_CONSTANTS:  # unset: Alg3Params.from_rates's default
+        alg3.add_argument(f"--{key}", type=float)
 
     p = sub.add_parser("gen", help="emit an instance file")
     p.add_argument("spec", help="e.g. batch:N=4 periodic:x=4,k=50 random:rate=5,T=100,seed=1")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("run", help="run policies on an instance")
+    p = sub.add_parser("run", help="run policies on an instance", parents=[dp_caps])
     p.add_argument("--instance")
     p.add_argument("--policy", action="append")
     p.add_argument("--model")
@@ -431,18 +427,14 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int)
     p.add_argument("--beta", type=float, default=math.sqrt(3.0),
                    help="beta for the dual oracle when the policy has none")
-    p.add_argument("--s-cap", type=int)
-    p.add_argument("--t-cap", type=int)
     p.add_argument("--out-dir")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="stream per-slot JSON events to stderr")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("opt", help="offline optimal cost and trace")
+    p = sub.add_parser("opt", help="offline optimal cost and trace", parents=[dp_caps])
     p.add_argument("--instance", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--s-cap", type=int)
-    p.add_argument("--t-cap", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_opt)
 
@@ -452,33 +444,23 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=float, required=True)
     p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("stochastic", help="continuous-time model costs")
+    p = sub.add_parser("stochastic", help="continuous-time model costs",
+                       parents=[alg3])
     p.add_argument("--policy", required=True, choices=["alg1", "alg2", "alg3"])
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--mode", choices=["analytic", "simulate"], default="analytic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", type=int, default=1_000_000)
     p.add_argument("--cycles", type=int, default=200)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--theta1", type=float, default=2.0 / 3.0)
-    p.add_argument("--theta2", type=float, default=1.0 / 3.0)
     p.set_defaults(func=_cmd_stochastic)
 
-    p = sub.add_parser("sweep", help="grid experiments as CSV")
+    p = sub.add_parser("sweep", help="grid experiments as CSV",
+                       parents=[alg3, dp_caps])
     p.add_argument("--kind", required=True, choices=["gamma", "alg3"])
     p.add_argument("--instance", help="instance spec for gamma sweeps")
     p.add_argument("--gammas")
     p.add_argument("--alphas")
     p.add_argument("--lambdas")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--theta1", type=float, default=2.0 / 3.0)
-    p.add_argument("--theta2", type=float, default=1.0 / 3.0)
-    p.add_argument("--s-cap", type=int)
-    p.add_argument("--t-cap", type=int)
     p.add_argument("--max-cells", type=int,
                    help="grid size limit (default: the DP state budget, at most 10000)")
     p.add_argument("-o", "--output")
@@ -486,7 +468,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce-figure", help="numerical-study tables as CSV")
     p.add_argument("--figure", required=True, choices=list(FIGURE_IDS))
-    p.add_argument("--seeds", default="1,2,3")
+    p.add_argument("--seeds")  # unset: reproduce_figure's default
     p.add_argument("--rates")
     p.add_argument("--horizon", type=int)
     p.add_argument("-o", "--output")
@@ -512,7 +494,7 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (ValueError, OSError, KeyError, UnsupportedInstanceError,
             PolicyFaultError, PolicyStallError, NonErgodicError,
-            TruncationError) as exc:
+            TruncationError, CycleOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -70,11 +70,10 @@ class ArrivalInstance:
     (``from_counts``). Such an instance keeps only the counts and builds
     the ``arrivals`` tuple on first read. The aggregates are computed once
     and cached. However it was built, an instance equals any other with
-    the same records, horizon hint and name. Instances are immutable.
+    the same records and name. Instances are immutable.
     """
 
-    def __init__(self, arrivals: tuple[tuple[int, int], ...],
-                 horizon_hint: int | None = None, name: str = ""):
+    def __init__(self, arrivals: tuple[tuple[int, int], ...], name: str = ""):
         records = []
         for slot, size in arrivals:
             if int(slot) != slot or slot < 1:
@@ -83,11 +82,10 @@ class ArrivalInstance:
                 raise ValueError(f"job size must be a positive integer, got {size!r}")
             records.append((int(slot), int(size)))
         records.sort(key=lambda r: r[0])  # stable: same-slot order preserved
-        self._set(horizon_hint, name, False, arrivals=tuple(records))
+        self.__dict__.update(arrivals=tuple(records), name=name, _from_counts=False)
 
     @classmethod
-    def from_counts(cls, counts, horizon_hint: int | None = None,
-                    name: str = "") -> "ArrivalInstance":
+    def from_counts(cls, counts, name: str = "") -> "ArrivalInstance":
         """Unit jobs, ``counts[i]`` of them arriving at slot i+1."""
         values = []
         for count in counts:
@@ -97,22 +95,14 @@ class ArrivalInstance:
             values.append(int(count))
         while values and values[-1] == 0:
             values.pop()
-        return cls._of_counts(tuple(values), horizon_hint, name)
+        return cls._of_counts(tuple(values), name)
 
     @classmethod
-    def _of_counts(cls, counts: tuple[int, ...], horizon_hint: int | None,
-                   name: str) -> "ArrivalInstance":
+    def _of_counts(cls, counts: tuple[int, ...], name: str) -> "ArrivalInstance":
         """Checked counts with no trailing zero slot."""
         inst = cls.__new__(cls)
-        inst._set(horizon_hint, name, True, slot_counts=counts)
+        inst.__dict__.update(slot_counts=counts, name=name, _from_counts=True)
         return inst
-
-    def _set(self, horizon_hint, name, from_counts: bool, **data):
-        fields = self.__dict__
-        fields.update(data, horizon_hint=horizon_hint, name=name,
-                      _from_counts=from_counts)
-        if horizon_hint is not None and horizon_hint < self.last_slot:
-            raise ValueError("horizon_hint smaller than the last arrival slot")
 
     def __setattr__(self, key, value):
         raise AttributeError(f"ArrivalInstance is immutable: cannot set {key!r}")
@@ -123,18 +113,17 @@ class ArrivalInstance:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if (self.horizon_hint, self.name) != (other.horizon_hint, other.name):
+        if self.name != other.name:
             return False
         if self._from_counts and other._from_counts:
             return self.slot_counts == other.slot_counts
         return self.arrivals == other.arrivals
 
     def __hash__(self):
-        return hash((self.arrivals, self.horizon_hint, self.name))
+        return hash((self.arrivals, self.name))
 
     def __repr__(self):
-        return (f"ArrivalInstance(arrivals={self.arrivals!r}, "
-                f"horizon_hint={self.horizon_hint!r}, name={self.name!r})")
+        return f"ArrivalInstance(arrivals={self.arrivals!r}, name={self.name!r})"
 
     @cached_property
     def arrivals(self) -> tuple[tuple[int, int], ...]:
@@ -192,17 +181,17 @@ class ArrivalInstance:
         return f"custom-{digest}"
 
     def prefix(self, k: int, name: str = "") -> "ArrivalInstance":
-        """The jobs with ids below k, as a new instance without a horizon hint."""
+        """The jobs with ids below k, as a new instance."""
         if not 0 <= k <= self.job_count:
             raise ValueError(f"prefix length {k} out of range")
         if not self.all_unit:
             return ArrivalInstance(self.arrivals[:k], name=name)
         if not k:
-            return self._of_counts((), None, name)
+            return self._of_counts((), name)
         through = self._arrived_through
         last = bisect_left(through, k)  # slot index of job k-1
         before = through[last - 1] if last else 0
-        return self._of_counts(self.slot_counts[:last] + (k - before,), None, name)
+        return self._of_counts(self.slot_counts[:last] + (k - before,), name)
 
     @cached_property
     def _arrived_through(self) -> tuple[int, ...]:
@@ -464,15 +453,14 @@ class ScheduleTrace:
 
     @classmethod
     def from_slots(cls, slots, departures: Mapping[int, int], policy_name: str = "",
-                   instance_id: str = "",
-                   complete_records: bool = True) -> "ScheduleTrace":
+                   instance_id: str = "") -> "ScheduleTrace":
         """A trace whose per-slot served sets and departures are given."""
         slots = tuple(slots)
         served = ServedColumns(chain.from_iterable(rec.served for rec in slots),
                                [len(rec.served) for rec in slots],
                                [rec.t for rec in slots], departures)
         return cls(tuple(rec.n for rec in slots), tuple(rec.s for rec in slots),
-                   policy_name, instance_id, complete_records, served)
+                   policy_name, instance_id, served=served)
 
     @cached_property
     def _offsets(self) -> tuple[int, ...]:
@@ -543,8 +531,7 @@ class ScheduleTrace:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, policy_name: str = "",
-                 instance_id: str = "") -> "ScheduleTrace":
+    def from_csv(cls, text: str) -> "ScheduleTrace":
         """Read ``to_csv`` output (rows 't,n,s,id;id;...') into columns.
 
         Ids are kept as written; the ``slots`` view reads each slot's ids
@@ -558,7 +545,7 @@ class ScheduleTrace:
         if columns is None:
             columns = _csv_rows(rows)
         t, n, s, ids, counts = columns
-        return cls(n, s, policy_name, instance_id, True, ServedColumns(ids, counts, t))
+        return cls(n, s, served=ServedColumns(ids, counts, t))
 
 
 def _csv_columns(rows: list[list[str]]):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -59,8 +60,8 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
     Pinned to Poisson so experiment outputs are reproducible; the published
     experiments spread the same average load in an unspecified way.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if seed < 0:

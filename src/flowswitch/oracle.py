@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ArrivalInstance, CostModel, ScheduleTrace
 from .engine import simulate, trace_from_server_counts
-from .policies import QuadAlg, effective_alpha
+from .policies import QuadAlg, burst_objective, effective_alpha
 
 DEFAULT_STATE_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "FLOWSWITCH_ORACLE_BUDGET"
@@ -63,12 +63,11 @@ class DpConfig:
     total work, which no optimal schedule exceeds; ``resolve`` returns that
     ceiling, and ``dp_opt`` solves only up to the first slot
     ``certified_horizon`` proves final. An explicit t_cap is taken as
-    given, with no certificate.
+    given, with no certificate. The state budget is ``state_budget()``.
     """
 
     s_cap: int | None = None
     t_cap: int | None = None
-    budget: int | None = None
 
     def resolve(self, instance: ArrivalInstance) -> tuple[int, int, int]:
         low = min(1, instance.job_count)  # the job count is always a valid cap
@@ -80,7 +79,7 @@ class DpConfig:
             else instance.last_slot + instance.total_work
         if t_cap < instance.last_slot:
             raise ValueError("t_cap ends before the last arrival")
-        return s_cap, t_cap, self.budget if self.budget is not None else state_budget()
+        return s_cap, t_cap, state_budget()
 
 
 class Horizon(NamedTuple):
@@ -435,16 +434,13 @@ class BurstSolution:
     kkt_residual: float
 
 
-def convex_batch_solve(n: float, horizon: int, alpha: float = 1.0,
-                       tol: float = 1e-8) -> BurstSolution:
+def convex_batch_solve(n: float, horizon: int, alpha: float = 1.0) -> BurstSolution:
     """Minimize the batch burst objective over {s >= 0, sum s = n}.
 
     Strictly convex QP with zero boundary conditions; solved by active-set
     elimination on the KKT system, which lands well inside the 1e-8 KKT
     residual contract for these sizes. The minimizer is unique.
     """
-    from .policies import burst_objective
-
     if n < 0:
         raise ValueError("n must be nonnegative")
     if horizon < 1:
@@ -505,6 +501,7 @@ def convex_batch_solve(n: float, horizon: int, alpha: float = 1.0,
         residual = max(residual, float(np.abs(g[support] - lam).max()))
     if (~support).any():
         residual = max(residual, float(np.maximum(lam - g[~support], 0.0).max()))
+    tol = 1e-8
     if residual > tol:
         raise ConvexSolverError(f"KKT residual {residual:.3e} exceeds {tol:g}")
     objective = burst_objective(s.tolist(), n, h, alpha)

@@ -294,8 +294,7 @@ class BurstBatchResult:
     closed_form_objective: float | None
 
 
-def batch_quad_continuous(n: float, horizon: int,
-                          match_tol: float = 1e-6) -> BurstBatchResult:
+def batch_quad_continuous(n: float, horizon: int) -> BurstBatchResult:
     """Solve the batch burst problem numerically and audit the closed form.
 
     The convex solver is authoritative. The closed form is evaluated,
@@ -311,6 +310,7 @@ def batch_quad_continuous(n: float, horizon: int,
     sol = convex_batch_solve(n, horizon, alpha=1.0)
     profile = tuple(float(x) for x in sol.profile)
     closed = closed_form_burst_profile(n, horizon)
+    match_tol = 1e-6
     feasible = all(x >= -match_tol for x in closed) and \
         abs(sum(closed) - n) <= match_tol
     matches = feasible and max(

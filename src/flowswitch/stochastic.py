@@ -19,6 +19,7 @@ from scipy.special import stdtrit
 
 TAIL_TOL = 1e-12
 MIN_BATCHES = 30
+CTMC_BATCHES = 32
 
 
 class RateModel(str, Enum):
@@ -107,16 +108,15 @@ class StochasticCostEstimate:
         }
 
 
-def stationary_distribution(lam: float, policy: MarkovPolicy,
-                            n_max: int = 64,
-                            max_n_max: int = 1 << 22) -> np.ndarray:
+def stationary_distribution(lam: float, policy: MarkovPolicy) -> np.ndarray:
     """Birth-death stationary law by detailed balance, pi_{i+1} = pi_i lam/mu_{i+1}.
 
-    The truncation point doubles until the certified tail mass (geometric
-    bound past the cut) drops below 1e-12.
+    The truncation point starts at 64 and doubles, up to 2**22, until the
+    certified tail mass (geometric bound past the cut) drops below 1e-12.
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive and finite, got {lam}")
+    n_max = 64
     while True:
         log_r = np.empty(n_max + 1)
         log_r[0] = 0.0
@@ -131,17 +131,17 @@ def stationary_distribution(lam: float, policy: MarkovPolicy,
         tail = pi[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
         if tail < TAIL_TOL:
             return pi
-        if n_max >= max_n_max:
+        if n_max >= 1 << 22:
             reason = ("tail mass above tolerance" if math.isfinite(tail)
                       else "chain not geometrically stable")
             raise TruncationError(f"{reason} at n_max={n_max}")
         n_max *= 2
 
 
-def analytic_cost(lam: float, alpha: float, policy: MarkovPolicy,
-                  n_max: int = 64) -> StochasticCostEstimate:
+def analytic_cost(lam: float, alpha: float,
+                  policy: MarkovPolicy) -> StochasticCostEstimate:
     """Exact stationary cost: E[N] + 2 alpha sum_i lam pi_i (mu_i - mu_{i+1})^2."""
-    pi = stationary_distribution(lam, policy, n_max=n_max)
+    pi = stationary_distribution(lam, policy)
     idx = np.arange(pi.size)
     mean_occ = float((idx * pi).sum())
     mu = np.array([policy.rates(i) for i in range(pi.size + 1)])
@@ -164,8 +164,8 @@ def _batch_ci(rewards: Sequence[float], durations: Sequence[float]) -> float:
 
 
 def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
-                  event_budget: int = 1_000_000, seed: int = 0,
-                  batches: int = 32) -> StochasticCostEstimate:
+                  event_budget: int = 1_000_000,
+                  seed: int = 0) -> StochasticCostEstimate:
     """Discrete-time-converted CTMC run (Fox & Glynn 1986).
 
     Only the jump chain is sampled: one uniform per event from
@@ -178,17 +178,16 @@ def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
     per-seed values differ from releases that sampled holding times.
 
     The estimate carries a batch-means 95% confidence halfwidth over
-    segments of ``event_budget // batches`` events (at least ``batches`` of
-    them, so ``event_budget`` may not be smaller); leftover events count
-    toward the totals but form no batch. Memory is O(batch size).
+    segments of ``event_budget // CTMC_BATCHES`` events (at least
+    ``CTMC_BATCHES`` of them, so ``event_budget`` may not be smaller);
+    leftover events count toward the totals but form no batch. Memory is
+    O(batch size).
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    if batches < MIN_BATCHES:
-        raise ValueError(f"need at least {MIN_BATCHES} batches")
-    if event_budget < batches:
+    if event_budget < CTMC_BATCHES:
         raise ValueError(f"event budget {event_budget} is below the "
-                         f"{batches} batches requested")
+                         f"{CTMC_BATCHES} batches requested")
     rate_of = policy.check_rate
     mu = [0.0]
     for i in range(1, 65):
@@ -200,7 +199,7 @@ def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
 
     n = 0
     area = sc = clock = 0.0
-    batch_size = event_budget // batches
+    batch_size = event_budget // CTMC_BATCHES
     full, trailing = divmod(event_budget, batch_size)
     rewards: list[float] = []
     durations: list[float] = []
@@ -263,18 +262,38 @@ class Alg3Params:
     def from_rates(cls, lam: float, c1: float = 1.0, c2: float = 1.0,
                    theta1: float = 2.0 / 3.0,
                    theta2: float = 1.0 / 3.0) -> "Alg3Params":
-        """U = ceil(c1 lam^theta1), mu = lam + c2 lam^theta2."""
+        """U = ceil(c1 lam^theta1), mu = lam + c2 lam^theta2, both finite."""
         if not (lam > 0 and math.isfinite(lam)):
             raise ValueError(f"lam must be positive and finite, got {lam}")
+        for name, value in (("c1", c1), ("c2", c2),
+                            ("theta1", theta1), ("theta2", theta2)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if c1 <= 0 or c2 <= 0:
             raise ValueError("c1 and c2 must be positive")
         if theta1 > 1 or theta2 >= 1:
             raise ValueError("need theta1 <= 1 and theta2 < 1")
-        return cls(math.ceil(c1 * lam ** theta1), lam + c2 * lam ** theta2)
+        u = _scaled_power(c1, lam, theta1)
+        if not math.isfinite(u):
+            raise ValueError(f"threshold c1*lam**theta1 is not finite "
+                             f"(lam={lam:g}, c1={c1:g}, theta1={theta1:g})")
+        mu = lam + _scaled_power(c2, lam, theta2)
+        if not math.isfinite(mu):
+            raise ValueError(f"mu = lam + c2*lam**theta2 is not finite "
+                             f"(lam={lam:g}, c2={c2:g}, theta2={theta2:g})")
+        return cls(math.ceil(u), mu)
 
     def validate_stability(self, lam: float):
         if not self.mu > lam:
             raise ValueError(f"mu={self.mu:g} must exceed lam={lam:g}")
+
+
+def _scaled_power(c: float, lam: float, theta: float) -> float:
+    """c lam^theta, or inf where lam^theta overflows."""
+    try:
+        return c * lam ** theta
+    except OverflowError:
+        return math.inf
 
 
 def alg3_analytic_cost(lam: float, alpha: float,
@@ -323,6 +342,10 @@ def simulate_alg3(lam: float, alpha: float, params: Alg3Params,
     if cycle_budget < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} cycles")
     u, mu = params.threshold, params.mu
+    if u >= busy_event_guard:  # the walk from U to 0 takes at least U events
+        raise CycleOverflowError(
+            f"threshold U >= {busy_event_guard}: no busy period ends within "
+            f"{busy_event_guard} events")
     rng = np.random.default_rng(seed)
     total_rate = lam + mu
     p_arrival = lam / total_rate

@@ -6,12 +6,14 @@ import os
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowswitch import (NonErgodicError, PolicyFaultError, PolicyStallError,
                         TruncationError, cli)
-from flowswitch.cli import main, reproduce_figure
+from flowswitch import CostModel, dp_opt
+from flowswitch.cli import FIGURE_IDS, main, reproduce_figure
+from flowswitch.instances import sigma2
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +296,12 @@ class TestReproduceFigure:
         header = out_path.read_text().splitlines()[0]
         assert header == "figure,rate,policy,normalized_cost,seeds,horizon"
 
+    def test_quad_extreme_without_jobs(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce-figure", "--figure", "quad_extreme",
+                                 "--rates", "0.5", "--horizon", "1")
+        assert code == 0, err
+        assert "check beta2/balance<2@rate=0.5: ok (ratio=1)" in err
+
     def test_linear_a1_columns_agree(self):
         rows, checks = reproduce_figure("linear_a1", seeds=(1,), horizon=120)
         assert all(ok for _, ok, _ in checks)
@@ -350,6 +358,26 @@ class TestInputErrors:
          2, "s_cap"),
         (("opt", "--instance", "sigma2:N=0,T=3", "--model", "linear:alpha=2",
           "--s-cap", "-3"), 2, "s_cap"),
+        (("stochastic", "--policy", "alg3", "--lambda", "0.5", "--theta2", "-2000"),
+         2, "theta2"),
+        (("sweep", "--kind", "alg3", "--lambdas", "0.5,1,10,100",
+          "--theta2", "-2000"), 2, "theta2"),
+        (("stochastic", "--policy", "alg3", "--lambda", "10", "--c1", "1e308"),
+         2, "c1"),
+        (("stochastic", "--policy", "alg3", "--lambda", "1", "--c1", "nan"),
+         2, "c1 must be finite"),
+        (("stochastic", "--policy", "alg3", "--lambda", "1", "--theta1", "nan"),
+         2, "theta1 must be finite"),
+        (("stochastic", "--policy", "alg3", "--lambda", "1", "--c2", "inf"),
+         2, "c2 must be finite"),
+        (("stochastic", "--policy", "alg3", "--lambda", "0.5", "--c1", "1e300",
+          "--mode", "simulate", "--cycles", "30"), 2, "no busy period"),
+        (("stochastic", "--policy", "alg1", "--lambda", "1", "--alpha", "1e308"),
+         2, "not JSON compliant"),
+        (("reproduce-figure", "--figure", "quad_a1", "--rates", "nan",
+          "--seeds", "1", "--horizon", "2"), 2, "rate must be positive and finite"),
+        (("run", "--instance", "random:rate=inf,T=5,seed=1",
+          "--policy", "full_parallel"), 2, "rate must be positive and finite"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative",
@@ -357,7 +385,11 @@ class TestInputErrors:
             "balance-value-tiny-alpha", "balance-delta-tiny-alpha",
             "quad-balance-tiny-alpha", "unknown-instance-key",
             "misspelled-instance-key", "opt-s-cap-zero", "opt-s-cap-negative",
-            "run-dp-s-cap-zero", "run-dp-s-cap-negative", "opt-empty-s-cap-negative"])
+            "run-dp-s-cap-zero", "run-dp-s-cap-negative", "opt-empty-s-cap-negative",
+            "alg3-theta2-overflow", "alg3-sweep-theta2-overflow",
+            "alg3-threshold-overflow", "alg3-c1-nan", "alg3-theta1-nan",
+            "alg3-c2-inf", "alg3-threshold-beyond-guard", "cost-overflow",
+            "figure-rate-nan", "spec-rate-inf"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
@@ -376,6 +408,25 @@ class TestInputErrors:
         assert code == 2
         assert "no stationary law" in err
         assert not out
+
+    def test_gamma_sweep_solves_once_per_alpha(self, capsys, monkeypatch):
+        alphas = []
+
+        def counting_dp_opt(instance, model, cfg):
+            alphas.append(model.alpha)
+            return dp_opt(instance, model, cfg)
+
+        monkeypatch.setattr(cli, "dp_opt", counting_dp_opt)
+        code, out, err = run_cli(capsys, "sweep", "--kind", "gamma",
+                                 "--instance", "sigma2:N=3,T=4",
+                                 "--gammas", "0,0.5,1", "--alphas", "1,2")
+        assert code == 0, err
+        assert alphas == [1.0, 2.0]
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert len(rows) == 6
+        for _, alpha, _, dp_cost, _ in rows:
+            model = CostModel.linear(float(alpha))
+            assert dp_cost == f"{dp_opt(sigma2(3, 4), model)[0]:.6g}"
 
     def test_gamma_sweep_on_empty_instance(self, capsys, tmp_path):
         out_path = tmp_path / "empty.csv"
@@ -482,8 +533,90 @@ def _spec(draw, families):
     return f"{kind}({items})" if draw(st.booleans()) else f"{kind}:{items}"
 
 
+# Rates, exponents and constants for the stochastic, sweep and figure
+# commands, half in range and half negative, huge, NaN or infinite.
+# Simulated runs keep lambda <= 100, --events <= 1000 and --cycles <= 40.
+# A huge lambda (alg1, alg2) or alpha (alg2) is left out: the analytic
+# chain then doubles its truncation to 2**22 before it fails, which takes
+# seconds (a correct exit 2, but too slow for a property test).
+_BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", ""]
+_HUGE = ["1e300", "1e308"]
+
+
+def _token(valid, bad=(), huge=False):
+    bad = list(bad) + _BAD_NUMBERS + (_HUGE if huge else [])
+    return st.one_of(st.sampled_from(valid), st.sampled_from(bad))
+
+
+def _count(valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(["0", "-1", "1.5"]))
+
+
+def _rate(huge=False):
+    return _token(["0.5", "1", "10", "100"], huge=huge)
+
+
+def _constant(huge=True):
+    return _token(["0.5", "1", "2"], ["1e-320"], huge=huge)
+
+
+def _grid(tokens):
+    return st.lists(tokens, max_size=4).map(",".join)
+
+
+def _optional_flags(draw, flags):
+    argv = []
+    for flag, tokens in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(tokens)]
+    return argv
+
+
+def _alg3_flags(draw):
+    exponent = _token(["0.25", "0.5", "1"], ["-2000", "2000"])
+    return _optional_flags(draw, [("--c1", _constant()), ("--c2", _constant()),
+                                  ("--theta1", exponent), ("--theta2", exponent)])
+
+
 @st.composite
-def _argv(draw):
+def _stochastic_argv(draw):
+    policy = draw(st.sampled_from(["alg1", "alg2", "alg3"]))
+    mode = draw(st.sampled_from(["analytic", "simulate"]))
+    lam = _rate(huge=(policy, mode) == ("alg3", "analytic"))
+    argv = ["stochastic", "--policy", policy, "--mode", mode, "--lambda", draw(lam)]
+    argv += _optional_flags(draw, [("--alpha", _constant(huge=policy != "alg2"))])
+    if mode == "simulate":
+        argv += ["--events", draw(_count(["32", "1000", "31"])),
+                 "--cycles", draw(_count(["30", "40"])),
+                 "--seed", draw(_count(["0", "1"]))]
+    if policy == "alg3":
+        argv += _alg3_flags(draw)
+    return argv
+
+
+@st.composite
+def _sweep_argv(draw):
+    if draw(st.booleans()):
+        return ["sweep", "--kind", "alg3", "--lambdas", draw(_grid(_rate(huge=True))),
+                *_optional_flags(draw, [("--alpha", _constant())]), *_alg3_flags(draw)]
+    cap = _count(["1", "3"])
+    return ["sweep", "--kind", "gamma", "--instance", draw(_spec(_INSTANCE_KEYS)),
+            "--gammas", draw(_grid(_token(["0", "0.5", "1"], ["2000"]))),
+            "--alphas", draw(_grid(_constant())),
+            *_optional_flags(draw, [("--s-cap", cap), ("--t-cap", cap),
+                                    ("--max-cells", cap)])]
+
+
+@st.composite
+def _figure_argv(draw):
+    return ["reproduce-figure", "--figure", draw(st.sampled_from(FIGURE_IDS)),
+            "--horizon", draw(_count(["1", "3"])),
+            *_optional_flags(draw, [("--rates", _grid(_token(["0.5", "3"], huge=True))),
+                                    ("--seeds", _token(["1", "0,2"], ["x"]))])]
+
+
+@st.composite
+def _instance_argv(draw):
     command = draw(st.sampled_from(["gen", "run", "opt", "dual"]))
     instance = draw(_spec(_INSTANCE_KEYS))
     if command == "gen":
@@ -502,11 +635,21 @@ def _argv(draw):
     return argv
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @pytest.mark.filterwarnings("ignore:.*nonpositive dual bound:RuntimeWarning")
-@settings(max_examples=200, deadline=None)
-@given(_argv())
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from([_instance_argv(), _stochastic_argv(), _sweep_argv(),
+                        _figure_argv()]).flatmap(lambda family: family))
+@example(["stochastic", "--policy", "alg3", "--lambda", "0.5", "--theta2", "-2000"])
+@example(["sweep", "--kind", "alg3", "--lambdas", "0.5,1,10,100", "--theta2", "-2000"])
+@example(["stochastic", "--policy", "alg3", "--lambda", "10", "--c1", "1e308"])
+@example(["stochastic", "--policy", "alg3", "--lambda", "1", "--c2", "inf"])
 def test_exit_code_contract(argv):
-    """Any argv built from these tokens exits 0-3 with a message, never a traceback."""
+    """Any argv built from these tokens exits 0-3 with a message, never a
+    traceback, and the JSON a stochastic run prints holds no NaN or Infinity."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"FLOWSWITCH_ORACLE_BUDGET": "60"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -515,3 +658,5 @@ def test_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().strip()
+    elif argv[0] == "stochastic":
+        json.loads(out.getvalue(), parse_constant=_no_constant)

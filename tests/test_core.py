@@ -33,8 +33,6 @@ class TestArrivalInstance:
             ArrivalInstance(((0, 1),))
         with pytest.raises(ValueError):
             ArrivalInstance(((1, 0),))
-        with pytest.raises(ValueError):
-            ArrivalInstance(((5, 1),), horizon_hint=3)
 
     def test_aggregates(self):
         inst = ArrivalInstance(((1, 2), (1, 1), (4, 3)))
@@ -62,8 +60,6 @@ class TestArrivalInstance:
         for bad in ((1, -1), (1.5,), (2, 0.5)):
             with pytest.raises(ValueError, match="arrival count"):
                 ArrivalInstance.from_counts(bad)
-        with pytest.raises(ValueError, match="horizon_hint"):
-            ArrivalInstance.from_counts((1, 0, 1), horizon_hint=2)
         with pytest.raises(AttributeError):
             ArrivalInstance.from_counts((1,)).name = "renamed"
 

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -46,6 +47,11 @@ class TestGenerators:
         with pytest.raises(ValueError,
                            match="seed must be a nonnegative integer, got -1"):
             random_slotted(5.0, 50, seed=-1)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_random_slotted_rejects_bad_rates(self, rate):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            random_slotted(rate, 5, seed=1)
 
     def test_random_slotted_mean_load(self):
         rate, horizon = 5.0, 1000

@@ -56,9 +56,10 @@ class TestDpOpt:
         with pytest.raises(UnsupportedInstanceError):
             dp_opt(ArrivalInstance(((1, 2),)), CostModel.linear(1))
 
-    def test_budget_error_carries_requirement(self):
+    def test_budget_error_carries_requirement(self, monkeypatch):
+        monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", "10")
         with pytest.raises(DpBudgetError) as err:
-            dp_opt(batch(10), CostModel.linear(1), DpConfig(budget=10))
+            dp_opt(batch(10), CostModel.linear(1))
         assert err.value.required > 10
 
     def test_beats_every_policy(self, small_corpus):
@@ -237,12 +238,13 @@ class TestCertifiedHorizon:
                                     DpConfig(s_cap=1, t_cap=2))
         assert horizon == (2, 2, -math.inf)
 
-    def test_empty_and_non_unit(self):
+    def test_empty_and_non_unit(self, monkeypatch):
         empty, model = ArrivalInstance(()), CostModel.linear(1)
         assert certified_horizon(empty, model) == (0, 0, math.inf)
         # no jobs need no DP: the budget never fires, the s_cap check does,
         # and s_cap = 0, the job count, is a valid cap there
-        for cfg in (DpConfig(budget=0), DpConfig(s_cap=0)):
+        monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", "0")
+        for cfg in (DpConfig(), DpConfig(s_cap=0)):
             assert certified_horizon(empty, model, cfg) == (0, 0, math.inf)
             assert dp_opt(empty, model, cfg)[0] == 0.0
         for fn in (certified_horizon, dp_opt):
@@ -251,14 +253,16 @@ class TestCertifiedHorizon:
         with pytest.raises(UnsupportedInstanceError):
             certified_horizon(ArrivalInstance(((1, 2),)), CostModel.linear(1))
 
-    def test_budget_is_checked_on_the_ceiling(self):
+    def test_budget_is_checked_on_the_ceiling(self, monkeypatch):
         inst, model = sigma2(20, 10), CostModel.linear(2)
         required = (210 + 2) * (200 + 1) * (20 + 1)
+        monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", str(required - 1))
         for fn in (certified_horizon, dp_opt):
             with pytest.raises(DpBudgetError) as err:
-                fn(inst, model, DpConfig(budget=required - 1))
+                fn(inst, model)
             assert err.value.required == required
-        dp_opt(inst, model, DpConfig(budget=required))
+        monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", str(required))
+        dp_opt(inst, model)
 
     @pytest.mark.parametrize("s_cap", [0, -3])
     def test_s_cap_below_one_rejected(self, s_cap):
