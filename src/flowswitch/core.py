@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,18 +59,20 @@ _VALID = ValidationResult(True)
 
 
 class ArrivalInstance:
-    """A job arrival schedule: (slot, size) records kept sorted by slot.
+    """A job arrival schedule: per-slot arrival counts plus the job sizes.
 
     Invariants:
-        - every slot >= 1 and every size >= 1
-        - records are sorted by slot; ties keep construction order
-        - job id j is the index of the j-th record in that order
+        - ``slot_counts[i]`` jobs arrive at slot i+1, for slots
+          1..last_slot, and the last count is nonzero
+        - job ids run in arrival order; jobs of one slot keep the order
+          they were given in
+        - ``sizes[j]`` is job j's size, at least 1; ``sizes`` is None
+          exactly when every job is a unit job
 
-    Unit-job instances can also be built from per-slot arrival counts
-    (``from_counts``). Such an instance keeps only the counts and builds
-    the ``arrivals`` tuple on first read. The aggregates are computed once
-    and cached. However it was built, an instance equals any other with
-    the same records and name. Instances are immutable.
+    ``arrivals``, the (slot, size) records in id order, is built on first
+    read, and the aggregates are computed once and cached. Instances with
+    the same counts, sizes and name are equal, however they were built.
+    Instances are immutable.
     """
 
     def __init__(self, arrivals: tuple[tuple[int, int], ...], name: str = ""):
@@ -81,8 +83,11 @@ class ArrivalInstance:
             if int(size) != size or size < 1:
                 raise ValueError(f"job size must be a positive integer, got {size!r}")
             records.append((int(slot), int(size)))
-        records.sort(key=lambda r: r[0])  # stable: same-slot order preserved
-        self.__dict__.update(arrivals=tuple(records), name=name, _from_counts=False)
+        records.sort(key=operator.itemgetter(0))  # stable: same-slot order preserved
+        counts = [0] * (records[-1][0] if records else 0)
+        for slot, _ in records:
+            counts[slot - 1] += 1
+        self._assign(tuple(counts), tuple(size for _, size in records), name)
 
     @classmethod
     def from_counts(cls, counts, name: str = "") -> "ArrivalInstance":
@@ -95,14 +100,17 @@ class ArrivalInstance:
             values.append(int(count))
         while values and values[-1] == 0:
             values.pop()
-        return cls._of_counts(tuple(values), name)
-
-    @classmethod
-    def _of_counts(cls, counts: tuple[int, ...], name: str) -> "ArrivalInstance":
-        """Checked counts with no trailing zero slot."""
         inst = cls.__new__(cls)
-        inst.__dict__.update(slot_counts=counts, name=name, _from_counts=True)
+        inst._assign(tuple(values), None, name)
         return inst
+
+    def _assign(self, counts: tuple[int, ...], sizes: tuple[int, ...] | None,
+                name: str):
+        """Set the one form from checked counts with no trailing zero slot;
+        sizes that are all 1 are stored as None."""
+        if sizes is not None and all(size == 1 for size in sizes):
+            sizes = None
+        self.__dict__.update(slot_counts=counts, sizes=sizes, name=name)
 
     def __setattr__(self, key, value):
         raise AttributeError(f"ArrivalInstance is immutable: cannot set {key!r}")
@@ -113,65 +121,45 @@ class ArrivalInstance:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.name != other.name:
-            return False
-        if self._from_counts and other._from_counts:
-            return self.slot_counts == other.slot_counts
-        return self.arrivals == other.arrivals
+        return (self.slot_counts, self.sizes, self.name) == \
+            (other.slot_counts, other.sizes, other.name)
 
     def __hash__(self):
-        return hash((self.arrivals, self.name))
+        return hash((self.slot_counts, self.sizes, self.name))
 
     def __repr__(self):
         return f"ArrivalInstance(arrivals={self.arrivals!r}, name={self.name!r})"
 
     @cached_property
     def arrivals(self) -> tuple[tuple[int, int], ...]:
-        # built from counts: jobs of one slot share one record tuple
-        return tuple(chain.from_iterable(
-            repeat((t, 1), c) for t, c in enumerate(self.slot_counts, start=1)))
-
-    @cached_property
-    def slot_counts(self) -> tuple[int, ...]:
-        """Jobs (not work) arriving at each slot 1..last_slot."""
-        counts = [0] * self.last_slot
-        for s, _ in self.arrivals:
-            counts[s - 1] += 1
-        return tuple(counts)
+        slots = chain.from_iterable(map(repeat, range(1, self.last_slot + 1),
+                                        self.slot_counts))
+        return tuple(zip(slots, self.sizes or repeat(1)))
 
     @cached_property
     def job_count(self) -> int:
-        return sum(self.slot_counts) if self._from_counts else len(self.arrivals)
+        return sum(self.slot_counts)
 
     @cached_property
     def total_work(self) -> int:
-        if self._from_counts:
-            return self.job_count
-        return sum(w for _, w in self.arrivals)
+        return self.job_count if self.sizes is None else sum(self.sizes)
 
-    @cached_property
+    @property
     def last_slot(self) -> int:
-        if self._from_counts:
-            return len(self.slot_counts)
-        return self.arrivals[-1][0] if self.arrivals else 0
+        return len(self.slot_counts)
 
-    @cached_property
+    @property
     def all_unit(self) -> bool:
-        return self._from_counts or all(w == 1 for _, w in self.arrivals)
+        return self.sizes is None
 
     @cached_property
     def sizes_equal(self) -> bool:
-        return self._from_counts or len({w for _, w in self.arrivals}) <= 1
+        return self.sizes is None or len(set(self.sizes)) == 1
 
     @cached_property
     def max_slot_arrivals(self) -> int:
         """Largest per-slot arrival count (jobs, not work)."""
-        if self._from_counts:
-            return max(self.slot_counts, default=0)
-        counts: dict[int, int] = {}
-        for s, _ in self.arrivals:
-            counts[s] = counts.get(s, 0) + 1
-        return max(counts.values(), default=0)
+        return max(self.slot_counts, default=0)
 
     @cached_property
     def instance_id(self) -> str:
@@ -184,33 +172,17 @@ class ArrivalInstance:
         """The jobs with ids below k, as a new instance."""
         if not 0 <= k <= self.job_count:
             raise ValueError(f"prefix length {k} out of range")
-        if not self.all_unit:
-            return ArrivalInstance(self.arrivals[:k], name=name)
-        if not k:
-            return self._of_counts((), name)
         through = self._arrived_through
         last = bisect_left(through, k)  # slot index of job k-1
         before = through[last - 1] if last else 0
-        return self._of_counts(self.slot_counts[:last] + (k - before,), name)
+        inst = ArrivalInstance.__new__(ArrivalInstance)
+        inst._assign(self.slot_counts[:last] + (k - before,) if k else (),
+                     self.sizes and self.sizes[:k], name)
+        return inst
 
     @cached_property
     def _arrived_through(self) -> tuple[int, ...]:
         return tuple(accumulate(self.slot_counts))
-
-    def work_at(self, slot: int) -> int:
-        return sum(w for s, w in self.arrivals if s == slot)
-
-    def work_by_slot(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s, w in self.arrivals:
-            out[s] = out.get(s, 0) + w
-        return out
-
-    def jobs_by_slot(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for j, (s, _) in enumerate(self.arrivals):
-            out.setdefault(s, []).append(j)
-        return out
 
     def to_text(self) -> str:
         lines = [f"# instance {self.instance_id}: {self.job_count} jobs"]
@@ -368,27 +340,6 @@ class _SlotView(Sequence):
     __hash__ = None
 
 
-class _FifoDepartures(Mapping):
-    """Departure slot per job id of a FIFO trace, found by bisection."""
-
-    __slots__ = ("_served_through", "_total")
-
-    def __init__(self, served_through):
-        self._served_through = served_through
-        self._total = served_through[-1] if served_through else 0
-
-    def __len__(self):
-        return self._total
-
-    def __iter__(self):
-        return iter(range(self._total))
-
-    def __getitem__(self, job):
-        if isinstance(job, int) and 0 <= job < self._total:
-            return bisect_right(self._served_through, job) + 1
-        raise KeyError(job)
-
-
 @dataclass(frozen=True, eq=False)
 class ServedColumns:
     """The served sets and departures of a trace, as flat columns.
@@ -429,8 +380,9 @@ class ScheduleTrace:
     ``from_slots``) keeps its served sets and departures in ``served``,
     one flat id column with per-slot counts (see ``ServedColumns``).
 
-    ``slots`` and ``departures`` are views built on access: no SlotRecord
-    or frozenset exists until a caller reads them.
+    ``slots`` is a view built on access: no SlotRecord or frozenset exists
+    until a caller reads it. ``departures`` are the ones given with the
+    served columns, or else, for every trace, each id's last serving slot.
 
     ``complete_records`` is False for bulk simulation runs; such traces
     cost fine but cannot be validated.
@@ -462,11 +414,20 @@ class ScheduleTrace:
         return cls(tuple(rec.n for rec in slots), tuple(rec.s for rec in slots),
                    policy_name, instance_id, served=served)
 
+    @property
+    def _counts(self) -> tuple[int, ...]:
+        """How many ids each slot serves."""
+        return self.s if self.served is None else self.served.counts
+
     @cached_property
     def _offsets(self) -> tuple[int, ...]:
         """Where each slot's ids start in the flat id sequence, then the end."""
-        counts = self.s if self.served is None else self.served.counts
-        return tuple(accumulate(counts, initial=0))
+        return tuple(accumulate(self._counts, initial=0))
+
+    @property
+    def _ids(self) -> Sequence[int]:
+        """The served ids, slot after slot: ``range(S(T))`` for a FIFO trace."""
+        return range(self._offsets[-1]) if self.served is None else self.served.ids
 
     @property
     def _slot_numbers(self) -> Sequence[int]:
@@ -476,19 +437,15 @@ class ScheduleTrace:
 
     @cached_property
     def slots(self) -> Sequence[SlotRecord]:
-        ids = range(self._offsets[-1]) if self.served is None else self.served.ids
-        return _SlotView(self._slot_numbers, self.n, self.s, ids, self._offsets)
+        return _SlotView(self._slot_numbers, self.n, self.s, self._ids, self._offsets)
 
     @cached_property
     def departures(self) -> Mapping[int, int]:
-        served = self.served
-        if served is None:
-            return _FifoDepartures(self._offsets[1:])
-        if served.departures is not None:
-            return served.departures
+        if self.served is not None and self.served.departures is not None:
+            return self.served.departures
         # later slots overwrite earlier ones: the last slot serving each id
-        return dict(zip(served.ids, chain.from_iterable(
-            map(repeat, self._slot_numbers, served.counts))))
+        return dict(zip(self._ids, chain.from_iterable(
+            map(repeat, self._slot_numbers, self._counts))))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -508,12 +465,6 @@ class ScheduleTrace:
     def last_slot(self) -> int:
         numbers = self._slot_numbers
         return numbers[-1] if numbers else 0
-
-    def server_counts(self) -> tuple[int, ...]:
-        return self.s
-
-    def occupancies(self) -> tuple[int, ...]:
-        return self.n
 
     def to_csv(self) -> str:
         """One row per slot: t, n, s and the served ids in ascending order."""
@@ -598,10 +549,6 @@ class CostBreakdown:
     total: float
     alpha: float
     switching_kind: SwitchingKind
-
-    @classmethod
-    def zero(cls, model: CostModel) -> "CostBreakdown":
-        return cls(0, 0.0, 0.0, 0.0, model.alpha, model.switching)
 
     def to_json_dict(self) -> dict:
         return {
@@ -694,17 +641,10 @@ def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
         return False
     ids = np.arange(int(s.sum())) if served is None else _int_column(served.ids)
     unit = instance.all_unit
-    if unit:
-        arrival = np.repeat(np.arange(1, instance.last_slot + 1),
-                            instance.slot_counts)
-        size = 1
-    else:
-        table = _int_column(instance.arrivals)
-        if table is None:
-            return False
-        arrival, size = table.reshape(-1, 2).T
+    size = 1 if unit else _int_column(instance.sizes)
+    arrival = np.repeat(np.arange(1, instance.last_slot + 1), instance.slot_counts)
     jobs, horizon = arrival.size, len(s)
-    if ids is None or instance.last_slot > horizon or \
+    if ids is None or size is None or instance.last_slot > horizon or \
             (ids.size and not 0 <= ids.min() <= ids.max() < jobs):
         return False
     if not (np.bincount(ids, minlength=jobs) == size).all():
@@ -749,7 +689,6 @@ def _validate_reference(instance: ArrivalInstance,
                                 message="trace was recorded without per-job service sets")
     jobs = instance.arrivals
     job_ids = range(len(jobs))
-    work_by_slot = instance.work_by_slot()
 
     served_units = {j: 0 for j in job_ids}
     last_service: dict[int, int] = {}
@@ -768,8 +707,8 @@ def _validate_reference(instance: ArrivalInstance,
         t = rec.t
         while next_job < len(jobs) and jobs[next_job][0] <= t:
             arrived += 1
+            cum_work += jobs[next_job][1]
             next_job += 1
-        cum_work += work_by_slot.get(t, 0)
 
         for j in rec.served:
             if j not in served_units:

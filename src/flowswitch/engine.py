@@ -246,19 +246,21 @@ def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
     Served ids go to one flat list, s(t) of them per slot; each job
     departs at the last slot that serves it.
     """
-    jobs = instance.arrivals
-    jobs_by_slot = instance.jobs_by_slot()
+    counts = instance.slot_counts
+    sizes = instance.sizes or (1,) * instance.job_count
     last_arrival = instance.last_slot
     k_stall = instance.total_work + last_arrival
     heap: list[tuple[int, int, int]] = []  # (remaining, arrival, job_id)
     ns: list[int] = []
     ss: list[int] = []
     served_ids: list[int] = []
-    s_prev = zero_streak = t = 0
+    s_prev = zero_streak = t = arrived = 0
     while True:
         t += 1
-        for j in jobs_by_slot.get(t, ()):
-            heappush(heap, (jobs[j][1], t, j))
+        if t <= last_arrival:  # ids run in arrival order
+            for j in range(arrived, arrived + counts[t - 1]):
+                heappush(heap, (sizes[j], t, j))
+            arrived += counts[t - 1]
         n = len(heap)  # occupancy during slot t, after arrivals, before departures
         if n == 0 and t > last_arrival:
             break

@@ -278,11 +278,9 @@ def exhaustive_opt(instance: ArrivalInstance, model: CostModel,
             f"exhaustive_opt guard: {instance.job_count} jobs, t_cap={t_cap}")
     if instance.job_count == 0:
         return 0.0
-    arrivals = [0] * (t_cap + 2)
-    for slot, _ in instance.arrivals:
-        if slot > t_cap:
-            raise OracleSizeError("arrival beyond t_cap")
-        arrivals[slot] += 1
+    if instance.last_slot > t_cap:
+        raise OracleSizeError("arrival beyond t_cap")
+    arrivals = [0, *instance.slot_counts] + [0] * (t_cap + 1 - instance.last_slot)
     alpha = model.alpha
     cost_fn = model.transition_cost
     best = math.inf
@@ -384,7 +382,7 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
     policy = QuadAlg(alpha=alpha, beta=beta)
     trace = simulate(instance, policy)
     flow_alg = sum(trace.n)
-    size = instance.arrivals[0][1] if instance.arrivals else 1
+    size = instance.sizes[0] if instance.sizes else 1
     # prefix flows F(0..J), one replay each; lambda_j = (F(j+1) - F(j)) / size
     # is delta_flow(j) / size exactly, since the flows are integers
     flows = [_prefix_flow(instance, k, policy) for k in range(instance.job_count)]
@@ -393,7 +391,7 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
                     for before, after in zip(flows, flows[1:]))
     bound = dual_bound_from_flow(flow_alg, beta)
 
-    slack = _max_pair_slack(instance, lambdas, trace.occupancies(), size,
+    slack = _max_pair_slack(instance, lambdas, trace.n, size,
                             effective_alpha(alpha), beta)
     return DualCertificate(lambdas, flow_alg, alpha, beta, bound,
                            slack, degenerate)

@@ -5,7 +5,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, ScheduleTrace, SlotRecord,
@@ -21,6 +21,26 @@ from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
 def make_trace(records, departures):
     slots = tuple(SlotRecord(t, n, s, frozenset(ids)) for t, n, s, ids in records)
     return ScheduleTrace.from_slots(slots, dict(departures))
+
+
+AGGREGATES = ("job_count", "total_work", "last_slot", "all_unit", "sizes_equal",
+              "max_slot_arrivals")
+
+
+def record_aggregates(records):
+    """The instance aggregates, computed from sorted (slot, size) records."""
+    sizes = [w for _, w in records]
+    slots = [t for t, _ in records]
+    return {"job_count": len(records), "total_work": sum(sizes),
+            "last_slot": max(slots, default=0), "all_unit": set(sizes) <= {1},
+            "sizes_equal": len(set(sizes)) <= 1,
+            "max_slot_arrivals": max(map(slots.count, slots), default=0)}
+
+
+def described(inst):
+    """What an instance shows: repr, id, records, sizes, then its aggregates."""
+    return (repr(inst), inst.instance_id, inst.arrivals, inst.sizes,
+            {attr: getattr(inst, attr) for attr in AGGREGATES})
 
 
 class TestArrivalInstance:
@@ -40,21 +60,44 @@ class TestArrivalInstance:
         assert inst.last_slot == 4
         assert inst.max_slot_arrivals == 2
         assert not inst.all_unit
-        assert inst.work_at(1) == 3
+        assert inst.slot_counts == (2, 0, 0, 1)
+        assert inst.sizes == (2, 1, 3)
 
-    def test_counts_built_equals_tuple_built(self):
-        twin = ArrivalInstance(((3, 1), (1, 1), (1, 1)), name="x")
-        inst = ArrivalInstance.from_counts((2, 0, 1, 0, 0), name="x")
-        assert inst == twin and twin == inst and hash(inst) == hash(twin)
-        assert inst.arrivals == twin.arrivals == ((1, 1), (1, 1), (3, 1))
-        assert inst.slot_counts == twin.slot_counts == (2, 0, 1)
-        for attr in ("job_count", "total_work", "last_slot", "all_unit",
-                     "sizes_equal", "max_slot_arrivals", "instance_id"):
-            assert getattr(inst, attr) == getattr(twin, attr), attr
-        assert ArrivalInstance.from_counts((2, 0, 1)) == ArrivalInstance(twin.arrivals)
-        assert inst != ArrivalInstance.from_counts((2, 0, 1), name="y")
-        assert inst != ArrivalInstance.from_counts((2, 1), name="x")
-        assert ArrivalInstance.from_counts(()) == ArrivalInstance(())
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 3), max_size=8),
+           sizes=st.lists(st.integers(1, 3), max_size=24),
+           name=st.sampled_from(["", "x"]))
+    @example(counts=[2, 0, 1, 0, 0], sizes=[], name="x")
+    @example(counts=[], sizes=[], name="")
+    def test_counts_built_equals_tuple_built(self, counts, sizes, name):
+        slots = [t for t, c in enumerate(counts, start=1) for _ in range(c)]
+        sizes = (sizes + [1] * len(slots))[:len(slots)]  # unit jobs past the list
+        records = tuple(zip(slots, sizes))
+        # given latest slot first: the constructor sorts, keeping same-slot order
+        inst = ArrivalInstance(sorted(records, key=lambda r: -r[0]), name=name)
+        assert inst.arrivals == records
+        assert inst.slot_counts == tuple(counts[:len(slots) and slots[-1]])
+        assert inst.sizes == (None if set(sizes) <= {1} else tuple(sizes))
+        assert described(inst)[-1] == record_aggregates(records)
+        # built from sorted records, from counts and sizes, and from counts
+        twins = [ArrivalInstance(records, name=name),
+                 inst.prefix(inst.job_count, name=name)]
+        if inst.all_unit:
+            twins.append(ArrivalInstance.from_counts(counts, name=name))
+        for twin in twins:
+            assert inst == twin and twin == inst and hash(inst) == hash(twin)
+            assert described(twin) == described(inst)
+            assert twin != ArrivalInstance(records, name=name + "y")
+            for k in range(inst.job_count + 1):
+                head = twin.prefix(k, name="p")
+                expected = ArrivalInstance(records[:k], name="p")
+                assert head == expected and hash(head) == hash(expected)
+                assert described(head) == described(expected)
+                assert head.arrivals == records[:k]
+                assert described(head)[-1] == record_aggregates(records[:k])
+        if records:
+            assert inst != ArrivalInstance(records[:-1] + ((slots[-1], sizes[-1] + 1),),
+                                           name=name)
 
     def test_from_counts_rejects_bad_counts(self):
         for bad in ((1, -1), (1.5,), (2, 0.5)):
@@ -209,7 +252,7 @@ class TestValidateTrace:
         inst = ArrivalInstance(((1, 1), (2, 1), (3, 1)))
         trace = simulate(inst, FullParallel())
         assert all(abs(b - a) <= 1 for a, b in
-                   zip((0,) + trace.server_counts(), trace.server_counts() + (0,)))
+                   zip((0,) + trace.s, trace.s + (0,)))
         assert cost_of_trace(trace, CostModel.linear(1)).switching_cost == \
             cost_of_trace(trace, CostModel.quadratic(1)).switching_cost
 

@@ -203,9 +203,9 @@ def test_decide_override_takes_the_generic_path():
 def srpt_by_sorting(instance, s_column):
     """Served sets and departures of the SRPT loop, ranked by srpt_select."""
     outstanding, served_sets, departures = [], [], {}
-    by_slot = instance.jobs_by_slot()
     for t, s in enumerate(s_column, start=1):
-        outstanding += [[j, t, instance.arrivals[j][1]] for j in by_slot.get(t, ())]
+        outstanding += [[j, t, size] for j, (slot, size) in enumerate(instance.arrivals)
+                        if slot == t]
         served = srpt_select(outstanding, s)
         for rec in outstanding:
             if rec[0] in served:

@@ -65,7 +65,7 @@ class TestSimulate:
     def test_full_parallel_batch(self):
         trace = simulate(batch(2), FullParallel())
         b = cost_of_trace(trace, CostModel.quadratic(1))
-        assert trace.server_counts() == (2,)
+        assert trace.s == (2,)
         assert (b.flow_time, b.switching_cost, b.total) == (2, 8, 10)
 
     def test_empty_instance(self):
@@ -75,11 +75,11 @@ class TestSimulate:
 
     def test_quad_alg_first_slot(self):
         trace = simulate(batch(12), QuadAlg(alpha=3.0, beta=math.sqrt(3.0)))
-        assert trace.server_counts()[0] == 4
+        assert trace.s[0] == 4
 
     def test_clamps_request_to_occupancy(self):
         trace = simulate(batch(2), _Fixed(99))
-        assert trace.server_counts() == (2,)
+        assert trace.s == (2,)
         assert validate_trace(batch(2), trace).ok
 
     def test_work_conservation_under_clamp(self):
@@ -92,8 +92,8 @@ class TestSimulate:
     def test_idle_gap_recorded(self):
         inst = ArrivalInstance(((1, 1), (4, 1)))
         trace = simulate(inst, FullParallel())
-        assert trace.occupancies() == (1, 0, 0, 1)
-        assert trace.server_counts() == (1, 0, 0, 1)
+        assert trace.n == (1, 0, 0, 1)
+        assert trace.s == (1, 0, 0, 1)
 
     def test_policy_fault(self):
         with pytest.raises(PolicyFaultError):
@@ -130,8 +130,8 @@ class TestSimulate:
         inst = ArrivalInstance(tuple((t, 1) for t in (1, 1, 2, 4, 4, 4)))
         full = simulate(inst, QuadAlg(alpha=2.0))
         light = simulate(inst, QuadAlg(alpha=2.0), record_served=False)
-        assert light.occupancies() == full.occupancies()
-        assert light.server_counts() == full.server_counts()
+        assert light.n == full.n
+        assert light.s == full.s
         assert not light.complete_records
         assert not validate_trace(inst, light).ok
 
@@ -176,8 +176,8 @@ class TestMonotonicity:
                 base.arrivals + ((rng.randint(slots[-1], slots[-1] + 3), 1),))
             policy = QuadAlg(alpha=rng.choice([0.5, 1, 2, 4]),
                              beta=rng.choice([1.0, math.sqrt(3.0), 2.177]))
-            occ_base = simulate(base, policy).occupancies()
-            occ_big = simulate(bigger, policy).occupancies()
+            occ_base = simulate(base, policy).n
+            occ_big = simulate(bigger, policy).n
             for i in range(max(len(occ_base), len(occ_big))):
                 lo = occ_base[i] if i < len(occ_base) else 0
                 hi = occ_big[i] if i < len(occ_big) else 0
@@ -266,7 +266,7 @@ class TestTraceFromServerCounts:
     def test_replays_exact_counts(self):
         inst = ArrivalInstance(((1, 1), (1, 1), (1, 1)))
         trace = trace_from_server_counts(inst, [1, 2])
-        assert trace.server_counts() == (1, 2)
+        assert trace.s == (1, 2)
         assert validate_trace(inst, trace).ok
 
     def test_rejects_infeasible_counts(self):

@@ -34,12 +34,12 @@ class TestDpOpt:
     def test_single_job_quadratic(self):
         cost, trace = dp_opt(batch(1), CostModel.quadratic(1))
         assert cost == 3
-        assert trace.server_counts() == (1,)
+        assert trace.s == (1,)
 
     def test_two_jobs_quadratic(self):
         cost, trace = dp_opt(batch(2), CostModel.quadratic(1))
         assert cost == 5
-        assert trace.server_counts() == (1, 1)
+        assert trace.s == (1, 1)
 
     def test_two_jobs_linear(self):
         cost, _ = dp_opt(batch(2), CostModel.linear(1))
@@ -79,7 +79,7 @@ class TestDpOpt:
         cost, trace = dp_opt(inst, model)
         eager = cost_of_trace(simulate(inst, FullParallel()), model).total
         assert cost < eager
-        assert trace.server_counts()[0] == 0
+        assert trace.s[0] == 0
 
 
 def _dp_reference(instance, model, cfg=None):

@@ -88,8 +88,8 @@ class TestCausality:
             one = ArrivalInstance(early + late_a)
             two = ArrivalInstance(early + late_b)
             for policy in policies:
-                counts_one = simulate(one, policy).server_counts()[:cut]
-                counts_two = simulate(two, policy).server_counts()[:cut]
+                counts_one = simulate(one, policy).s[:cut]
+                counts_two = simulate(two, policy).s[:cut]
                 assert counts_one == counts_two, policy.name
 
 
@@ -259,7 +259,7 @@ class TestSigma2FixedPoint:
         # recursion n <- n + N - (n+N)/alpha^gamma has fixed point (alpha^gamma-1)N
         n_batch, alpha, gamma = 10, 16.0, 0.5
         inst = sigma2(n_batch, 40)
-        occ = simulate(inst, GammaPolicy(alpha=alpha, gamma=gamma)).occupancies()
+        occ = simulate(inst, GammaPolicy(alpha=alpha, gamma=gamma)).n
         fixed_point = (alpha ** gamma - 1.0) * n_batch
         for value in occ[25:40]:
             assert abs(value - fixed_point) <= n_batch
