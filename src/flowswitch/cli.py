@@ -113,6 +113,13 @@ def _merge_config(args):
         raise _UsageError(f"--reps must be at least 1, got {args.reps}")
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, or ValueError naming ``what`` if it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite")
+    return value
+
+
 def _dp_config(args) -> DpConfig:
     return DpConfig(s_cap=args.s_cap, t_cap=args.t_cap)
 
@@ -143,6 +150,7 @@ def _cmd_run(args) -> int:
             policy = make_policy(spec, default_alpha=model.alpha)
             trace = simulate(instance, policy, model)
             breakdown = cost_of_trace(trace, model)
+            _finite(breakdown.total, f"{policy.name} cost under model {model.label}")
             entry = {**breakdown.to_json_dict(), "jobs": instance.job_count}
             if opt_cost is not None:
                 entry["ratio"] = 1.0 if opt_cost == 0 else \
@@ -173,7 +181,7 @@ def _cmd_run(args) -> int:
         if len(entries) > 1 and all("ratio" in e for e in entries):
             merged["max_ratio"] = max(e["ratio"] for e in entries)
         report["policies"].append({"policy": name, **merged})
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -182,7 +190,7 @@ def _cmd_opt(args) -> int:
     model = CostModel.parse(args.model)
     cost, trace = dp_opt(instance, model, _dp_config(args))
     print(json.dumps({"instance": instance.instance_id, "model": model.label,
-                      "cost": cost}, indent=2))
+                      "cost": cost}, indent=2, allow_nan=False))
     _write(args.output, trace.to_csv())
     return EXIT_OK
 
@@ -190,7 +198,7 @@ def _cmd_opt(args) -> int:
 def _cmd_dual(args) -> int:
     instance = _load_instance(args.instance)
     cert = dual_lower_bound(instance, args.alpha, args.beta)
-    print(json.dumps(cert.to_json_dict(), indent=2))
+    print(json.dumps(cert.to_json_dict(), indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -255,7 +263,8 @@ def _cmd_sweep(args) -> int:
             for alpha in alphas:
                 model = CostModel.linear(alpha)
                 policy = GammaPolicy(alpha=alpha, gamma=gamma)
-                total = cost_of_trace(simulate(instance, policy), model).total
+                total = _finite(cost_of_trace(simulate(instance, policy), model).total,
+                                f"{policy.name} cost")
                 if alpha not in opt_costs:
                     opt_costs[alpha] = dp_opt(instance, model, _dp_config(args))[0]
                 opt_cost = opt_costs[alpha]
@@ -272,7 +281,8 @@ def _cmd_sweep(args) -> int:
         for lam in lams:
             params = _alg3_params(args, lam)
             cost = alg3_analytic_cost(lam, args.alpha, params).total
-            samples.append((lam, cost))
+            samples.append((lam, _finite(cost, f"alg3 cost at lambda={lam:g}, "
+                                               f"alpha={args.alpha:g}")))
         slope = scaling_exponent(samples) if len(samples) >= 4 else ""
         for lam, cost in samples:
             writer.writerow([f"{lam:g}", f"{cost:.6g}",

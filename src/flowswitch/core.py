@@ -254,8 +254,8 @@ class CostModel:
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.theta >= 0):
-            raise ValueError(f"theta must be nonnegative, got {self.theta}")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be nonnegative and finite, got {self.theta}")
         object.__setattr__(self, "switching", SwitchingKind(self.switching))
 
     def transition_cost(self, s_prev: float, s_new: float) -> float:

@@ -106,13 +106,18 @@ def _dp_bounds(instance: ArrivalInstance, cfg: DpConfig) -> tuple[int, int]:
 def _dp_grids(instance: ArrivalInstance, model: CostModel, s_cap: int,
               t_end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrivals per slot 0..t_end+1, their running sum, and the switching
-    cost grid ``cgrid[s_prev, s'] = alpha c(s', s_prev)``."""
+    cost grid ``cgrid[s_prev, s'] = alpha c(s', s_prev)``; ValueError if
+    alpha makes an entry of the grid overflow."""
     arr = np.zeros(t_end + 2, dtype=np.int64)
     arr[1:instance.last_slot + 1] = instance.slot_counts
     sp = np.arange(s_cap + 1, dtype=np.float64)
     delta = np.abs(sp[None, :] - sp[:, None])  # [s_prev, s'] = |s' - s_prev|
-    cgrid = model.alpha * (delta if model.switching.value == "linear"
-                           else delta * delta)
+    with np.errstate(over="ignore"):
+        cgrid = model.alpha * (delta if model.switching.value == "linear"
+                               else delta * delta)
+    if not math.isfinite(cgrid[0, -1]):  # the largest entry, c(s_cap, 0)
+        raise ValueError(f"alpha={model.alpha:g} makes the switching cost "
+                         f"alpha*c(s', s) overflow at s_cap={s_cap}")
     return arr, np.cumsum(arr), cgrid
 
 
@@ -142,6 +147,7 @@ def certified_horizon(instance: ArrivalInstance, model: CostModel,
                     *_dp_grids(instance, model, s_cap, ceiling))
 
 
+@np.errstate(over="ignore")  # an overflowed sum costs more than any finite one
 def _certify(instance: ArrivalInstance, s_cap: int, ceiling: int,
              arr: np.ndarray, arrived: np.ndarray, cgrid: np.ndarray) -> Horizon:
     """certified_horizon for a non-empty unit instance whose bounds are
@@ -183,6 +189,7 @@ def _certify(instance: ArrivalInstance, s_cap: int, ceiling: int,
     return Horizon(ceiling, ceiling, margin)
 
 
+@np.errstate(over="ignore")  # an overflowed sum costs more than any finite one
 def dp_opt(instance: ArrivalInstance, model: CostModel,
            cfg: DpConfig | None = None) -> tuple[float, ScheduleTrace]:
     """Exact offline minimum of the slotted objective for unit jobs.
@@ -244,7 +251,11 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     n0 = int(arr[1])
     best = float(v_next[n0, 0])
     if not math.isfinite(best):
-        raise ValueError("no feasible schedule within t_cap")
+        left = 0  # jobs left after t_cap when every slot serves min(n, s_cap)
+        for a in arr[1:t_cap + 1].tolist():
+            left = max(left + a - s_cap, 0)
+        raise ValueError("no feasible schedule within t_cap" if left else
+                         f"alpha={model.alpha:g} makes every schedule's cost overflow")
 
     counts: list[int] = []
     n_cur, s_prev = n0, 0
@@ -334,8 +345,12 @@ def _prefix_flow(instance: ArrivalInstance, k: int, policy: QuadAlg) -> int:
 
 
 def dual_bound_from_flow(flow_time: float, beta: float) -> float:
-    """Weak-duality lower bound F * (4 beta^2 - 9) / (4 beta^2)."""
-    return flow_time * (4.0 * beta * beta - 9.0) / (4.0 * beta * beta)
+    """Weak-duality lower bound F * (4 beta^2 - 9) / (4 beta^2); ValueError
+    if 4 beta^2 is not finite."""
+    square = 4.0 * beta * beta
+    if not math.isfinite(square):
+        raise ValueError(f"beta must keep 4*beta**2 finite, got {beta:g}")
+    return flow_time * (square - 9.0) / square
 
 
 @dataclass(frozen=True)
@@ -375,13 +390,14 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
     """Build the dual certificate for the quadratic rule on this instance."""
     if not instance.sizes_equal:
         raise UnsupportedInstanceError("dual_lower_bound requires equal job sizes")
+    policy = QuadAlg(alpha=alpha, beta=beta)
+    trace = simulate(instance, policy)
+    flow_alg = sum(trace.n)
+    bound = dual_bound_from_flow(flow_alg, beta)  # checks beta before the replays
     degenerate = 4.0 * beta * beta <= 9.0
     if degenerate:
         warnings.warn(f"beta={beta:g} gives a nonpositive dual bound",
                       RuntimeWarning, stacklevel=2)
-    policy = QuadAlg(alpha=alpha, beta=beta)
-    trace = simulate(instance, policy)
-    flow_alg = sum(trace.n)
     size = instance.sizes[0] if instance.sizes else 1
     # prefix flows F(0..J), one replay each; lambda_j = (F(j+1) - F(j)) / size
     # is delta_flow(j) / size exactly, since the flows are integers
@@ -389,7 +405,6 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
     flows.append(flow_alg)  # the whole instance is the last prefix
     lambdas = tuple((after - before) / size
                     for before, after in zip(flows, flows[1:]))
-    bound = dual_bound_from_flow(flow_alg, beta)
 
     slack = _max_pair_slack(instance, lambdas, trace.n, size,
                             effective_alpha(alpha), beta)
@@ -409,7 +424,12 @@ def _max_pair_slack(instance: ArrivalInstance, lambdas, occ, size: int,
     horizon = len(occ)
     if not lambdas or not horizon:
         return -math.inf
-    rhs = (3.0 / beta) * np.sqrt(a_eff * np.asarray(occ, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        load = a_eff * np.asarray(occ, dtype=np.float64)
+    if not np.isfinite(load).all():
+        raise ValueError(f"alpha={a_eff:g} is too large for the dual slack: "
+                         f"alpha*n(t) overflows")
+    rhs = (3.0 / beta) * np.sqrt(load)
     slots = np.arange(1, horizon + 1)
     arrival = np.repeat(np.arange(1, instance.last_slot + 1), instance.slot_counts)
     lam = np.asarray(lambdas, dtype=np.float64)

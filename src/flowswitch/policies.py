@@ -30,8 +30,10 @@ def _check_alpha(alpha: float):
 
 
 # Several targets divide the job count n by a rule constant. From this
-# divisor up, n / divisor stays finite for every n up to 2**53.
+# divisor up, n / divisor stays finite for every n up to 2**53; up to this
+# factor, factor * sqrt(n) does.
 _MIN_DIVISOR = 2.0 ** 54 / sys.float_info.max
+_MAX_FACTOR = sys.float_info.max / 2.0 ** 27
 
 
 class _Rule(ShapedRule):
@@ -159,6 +161,9 @@ class QuadAlg(_Rule):
         super().__post_init__()
         if not 1 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
+        if self.beta > _MAX_FACTOR:
+            raise ValueError(f"beta={self.beta:g} is too large for {self.key}: "
+                             f"beta*sqrt(n/alpha) overflows")
 
     def target(self, n: int) -> int:
         return _ceil(self.beta * math.sqrt(n / effective_alpha(self.alpha)))

@@ -114,23 +114,33 @@ def stationary_distribution(lam: float, policy: MarkovPolicy) -> np.ndarray:
     The truncation point starts at 64 and doubles, up to 2**22, until the
     certified tail mass (geometric bound past the cut) drops below 1e-12.
     """
+    return _stationary(lam, policy)[0]
+
+
+def _stationary(lam: float, policy: MarkovPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary pi over 0..n_max and the rates mu_0..mu_{n_max+1}.
+
+    Each rate is evaluated once: every doubling extends one rate table,
+    then checks it, takes its logs and sums them as array operations.
+    """
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive and finite, got {lam}")
+    mu = np.zeros(1)  # mu[i] = mu_i
     n_max = 64
     while True:
-        log_r = np.empty(n_max + 1)
-        log_r[0] = 0.0
-        for i in range(1, n_max + 1):
-            mu = policy.check_rate(i)
-            if mu == 0.0:
-                raise NonErgodicError(f"mu_{i} = 0 with arrivals pending")
-            log_r[i] = log_r[i - 1] + math.log(lam / mu)
-        weights = np.exp(log_r - log_r.max())
-        pi = weights / weights.sum()
-        ratio = lam / policy.check_rate(n_max + 1)
-        tail = pi[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-        if tail < TAIL_TOL:
-            return pi
+        mu = np.concatenate((mu, np.fromiter(
+            map(policy.rates, range(mu.size, n_max + 2)), np.float64)))
+        _check_rates(policy, mu)
+        mu_next = float(mu[-1])
+        ratio = lam / mu_next if mu_next else math.inf
+        tail = math.inf  # no geometric bound unless lam < mu_{n_max+1}
+        if ratio < 1.0:
+            log_r = np.concatenate(([0.0], np.cumsum(np.log(lam / mu[1:-1]))))
+            weights = np.exp(log_r - log_r.max())
+            pi = weights / weights.sum()
+            tail = pi[-1] * ratio / (1.0 - ratio)
+            if tail < TAIL_TOL:
+                return pi, mu
         if n_max >= 1 << 22:
             reason = ("tail mass above tolerance" if math.isfinite(tail)
                       else "chain not geometrically stable")
@@ -138,13 +148,28 @@ def stationary_distribution(lam: float, policy: MarkovPolicy) -> np.ndarray:
         n_max *= 2
 
 
+def _check_rates(policy: MarkovPolicy, mu: np.ndarray):
+    """Raise what checking mu_1, mu_2, ... in turn raises first: the error
+    of ``check_rate``, or NonErgodicError for a zero rate before the last."""
+    bad = ~(np.isfinite(mu) & (mu >= 0))
+    if policy.model is RateModel.MULTISERVER:
+        bad |= mu > np.arange(mu.size) + 1e-9
+    zero = mu == 0.0
+    zero[[0, -1]] = False  # mu_0 is 0; the last rate only bounds the tail
+    stops = np.flatnonzero(bad | zero)
+    if stops.size:
+        first = int(stops[0])
+        if not bad[first]:
+            raise NonErgodicError(f"mu_{first} = 0 with arrivals pending")
+        policy.check_rate(first)  # raises with the rate's own message
+
+
 def analytic_cost(lam: float, alpha: float,
                   policy: MarkovPolicy) -> StochasticCostEstimate:
     """Exact stationary cost: E[N] + 2 alpha sum_i lam pi_i (mu_i - mu_{i+1})^2."""
-    pi = stationary_distribution(lam, policy)
+    pi, mu = _stationary(lam, policy)
     idx = np.arange(pi.size)
     mean_occ = float((idx * pi).sum())
-    mu = np.array([policy.rates(i) for i in range(pi.size + 1)])
     jump = (mu[:-1] - mu[1:]) ** 2
     switch_rate = 2.0 * float((lam * pi * jump).sum())
     total = mean_occ + alpha * switch_rate

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -378,6 +379,33 @@ class TestInputErrors:
           "--seeds", "1", "--horizon", "2"), 2, "rate must be positive and finite"),
         (("run", "--instance", "random:rate=inf,T=5,seed=1",
           "--policy", "full_parallel"), 2, "rate must be positive and finite"),
+        (("run", "--instance", "batch:N=3", "--policy", "full_parallel",
+          "--model", "linear:alpha=1e308"), 2, "model linear:alpha=1e+308"),
+        (("run", "--instance", "batch:N=3", "--policy", "full_parallel",
+          "--model", "quad:alpha=1,theta=1e308"), 2, "theta=1e+308"),
+        (("run", "--instance", "batch:N=3", "--policy", "full_parallel",
+          "--model", "quad:theta=inf"), 2, "theta must be nonnegative and finite"),
+        (("sweep", "--kind", "alg3", "--lambdas", "1,10,100,1000",
+          "--alpha", "1e308"), 2, "alpha=1e+308"),
+        (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "0",
+          "--alphas", "1e308"), 2, "alpha=1e+308"),
+        (("opt", "--instance", "batch:N=3", "--model", "linear:alpha=1e308"),
+         2, "alpha=1e+308"),
+        (("opt", "--instance", "batch:N=1", "--model", "linear:alpha=1e308"),
+         2, "alpha=1e+308"),
+        (("opt", "--instance", "batch:N=4", "--model", "linear:alpha=1",
+          "--s-cap", "1", "--t-cap", "2"), 2, "no feasible schedule within t_cap"),
+        (("dual", "--instance", "batch:N=3", "--alpha", "1", "--beta", "1e200"),
+         2, "beta"),
+        (("run", "--instance", "batch:N=3", "--policy", "quad_alg:beta=1e200",
+          "--oracle", "dual"), 2, "beta"),
+        (("dual", "--instance", "batch:N=3", "--alpha", "1e308", "--beta", "5e153"),
+         2, "alpha=1e+308"),
+        (("run", "--instance", "batch:N=3", "--policy", "quad_alg:beta=1e308"),
+         2, "beta=1e+308"),
+        (("stochastic", "--policy", "alg2", "--lambda", "1", "--alpha", "1e300"),
+         2, "n_max=4194304"),
+        (("stochastic", "--policy", "alg1", "--lambda", "1e300"), 2, "n_max=4194304"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative",
@@ -389,7 +417,12 @@ class TestInputErrors:
             "alg3-theta2-overflow", "alg3-sweep-theta2-overflow",
             "alg3-threshold-overflow", "alg3-c1-nan", "alg3-theta1-nan",
             "alg3-c2-inf", "alg3-threshold-beyond-guard", "cost-overflow",
-            "figure-rate-nan", "spec-rate-inf"])
+            "figure-rate-nan", "spec-rate-inf", "run-cost-overflow",
+            "run-energy-overflow", "model-theta-inf", "alg3-sweep-cost-overflow",
+            "gamma-sweep-cost-overflow", "opt-switching-grid-overflow",
+            "opt-every-cost-overflows", "opt-infeasible-t-cap", "dual-beta-overflow",
+            "run-dual-beta-overflow", "dual-slack-overflow", "quad-alg-beta-overflow",
+            "alg2-huge-alpha-truncation", "alg1-huge-lambda-truncation"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
@@ -509,8 +542,13 @@ class TestSpecGrammar:
 
 # Spec tokens for the exit-code property: valid values of at most 3, which
 # keep every instance to about 9 jobs over at most 6 slots, and malformed ones.
+# Cost weights and policy constants also take huge values; instance sizes
+# never do (periodic:k=1e300 would allocate without bound).
 _VALUES = st.one_of(st.sampled_from(["1", "2", "3"]),
                     st.sampled_from(["0", "0.5", "1.5", "-1", "nan", "inf", ""]))
+_HUGE = ["1e300", "1e308"]
+_WEIGHTS = st.one_of(_VALUES, st.sampled_from(_HUGE))
+_HUGE_KEYS = ("alpha", "theta", "beta")
 _INSTANCE_KEYS = {"batch": ("n", "w"), "periodic": ("x", "k"), "sigma1": ("n",),
                   "sigma2": ("n", "t"), "random": ("rate", "t", "seed")}
 _MODEL_KEYS = {"linear": ("alpha", "theta"), "quad": ("alpha", "theta")}
@@ -526,8 +564,8 @@ def _spec(draw, families):
     keys = [k for k in families[kind] if draw(st.integers(0, 7))]
     if not draw(st.integers(0, 7)):
         keys.append("wat")
-    items = ",".join(f"{draw(st.sampled_from([k, k.upper()]))}={draw(_VALUES)}"
-                     for k in keys)
+    items = ",".join(f"{draw(st.sampled_from([k, k.upper()]))}="
+                     f"{draw(_WEIGHTS if k in _HUGE_KEYS else _VALUES)}" for k in keys)
     if draw(st.booleans()):
         kind = kind.upper()
     return f"{kind}({items})" if draw(st.booleans()) else f"{kind}:{items}"
@@ -536,11 +574,7 @@ def _spec(draw, families):
 # Rates, exponents and constants for the stochastic, sweep and figure
 # commands, half in range and half negative, huge, NaN or infinite.
 # Simulated runs keep lambda <= 100, --events <= 1000 and --cycles <= 40.
-# A huge lambda (alg1, alg2) or alpha (alg2) is left out: the analytic
-# chain then doubles its truncation to 2**22 before it fails, which takes
-# seconds (a correct exit 2, but too slow for a property test).
 _BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", ""]
-_HUGE = ["1e300", "1e308"]
 
 
 def _token(valid, bad=(), huge=False):
@@ -556,8 +590,8 @@ def _rate(huge=False):
     return _token(["0.5", "1", "10", "100"], huge=huge)
 
 
-def _constant(huge=True):
-    return _token(["0.5", "1", "2"], ["1e-320"], huge=huge)
+def _constant():
+    return _token(["0.5", "1", "2"], ["1e-320"], huge=True)
 
 
 def _grid(tokens):
@@ -582,9 +616,9 @@ def _alg3_flags(draw):
 def _stochastic_argv(draw):
     policy = draw(st.sampled_from(["alg1", "alg2", "alg3"]))
     mode = draw(st.sampled_from(["analytic", "simulate"]))
-    lam = _rate(huge=(policy, mode) == ("alg3", "analytic"))
+    lam = _rate(huge=mode == "analytic")
     argv = ["stochastic", "--policy", policy, "--mode", mode, "--lambda", draw(lam)]
-    argv += _optional_flags(draw, [("--alpha", _constant(huge=policy != "alg2"))])
+    argv += _optional_flags(draw, [("--alpha", _constant())])
     if mode == "simulate":
         argv += ["--events", draw(_count(["32", "1000", "31"])),
                  "--cycles", draw(_count(["30", "40"])),
@@ -623,7 +657,7 @@ def _instance_argv(draw):
         return ["gen", instance]
     argv = [command, "--instance", instance]
     if command == "dual":
-        return argv + ["--alpha", draw(_VALUES), "--beta", draw(_VALUES)]
+        return argv + ["--alpha", draw(_WEIGHTS), "--beta", draw(_WEIGHTS)]
     argv += ["--model", draw(_spec(_MODEL_KEYS))]
     if command == "run":
         argv += ["--policy", draw(_spec(_POLICY_KEYS))]
@@ -647,9 +681,23 @@ def _no_constant(name):
 @example(["sweep", "--kind", "alg3", "--lambdas", "0.5,1,10,100", "--theta2", "-2000"])
 @example(["stochastic", "--policy", "alg3", "--lambda", "10", "--c1", "1e308"])
 @example(["stochastic", "--policy", "alg3", "--lambda", "1", "--c2", "inf"])
+@example(["run", "--instance", "batch:N=3", "--policy", "full_parallel",
+          "--model", "linear:alpha=1e308"])
+@example(["run", "--instance", "batch:N=3", "--policy", "full_parallel",
+          "--model", "quad:alpha=1,theta=1e308"])
+@example(["run", "--instance", "batch:N=3", "--policy", "quad_alg:beta=1e200",
+          "--oracle", "dual"])
+@example(["sweep", "--kind", "alg3", "--lambdas", "1,10,100,1000", "--alpha", "1e308"])
+@example(["opt", "--instance", "batch:N=3", "--model", "linear:alpha=1e308"])
+@example(["opt", "--instance", "batch:N=2", "--model", "linear:alpha=1e308"])
+@example(["opt", "--instance", "batch:N=1", "--model", "linear:alpha=1e308"])
+@example(["dual", "--instance", "batch:N=3", "--alpha", "1", "--beta", "1e200"])
+@example(["stochastic", "--policy", "alg2", "--lambda", "1", "--alpha", "1e300"])
+@example(["stochastic", "--policy", "alg1", "--lambda", "1e300"])
 def test_exit_code_contract(argv):
     """Any argv built from these tokens exits 0-3 with a message, never a
-    traceback, and the JSON a stochastic run prints holds no NaN or Infinity."""
+    traceback. On exit 0 the JSON that run, opt, dual and stochastic print
+    holds no NaN or Infinity, and every sweep cell is a finite number."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"FLOWSWITCH_ORACLE_BUDGET": "60"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -658,5 +706,9 @@ def test_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().strip()
-    elif argv[0] == "stochastic":
-        json.loads(out.getvalue(), parse_constant=_no_constant)
+    elif argv[0] in ("run", "opt", "dual", "stochastic"):
+        # opt prints its trace CSV after the JSON
+        json.JSONDecoder(parse_constant=_no_constant).raw_decode(out.getvalue())
+    elif argv[0] == "sweep":
+        header, *rows = csv.reader(io.StringIO(out.getvalue()))
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row if cell)

@@ -8,7 +8,7 @@ from flowswitch import (Alg3Params, CycleOverflowError, MarkovPolicy,
                         NonErgodicError, RateModel, alg1, alg2,
                         alg3_analytic_cost, analytic_cost, scaling_exponent,
                         simulate_alg3, simulate_ctmc, stationary_distribution)
-from flowswitch.stochastic import _batch_ci
+from flowswitch.stochastic import TAIL_TOL, TruncationError, _batch_ci
 
 
 def closed_form(policy: str, lam: float, alpha: float) -> float:
@@ -76,7 +76,65 @@ class TestMarkovPolicy:
         assert policy.rates(1) == pytest.approx(2.0)
 
 
+def stationary_reference(lam, policy, cap=1 << 22):
+    """The per-rate loop that stationary_distribution replaced: every
+    doubling checks and logs mu_1..mu_{n_max} again, one call at a time."""
+    n_max = 64
+    while True:
+        log_r = np.empty(n_max + 1)
+        log_r[0] = 0.0
+        for i in range(1, n_max + 1):
+            mu = policy.check_rate(i)
+            if mu == 0.0:
+                raise NonErgodicError(f"mu_{i} = 0 with arrivals pending")
+            log_r[i] = log_r[i - 1] + math.log(lam / mu)
+        weights = np.exp(log_r - log_r.max())
+        pi = weights / weights.sum()
+        ratio = lam / policy.check_rate(n_max + 1)
+        tail = pi[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+        if tail < TAIL_TOL:
+            return pi
+        if n_max >= cap:
+            raise TruncationError(f"n_max={n_max}")
+        n_max *= 2
+
+
+def rates_breaking_at(bad_at, value, model=RateModel.MULTISERVER):
+    """alg1's rates, but mu_i = value from i = bad_at on."""
+    return MarkovPolicy(lambda i: float(i) if i < bad_at else value,
+                        f"bad-{bad_at}-{value}", model)
+
+
 class TestStationaryDistribution:
+    @pytest.mark.parametrize("lam, policy", [
+        (0.5, alg1()), (40.0, alg1()), (600.0, alg1()), (3.0, alg2(2.0)),
+        (0.7, MarkovPolicy(lambda i: 2.5 if i else 0.0, "mm1",
+                           RateModel.SINGLE_SERVER_SPEED_SCALING))])
+    def test_matches_the_per_rate_loop(self, lam, policy):
+        pi = stationary_distribution(lam, policy)
+        ref = stationary_reference(lam, policy)
+        assert pi.size == ref.size
+        np.testing.assert_allclose(pi, ref, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("policy, error", [
+        (rates_breaking_at(1000, math.nan), ValueError),
+        (rates_breaking_at(1000, -1.0), ValueError),
+        (rates_breaking_at(1000, 2000.0), ValueError),
+        (rates_breaking_at(1000, 0.0), NonErgodicError),
+        (rates_breaking_at(700, 0.0, RateModel.SINGLE_SERVER_SPEED_SCALING),
+         NonErgodicError)])
+    def test_first_bad_rate_raises_as_in_the_loop(self, policy, error):
+        # Poisson(600) needs a cut past 1000, so the table reaches the bad rates
+        with pytest.raises(error) as ref:
+            stationary_reference(600.0, policy)
+        with pytest.raises(error) as err:
+            stationary_distribution(600.0, policy)
+        assert str(err.value) == str(ref.value)
+
+    def test_slow_rates_fail_at_the_cap(self):
+        with pytest.raises(TruncationError, match="n_max=4194304"):
+            stationary_distribution(1e300, alg1())
+
     def test_alg1_is_poisson(self):
         for lam in (0.5, 1.0, 4.0):
             pi = stationary_distribution(lam, alg1())
