@@ -112,12 +112,11 @@ def _dp_grids(instance: ArrivalInstance, model: CostModel, s_cap: int,
     arr[1:instance.last_slot + 1] = instance.slot_counts
     sp = np.arange(s_cap + 1, dtype=np.float64)
     delta = np.abs(sp[None, :] - sp[:, None])  # [s_prev, s'] = |s' - s_prev|
-    with np.errstate(over="ignore"):
-        cgrid = model.alpha * (delta if model.switching.value == "linear"
-                               else delta * delta)
-    if not math.isfinite(cgrid[0, -1]):  # the largest entry, c(s_cap, 0)
-        raise ValueError(f"alpha={model.alpha:g} makes the switching cost "
-                         f"alpha*c(s', s) overflow at s_cap={s_cap}")
+    if not math.isfinite(model.alpha * model.transition_cost(0, s_cap)):
+        raise ValueError(f"alpha={model.alpha:g} makes the largest switching "
+                         f"cost alpha*c(s_cap, 0) overflow at s_cap={s_cap}")
+    cgrid = model.alpha * (delta if model.switching.value == "linear"
+                           else delta * delta)
     return arr, np.cumsum(arr), cgrid
 
 

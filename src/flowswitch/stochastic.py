@@ -131,13 +131,12 @@ def _stationary(lam: float, policy: MarkovPolicy) -> tuple[np.ndarray, np.ndarra
         mu = np.concatenate((mu, np.fromiter(
             map(policy.rates, range(mu.size, n_max + 2)), np.float64)))
         _check_rates(policy, mu)
-        mu_next = float(mu[-1])
-        ratio = lam / mu_next if mu_next else math.inf
         tail = math.inf  # no geometric bound unless lam < mu_{n_max+1}
-        if ratio < 1.0:
+        if lam < mu[-1]:
             log_r = np.concatenate(([0.0], np.cumsum(np.log(lam / mu[1:-1]))))
             weights = np.exp(log_r - log_r.max())
             pi = weights / weights.sum()
+            ratio = lam / float(mu[-1])
             tail = pi[-1] * ratio / (1.0 - ratio)
             if tail < TAIL_TOL:
                 return pi, mu
@@ -151,17 +150,15 @@ def _stationary(lam: float, policy: MarkovPolicy) -> tuple[np.ndarray, np.ndarra
 def _check_rates(policy: MarkovPolicy, mu: np.ndarray):
     """Raise what checking mu_1, mu_2, ... in turn raises first: the error
     of ``check_rate``, or NonErgodicError for a zero rate before the last."""
-    bad = ~(np.isfinite(mu) & (mu >= 0))
+    stop = ~(mu > 0) | ~np.isfinite(mu)  # zero, negative, NaN or infinite
     if policy.model is RateModel.MULTISERVER:
-        bad |= mu > np.arange(mu.size) + 1e-9
-    zero = mu == 0.0
-    zero[[0, -1]] = False  # mu_0 is 0; the last rate only bounds the tail
-    stops = np.flatnonzero(bad | zero)
+        stop |= mu > np.arange(mu.size) + 1e-9
+    stops = np.flatnonzero(stop[1:]) + 1  # mu_0 = 0 is no stop
     if stops.size:
         first = int(stops[0])
-        if not bad[first]:
+        policy.check_rate(first)  # raises for a rate that is not valid
+        if first < mu.size - 1:  # a zero; the last rate only bounds the tail
             raise NonErgodicError(f"mu_{first} = 0 with arrivals pending")
-        policy.check_rate(first)  # raises with the rate's own message
 
 
 def analytic_cost(lam: float, alpha: float,
@@ -183,9 +180,12 @@ def _batch_ci(rewards: Sequence[float], durations: Sequence[float]) -> float:
     k = len(rewards)
     if k < 2:
         return math.inf
-    rates = np.asarray(rewards) / np.asarray(durations)
+    # rewards near the float limit give an inf or NaN halfwidth (exit 2 in the CLI)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = np.asarray(rewards) / np.asarray(durations)
+        spread = float(rates.std(ddof=1))
     crit = float(stdtrit(k - 1, 0.975))
-    return crit * float(rates.std(ddof=1)) / math.sqrt(k)
+    return crit * spread / math.sqrt(k)
 
 
 def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,

@@ -694,6 +694,8 @@ def _no_constant(name):
 @example(["dual", "--instance", "batch:N=3", "--alpha", "1", "--beta", "1e200"])
 @example(["stochastic", "--policy", "alg2", "--lambda", "1", "--alpha", "1e300"])
 @example(["stochastic", "--policy", "alg1", "--lambda", "1e300"])
+@example(["stochastic", "--policy", "alg1", "--mode", "simulate", "--lambda", "0.5",
+          "--alpha", "1e308", "--events", "32", "--cycles", "30", "--seed", "0"])
 def test_exit_code_contract(argv):
     """Any argv built from these tokens exits 0-3 with a message, never a
     traceback. On exit 0 the JSON that run, opt, dual and stochastic print
