@@ -224,7 +224,12 @@ def _cmd_stochastic(args) -> int:
     else:
         estimate = simulate_ctmc(args.lam, args.alpha, policy,
                                  event_budget=args.events, seed=args.seed)
-    print(json.dumps(estimate.to_json_dict(), indent=2, allow_nan=False))
+    payload = estimate.to_json_dict()
+    for key, value in [*payload.items(), *payload["meta"].items()]:
+        if isinstance(value, float):
+            _finite(value, f"{args.policy} {key} at lambda={args.lam!r}, "
+                           f"alpha={args.alpha!r}")
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return EXIT_OK
 
 

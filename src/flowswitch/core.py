@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 
 import numpy as np
 
@@ -199,7 +199,13 @@ class ArrivalInstance:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 't w', got {raw!r}")
-            records.append((int(parts[0]), int(parts[1])))
+            try:
+                slot, size = int(parts[0]), int(parts[1])
+                if slot < 1 or size < 1:
+                    cls(((slot, size),))  # raises, naming the field
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            records.append((slot, size))
         return cls(tuple(records), name=name)
 
     @classmethod
@@ -309,11 +315,10 @@ class _SlotView(Sequence):
     ``range(S(T))`` as its ids, so its served sets are ranges of ids.
     """
 
-    __slots__ = ("_t", "_n", "_s", "_ids", "_offsets")
+    __slots__ = ("_n", "_s", "_ids", "_offsets")
 
-    def __init__(self, t, n, s, ids, offsets):
-        self._t, self._n, self._s = t, n, s
-        self._ids, self._offsets = ids, offsets
+    def __init__(self, n, s, ids, offsets):
+        self._n, self._s, self._ids, self._offsets = n, s, ids, offsets
 
     def __len__(self):
         return len(self._s)
@@ -323,12 +328,12 @@ class _SlotView(Sequence):
             return tuple(self[i] for i in range(len(self._s))[index])
         i = range(len(self._s))[index]
         first, end = self._offsets[i], self._offsets[i + 1]
-        return SlotRecord(self._t[i], self._n[i], self._s[i],
+        return SlotRecord(i + 1, self._n[i], self._s[i],
                           frozenset(self._ids[first:end]))
 
     def __iter__(self):
         ids, offsets = self._ids, self._offsets
-        for t, n, s, first, end in zip(self._t, self._n, self._s,
+        for t, n, s, first, end in zip(count(1), self._n, self._s,
                                        offsets, offsets[1:]):
             yield SlotRecord(t, n, s, frozenset(ids[first:end]))
 
@@ -342,31 +347,20 @@ class _SlotView(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class ServedColumns:
-    """The served sets and departures of a trace, as flat columns.
+    """The served sets of a trace, as flat columns.
 
     ``ids`` holds the served ids of every slot, slot after slot, and
-    ``counts`` how many of them belong to each slot. ``slot_numbers`` are
-    the recorded slot numbers, None when they run 1..T. ``departures``
-    are the departures given with the trace; when None, a job departs at
-    the last slot that serves it.
+    ``counts`` how many of them belong to each slot.
     """
 
     ids: tuple[int, ...]
     counts: tuple[int, ...]
-    slot_numbers: tuple[int, ...] | None = None
-    departures: Mapping[int, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "counts", tuple(self.counts))
         if sum(self.counts) != len(self.ids):
             raise ValueError("counts do not partition the served ids by slot")
-        if self.slot_numbers is not None:
-            numbers = tuple(self.slot_numbers)
-            if len(numbers) != len(self.counts):
-                raise ValueError("slot_numbers and counts differ in length")
-            contiguous = numbers == tuple(range(1, len(numbers) + 1))
-            object.__setattr__(self, "slot_numbers", None if contiguous else numbers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,13 +370,13 @@ class ScheduleTrace:
     ``n[i]`` and ``s[i]`` belong to slot i+1. Idle slots (n=0, s=0) are
     recorded. A FIFO trace (unit jobs from the count engine or ``dp_opt``)
     keeps only these columns: slot t serves ids [S(t-1), S(t)), with S the
-    running sum of s. Every other trace (general-size SRPT, CSV input,
-    ``from_slots``) keeps its served sets and departures in ``served``,
-    one flat id column with per-slot counts (see ``ServedColumns``).
+    running sum of s. Every other trace (general-size SRPT, CSV input)
+    keeps its served sets in ``served``, one flat id column with per-slot
+    counts (see ``ServedColumns``).
 
     ``slots`` is a view built on access: no SlotRecord or frozenset exists
-    until a caller reads it. ``departures`` are the ones given with the
-    served columns, or else, for every trace, each id's last serving slot.
+    until a caller reads it. A slot's number is its position, and a job
+    departs at the last slot that serves it (``departures``).
 
     ``complete_records`` is False for bulk simulation runs; such traces
     cost fine but cannot be validated.
@@ -403,17 +397,6 @@ class ScheduleTrace:
         if self.served is not None and len(self.served.counts) != len(self.s):
             raise ValueError("served columns and s differ in length")
 
-    @classmethod
-    def from_slots(cls, slots, departures: Mapping[int, int], policy_name: str = "",
-                   instance_id: str = "") -> "ScheduleTrace":
-        """A trace whose per-slot served sets and departures are given."""
-        slots = tuple(slots)
-        served = ServedColumns(chain.from_iterable(rec.served for rec in slots),
-                               [len(rec.served) for rec in slots],
-                               [rec.t for rec in slots], departures)
-        return cls(tuple(rec.n for rec in slots), tuple(rec.s for rec in slots),
-                   policy_name, instance_id, served=served)
-
     @property
     def _counts(self) -> tuple[int, ...]:
         """How many ids each slot serves."""
@@ -429,23 +412,15 @@ class ScheduleTrace:
         """The served ids, slot after slot: ``range(S(T))`` for a FIFO trace."""
         return range(self._offsets[-1]) if self.served is None else self.served.ids
 
-    @property
-    def _slot_numbers(self) -> Sequence[int]:
-        if self.served is None or self.served.slot_numbers is None:
-            return range(1, len(self.s) + 1)
-        return self.served.slot_numbers
-
     @cached_property
     def slots(self) -> Sequence[SlotRecord]:
-        return _SlotView(self._slot_numbers, self.n, self.s, self._ids, self._offsets)
+        return _SlotView(self.n, self.s, self._ids, self._offsets)
 
     @cached_property
     def departures(self) -> Mapping[int, int]:
-        if self.served is not None and self.served.departures is not None:
-            return self.served.departures
         # later slots overwrite earlier ones: the last slot serving each id
         return dict(zip(self._ids, chain.from_iterable(
-            map(repeat, self._slot_numbers, self._counts))))
+            map(repeat, count(1), self._counts))))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -456,20 +431,18 @@ class ScheduleTrace:
             return False
         if self.served is None and other.served is None:
             return True
-        return self.slots == other.slots and \
-            dict(self.departures) == dict(other.departures)
+        return self.slots == other.slots
 
     __hash__ = None
 
     @property
     def last_slot(self) -> int:
-        numbers = self._slot_numbers
-        return numbers[-1] if numbers else 0
+        return len(self.s)
 
     def to_csv(self) -> str:
         """One row per slot: t, n, s and the served ids in ascending order."""
         offsets = self._offsets
-        rows = zip(self._slot_numbers, self.n, self.s, offsets, offsets[1:])
+        rows = zip(count(1), self.n, self.s, offsets, offsets[1:])
         lines = ["t,n,s,served_ids"]
         if self.served is None:  # ids straight from the cumulative s
             lines += [f"{t},{n},{s},{';'.join(map(str, range(first, end)))}"
@@ -486,7 +459,8 @@ class ScheduleTrace:
         """Read ``to_csv`` output (rows 't,n,s,id;id;...') into columns.
 
         Ids are kept as written; the ``slots`` view reads each slot's ids
-        as a set, and a job departs at the last row that serves it.
+        as a set, and a job departs at the last row that serves it. The t
+        column must count 1..T: ValueError names the first row that does not.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].split(",")[:3] != ["t", "n", "s"]:
@@ -496,7 +470,10 @@ class ScheduleTrace:
         if columns is None:
             columns = _csv_rows(rows)
         t, n, s, ids, counts = columns
-        return cls(n, s, served=ServedColumns(ids, counts, t))
+        if t != list(range(1, len(t) + 1)):
+            row = next(row for row, value in enumerate(t, start=1) if value != row)
+            raise ValueError(f"trace CSV row {row} has t={t[row - 1]}, expected {row}")
+        return cls(n, s, served=ServedColumns(ids, counts))
 
 
 def _csv_columns(rows: list[list[str]]):
@@ -599,13 +576,13 @@ def validate_trace(instance: ArrivalInstance, trace: ScheduleTrace) -> Validatio
     Returns the first violation found, scanning slots in order. Per slot the
     checks run in this order: work neutrality (realized service never ahead
     of arrived work, no service before arrival), s <= n, served-count = s,
-    no service beyond a job's size. Global checks follow: every job finishes
-    exactly, recorded departures match, and the n(t) column is consistent.
+    no service beyond a job's size; then every job must finish exactly.
+    Slot numbers and departures come from the rows, so nothing checks them.
 
     One array pass over the columns (``_columns_valid``) accepts a valid
-    trace whose slots run 1..T without an id repeated within a slot. Any
-    other trace goes to the per-slot loop ``_validate_reference``, the one
-    place that picks and words the first violation.
+    trace without an id repeated within a slot. Any other trace goes to the
+    per-slot loop ``_validate_reference``, the one place that picks and
+    words the first violation.
     """
     if _columns_valid(instance, trace):
         return _VALID
@@ -627,14 +604,13 @@ def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
     """True when the trace passes every check of ``_validate_reference``.
 
     The checks hold as array operations over the flat served ids (FIFO
-    traces: ``range(S(T))``) when slots run 1..T and no slot repeats an
-    id: then each job's service count, its completion slot and the
-    per-slot arrived work are plain reductions. False means "not shown
-    valid", never "invalid".
+    traces: ``range(S(T))``) when no slot repeats an id: then each job's
+    service count, its completion slot and the per-slot arrived work are
+    plain reductions. False means "not shown valid", never "invalid".
     """
     served = trace.served
-    if not trace.complete_records or (served is not None and (
-            served.slot_numbers is not None or served.counts != trace.s)):
+    if not trace.complete_records or (served is not None and
+                                      served.counts != trace.s):
         return False
     n, s = _int_column(trace.n), _int_column(trace.s)
     if n is None or s is None or not ((s >= 0) & (s <= n)).all():
@@ -667,18 +643,7 @@ def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
             return False  # an id repeated within a slot
         done = at[np.append(~again, True)]  # each job's last service
     finished_by = np.cumsum(np.bincount(done, minlength=horizon + 1))
-    if not (n == arrived - finished_by[:horizon]).all():
-        return False
-    if served is None or served.departures is None:
-        return True  # departures are the last serving slots by construction
-    given = served.departures
-    if len(given) != jobs:
-        return False
-    keys, values = _int_column(list(given.keys())), _int_column(list(given.values()))
-    if keys is None or values is None or \
-            (keys.size and not 0 <= keys.min() <= keys.max() < jobs):
-        return False
-    return bool((values == done[keys]).all())
+    return bool((n == arrived - finished_by[:horizon]).all())
 
 
 def _validate_reference(instance: ArrivalInstance,
@@ -691,19 +656,13 @@ def _validate_reference(instance: ArrivalInstance,
     job_ids = range(len(jobs))
 
     served_units = {j: 0 for j in job_ids}
-    last_service: dict[int, int] = {}
     cum_work = 0
     cum_served = 0
     arrived = 0
     completed_before = 0  # jobs fully served by slot t-1
     next_job = 0
 
-    expected_t = 1
     for rec in trace.slots:
-        if rec.t != expected_t:
-            return ValidationResult(False, "slot_indexing", slot=rec.t,
-                                    message=f"expected slot {expected_t}, got {rec.t}")
-        expected_t += 1
         t = rec.t
         while next_job < len(jobs) and jobs[next_job][0] <= t:
             arrived += 1
@@ -735,7 +694,6 @@ def _validate_reference(instance: ArrivalInstance,
             if served_units[j] > jobs[j][1]:
                 return ValidationResult(False, "overservice", slot=t, job_id=j,
                                         message="service beyond job size")
-            last_service[j] = t
             if served_units[j] == jobs[j][1]:
                 completed_before += 1
 
@@ -743,13 +701,4 @@ def _validate_reference(instance: ArrivalInstance,
         if served_units[j] != jobs[j][1]:
             return ValidationResult(False, "incomplete_job", job_id=j,
                                     message=f"job {j} received {served_units[j]}/{jobs[j][1]} units")
-        d = trace.departures.get(j)
-        if d is None or d != last_service[j]:
-            return ValidationResult(False, "departure_mismatch", job_id=j,
-                                    message=f"recorded departure {d}, actual {last_service.get(j)}")
-        if d < jobs[j][0]:
-            return ValidationResult(False, "departure_before_arrival", job_id=j)
-    if next_job < len(jobs):
-        return ValidationResult(False, "truncated_trace",
-                                message="trace ends before all arrivals")
     return _VALID

@@ -133,7 +133,8 @@ def _stationary(lam: float, policy: MarkovPolicy) -> tuple[np.ndarray, np.ndarra
         _check_rates(policy, mu)
         tail = math.inf  # no geometric bound unless lam < mu_{n_max+1}
         if lam < mu[-1]:
-            log_r = np.concatenate(([0.0], np.cumsum(np.log(lam / mu[1:-1]))))
+            with np.errstate(divide="ignore"):  # lam / mu_i may underflow to 0
+                log_r = np.concatenate(([0.0], np.cumsum(np.log(lam / mu[1:-1]))))
             weights = np.exp(log_r - log_r.max())
             pi = weights / weights.sum()
             ratio = lam / float(mu[-1])
@@ -246,11 +247,13 @@ def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
         states = np.fromiter(path, np.int64, size + 1)
         rates = np.asarray(mu)
         before = states[:-1]
-        hold = (1.0 / (lam + rates))[before]
-        jumps = rates[states[1:]] - rates[before]
-        batch_clock = float(hold.sum())
-        batch_area = float(before @ hold)
-        batch_sc = float(jumps @ jumps)
+        # a subnormal lam overflows 1 / lam: the CLI rejects what is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            hold = (1.0 / (lam + rates))[before]
+            jumps = rates[states[1:]] - rates[before]
+            batch_clock = float(hold.sum())
+            batch_area = float(before @ hold)
+            batch_sc = float(jumps @ jumps)
         clock += batch_clock
         area += batch_area
         sc += batch_sc

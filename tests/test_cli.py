@@ -374,7 +374,23 @@ class TestInputErrors:
         (("stochastic", "--policy", "alg3", "--lambda", "0.5", "--c1", "1e300",
           "--mode", "simulate", "--cycles", "30"), 2, "no busy period"),
         (("stochastic", "--policy", "alg1", "--lambda", "1", "--alpha", "1e308"),
-         2, "not JSON compliant"),
+         2, "alg1 total at lambda=1.0, alpha=1e+308 is not finite"),
+        (("stochastic", "--policy", "alg1", "--lambda", "1", "--alpha", "1e308",
+          "--mode", "simulate", "--events", "1000"),
+         2, "alg1 total at lambda=1.0, alpha=1e+308"),
+        (("stochastic", "--policy", "alg3", "--lambda", "1", "--alpha", "1e308"),
+         2, "alg3 total at lambda=1.0, alpha=1e+308"),
+        (("stochastic", "--policy", "alg3", "--lambda", "1", "--alpha", "1e308",
+          "--mode", "simulate", "--cycles", "30"),
+         2, "alg3 total at lambda=1.0, alpha=1e+308"),
+        (("stochastic", "--policy", "alg3", "--lambda", "5e-324", "--mode", "analytic"),
+         2, "alg3 mean_idle at lambda=5e-324"),
+        (("stochastic", "--policy", "alg3", "--lambda", "1e-310", "--mode", "simulate",
+          "--cycles", "30"),
+         2, "alg3 mean_idle at lambda=1e-310"),
+        (("stochastic", "--policy", "alg1", "--lambda", "1e-320", "--mode", "simulate",
+          "--events", "1000"),
+         2, "alg1 mean_occupancy at lambda=1e-320"),
         (("reproduce-figure", "--figure", "quad_a1", "--rates", "nan",
           "--seeds", "1", "--horizon", "2"), 2, "rate must be positive and finite"),
         (("run", "--instance", "random:rate=inf,T=5,seed=1",
@@ -416,7 +432,7 @@ class TestInputErrors:
             "run-dp-s-cap-zero", "run-dp-s-cap-negative", "opt-empty-s-cap-negative",
             "alg3-theta2-overflow", "alg3-sweep-theta2-overflow",
             "alg3-threshold-overflow", "alg3-c1-nan", "alg3-theta1-nan",
-            "alg3-c2-inf", "alg3-threshold-beyond-guard", "cost-overflow",
+            "alg3-c2-inf", "alg3-threshold-beyond-guard", "cost-overflow", "alg1-simulated-cost-overflow", "alg3-cost-overflow", "alg3-simulated-cost-overflow", "alg3-subnormal-lambda", "alg3-simulated-subnormal-lambda", "alg1-simulated-subnormal-lambda",
             "figure-rate-nan", "spec-rate-inf", "run-cost-overflow",
             "run-energy-overflow", "model-theta-inf", "alg3-sweep-cost-overflow",
             "gamma-sweep-cost-overflow", "opt-switching-grid-overflow",
@@ -426,6 +442,35 @@ class TestInputErrors:
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
+        assert needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, expected_code", [
+        (("--policy", "alg1", "--lambda", "5e-324"), 0),
+        (("--policy", "alg2", "--lambda", "5e-324"), 0),
+        (("--policy", "alg1", "--lambda", "1e-320", "--mode", "simulate",
+          "--events", "1000"), 2),
+    ])
+    def test_subnormal_lambda_warns_nothing(self, capsys, argv, expected_code):
+        code, out, err = run_cli(capsys, "stochastic", *argv)
+        assert code == expected_code
+        if code == 0:
+            assert json.loads(out)["meta"]["lam"] == 5e-324
+
+    @pytest.mark.parametrize("body, needle", [
+        ("1 1\n2 x\n", "line 2: invalid literal for int()"),
+        ("# two jobs\n1 1\n2 1.5\n", "line 3: invalid literal for int()"),
+        ("0 1\n", "line 1: arrival slot must be a positive integer, got 0"),
+        ("1 1\n\n3 0\n", "line 3: job size must be a positive integer, got 0"),
+        ("1 1\n2\n", "line 2: expected 't w'"),
+    ], ids=["letter", "fraction", "slot-zero", "size-zero", "one-field"])
+    def test_instance_file_errors_name_the_line(self, capsys, tmp_path, body, needle):
+        path = tmp_path / "inst.txt"
+        path.write_text(body)
+        code, out, err = run_cli(capsys, "run", "--instance", str(path),
+                                 "--policy", "full_parallel")
+        assert code == 2
         assert needle in err
         assert "Traceback" not in err
 
@@ -587,7 +632,7 @@ def _count(valid):
 
 
 def _rate(huge=False):
-    return _token(["0.5", "1", "10", "100"], huge=huge)
+    return _token(["0.5", "1", "10", "100"], ["5e-324", "1e-310"], huge=huge)
 
 
 def _constant():
@@ -696,6 +741,17 @@ def _no_constant(name):
 @example(["stochastic", "--policy", "alg1", "--lambda", "1e300"])
 @example(["stochastic", "--policy", "alg1", "--mode", "simulate", "--lambda", "0.5",
           "--alpha", "1e308", "--events", "32", "--cycles", "30", "--seed", "0"])
+@example(["stochastic", "--policy", "alg1", "--lambda", "1", "--alpha", "1e308",
+          "--mode", "simulate", "--events", "1000"])
+@example(["stochastic", "--policy", "alg3", "--lambda", "1", "--alpha", "1e308"])
+@example(["stochastic", "--policy", "alg3", "--lambda", "1", "--alpha", "1e308",
+          "--mode", "simulate", "--cycles", "30"])
+@example(["stochastic", "--policy", "alg3", "--lambda", "5e-324", "--mode", "analytic"])
+@example(["stochastic", "--policy", "alg3", "--lambda", "1e-310", "--mode", "simulate",
+          "--cycles", "30"])
+@example(["stochastic", "--policy", "alg1", "--lambda", "1e-320", "--mode", "simulate",
+          "--events", "1000"])
+@example(["stochastic", "--policy", "alg1", "--lambda", "5e-324"])
 def test_exit_code_contract(argv):
     """Any argv built from these tokens exits 0-3 with a message, never a
     traceback. On exit 0 the JSON that run, opt, dual and stochastic print

@@ -18,9 +18,18 @@ from flowswitch.policies import BalanceDelta, FullParallel, Lg, QuadAlg
 from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
 
 
-def make_trace(records, departures):
-    slots = tuple(SlotRecord(t, n, s, frozenset(ids)) for t, n, s, ids in records)
-    return ScheduleTrace.from_slots(slots, dict(departures))
+def served_trace(rows, policy_name="", instance_id=""):
+    """A trace with its served sets given, one (n, s, ids) row per slot:
+    slot numbers and departures follow from the rows."""
+    rows = tuple(rows)
+    served = core.ServedColumns([j for _, _, ids in rows for j in ids],
+                                [len(ids) for _, _, ids in rows])
+    return ScheduleTrace(tuple(n for n, _, _ in rows), tuple(s for _, s, _ in rows),
+                         policy_name, instance_id, served=served)
+
+
+def rows_of(slots):
+    return [(rec.n, rec.s, rec.served) for rec in slots]
 
 
 AGGREGATES = ("job_count", "total_work", "last_slot", "all_unit", "sizes_equal",
@@ -183,7 +192,7 @@ class TestCostOfTrace:
         assert b.total == b.flow_time + b.alpha * b.switching_cost + b.energy_cost
 
     def test_rejects_broken_slot(self):
-        trace = make_trace([(1, 1, 2, (0,))], {0: 1})
+        trace = served_trace([(1, 2, (0,))])
         with pytest.raises(TraceValidationError) as err:
             cost_of_trace(trace, CostModel.linear(1))
         assert err.value.violation == "s_le_n"
@@ -199,8 +208,8 @@ class TestCostOfTrace:
         # same-size jobs swapped: identical cost
         inst = ArrivalInstance(((1, 1), (1, 1), (2, 1)))
         model = CostModel.quadratic(1)
-        a = make_trace([(1, 2, 1, (0,)), (2, 2, 2, (1, 2))], {0: 1, 1: 2, 2: 2})
-        b = make_trace([(1, 2, 1, (1,)), (2, 2, 2, (0, 2))], {1: 1, 0: 2, 2: 2})
+        a = served_trace([(2, 1, (0,)), (2, 2, (1, 2))])
+        b = served_trace([(2, 1, (1,)), (2, 2, (0, 2))])
         assert validate_trace(inst, a).ok and validate_trace(inst, b).ok
         assert cost_of_trace(a, model) == cost_of_trace(b, model)
 
@@ -208,29 +217,29 @@ class TestCostOfTrace:
 class TestValidateTrace:
     def test_valid_single_job(self):
         inst = batch(1)
-        trace = make_trace([(1, 1, 1, (0,))], {0: 1})
+        trace = served_trace([(1, 1, (0,))])
         assert validate_trace(inst, trace).ok
 
     def test_service_before_arrival_is_work_neutrality(self):
         inst = ArrivalInstance(((2, 1),))
-        trace = make_trace([(1, 0, 1, (0,)), (2, 1, 0, ())], {0: 1})
+        trace = served_trace([(0, 1, (0,)), (1, 0, ())])
         result = validate_trace(inst, trace)
         assert (result.violation, result.slot) == ("work_neutrality", 1)
 
     def test_more_servers_than_jobs(self):
-        trace = make_trace([(1, 2, 3, (0, 1))], {0: 1, 1: 1})
+        trace = served_trace([(2, 3, (0, 1))])
         result = validate_trace(batch(2), trace)
         assert (result.violation, result.slot) == ("s_le_n", 1)
 
     def test_incomplete_job(self):
         inst = ArrivalInstance(((1, 2),))
-        trace = make_trace([(1, 1, 1, (0,))], {0: 1})
+        trace = served_trace([(1, 1, (0,))])
         result = validate_trace(inst, trace)
         assert result.violation == "incomplete_job"
         assert result.job_id == 0
 
     def test_occupancy_mismatch(self):
-        trace = make_trace([(1, 3, 1, (0,)), (2, 1, 1, (1,))], {0: 1, 1: 2})
+        trace = served_trace([(3, 1, (0,)), (1, 1, (1,))])
         result = validate_trace(batch(2), trace)
         assert (result.violation, result.slot) == ("occupancy_mismatch", 1)
 
@@ -268,25 +277,17 @@ def corrupted_traces(instances, seed=99):
             continue
         idx = rng.randrange(len(trace.slots))
         rec = trace.slots[idx]
-        kind = rng.choice(["bump_s", "bump_n", "drop_served", "shift_departure"])
-        slots = list(trace.slots)
-        departures = dict(trace.departures)
+        kind = rng.choice(["bump_s", "bump_n", "drop_served"])
+        rows = rows_of(trace.slots)
         if kind == "bump_s":
-            slots[idx] = SlotRecord(rec.t, rec.n, rec.s + 1, rec.served)
+            rows[idx] = (rec.n, rec.s + 1, rec.served)
         elif kind == "bump_n":
-            slots[idx] = SlotRecord(rec.t, rec.n + 1, rec.s, rec.served)
-        elif kind == "drop_served":
+            rows[idx] = (rec.n + 1, rec.s, rec.served)
+        else:
             if not rec.served:
                 continue
-            kept = frozenset(list(rec.served)[1:])
-            slots[idx] = SlotRecord(rec.t, rec.n, rec.s, kept)
-        else:
-            if not departures:
-                continue
-            job = rng.choice(sorted(departures))
-            departures[job] += 1
-        yield inst, kind, ScheduleTrace.from_slots(
-            slots, departures, trace.policy_name, trace.instance_id)
+            rows[idx] = (rec.n, rec.s, list(rec.served)[1:])
+        yield inst, kind, served_trace(rows, trace.policy_name, trace.instance_id)
 
 
 class TestValidatorFuzz:
@@ -310,6 +311,13 @@ class TestTraceCsv:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             ScheduleTrace.from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("t_column, row", [
+        ((1, 3), 2), ((2, 3), 1), ((1, 1), 2), ((1, 2, 2, 5), 3)])
+    def test_t_must_count_from_one(self, t_column, row):
+        body = "".join(f"{t},0,0,\n" for t in t_column)
+        with pytest.raises(ValueError, match=f"row {row} has t={t_column[row - 1]}"):
+            ScheduleTrace.from_csv("t,n,s,served_ids\n" + body)
 
 
 # The trace CSV reader and writer as they were when every trace kept one
@@ -355,7 +363,7 @@ COLUMNAR_POLICIES = (FullParallel(), QuadAlg(alpha=2.0, beta=2.0),
 def recorded_traces(unit_instances):
     """(instance, trace) for every trace kind the lab writes and validates:
     unit-engine, SRPT-engine and dp_opt traces, each also read back from
-    its CSV and rebuilt by from_slots with its departures given."""
+    its CSV and rebuilt from its slots as served columns."""
     instances = list(unit_instances) + mixed_instances() + \
         [random_slotted(20.0, 60, 3), ArrivalInstance(((1, 3),) * 30 + ((9, 2),) * 20)]
     for inst in instances:
@@ -365,7 +373,7 @@ def recorded_traces(unit_instances):
         for trace in traces:
             yield inst, trace
             yield inst, ScheduleTrace.from_csv(trace.to_csv())
-            yield inst, ScheduleTrace.from_slots(trace.slots, dict(trace.departures))
+            yield inst, served_trace(rows_of(trace.slots))
 
 
 CSV_INSTANCES = (batch(3), ArrivalInstance.from_counts((2, 0, 3, 1)),
@@ -416,7 +424,7 @@ class TestColumnarTraces:
             text = trace.to_csv()
             assert text == writer_by_records(trace), inst.name
             again, old = ScheduleTrace.from_csv(text), reader_by_records(text)
-            assert again == ScheduleTrace.from_slots(old.slots, old.departures)
+            assert again == served_trace(rows_of(old.slots))
             assert list(again.slots) == old.slots == list(trace.slots), inst.name
             assert dict(again.departures) == old.departures == \
                 dict(trace.departures)
@@ -457,14 +465,8 @@ class TestColumnarTraces:
         bulk = simulate(batch(2), FullParallel(), record_served=False)
         cases += [
             (batch(2), "bulk", bulk),
-            (batch(2), "gap_in_t", make_trace([(1, 2, 1, (0,)), (3, 1, 1, (1,))],
-                                              {0: 1, 1: 3})),
             (ArrivalInstance(((1, 2),)), "repeated_id",
-             make_trace([(1, 1, 1, (0,)), (2, 1, 1, (0,))], {0: 2})),
-            (ArrivalInstance(((1, 2),)), "departure_early",
-             make_trace([(1, 1, 1, (0,)), (2, 1, 1, (0,))], {0: 1})),
-            (batch(2), "extra_departure",
-             make_trace([(1, 2, 2, (0, 1))], {0: 1, 1: 1, 7: 1})),
+             served_trace([(1, 1, (0,)), (1, 1, (0,))])),
         ]
         for inst, kind, trace in cases:
             expected = core._validate_reference(inst, trace)
@@ -489,10 +491,17 @@ class TestColumnarTraces:
                 ScheduleTrace.from_csv(text)
             assert str(err.value) == str(exc)
             return
+        misnumbered = [row for row, rec in enumerate(old.slots, start=1)
+                       if rec.t != row]
+        if misnumbered:  # the t column must count 1..T
+            row = misnumbered[0]
+            with pytest.raises(ValueError, match=f"row {row} has t="):
+                ScheduleTrace.from_csv(text)
+            return
         new = ScheduleTrace.from_csv(text)
-        assert new == ScheduleTrace.from_slots(old.slots, old.departures)
+        assert new == served_trace(rows_of(old.slots))
         assert (list(new.slots), dict(new.departures), new.last_slot) == \
-            (old.slots, old.departures, old.slots[-1].t if old.slots else 0)
+            (old.slots, old.departures, len(old.slots))
         assert new.to_csv() == writer_by_records(old)
         # the per-slot loop over the records the old reader built
         expected = core._validate_reference(inst, old)
