@@ -14,13 +14,15 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .core import ArrivalInstance, CostModel, cost_of_trace
 from .engine import PolicyFaultError, PolicyStallError, simulate
 from .instances import (GeneratorKind, GeneratorSpec, parse_instance_spec,
                         random_slotted)
-from .oracle import (DpBudgetError, DpConfig, UnsupportedInstanceError, dp_opt,
-                     dual_lower_bound, state_budget)
+from .oracle import (DpBudgetError, DpConfig, DualCertificate,
+                     UnsupportedInstanceError, dp_opt, dual_lower_bound,
+                     state_budget)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
                        QuadAlg, QuadBalance, _check_alpha, make_policy)
 from .stochastic import (Alg3Params, CycleOverflowError, NonErgodicError,
@@ -136,6 +138,7 @@ def _cmd_run(args) -> int:
         report["seed"] = args.seed
     per_policy: dict[str, list[dict]] = {}
     dp_costs = []
+    warned: set[str] = set()
     for request in requests:
         instance = request.build() if isinstance(request, GeneratorSpec) \
             else ArrivalInstance.from_file(request)
@@ -157,7 +160,7 @@ def _cmd_run(args) -> int:
                     breakdown.total / opt_cost
             if "dual" in oracles:
                 beta = getattr(policy, "beta", args.beta)
-                cert = dual_lower_bound(instance, model.alpha, beta)
+                cert = _dual_certificate(instance, model.alpha, beta, warned)
                 entry["dual"] = cert.to_json_dict()
             per_policy.setdefault(policy.name, []).append(entry)
             if args.verbose:
@@ -195,9 +198,25 @@ def _cmd_opt(args) -> int:
     return EXIT_OK
 
 
+def _dual_certificate(instance: ArrivalInstance, alpha: float, beta: float,
+                      warned: set[str]) -> DualCertificate:
+    """dual_lower_bound, its degenerate-beta RuntimeWarning printed as one
+    ``warning:`` line on stderr, once per message in ``warned``, instead of
+    Python's file-and-line form."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", "beta=.* gives a nonpositive dual bound",
+                                RuntimeWarning)
+        cert = dual_lower_bound(instance, alpha, beta)
+    for message in (str(w.message) for w in caught):
+        if message not in warned:
+            warned.add(message)
+            print(f"warning: {message}", file=sys.stderr)
+    return cert
+
+
 def _cmd_dual(args) -> int:
     instance = _load_instance(args.instance)
-    cert = dual_lower_bound(instance, args.alpha, args.beta)
+    cert = _dual_certificate(instance, args.alpha, args.beta, set())
     print(json.dumps(cert.to_json_dict(), indent=2, allow_nan=False))
     return EXIT_OK
 

@@ -323,24 +323,63 @@ def delta_flow(instance: ArrivalInstance, job: int,
                alpha: float, beta: float) -> int:
     """Flow-time increase caused by one job, later arrivals disregarded.
 
-    Simulates the quadratic rule on the stable-order prefix ending at
-    ``job`` and on that prefix minus the job. Prefix truncation keeps the
-    per-job increments telescoping to the full flow time even when several
-    jobs share a slot.
+    The quadratic rule's flow time on the stable-order prefix ending at
+    ``job`` minus its flow time on that prefix without the job. Prefix
+    truncation keeps the per-job increments telescoping to the full flow
+    time even when several jobs share a slot. Unit jobs take both flows
+    from one full run (``_unit_prefix_flows``); other sizes replay the two
+    prefixes.
     """
     if not instance.sizes_equal:
         raise UnsupportedInstanceError("delta_flow requires equal job sizes")
     if not 0 <= job < instance.job_count:
         raise ValueError(f"job index {job} out of range")
     policy = QuadAlg(alpha=alpha, beta=beta)
+    if instance.all_unit:
+        flows = _unit_prefix_flows(instance, policy, simulate(instance, policy).n)
+        return flows[job + 1] - flows[job]
     return _prefix_flow(instance, job + 1, policy) - _prefix_flow(instance, job, policy)
 
 
 def _prefix_flow(instance: ArrivalInstance, k: int, policy: QuadAlg) -> int:
-    """Flow time of the policy on the first k jobs of the instance."""
+    """Flow time of the policy on the first k jobs of the instance: one
+    replay, the reference for ``_unit_prefix_flows``."""
     # named prefix: an unnamed instance would hash all its records for its id
     prefix = instance.prefix(k, name=f"{instance.instance_id}[:{k}]")
     return sum(simulate(prefix, policy).n)
+
+
+def _unit_prefix_flows(instance: ArrivalInstance, policy: QuadAlg,
+                       occ: tuple[int, ...]) -> list[int]:
+    """Flow times F(0..J) of the policy on every job prefix of a unit
+    instance, from ``occ``, the n column of its run on the whole instance;
+    F(k) equals ``_prefix_flow(instance, k, policy)``.
+
+    The rule serves s = min(target(n), n), which reads n alone. Prefix k
+    sees the whole instance's arrivals before slot a, the arrival slot of
+    job k - 1, so it follows occ up to slot a, and from slot a on it only
+    drains. So, in integers,
+        F(k) = head(a) + D[carry(a) + k - arrived_before(a)],
+    where head(a) sums occ over the slots before a, carry(a) is occ(a)
+    minus the arrivals in slot a, and D[m], the flow of m jobs draining
+    with no arrivals, is
+        D[0] = 0,  D[m] = m + D[m - min(target(m), m)].
+    target is monotone in n, so either target(1) >= 1 and every step of D
+    serves at least one job, or the run on the whole instance has already
+    raised PolicyStallError (it drains to an n >= 1 it never serves), as
+    every non-empty prefix replay would.
+    """
+    target = policy.target
+    drain = [0]
+    for m in range(1, max(occ, default=0) + 1):
+        drain.append(m + drain[m - min(target(m), m)])
+    flows = [0]
+    head = 0
+    for n, arrivals in zip(occ, instance.slot_counts):
+        carry = n - arrivals
+        flows.extend(head + d for d in drain[carry + 1:carry + arrivals + 1])
+        head += n
+    return flows
 
 
 def dual_bound_from_flow(flow_time: float, beta: float) -> float:
@@ -392,16 +431,19 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
     policy = QuadAlg(alpha=alpha, beta=beta)
     trace = simulate(instance, policy)
     flow_alg = sum(trace.n)
-    bound = dual_bound_from_flow(flow_alg, beta)  # checks beta before the replays
+    bound = dual_bound_from_flow(flow_alg, beta)  # checks beta before the prefix flows
     degenerate = 4.0 * beta * beta <= 9.0
     if degenerate:
         warnings.warn(f"beta={beta:g} gives a nonpositive dual bound",
                       RuntimeWarning, stacklevel=2)
     size = instance.sizes[0] if instance.sizes else 1
-    # prefix flows F(0..J), one replay each; lambda_j = (F(j+1) - F(j)) / size
-    # is delta_flow(j) / size exactly, since the flows are integers
-    flows = [_prefix_flow(instance, k, policy) for k in range(instance.job_count)]
-    flows.append(flow_alg)  # the whole instance is the last prefix
+    # prefix flows F(0..J); lambda_j = (F(j+1) - F(j)) / size is
+    # delta_flow(j) / size exactly, since the flows are integers
+    if instance.all_unit:
+        flows = _unit_prefix_flows(instance, policy, trace.n)
+    else:  # one replay per prefix; the whole instance is the last one
+        flows = [_prefix_flow(instance, k, policy) for k in range(instance.job_count)]
+        flows.append(flow_alg)
     lambdas = tuple((after - before) / size
                     for before, after in zip(flows, flows[1:]))
 

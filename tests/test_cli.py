@@ -203,6 +203,20 @@ class TestOptDual:
         assert cert["per_pair_slack"] <= 0
         assert len(cert["lambdas"]) == 4
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("dual", "--instance", "batch:N=6", "--alpha", "2", "--beta", "1.2"),
+        ("run", "--instance", "batch:N=6", "--model", "quad:alpha=2",
+         "--policy", "quad_alg:beta=1.2", "--oracle", "dual"),
+        ("run", "--instance", "random:rate=2,T=6,seed=1", "--reps", "3",
+         "--model", "quad:alpha=2", "--policy", "quad_alg:beta=1.2",
+         "--oracle", "dual"),
+    ], ids=["dual", "run", "run-reps"])
+    def test_degenerate_beta_warns_in_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == "warning: beta=1.2 gives a nonpositive dual bound\n"
+        assert '"degenerate": true' in out
 
     @pytest.mark.parametrize("argv", [
         ("opt", "--model", "quad:alpha=1"),
@@ -718,7 +732,6 @@ def _no_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-@pytest.mark.filterwarnings("ignore:.*nonpositive dual bound:RuntimeWarning")
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from([_instance_argv(), _stochastic_argv(), _sweep_argv(),
                         _figure_argv()]).flatmap(lambda family: family))

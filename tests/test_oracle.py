@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, DpBudgetError, DpConfig,
-                        OracleSizeError, UnsupportedInstanceError,
-                        certified_horizon, convex_batch_solve, cost_of_trace,
-                        delta_flow, dp_opt, dual_bound_from_flow,
-                        dual_lower_bound, exhaustive_opt, simulate,
-                        validate_trace)
+                        OracleSizeError, PolicyStallError,
+                        UnsupportedInstanceError, certified_horizon,
+                        convex_batch_solve, cost_of_trace, delta_flow, dp_opt,
+                        dual_bound_from_flow, dual_lower_bound, exhaustive_opt,
+                        simulate, validate_trace)
 from flowswitch import oracle
-from flowswitch.instances import batch, sigma1, sigma2
+from flowswitch.instances import batch, periodic, random_slotted, sigma1, sigma2
 from flowswitch.policies import (BalanceDelta, FullParallel, QuadAlg,
                                  SqrtOnline, burst_objective)
+
+from conftest import CORPUS_ALPHAS
 
 
 def tiny_instances(max_jobs=4, max_slot=3, budget_slots=6):
@@ -371,6 +374,115 @@ class TestDeltaFlow:
             delta_flow(batch(2), 5, 1.0, 1.0)
         with pytest.raises(UnsupportedInstanceError):
             delta_flow(ArrivalInstance(((1, 1), (1, 2))), 0, 1.0, 1.0)
+
+
+def flows_by_replays(instance, policy, occ=None):
+    """Every prefix flow F(0..J), each from its own replay; takes and
+    ignores ``occ`` so that it can stand in for ``_unit_prefix_flows``."""
+    return [oracle._prefix_flow(instance, k, policy)
+            for k in range(instance.job_count + 1)]
+
+
+def dual_by_replays(instance, alpha, beta):
+    """dual_lower_bound with its prefix flows taken from one replay each."""
+    with mock.patch.object(oracle, "_unit_prefix_flows", flows_by_replays):
+        return dual_lower_bound(instance, alpha, beta)
+
+
+def audit_shapes():
+    """Instances shaped like the benchmark's audit workload."""
+    shapes = [sigma2(n, t) for n in (7, 8) for t in (6, 7)]
+    shapes += [batch(n) for n in (28, 32)]
+    shapes += [periodic(4, k) for k in (7, 8)]
+    shapes += [random_slotted(3, t, seed) for t, seed in ((27, 11), (30, 523))]
+    return shapes
+
+
+@pytest.mark.filterwarnings("ignore:.*nonpositive dual bound:RuntimeWarning")
+class TestUnitPrefixFlows:
+    """The drain-table prefix flows against one replay per prefix, by ==."""
+
+    def test_corpus_and_audit_shapes(self, corpus):
+        cases = [(inst, CORPUS_ALPHAS[i % 4], (1.2, 1.6, 2.0, 2.177)[i % 4])
+                 for i, inst in enumerate(corpus)]
+        cases += [(inst, alpha, 2.0) for inst in audit_shapes()
+                  for alpha in (1.0, 2.0, 4.0)]
+        for inst, alpha, beta in cases:
+            policy = QuadAlg(alpha=alpha, beta=beta)
+            occ = simulate(inst, policy).n
+            assert oracle._unit_prefix_flows(inst, policy, occ) == \
+                flows_by_replays(inst, policy), inst.name
+            assert dual_lower_bound(inst, alpha, beta) == \
+                dual_by_replays(inst, alpha, beta), inst.name
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 7]), max_size=14),
+           alpha=st.sampled_from([0.3, 1.0, 2.0, 4.0, 1e6, 1e20]),
+           beta=st.floats(1.0, 10.0))
+    def test_generated(self, counts, alpha, beta):
+        inst = ArrivalInstance.from_counts(counts)
+        policy = QuadAlg(alpha=alpha, beta=beta)
+        try:
+            cert = dual_lower_bound(inst, alpha, beta)
+        except PolicyStallError as exc:
+            with pytest.raises(PolicyStallError) as info:
+                dual_by_replays(inst, alpha, beta)
+            assert str(info.value) == str(exc)
+            return
+        occ = simulate(inst, policy).n
+        assert oracle._unit_prefix_flows(inst, policy, occ) == \
+            flows_by_replays(inst, policy)
+        assert cert == dual_by_replays(inst, alpha, beta)
+
+    def test_stall_comes_from_the_whole_run(self):
+        # target(1) = 0: every run that holds a job idles until it stalls
+        inst = ArrivalInstance.from_counts((2, 0, 1))
+        messages = []
+        for certify in (dual_lower_bound, dual_by_replays):
+            with pytest.raises(PolicyStallError) as info:
+                certify(inst, 1e20, 1.0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == \
+            "quad_alg(alpha=1e+20,beta=1) idled 6 slots with work outstanding"
+        with pytest.raises(PolicyStallError, match="idled 6 slots"):
+            delta_flow(inst, 0, 1e20, 1.0)
+
+    def test_equal_sizes_above_one_replay_each_prefix(self, monkeypatch):
+        sized = ArrivalInstance(((1, 2), (1, 2), (3, 2), (4, 2)))
+        replayed = []
+        replay = oracle._prefix_flow
+
+        def counted(instance, k, policy):
+            replayed.append(k)
+            return replay(instance, k, policy)
+
+        def unreachable(*args):
+            raise AssertionError("sized jobs must not use the drain table")
+
+        monkeypatch.setattr(oracle, "_prefix_flow", counted)
+        monkeypatch.setattr(oracle, "_unit_prefix_flows", unreachable)
+        dual_lower_bound(sized, 1.0, 2.177)
+        assert replayed == [0, 1, 2, 3]
+        replayed.clear()
+        delta_flow(sized, 2, 1.0, 2.177)
+        assert replayed == [3, 2]
+
+    def test_unit_instance_runs_the_engine_once(self, monkeypatch):
+        inst = random_slotted(3, 12, 5)
+        assert inst.job_count >= 10
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].job_count)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "simulate", counting)
+        cert = dual_lower_bound(inst, 2.0, 2.0)
+        assert calls == [inst.job_count]
+        assert len(cert.lambdas) == inst.job_count
+        calls.clear()
+        delta_flow(inst, 4, 2.0, 2.0)
+        assert calls == [inst.job_count]
 
 
 def slack_by_loop(instance, cert):
