@@ -9,21 +9,21 @@ hitting zero depart at slot end. Preemption and migration are free.
 Unit jobs never need per-job state: shortest-remaining-work order is
 first-in first-out by job id, so the engine runs the count recurrence
 n(t) = n(t-1) - s(t-1) + a(t) and returns a columnar trace whose served
-sets and departures follow from the cumulative s. A ``ShapedRule`` that
-keeps the shared ``decide`` is not called per slot there: its target(n) is
-evaluated once per distinct n and its shape applied inline. General sizes
-run a per-job multi-server SRPT loop over a heap keyed by (remaining,
-arrival, id), which is also the reference the tests compare the count path
+sets and departures follow from the cumulative s. General sizes run a
+per-job multi-server SRPT loop over one list of outstanding jobs sorted by
+(remaining, id); it is also the reference the tests compare the count path
 against. It records its trace in the same columnar form that CSV input
 uses: the n and s columns plus one flat list of served ids, s(t) of them
-per slot, with no SlotRecord or frozenset built per slot.
+per slot, with no SlotRecord or frozenset built per slot. In both loops a
+``ShapedRule`` that keeps the shared ``decide`` is not called per slot: its
+target(n) is evaluated once per distinct n and its shape applied inline.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
-from heapq import heappop, heappush
 from operator import itemgetter
 from typing import ClassVar, Protocol, runtime_checkable
 
@@ -88,7 +88,7 @@ class ShapedRule:
     Any other shape value is read as ``"cap"``. Every shape gives 0 when
     n = 0. ``target`` must be a pure function of n; a non-int target is
     ceiled, or raises PolicyFaultError, before the shape applies. Unless a
-    subclass overrides ``decide``, the count engine evaluates target once
+    subclass overrides ``decide``, the engine evaluates target once
     per distinct n in a run and applies the shape itself.
     """
 
@@ -162,10 +162,11 @@ def simulate(instance: ArrivalInstance, policy: PolicyDecision,
     it costs normally but cannot be validated.
 
     Unit instances run the count recurrence; general sizes run the per-job
-    SRPT loop. Requests that are not finite numbers raise PolicyFaultError;
-    fractional ones round up. PolicyStallError is raised if the policy
-    requests 0 with work outstanding for K_stall = total work + last
-    arrival slot consecutive slots.
+    SRPT loop over a list sorted by (remaining, id). Requests that are not
+    finite numbers raise PolicyFaultError; fractional ones round up.
+    PolicyStallError is raised if the policy requests 0 with work
+    outstanding for K_stall = total work + last arrival slot consecutive
+    slots.
     """
     _check_policy_alpha(policy, model)
     if not instance.job_count:
@@ -177,18 +178,25 @@ def simulate(instance: ArrivalInstance, policy: PolicyDecision,
     return _simulate_jobs(instance, policy, record_served)
 
 
+def _rule_kernel(policy: PolicyDecision):
+    """A built-in rule's (target, add, lazy, memo of target(n)), else None.
+
+    The memo starts at {0: 0}: n = 0 serves 0 without asking the rule.
+    """
+    if isinstance(policy, ShapedRule) and type(policy).decide is ShapedRule.decide:
+        return policy.target, policy.shape == "add", policy.shape == "lazy", {0: 0}
+    return None
+
+
 def _simulate_counts(instance: ArrivalInstance, policy: PolicyDecision,
                      record_served: bool) -> ScheduleTrace:
     """Unit jobs: n(t) = n(t-1) - s(t-1) + a(t), served first-in first-out."""
     counts = instance.slot_counts
     last_arrival = len(counts)
     k_stall = instance.total_work + last_arrival
-    kernel = isinstance(policy, ShapedRule) and \
-        type(policy).decide is ShapedRule.decide
+    kernel = _rule_kernel(policy)
     if kernel:
-        target = policy.target
-        add, lazy = policy.shape == "add", policy.shape == "lazy"
-        memo = {0: 0}  # target(n) per distinct n; n = 0 always serves 0
+        target, add, lazy, memo = kernel
     else:
         decide = policy.decide
     ns: list[int] = []
@@ -234,52 +242,71 @@ def _simulate_counts(instance: ArrivalInstance, policy: PolicyDecision,
                          complete_records=record_served)
 
 
-def _srpt_pop(heap: list[tuple[int, int, int]], k: int) -> list[tuple[int, int, int]]:
-    """Pop the k jobs srpt_select would serve, from a (remaining, arrival, id) heap."""
-    return [heappop(heap) for _ in range(k)]
-
-
 def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
                    record_served: bool) -> ScheduleTrace:
     """Per-job multi-server SRPT: the engine for general sizes.
 
-    Served ids go to one flat list, s(t) of them per slot; each job
-    departs at the last slot that serves it.
+    Outstanding jobs sit in ``rem`` (remaining work) and ``ids`` sorted by
+    (remaining, id), which is srpt_select's order since ids run in arrival
+    order. A slot serves the first s; a served job, decremented, still ranks
+    ahead of every unserved one. Served ids go to one flat list, s(t) of
+    them per slot; each job departs at the last slot that serves it.
     """
     counts = instance.slot_counts
     sizes = instance.sizes or (1,) * instance.job_count
     last_arrival = instance.last_slot
     k_stall = instance.total_work + last_arrival
-    heap: list[tuple[int, int, int]] = []  # (remaining, arrival, job_id)
+    kernel = _rule_kernel(policy)
+    if kernel:
+        target, add, lazy, memo = kernel
+    else:
+        decide = policy.decide
+    rem: list[int] = []
+    ids: list[int] = []
     ns: list[int] = []
     ss: list[int] = []
     served_ids: list[int] = []
     s_prev = zero_streak = t = arrived = 0
     while True:
         t += 1
-        if t <= last_arrival:  # ids run in arrival order
+        if t <= last_arrival:  # a new job ranks after every equal one: its id is larger
             for j in range(arrived, arrived + counts[t - 1]):
-                heappush(heap, (sizes[j], t, j))
+                i = bisect_right(rem, sizes[j])
+                rem.insert(i, sizes[j])
+                ids.insert(i, j)
             arrived += counts[t - 1]
-        n = len(heap)  # occupancy during slot t, after arrivals, before departures
+        n = len(rem)  # occupancy during slot t, after arrivals, before departures
         if n == 0 and t > last_arrival:
             break
-
-        request = policy.decide(ObservableState(t, n, s_prev))
-        if type(request) is not int:
-            request = _server_request(policy, request, t)
-        if request <= 0 and n > 0:
-            zero_streak += 1
+        if kernel:
+            request = memo.get(n)
+            if request is None:
+                request = target(n)
+                if type(request) is not int:
+                    request = _server_request(policy, request, t)
+                memo[n] = request
+            if add:
+                request += s_prev
+            elif lazy and s_prev > request:
+                request = s_prev
+        else:
+            request = decide(ObservableState(t, n, s_prev))
+            if type(request) is not int:
+                request = _server_request(policy, request, t)
+        if request > 0:
+            zero_streak = 0
+            s = request if request < n else n
+            served_ids += ids[:s]
+            done = bisect_right(rem, 1, 0, s)  # these depart
+            if done:
+                del rem[:done], ids[:done]
+            for i in range(s - done):
+                rem[i] -= 1
+        else:
+            s = 0
+            zero_streak = zero_streak + 1 if n else 0
             if zero_streak >= k_stall:
                 raise _stalled(policy, zero_streak)
-        else:
-            zero_streak = 0
-
-        s = min(max(request, 0), n)
-        for remaining, arrival, j in _srpt_pop(heap, s):
-            served_ids.append(j)
-            if remaining > 1:
-                heappush(heap, (remaining - 1, arrival, j))
         ns.append(n)
         ss.append(s)
         s_prev = s

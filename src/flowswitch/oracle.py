@@ -459,8 +459,10 @@ def _max_pair_slack(instance: ArrivalInstance, lambdas, occ, size: int,
 
     rhs(t) = (3/beta) sqrt(a_eff n(t)). Each value takes the same IEEE
     operations in the same order as a scalar loop over (j, t), so the
-    maximum is bit-identical to that loop's. One block holds the rows of
-    as many jobs as fit in ``_DP_BLOCK`` values, and at least one.
+    maximum is bit-identical to that loop's. Rounded subtraction is monotone
+    in its first operand, so only a slot's largest (finite) lambda can give
+    the maximum: one row per arrival slot, as many rows per block as fit in
+    ``_DP_BLOCK`` values, and at least one.
     """
     horizon = len(occ)
     if not lambdas or not horizon:
@@ -472,8 +474,10 @@ def _max_pair_slack(instance: ArrivalInstance, lambdas, occ, size: int,
                          f"alpha*n(t) overflows")
     rhs = (3.0 / beta) * np.sqrt(load)
     slots = np.arange(1, horizon + 1)
-    arrival = np.repeat(np.arange(1, instance.last_slot + 1), instance.slot_counts)
-    lam = np.asarray(lambdas, dtype=np.float64)
+    counts = np.asarray(instance.slot_counts)
+    arrival = np.flatnonzero(counts) + 1
+    first_job = (np.cumsum(counts) - counts)[arrival - 1]
+    lam = np.maximum.reduceat(np.asarray(lambdas, dtype=np.float64), first_job)
     rows = max(1, _DP_BLOCK // horizon)
     slack = -math.inf
     for lo in range(0, lam.size, rows):

@@ -1,16 +1,18 @@
 """The engine's fast paths against their slow references.
 
-``simulate`` runs unit instances through the count recurrence, and a
-built-in rule there through its kernel: target(n) memoised per distinct n,
-the shape applied inline. The references are the same count loop calling
-``decide`` every slot (forced by a wrapper that exposes only ``name`` and
-``decide``) and the per-job SRPT loop. All must agree on occupancy and
-server counts, and the count and per-job paths also on served sets and
-departures, for every online rule and both recording modes. The per-job
-loop's heap is in turn checked against the sort-based ``srpt_select``.
+``simulate`` runs unit instances through the count recurrence and general
+sizes through the per-job SRPT loop; in both, a built-in rule runs through
+its kernel: target(n) memoised per distinct n, the shape applied inline.
+The references are the same loops calling ``decide`` every slot (forced by
+a wrapper that exposes only ``name`` and ``decide``) and, for unit jobs,
+the per-job SRPT loop. All must agree on occupancy and server counts, and
+the count and per-job paths also on served sets and departures, for every
+online rule and both recording modes. The per-job loop's ordered list is in
+turn checked against the sort-based ``srpt_select``.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -148,45 +150,71 @@ class _Shaped(ShapedRule):
         return self._target(n)
 
 
+def _sized(instance, seed=0):
+    """The same arrival slots with sizes 1..5, so simulate takes the SRPT loop."""
+    rng = random.Random(seed)
+    sized = ArrivalInstance(tuple((slot, rng.randint(1, 5))
+                                  for slot, _ in instance.arrivals))
+    assert not sized.all_unit
+    return sized
+
+
+def assert_kernel_agrees(instance, kernel_rule, generic_rule):
+    kernel = engine.simulate(instance, kernel_rule)
+    generic = engine.simulate(instance, _Generic(generic_rule))
+    assert (kernel.n, kernel.s) == (generic.n, generic.s)
+    assert [rec.served for rec in kernel.slots] == \
+        [rec.served for rec in generic.slots]
+    return kernel
+
+
+# Each kernel test runs on a unit instance (the count loop) and on the same
+# slots with sizes (the SRPT loop).
+
 @pytest.mark.parametrize("shape", ["cap", "add", "lazy"])
 def test_kernel_evaluates_target_once_per_distinct_n(shape):
-    inst = random_slotted(5.0, 200, 3)
-    rule = _Shaped(shape, lambda n: (n + 2) // 3)
-    trace = engine.simulate(inst, rule)
-    assert sorted(rule.calls) == sorted(set(trace.n) - {0})  # n = 0 never asks
-    generic = engine.simulate(inst, _Generic(_Shaped(shape, lambda n: (n + 2) // 3)))
-    assert (trace.n, trace.s) == (generic.n, generic.s)
+    unit = random_slotted(5.0, 200, 3)
+    for inst in (unit, _sized(unit)):
+        rule = _Shaped(shape, lambda n: (n + 2) // 3)
+        trace = assert_kernel_agrees(inst, rule, _Shaped(shape, lambda n: (n + 2) // 3))
+        assert sorted(rule.calls) == sorted(set(trace.n) - {0})  # n = 0 never asks
 
 
 @pytest.mark.parametrize("shape", ["cap", "add", "lazy"])
 @pytest.mark.parametrize("value", [0.5, 2.5, 2 + 1e-12])
 def test_kernel_ceils_fractional_targets(shape, value):
-    inst = ArrivalInstance.from_counts((4, 0, 3))
-    kernel = engine.simulate(inst, _Shaped(shape, lambda n: value))
-    generic = engine.simulate(inst, _Generic(_Shaped(shape, lambda n: value)))
-    assert (kernel.n, kernel.s) == (generic.n, generic.s)
+    unit = ArrivalInstance.from_counts((4, 0, 3))
+    for inst in (unit, _sized(unit, 1)):
+        assert_kernel_agrees(inst, _Shaped(shape, lambda n: value),
+                             _Shaped(shape, lambda n: value))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "two", True])
 def test_kernel_faults_like_decide(bad):
-    inst = ArrivalInstance.from_counts((2,))
     rule = _Shaped("cap", lambda n: bad)
-    for policy in (rule, _Generic(rule)):
-        with pytest.raises(engine.PolicyFaultError):
-            engine.simulate(inst, policy)
+    for inst in (ArrivalInstance.from_counts((2,)), ArrivalInstance(((1, 2), (1, 3)))):
+        errors = []
+        for policy in (rule, _Generic(rule)):
+            with pytest.raises(engine.PolicyFaultError) as info:
+                engine.simulate(inst, policy)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == f"shaped returned {bad!r} at slot 1"
 
 
 @pytest.mark.parametrize("policy", [GammaPolicy(alpha=1e30, gamma=1),
                                     Lg(alpha=1e40), QuadBalance(alpha=1e30)],
                          ids=lambda p: p.name)
 def test_stalling_rule_stalls_on_both_paths(policy):
-    inst = ArrivalInstance.from_counts((3, 0, 2))
-    errors = []
-    for run in (policy, _Generic(policy)):
-        with pytest.raises(engine.PolicyStallError) as info:
-            engine.simulate(inst, run)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1] == f"{policy.name} idled 8 slots with work outstanding"
+    unit = ArrivalInstance.from_counts((3, 0, 2))
+    for inst in (unit, _sized(unit, 2)):
+        errors = []
+        for run in (policy, _Generic(policy)):
+            with pytest.raises(engine.PolicyStallError) as info:
+                engine.simulate(inst, run)
+            errors.append(str(info.value))
+        k_stall = inst.total_work + inst.last_slot  # 8 for the unit instance
+        assert errors[0] == errors[1] == \
+            f"{policy.name} idled {k_stall} slots with work outstanding"
 
 
 def test_decide_override_takes_the_generic_path():
@@ -218,13 +246,17 @@ def srpt_by_sorting(instance, s_column):
 
 
 @settings(max_examples=150, deadline=None)
-@given(jobs=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 4)),
-                     min_size=1, max_size=25),
+@given(jobs=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                     min_size=1, max_size=40),
        alpha=st.sampled_from([0.5, 1.0, 2.0, 16.0]), which=st.integers(0, 7))
-def test_srpt_heap_matches_sorting(jobs, alpha, which):
+def test_srpt_loop_matches_sorting(jobs, alpha, which):
     inst = ArrivalInstance(tuple(sorted(jobs)))
-    trace = engine._simulate_jobs(inst, all_policies(alpha)[which], True)
+    policy = all_policies(alpha)[which]
+    trace = engine._simulate_jobs(inst, policy, True)
     served_sets, departures = srpt_by_sorting(inst, trace.s)
     assert [rec.served for rec in trace.slots] == served_sets
     assert dict(trace.departures) == departures
     assert validate_trace(inst, trace).ok
+    generic = engine._simulate_jobs(inst, _Generic(policy), True)
+    assert (generic.n, generic.s) == (trace.n, trace.s)
+    assert generic.served.ids == trace.served.ids

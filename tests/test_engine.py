@@ -1,4 +1,3 @@
-import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -28,6 +27,19 @@ class _Fixed:
         return self.value
 
 
+class _Choose:
+    """Request n, a count in between or, after a busy slot, 0 (test helper)."""
+
+    name = "choose"
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def decide(self, state):
+        low = 0 if state.s_prev or not state.n else 1  # never two idle slots
+        return self.rng.choice((low, state.n, self.rng.randint(low, state.n)))
+
+
 class TestSrptSelect:
     def test_shortest_remaining_first(self):
         jobs = ((0, 1, 3), (1, 1, 1), (2, 1, 2))
@@ -48,17 +60,31 @@ class TestSrptSelect:
         with pytest.raises(ValueError):
             srpt_select((), -1)
 
-    def test_heap_pops_the_sorted_choice(self):
-        # the SRPT engine pops from a (remaining, arrival, id) heap
+    def test_ordered_list_serves_the_sorted_choice(self):
+        # the SRPT engine serves a prefix of one list sorted by (remaining, id)
         rng = random.Random(3)
-        for _ in range(500):
-            outstanding = [(j, rng.randint(1, 4), rng.randint(1, 3))
-                           for j in range(rng.randint(0, 12))]
-            k = rng.randint(0, len(outstanding) + 1)
-            heap = [(r, a, j) for j, a, r in outstanding]
-            heapq.heapify(heap)
-            popped = engine._srpt_pop(heap, min(k, len(outstanding)))
-            assert frozenset(j for _, _, j in popped) == srpt_select(outstanding, k)
+        seen = {"k = 0": 0, "k = n": 0, "tie at the cut": 0, "several depart": 0}
+        for _ in range(400):
+            jobs = sorted((rng.randint(1, 4), rng.randint(1, 3))
+                          for _ in range(rng.randint(1, 14)))
+            inst = ArrivalInstance(tuple(jobs))
+            trace = engine._simulate_jobs(inst, _Choose(rng), True)
+            outstanding = []  # [id, arrival, remaining]
+            for rec in trace.slots:
+                outstanding += [[j, a, size] for j, (a, size) in enumerate(jobs)
+                                if a == rec.t]
+                assert rec.served == srpt_select(outstanding, rec.s)
+                ranked = sorted(r for _, _, r in outstanding)
+                seen["k = 0"] += rec.s == 0 < rec.n
+                seen["k = n"] += rec.s == rec.n > 1
+                seen["tie at the cut"] += 0 < rec.s < rec.n and \
+                    ranked[rec.s - 1] == ranked[rec.s]
+                for job in outstanding:
+                    job[2] -= job[0] in rec.served
+                seen["several depart"] += sum(not job[2] for job in outstanding) > 1
+                outstanding = [job for job in outstanding if job[2]]
+            assert not outstanding
+        assert min(seen.values()) > 0, seen
 
 
 class TestSimulate:

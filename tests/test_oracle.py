@@ -525,9 +525,13 @@ class TestDualCertificate:
 
     def test_slack_equals_scalar_loop(self, corpus, monkeypatch):
         sized = ArrivalInstance(((1, 2), (1, 2), (3, 2), (4, 2)))
+        # several jobs per slot: only the largest lambda of a slot is scanned
+        crowded = ArrivalInstance(tuple((t, 3) for t in (1, 1, 1, 2, 5, 5, 5, 5, 6, 6)))
         cases = [(inst, (0.5, 1.0, 2.0, 4.0)[i % 4], (1.6, 2.177, 3.0)[i % 3])
                  for i, inst in enumerate(corpus)]
-        cases += [(sized, 2.0, 2.177), (ArrivalInstance(()), 1.0, 2.177)]
+        cases += [(sized, 2.0, 2.177), (crowded, 1.0, 2.177), (crowded, 4.0, 3.0),
+                  (random_slotted(8.0, 30, 5), 2.0, 2.0),
+                  (ArrivalInstance(()), 1.0, 2.177)]
         for block in (None, 7):  # 7 values per block: one job row per block
             if block:
                 monkeypatch.setattr(oracle, "_DP_BLOCK", block)
