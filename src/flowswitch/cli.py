@@ -65,19 +65,46 @@ def _instance_requests(spec: str, seed: int | None,
     return [request]
 
 
-def _read_config(path: str) -> dict[str, list[str]]:
-    """Declarative key = value lines; keys may repeat (policy)."""
-    out: dict[str, list[str]] = {}
+_ORACLES = ("dp", "dual")
+_CONFIG_KEYS = ("instance", "model", "policy", "oracle", "seed", "reps")
+
+
+def _read_config(path: str) -> dict[str, list]:
+    """Declarative key = value lines; keys may repeat (policy). Each value
+    is checked as its flag would be; seed and reps are read as integers."""
+    out: dict[str, list] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, eq, value = line.partition("=")
+            key, eq, value = (part.strip() for part in line.partition("="))
+            where = f"{path}:{lineno}"
             if not eq:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            out.setdefault(key.strip(), []).append(value.strip())
+                raise ValueError(f"{where}: expected 'key = value'")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{where}: unknown key {key!r}, "
+                                 f"expected one of {', '.join(_CONFIG_KEYS)}")
+            if key == "oracle" and value not in _ORACLES:
+                raise ValueError(f"{where}: oracle must be dp or dual, got {value!r}")
+            if key in ("seed", "reps"):
+                value = _number(value, f"{where}: {key}", int)
+            out.setdefault(key, []).append(value)
     return out
+
+
+def _number(item: str, what: str, kind=float):
+    """``item`` read as ``kind``, or ValueError naming ``what`` and the item."""
+    try:
+        return kind(item)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} must be {noun}, got {item!r}") from None
+
+
+def _parse_grid(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of ``flag``; blank items are skipped."""
+    return [_number(item, flag) for item in text.split(",") if item.strip()]
 
 
 def _write(path: str | None, text: str):
@@ -104,9 +131,9 @@ def _merge_config(args):
         args.policy = args.policy or cfg.get("policy")
         args.oracle = (args.oracle or []) + cfg.get("oracle", [])
         if args.seed is None and "seed" in cfg:
-            args.seed = int(cfg["seed"][0])
+            args.seed = cfg["seed"][0]
         if args.reps is None and "reps" in cfg:
-            args.reps = int(cfg["reps"][0])
+            args.reps = cfg["reps"][0]
     if not args.instance:
         raise _UsageError("an instance is required (flag or config)")
     if not args.policy:
@@ -225,12 +252,6 @@ def _cmd_stochastic(args) -> int:
     _check_alpha(args.alpha)
     if args.seed < 0:
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
-    if args.policy == "alg1":
-        policy = alg1()
-    elif args.policy == "alg2":
-        policy = alg2(args.alpha)
-    elif args.policy != "alg3":
-        raise _UsageError(f"unknown stochastic policy {args.policy!r}")
     if args.policy == "alg3":
         params = _alg3_params(args, args.lam)
         if args.mode == "analytic":
@@ -238,11 +259,13 @@ def _cmd_stochastic(args) -> int:
         else:
             estimate = simulate_alg3(args.lam, args.alpha, params,
                                      cycle_budget=args.cycles, seed=args.seed)
-    elif args.mode == "analytic":
-        estimate = analytic_cost(args.lam, args.alpha, policy)
     else:
-        estimate = simulate_ctmc(args.lam, args.alpha, policy,
-                                 event_budget=args.events, seed=args.seed)
+        policy = alg1() if args.policy == "alg1" else alg2(args.alpha)
+        if args.mode == "analytic":
+            estimate = analytic_cost(args.lam, args.alpha, policy)
+        else:
+            estimate = simulate_ctmc(args.lam, args.alpha, policy,
+                                     event_budget=args.events, seed=args.seed)
     payload = estimate.to_json_dict()
     for key, value in [*payload.items(), *payload["meta"].items()]:
         if isinstance(value, float):
@@ -263,10 +286,6 @@ def _alg3_params(args, lam: float) -> Alg3Params:
     return Alg3Params.from_rates(lam, **constants)
 
 
-def _parse_grid(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
 def _cmd_sweep(args) -> int:
     max_cells = args.max_cells if args.max_cells is not None \
         else min(state_budget(), 10_000)
@@ -275,8 +294,8 @@ def _cmd_sweep(args) -> int:
     if args.kind == "gamma":
         if not args.instance:
             raise _UsageError("--kind gamma needs --instance")
-        gammas = _parse_grid(args.gammas or "")
-        alphas = _parse_grid(args.alphas or "")
+        gammas = _parse_grid(args.gammas or "", "--gammas")
+        alphas = _parse_grid(args.alphas or "", "--alphas")
         cells = len(gammas) * len(alphas)
         if cells > max_cells:
             raise DpBudgetError(cells, max_cells)
@@ -295,9 +314,9 @@ def _cmd_sweep(args) -> int:
                 ratio = 1.0 if opt_cost == 0 else total / opt_cost
                 writer.writerow([f"{gamma:g}", f"{alpha:g}", f"{total:.6g}",
                                  f"{opt_cost:.6g}", f"{ratio:.6g}"])
-    elif args.kind == "alg3":
+    else:  # alg3
         _check_alpha(args.alpha)
-        lams = _parse_grid(args.lambdas or "")
+        lams = _parse_grid(args.lambdas or "", "--lambdas")
         if len(lams) > max_cells:
             raise DpBudgetError(len(lams), max_cells)
         writer.writerow(["lambda", "cost", "slope"])
@@ -311,8 +330,6 @@ def _cmd_sweep(args) -> int:
         for lam, cost in samples:
             writer.writerow([f"{lam:g}", f"{cost:.6g}",
                              f"{slope:.6g}" if slope != "" else ""])
-    else:
-        raise _UsageError(f"unknown sweep kind {args.kind!r}")
     _write(args.output, buf.getvalue())
     return EXIT_OK
 
@@ -414,13 +431,13 @@ def reproduce_figure(figure_id: str, seeds=(1, 2, 3), horizon: int | None = None
 
 
 def _cmd_reproduce_figure(args) -> int:
-    rates = None if args.rates is None else _parse_grid(args.rates)
+    rates = None if args.rates is None else _parse_grid(args.rates, "--rates")
     if rates == []:
         raise _UsageError("--rates needs at least one rate")
     if args.horizon is not None and args.horizon < 1:
         raise _UsageError(f"--horizon must be at least 1, got {args.horizon}")
     seeds = {} if args.seeds is None else \
-        {"seeds": tuple(int(s) for s in args.seeds.split(","))}
+        {"seeds": tuple(_number(s, "--seeds", int) for s in args.seeds.split(","))}
     rows, checks = reproduce_figure(args.figure, horizon=args.horizon,
                                     rates=rates, **seeds)
     buf = io.StringIO()
@@ -455,7 +472,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instance")
     p.add_argument("--policy", action="append")
     p.add_argument("--model")
-    p.add_argument("--oracle", action="append", choices=["dp", "dual"])
+    p.add_argument("--oracle", action="append", choices=_ORACLES)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--reps", type=int)

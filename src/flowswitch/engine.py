@@ -6,17 +6,17 @@ request up and clamps it to [0, n(t)] (one unit-speed server per job). The
 s(t) jobs with the shortest remaining work run for one unit, and jobs
 hitting zero depart at slot end. Preemption and migration are free.
 
-Unit jobs never need per-job state: shortest-remaining-work order is
-first-in first-out by job id, so the engine runs the count recurrence
-n(t) = n(t-1) - s(t-1) + a(t) and returns a columnar trace whose served
-sets and departures follow from the cumulative s. General sizes run a
-per-job multi-server SRPT loop over one list of outstanding jobs sorted by
-(remaining, id); it is also the reference the tests compare the count path
-against. It records its trace in the same columnar form that CSV input
-uses: the n and s columns plus one flat list of served ids, s(t) of them
-per slot, with no SlotRecord or frozenset built per slot. In both loops a
-``ShapedRule`` that keeps the shared ``decide`` is not called per slot: its
-target(n) is evaluated once per distinct n and its shape applied inline.
+One loop runs every instance. Unit jobs need no per-job state:
+shortest-remaining-work order is first-in first-out by job id, so n(t) =
+n(t-1) - s(t-1) + a(t) and the trace's served sets and departures follow
+from the cumulative s. General sizes keep one list of outstanding jobs
+sorted by (remaining, id), and only arrivals and departures differ; the
+same list run on unit sizes is the reference the tests compare the count
+path against. Its trace has the columnar form that CSV input uses: the n
+and s columns plus one flat list of served ids, s(t) of them per slot,
+with no SlotRecord or frozenset built per slot. A ``ShapedRule`` that
+keeps the shared ``decide`` is not called per slot: its target(n) is
+evaluated once per distinct n and its shape applied inline.
 """
 
 from __future__ import annotations
@@ -146,11 +146,6 @@ def _server_request(policy: PolicyDecision, request, t: int) -> int:
     return _ceil(value)
 
 
-def _stalled(policy: PolicyDecision, zero_streak: int) -> PolicyStallError:
-    return PolicyStallError(
-        f"{policy.name} idled {zero_streak} slots with work outstanding")
-
-
 def simulate(instance: ArrivalInstance, policy: PolicyDecision,
              model: CostModel | None = None, *,
              record_served: bool = True) -> ScheduleTrace:
@@ -161,53 +156,73 @@ def simulate(instance: ArrivalInstance, policy: PolicyDecision,
     ``record_served=False`` (unit jobs only) marks the trace as a bulk run:
     it costs normally but cannot be validated.
 
-    Unit instances run the count recurrence; general sizes run the per-job
-    SRPT loop over a list sorted by (remaining, id). Requests that are not
-    finite numbers raise PolicyFaultError; fractional ones round up.
-    PolicyStallError is raised if the policy requests 0 with work
+    Unit instances run as counts served first-in first-out; general sizes
+    keep a list of outstanding jobs sorted by (remaining, id). Requests
+    that are not finite numbers raise PolicyFaultError; fractional ones
+    round up. PolicyStallError is raised if the policy requests 0 with work
     outstanding for K_stall = total work + last arrival slot consecutive
     slots.
     """
     _check_policy_alpha(policy, model)
     if not instance.job_count:
         return ScheduleTrace((), (), policy.name, instance.instance_id)
-    if instance.all_unit:
-        return _simulate_counts(instance, policy, record_served)
-    if not record_served:
+    if not (record_served or instance.all_unit):
         raise ValueError("record_served=False supports unit-size jobs only")
-    return _simulate_jobs(instance, policy, record_served)
+    return _simulate(instance, policy, record_served, instance.sizes)
 
 
-def _rule_kernel(policy: PolicyDecision):
-    """A built-in rule's (target, add, lazy, memo of target(n)), else None.
+def _simulate(instance: ArrivalInstance, policy: PolicyDecision,
+              record_served: bool, sizes: Sequence[int] | None) -> ScheduleTrace:
+    """The slot loop: n(t) = n(t-1) - departures(t-1) + a(t).
 
-    The memo starts at {0: 0}: n = 0 serves 0 without asking the rule.
+    Each pass crosses one slot boundary: the jobs slot t served leave or
+    rank again, slot t+1's jobs arrive, and the policy picks s(t+1).
+    ``sizes=None`` serves unit jobs first-in first-out, so n and s are the
+    whole state. Otherwise the outstanding jobs sit in ``rem`` (remaining
+    work) and ``ids`` sorted by (remaining, id), which is srpt_select's
+    order since ids run in arrival order. A slot serves the first s; a
+    served job, decremented, still ranks ahead of every unserved one.
+    Served ids go to one flat list, s(t) of them per slot.
     """
-    if isinstance(policy, ShapedRule) and type(policy).decide is ShapedRule.decide:
-        return policy.target, policy.shape == "add", policy.shape == "lazy", {0: 0}
-    return None
-
-
-def _simulate_counts(instance: ArrivalInstance, policy: PolicyDecision,
-                     record_served: bool) -> ScheduleTrace:
-    """Unit jobs: n(t) = n(t-1) - s(t-1) + a(t), served first-in first-out."""
     counts = instance.slot_counts
     last_arrival = len(counts)
     k_stall = instance.total_work + last_arrival
-    kernel = _rule_kernel(policy)
-    if kernel:
-        target, add, lazy, memo = kernel
+    kernel = isinstance(policy, ShapedRule) and type(policy).decide is ShapedRule.decide
+    if kernel:  # target(n) once per distinct n; n = 0 serves 0 without asking
+        target, memo = policy.target, {0: 0}
+        add, lazy = policy.shape == "add", policy.shape == "lazy"
     else:
         decide = policy.decide
+    rem: list[int] = []
+    ids: list[int] = []
     ns: list[int] = []
     ss: list[int] = []
-    n = s_prev = zero_streak = t = 0
+    served_ids: list[int] = []
+    n = s = zero_streak = t = arrived = 0
     while True:
+        if sizes is None:
+            n -= s
+        else:
+            if s:
+                served_ids += ids[:s]
+                done = bisect_right(rem, 1, 0, s)  # these depart
+                if done:
+                    del rem[:done], ids[:done]
+                    n -= done
+                for i in range(s - done):
+                    rem[i] -= 1
+            if t < last_arrival:  # a new job ranks after every equal one: its id is larger
+                for j in range(arrived, arrived + counts[t]):
+                    i = bisect_right(rem, sizes[j])
+                    rem.insert(i, sizes[j])
+                    ids.insert(i, j)
+                arrived += counts[t]
         if t < last_arrival:
             n += counts[t]
         t += 1
         if not n and t > last_arrival:
             break
+        s_prev = s
         if kernel:
             request = memo.get(n)
             if request is None:
@@ -231,88 +246,15 @@ def _simulate_counts(instance: ArrivalInstance, policy: PolicyDecision,
             if n:
                 zero_streak += 1
                 if zero_streak >= k_stall:
-                    raise _stalled(policy, zero_streak)
+                    raise PolicyStallError(f"{policy.name} idled {zero_streak} "
+                                           "slots with work outstanding")
             else:
                 zero_streak = 0
         ns.append(n)
         ss.append(s)
-        n -= s
-        s_prev = s
+    served = None if sizes is None else ServedColumns(served_ids, ss)
     return ScheduleTrace(ns, ss, policy.name, instance.instance_id,
-                         complete_records=record_served)
-
-
-def _simulate_jobs(instance: ArrivalInstance, policy: PolicyDecision,
-                   record_served: bool) -> ScheduleTrace:
-    """Per-job multi-server SRPT: the engine for general sizes.
-
-    Outstanding jobs sit in ``rem`` (remaining work) and ``ids`` sorted by
-    (remaining, id), which is srpt_select's order since ids run in arrival
-    order. A slot serves the first s; a served job, decremented, still ranks
-    ahead of every unserved one. Served ids go to one flat list, s(t) of
-    them per slot; each job departs at the last slot that serves it.
-    """
-    counts = instance.slot_counts
-    sizes = instance.sizes or (1,) * instance.job_count
-    last_arrival = instance.last_slot
-    k_stall = instance.total_work + last_arrival
-    kernel = _rule_kernel(policy)
-    if kernel:
-        target, add, lazy, memo = kernel
-    else:
-        decide = policy.decide
-    rem: list[int] = []
-    ids: list[int] = []
-    ns: list[int] = []
-    ss: list[int] = []
-    served_ids: list[int] = []
-    s_prev = zero_streak = t = arrived = 0
-    while True:
-        t += 1
-        if t <= last_arrival:  # a new job ranks after every equal one: its id is larger
-            for j in range(arrived, arrived + counts[t - 1]):
-                i = bisect_right(rem, sizes[j])
-                rem.insert(i, sizes[j])
-                ids.insert(i, j)
-            arrived += counts[t - 1]
-        n = len(rem)  # occupancy during slot t, after arrivals, before departures
-        if n == 0 and t > last_arrival:
-            break
-        if kernel:
-            request = memo.get(n)
-            if request is None:
-                request = target(n)
-                if type(request) is not int:
-                    request = _server_request(policy, request, t)
-                memo[n] = request
-            if add:
-                request += s_prev
-            elif lazy and s_prev > request:
-                request = s_prev
-        else:
-            request = decide(ObservableState(t, n, s_prev))
-            if type(request) is not int:
-                request = _server_request(policy, request, t)
-        if request > 0:
-            zero_streak = 0
-            s = request if request < n else n
-            served_ids += ids[:s]
-            done = bisect_right(rem, 1, 0, s)  # these depart
-            if done:
-                del rem[:done], ids[:done]
-            for i in range(s - done):
-                rem[i] -= 1
-        else:
-            s = 0
-            zero_streak = zero_streak + 1 if n else 0
-            if zero_streak >= k_stall:
-                raise _stalled(policy, zero_streak)
-        ns.append(n)
-        ss.append(s)
-        s_prev = s
-
-    return ScheduleTrace(ns, ss, policy.name, instance.instance_id,
-                         record_served, ServedColumns(served_ids, ss))
+                         record_served, served)
 
 
 class _CountReplay:

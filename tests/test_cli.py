@@ -436,6 +436,18 @@ class TestInputErrors:
         (("stochastic", "--policy", "alg2", "--lambda", "1", "--alpha", "1e300"),
          2, "n_max=4194304"),
         (("stochastic", "--policy", "alg1", "--lambda", "1e300"), 2, "n_max=4194304"),
+        (("reproduce-figure", "--figure", "quad_a1", "--rates", "1,x"),
+         2, "--rates must be a number, got 'x'"),
+        (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "0,x",
+          "--alphas", "1"), 2, "--gammas must be a number, got 'x'"),
+        (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "0",
+          "--alphas", "1,y"), 2, "--alphas must be a number, got 'y'"),
+        (("sweep", "--kind", "alg3", "--lambdas", "1,z"),
+         2, "--lambdas must be a number, got 'z'"),
+        (("reproduce-figure", "--figure", "quad_a1", "--seeds", "1,,2"),
+         2, "--seeds must be an integer, got ''"),
+        (("reproduce-figure", "--figure", "quad_a1", "--seeds", "1,2.5"),
+         2, "--seeds must be an integer, got '2.5'"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative",
@@ -452,7 +464,9 @@ class TestInputErrors:
             "gamma-sweep-cost-overflow", "opt-switching-grid-overflow",
             "opt-every-cost-overflows", "opt-infeasible-t-cap", "dual-beta-overflow",
             "run-dual-beta-overflow", "dual-slack-overflow", "quad-alg-beta-overflow",
-            "alg2-huge-alpha-truncation", "alg1-huge-lambda-truncation"])
+            "alg2-huge-alpha-truncation", "alg1-huge-lambda-truncation",
+            "rates-not-a-number", "gammas-not-a-number", "alphas-not-a-number",
+            "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
@@ -486,6 +500,22 @@ class TestInputErrors:
                                  "--policy", "full_parallel")
         assert code == 2
         assert needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line, needle", [
+        ("polcy = quad_alg", ":2: unknown key 'polcy'"),
+        ("modle = linear:alpha=3", ":2: unknown key 'modle'"),
+        ("oracle = dpp", ":2: oracle must be dp or dual, got 'dpp'"),
+        ("seed = abc", ":2: seed must be an integer, got 'abc'"),
+        ("reps = 2.5", ":2: reps must be an integer, got '2.5'"),
+    ], ids=["misspelled-policy", "misspelled-model", "unknown-oracle",
+            "seed-not-an-integer", "reps-not-an-integer"])
+    def test_config_errors_name_the_line(self, capsys, tmp_path, line, needle):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"instance = batch:N=3\n{line}\npolicy = full_parallel\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert f"{path}{needle}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("exc", [PolicyFaultError, PolicyStallError,

@@ -1,14 +1,15 @@
 """The engine's fast paths against their slow references.
 
-``simulate`` runs unit instances through the count recurrence and general
-sizes through the per-job SRPT loop; in both, a built-in rule runs through
-its kernel: target(n) memoised per distinct n, the shape applied inline.
-The references are the same loops calling ``decide`` every slot (forced by
-a wrapper that exposes only ``name`` and ``decide``) and, for unit jobs,
-the per-job SRPT loop. All must agree on occupancy and server counts, and
-the count and per-job paths also on served sets and departures, for every
-online rule and both recording modes. The per-job loop's ordered list is in
-turn checked against the sort-based ``srpt_select``.
+``simulate`` runs every instance through one slot loop: unit instances as
+counts served first-in first-out, general sizes through a per-job list
+sorted by (remaining, id); in both, a built-in rule runs through its
+kernel: target(n) memoised per distinct n, the shape applied inline. The
+references are the same loop calling ``decide`` every slot (forced by a
+wrapper that exposes only ``name`` and ``decide``) and, for unit jobs, the
+per-job list forced by passing unit sizes. All must agree on occupancy and
+server counts, and the count and per-job branches also on served sets and
+departures, for every online rule and both recording modes. The per-job
+list is in turn checked against the sort-based ``srpt_select``.
 """
 
 import math
@@ -44,10 +45,16 @@ class _Generic:
         self.decide = policy.decide
 
 
+def per_job(instance, policy, record_served=True):
+    """The slot loop's per-job list, forced on unit instances too."""
+    return engine._simulate(instance, policy, record_served,
+                            instance.sizes or (1,) * instance.job_count)
+
+
 def assert_paths_agree(instance, policy, record_served):
     fast = engine.simulate(instance, policy, record_served=record_served)
     generic = engine.simulate(instance, _Generic(policy), record_served=record_served)
-    ref = engine._simulate_jobs(instance, policy, record_served)
+    ref = per_job(instance, policy, record_served)
     where = (instance.instance_id, policy.name, record_served)
     assert (fast.n, fast.s) == (generic.n, generic.s), where
     assert fast.n == ref.n, where
@@ -114,7 +121,7 @@ class _Fixed:
 
 @pytest.mark.parametrize("run", [
     lambda inst, policy: engine.simulate(inst, policy),
-    lambda inst, policy: engine._simulate_jobs(inst, policy, True),
+    per_job,
 ], ids=["counts", "jobs"])
 class TestFractionalRequests:
     def test_half_serves_one(self, run):
@@ -252,11 +259,11 @@ def srpt_by_sorting(instance, s_column):
 def test_srpt_loop_matches_sorting(jobs, alpha, which):
     inst = ArrivalInstance(tuple(sorted(jobs)))
     policy = all_policies(alpha)[which]
-    trace = engine._simulate_jobs(inst, policy, True)
+    trace = per_job(inst, policy)
     served_sets, departures = srpt_by_sorting(inst, trace.s)
     assert [rec.served for rec in trace.slots] == served_sets
     assert dict(trace.departures) == departures
     assert validate_trace(inst, trace).ok
-    generic = engine._simulate_jobs(inst, _Generic(policy), True)
+    generic = per_job(inst, _Generic(policy))
     assert (generic.n, generic.s) == (trace.n, trace.s)
     assert generic.served.ids == trace.served.ids

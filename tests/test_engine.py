@@ -68,7 +68,8 @@ class TestSrptSelect:
             jobs = sorted((rng.randint(1, 4), rng.randint(1, 3))
                           for _ in range(rng.randint(1, 14)))
             inst = ArrivalInstance(tuple(jobs))
-            trace = engine._simulate_jobs(inst, _Choose(rng), True)
+            trace = engine._simulate(inst, _Choose(rng), True,
+                                     inst.sizes or (1,) * inst.job_count)
             outstanding = []  # [id, arrival, remaining]
             for rec in trace.slots:
                 outstanding += [[j, a, size] for j, (a, size) in enumerate(jobs)
