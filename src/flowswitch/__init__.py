@@ -18,9 +18,8 @@ from .oracle import (ConvexSolverError, DpBudgetError, DpConfig,
                      dual_bound_from_flow, dual_lower_bound, exhaustive_opt)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
                        Lg, QuadAlg, QuadBalance, SqrtOnline,
-                       batch_linear_offline, batch_quad_continuous,
-                       batch_quad_horizon_search, burst_objective,
-                       make_policy)
+                       batch_quad_continuous, batch_quad_horizon_search,
+                       burst_objective, make_policy)
 from .stochastic import (Alg3Params, CycleOverflowError, MarkovPolicy,
                          NonErgodicError, RateModel, StochasticCostEstimate,
                          TruncationError, alg1, alg2, alg3_analytic_cost,

@@ -70,8 +70,9 @@ _CONFIG_KEYS = ("instance", "model", "policy", "oracle", "seed", "reps")
 
 
 def _read_config(path: str) -> dict[str, list]:
-    """Declarative key = value lines; keys may repeat (policy). Each value
-    is checked as its flag would be; seed and reps are read as integers."""
+    """Declarative key = value lines, each value listed under its key; only
+    policy and oracle may repeat. Each value is checked as its flag would
+    be; seed and reps are read as integers."""
     out: dict[str, list] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -85,10 +86,14 @@ def _read_config(path: str) -> dict[str, list]:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{where}: unknown key {key!r}, "
                                  f"expected one of {', '.join(_CONFIG_KEYS)}")
+            if key in out and key not in ("policy", "oracle"):
+                raise ValueError(f"{where}: {key} is already set")
             if key == "oracle" and value not in _ORACLES:
                 raise ValueError(f"{where}: oracle must be dp or dual, got {value!r}")
             if key in ("seed", "reps"):
                 value = _number(value, f"{where}: {key}", int)
+            if key == "reps" and value < 1:
+                raise ValueError(f"{where}: reps must be at least 1, got {value}")
             out.setdefault(key, []).append(value)
     return out
 

@@ -626,12 +626,9 @@ def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
     if not (np.bincount(ids, minlength=jobs) == size).all():
         return False  # some job served other than exactly its size
     slot = np.repeat(np.arange(1, horizon + 1), s)  # the slot of each served id
-    if (arrival[ids] > slot).any():
-        return False
+    if (arrival[ids] > slot).any():  # with the sizes, implies S(t) <= work(t)
+        return False  # some job served before it arrived
     arrived = np.searchsorted(arrival, np.arange(1, horizon + 1), side="right")
-    work = arrived if unit else np.concatenate(([0], np.cumsum(size)))[arrived]
-    if (np.cumsum(s) > work).any():
-        return False
     if unit:  # every id served once
         done = np.empty(jobs, dtype=np.int64)
         done[ids] = slot

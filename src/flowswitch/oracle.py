@@ -265,8 +265,6 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
         s_prev = s_t
         if n_cur == 0 and t >= instance.last_slot:
             break
-    while counts and counts[-1] == 0:
-        counts.pop()
     trace = trace_from_server_counts(instance, counts, policy_name="dp_opt")
     return best, trace
 

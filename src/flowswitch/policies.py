@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable, ClassVar
 
 from .core import parse_spec
-from .engine import _CEIL_EPS, ShapedRule, _ceil
+from .engine import ShapedRule, _ceil
 
 
 def effective_alpha(alpha: float) -> float:
@@ -213,49 +213,6 @@ def make_policy(spec: str, default_alpha: float | None = None):
 
 # ---------------------------------------------------------------------------
 # offline batch profiles
-
-@dataclass(frozen=True)
-class LinearBatchProfile:
-    """Constant-rate offline profile for a batch under linear switching."""
-
-    speeds: tuple[float, ...]
-    s_max: float
-    flow_time: float
-    switching_cost: float
-    total: float
-
-
-def batch_linear_offline(n_jobs: int, alpha: float) -> LinearBatchProfile:
-    """Offline optimal (up to slot-edge effects) for N unit jobs at slot 1.
-
-    Holds s = sqrt(N(N-1))/(2 sqrt(alpha)) while work neutrality permits,
-    then serves the fractional remainder in one slot. Speeds are real
-    valued; the cost is the linear objective of that fractional trace.
-    """
-    _check_alpha(alpha)
-    if n_jobs < 0:
-        raise ValueError("n_jobs must be nonnegative")
-    if n_jobs == 0:
-        return LinearBatchProfile((), 0.0, 0.0, 0.0, 0.0)
-    s_max = math.sqrt(n_jobs * (n_jobs - 1)) / (2.0 * math.sqrt(alpha))
-    if s_max <= 0.0:
-        # single job: falls through to s = n = 1 for one slot
-        speeds: list[float] = [float(n_jobs)]
-    else:
-        hold = int(n_jobs / s_max + _CEIL_EPS)
-        speeds = [s_max] * hold
-        remainder = n_jobs - hold * s_max
-        if remainder > 1e-12:
-            speeds.append(remainder)
-    flow = 0.0
-    remaining = float(n_jobs)
-    for s in speeds:
-        flow += remaining
-        remaining -= s
-    switching = sum(abs(b - a) for a, b in zip([0.0] + speeds, speeds + [0.0]))
-    total = flow + alpha * switching
-    return LinearBatchProfile(tuple(speeds), s_max, flow, switching, total)
-
 
 def burst_objective(profile, n: float, horizon: int, alpha: float = 1.0) -> float:
     """H*n - sum_i s_i (H+1-i) + alpha * sum (s_i - s_{i-1})^2 with zero ends."""

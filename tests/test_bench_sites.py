@@ -3,7 +3,8 @@
 The bench wraps package functions at the names their callers look them up
 under, then drives the lab through three op lists. This suite installs
 those wrappers and runs the first op of each kind, so that a change which
-drops or renames a name the bench uses fails here, not only in the bench.
+drops or renames a name the bench uses, or stops calling the package
+through one, fails here, not only in the bench.
 """
 
 import re
@@ -46,4 +47,11 @@ def test_first_ops_pass_their_checks_under_the_tracer(workload, tmp_path):
     for op, out in zip(ops, outputs):
         text, problems = op.check(out, True)
         assert text and problems == [], op.name
-    assert tracing.layer_metrics(tracer.totals(), 1)["cli.main.calls"] >= 1
+    metrics = tracing.layer_metrics(tracer.totals(), 1)
+    assert metrics["cli.main.calls"] >= 1
+    # each call counter of the workload's layers is nonzero; no op calls
+    # delta_flow since the dual takes its prefix flows from one run
+    counters = [name for names, _, where in tracing.LAYER_MAP if where == workload
+                for name in names if name.endswith(".calls")
+                and name != "oracle.delta_flow.calls"]
+    assert counters and [name for name in counters if not metrics[name]] == []

@@ -100,6 +100,17 @@ class TestRun:
         assert len(report["policies"]) == 2
         assert report["seed"] == 7
 
+    def test_config_reps_match_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("instance = random:rate=2,T=6,seed=3\n"
+                       "policy = full_parallel\n"
+                       "reps = 2\n")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["reps"] == 2
+        assert run_cli(capsys, "run", "--instance", "random:rate=2,T=6,seed=3",
+                       "--policy", "full_parallel", "--reps", "2") == (0, out, "")
+
     def test_reps_bump_random_seed(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--instance", "random:rate=2,T=6,seed=3",
@@ -508,8 +519,15 @@ class TestInputErrors:
         ("oracle = dpp", ":2: oracle must be dp or dual, got 'dpp'"),
         ("seed = abc", ":2: seed must be an integer, got 'abc'"),
         ("reps = 2.5", ":2: reps must be an integer, got '2.5'"),
+        ("reps = 0", ":2: reps must be at least 1, got 0"),
+        ("instance = batch:N=5", ":2: instance is already set"),
+        ("model = quad:alpha=1\nmodel = linear:alpha=2", ":3: model is already set"),
+        ("seed = 1\nseed = 2", ":3: seed is already set"),
+        ("reps = 1\nreps = 1", ":3: reps is already set"),
     ], ids=["misspelled-policy", "misspelled-model", "unknown-oracle",
-            "seed-not-an-integer", "reps-not-an-integer"])
+            "seed-not-an-integer", "reps-not-an-integer", "reps-below-one",
+            "repeated-instance", "repeated-model", "repeated-seed",
+            "repeated-reps"])
     def test_config_errors_name_the_line(self, capsys, tmp_path, line, needle):
         path = tmp_path / "exp.cfg"
         path.write_text(f"instance = batch:N=3\n{line}\npolicy = full_parallel\n")

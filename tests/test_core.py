@@ -382,7 +382,7 @@ CSV_INSTANCES = (batch(3), ArrivalInstance.from_counts((2, 0, 3, 1)),
 # applied in this order, so that rows are cut short and dropped last
 CSV_EDITS = ("duplicate_id", "reverse_ids", "shift_t", "repeat_t", "negative_id",
              "unknown_id", "move_last_id", "empty_item", "bump_n", "bump_s",
-             "short_row", "truncate")
+             "non_integer", "short_row", "truncate")
 
 
 def edit_rows(rows, kind, where, k, jobs):
@@ -406,6 +406,14 @@ def edit_rows(rows, kind, where, k, jobs):
         row[1] = str(int(row[1]) + k)
     elif kind == "bump_s":
         row[2] = str(int(row[2]) + k)
+    elif kind == "non_integer":  # one t, n, s or id token
+        bad = "x" if where % 2 else "1.5"
+        if k % 4 < 3:
+            row[k % 4] = bad
+        elif ids:
+            ids[where // 2 % len(ids)] = bad
+        else:
+            ids = [bad]
     elif kind == "move_last_id" and ids and i + 1 < len(rows):
         later = rows[i + 1 + abs(k) % (len(rows) - i - 1)]
         later[3] = ";".join(([later[3]] if later[3] else []) + [ids.pop()])
@@ -467,6 +475,10 @@ class TestColumnarTraces:
             (batch(2), "bulk", bulk),
             (ArrivalInstance(((1, 2),)), "repeated_id",
              served_trace([(1, 1, (0,)), (1, 1, (0,))])),
+            (ArrivalInstance.from_counts((1, 1)), "served_before_arrival",
+             served_trace([(1, 1, (1,)), (1, 1, (0,))])),
+            (ArrivalInstance(((1, 2), (1, 1))), "repeated_within_a_slot",
+             served_trace([(2, 2, (0, 0)), (1, 1, (1,))])),
         ]
         for inst, kind, trace in cases:
             expected = core._validate_reference(inst, trace)
@@ -476,6 +488,8 @@ class TestColumnarTraces:
     @given(case=st.integers(0, 10**6),
            edits=st.lists(st.tuples(st.sampled_from(CSV_EDITS), st.integers(0, 10**6),
                                     st.integers(-2, 3)), min_size=1, max_size=3))
+    # a t token of row 1 and an id token of row 4: the row reader meets '1.5' first
+    @example(case=2, edits=[("non_integer", 0, 0), ("non_integer", 3, 3)])
     def test_mutated_csv_matches_the_reference(self, case, edits):
         inst = CSV_INSTANCES[case % len(CSV_INSTANCES)]
         policy = COLUMNAR_POLICIES[case // len(CSV_INSTANCES) % len(COLUMNAR_POLICIES)]

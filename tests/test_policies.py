@@ -4,12 +4,11 @@ import random
 import pytest
 
 from flowswitch import (ArrivalInstance, CostModel, ObservableState, cost_of_trace,
-                        dp_opt, dual_lower_bound, simulate)
+                        dual_lower_bound, simulate)
 from flowswitch.instances import batch, sigma2
 from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  GammaPolicy, Lg, QuadAlg, QuadBalance,
-                                 SqrtOnline, batch_linear_offline,
-                                 batch_quad_continuous,
+                                 SqrtOnline, batch_quad_continuous,
                                  batch_quad_horizon_search, burst_objective,
                                  make_policy)
 
@@ -152,28 +151,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="policy") as err:
             make_policy(spec_text(form, "quad_alg", "beta", "2"), default_alpha=1.0)
         assert spec_text(needle, "quad_alg", "beta") in str(err.value)
-
-
-class TestBatchLinearOffline:
-    def test_single_job_falls_through(self):
-        prof = batch_linear_offline(1, 2.0)
-        assert prof.s_max == 0
-        assert prof.speeds == (1.0,)
-        assert prof.total == 1.0 + 2.0 * 2.0
-
-    def test_hundred_jobs_rate(self):
-        prof = batch_linear_offline(100, 1.0)
-        assert prof.s_max == pytest.approx(math.sqrt(9900) / 2)
-        assert sum(prof.speeds) == pytest.approx(100)
-
-    def test_close_to_integral_optimum(self):
-        for n_jobs, alpha in ((100, 1.0), (36, 2.0), (18, 0.5)):
-            prof = batch_linear_offline(n_jobs, alpha)
-            opt, _ = dp_opt(batch(n_jobs), CostModel.linear(alpha))
-            assert prof.total <= opt + max(prof.s_max, 1.0)
-
-    def test_empty(self):
-        assert batch_linear_offline(0, 1.0).speeds == ()
 
 
 class TestBatchQuadContinuous:
