@@ -40,6 +40,13 @@ class _UsageError(Exception):
     pass
 
 
+class _GridLimitError(Exception):
+    """A sweep grid has more cells than ``--max-cells`` (exit 3)."""
+
+    def __init__(self, cells: int, max_cells: int):
+        super().__init__(f"the sweep grid has {cells} cells, --max-cells is {max_cells}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
@@ -303,7 +310,7 @@ def _cmd_sweep(args) -> int:
         alphas = _parse_grid(args.alphas or "", "--alphas")
         cells = len(gammas) * len(alphas)
         if cells > max_cells:
-            raise DpBudgetError(cells, max_cells)
+            raise _GridLimitError(cells, max_cells)
         writer.writerow(["gamma", "alpha", "policy_cost", "dp_cost", "ratio"])
         instance = _load_instance(args.instance) if cells else None
         opt_costs: dict[float, float] = {}  # the optimum depends on alpha only
@@ -323,7 +330,7 @@ def _cmd_sweep(args) -> int:
         _check_alpha(args.alpha)
         lams = _parse_grid(args.lambdas or "", "--lambdas")
         if len(lams) > max_cells:
-            raise DpBudgetError(len(lams), max_cells)
+            raise _GridLimitError(len(lams), max_cells)
         writer.writerow(["lambda", "cost", "slope"])
         samples = []
         for lam in lams:
@@ -547,6 +554,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except DpBudgetError as exc:
         print(f"oracle budget error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except _GridLimitError as exc:
+        print(f"grid limit error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, KeyError, UnsupportedInstanceError,
             PolicyFaultError, PolicyStallError, NonErgodicError,

@@ -14,7 +14,7 @@ import math
 import operator
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
@@ -58,6 +58,7 @@ class ValidationResult:
 _VALID = ValidationResult(True)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class ArrivalInstance:
     """A job arrival schedule: per-slot arrival counts plus the job sizes.
 
@@ -74,6 +75,10 @@ class ArrivalInstance:
     the same counts, sizes and name are equal, however they were built.
     Instances are immutable.
     """
+
+    slot_counts: tuple[int, ...]
+    sizes: tuple[int, ...] | None
+    name: str
 
     def __init__(self, arrivals: tuple[tuple[int, int], ...], name: str = ""):
         records = []
@@ -111,21 +116,6 @@ class ArrivalInstance:
         if sizes is not None and all(size == 1 for size in sizes):
             sizes = None
         self.__dict__.update(slot_counts=counts, sizes=sizes, name=name)
-
-    def __setattr__(self, key, value):
-        raise AttributeError(f"ArrivalInstance is immutable: cannot set {key!r}")
-
-    def __delattr__(self, key):
-        raise AttributeError(f"ArrivalInstance is immutable: cannot delete {key!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.slot_counts, self.sizes, self.name) == \
-            (other.slot_counts, other.sizes, other.name)
-
-    def __hash__(self):
-        return hash((self.slot_counts, self.sizes, self.name))
 
     def __repr__(self):
         return f"ArrivalInstance(arrivals={self.arrivals!r}, name={self.name!r})"
@@ -265,7 +255,7 @@ class CostModel:
         object.__setattr__(self, "switching", SwitchingKind(self.switching))
 
     def transition_cost(self, s_prev: float, s_new: float) -> float:
-        """Unweighted switching cost c(s_new, s_prev)."""
+        """Unweighted switching cost c(s_new, s_prev), elementwise on arrays."""
         delta = s_new - s_prev
         if self.switching is SwitchingKind.LINEAR:
             return abs(delta)
@@ -324,8 +314,6 @@ class _SlotView(Sequence):
         return len(self._s)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self._s))[index])
         i = range(len(self._s))[index]
         first, end = self._offsets[i], self._offsets[i + 1]
         return SlotRecord(i + 1, self._n[i], self._s[i],
@@ -528,14 +516,8 @@ class CostBreakdown:
     switching_kind: SwitchingKind
 
     def to_json_dict(self) -> dict:
-        return {
-            "flow_time": self.flow_time,
-            "switching_cost": self.switching_cost,
-            "energy_cost": self.energy_cost,
-            "total": self.total,
-            "alpha": self.alpha,
-            "switching_kind": self.switching_kind.value,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return values | {"switching_kind": self.switching_kind.value}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -574,9 +556,9 @@ def validate_trace(instance: ArrivalInstance, trace: ScheduleTrace) -> Validatio
     """Check every trace invariant against the instance.
 
     Returns the first violation found, scanning slots in order. Per slot the
-    checks run in this order: work neutrality (realized service never ahead
-    of arrived work, no service before arrival), s <= n, served-count = s,
-    no service beyond a job's size; then every job must finish exactly.
+    checks run in this order: unknown_job, work_neutrality (service ahead of
+    arrived work, or before arrival), occupancy_mismatch, s_le_n (s <= n),
+    served_count (s ids served), overservice; then incomplete_job.
     Slot numbers and departures come from the rows, so nothing checks them.
 
     One array pass over the columns (``_columns_valid``) accepts a valid

@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from operator import itemgetter
-from typing import ClassVar, Protocol, runtime_checkable
+from typing import ClassVar, NamedTuple, Protocol
 
 from .core import ArrivalInstance, CostModel, ScheduleTrace, ServedColumns
 
@@ -45,7 +45,7 @@ class PolicyStallError(Exception):
     """Policy requested zero servers with work outstanding for K_stall slots."""
 
 
-class ObservableState:
+class ObservableState(NamedTuple):
     """What an online policy may look at when choosing s(t).
 
     ``t`` is the slot (from 1), ``n`` the jobs outstanding after this
@@ -53,18 +53,11 @@ class ObservableState:
     t = 1).
     """
 
-    __slots__ = ("t", "n", "s_prev")
-
-    def __init__(self, t: int, n: int, s_prev: int):
-        self.t = t
-        self.n = n
-        self.s_prev = s_prev
-
-    def __repr__(self) -> str:
-        return f"ObservableState(t={self.t}, n={self.n}, s_prev={self.s_prev})"
+    t: int
+    n: int
+    s_prev: int
 
 
-@runtime_checkable
 class PolicyDecision(Protocol):
     """An online policy: a printed ``name`` and ``decide(state)``.
 
@@ -257,14 +250,11 @@ def _simulate(instance: ArrivalInstance, policy: PolicyDecision,
                          record_served, served)
 
 
-class _CountReplay:
+class _CountReplay(NamedTuple):
     """A per-slot server-count column replayed as a policy."""
 
-    __slots__ = ("name", "counts")
-
-    def __init__(self, name: str, counts: tuple[int, ...]):
-        self.name = name
-        self.counts = counts
+    name: str
+    counts: tuple[int, ...]
 
     def decide(self, state: ObservableState) -> int:
         t = state.t

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -93,31 +93,28 @@ class Horizon(NamedTuple):
     margin: float
 
 
-def _dp_bounds(instance: ArrivalInstance, cfg: DpConfig) -> tuple[int, int]:
-    """(s_cap, t_cap) from cfg, or DpBudgetError if the DP over them is too
-    big; an instance with no jobs needs no DP and is never over budget."""
+def _dp_setup(instance: ArrivalInstance, model: CostModel, cfg: DpConfig):
+    """(s_cap, t_cap, grids) for the DP under cfg, after checking unit job
+    sizes, ``cfg.resolve``'s bounds, the state budget and alpha, in that
+    order. An instance with no jobs is never over budget and gets no grids
+    (None); otherwise they are the arrivals per slot 0..t_cap+2, their
+    running sum and ``cgrid[s_prev, s'] = alpha c(s', s_prev)``."""
+    if not instance.all_unit:
+        raise UnsupportedInstanceError("dp_opt requires unit job sizes")
     s_cap, t_cap, budget = cfg.resolve(instance)
+    if instance.job_count == 0:
+        return s_cap, t_cap, None
     n_states = (t_cap + 2) * (instance.job_count + 1) * (s_cap + 1)
-    if instance.job_count and n_states > budget:
+    if n_states > budget:
         raise DpBudgetError(n_states, budget)
-    return s_cap, t_cap
-
-
-def _dp_grids(instance: ArrivalInstance, model: CostModel, s_cap: int,
-              t_end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrivals per slot 0..t_end+1, their running sum, and the switching
-    cost grid ``cgrid[s_prev, s'] = alpha c(s', s_prev)``; ValueError if
-    alpha makes an entry of the grid overflow."""
-    arr = np.zeros(t_end + 2, dtype=np.int64)
-    arr[1:instance.last_slot + 1] = instance.slot_counts
-    sp = np.arange(s_cap + 1, dtype=np.float64)
-    delta = np.abs(sp[None, :] - sp[:, None])  # [s_prev, s'] = |s' - s_prev|
     if not math.isfinite(model.alpha * model.transition_cost(0, s_cap)):
         raise ValueError(f"alpha={model.alpha:g} makes the largest switching "
                          f"cost alpha*c(s_cap, 0) overflow at s_cap={s_cap}")
-    cgrid = model.alpha * (delta if model.switching.value == "linear"
-                           else delta * delta)
-    return arr, np.cumsum(arr), cgrid
+    arr = np.zeros(t_cap + 3, dtype=np.int64)
+    arr[1:instance.last_slot + 1] = instance.slot_counts
+    sp = np.arange(s_cap + 1, dtype=np.float64)
+    cgrid = model.alpha * model.transition_cost(sp[:, None], sp[None, :])
+    return s_cap, t_cap, (arr, np.cumsum(arr), cgrid)
 
 
 def certified_horizon(instance: ArrivalInstance, model: CostModel,
@@ -137,20 +134,17 @@ def certified_horizon(instance: ArrivalInstance, model: CostModel,
     trace as under any larger t_cap. T is the ceiling
     (``cfg.resolve``'s t_cap) if the bound never holds before it.
     """
-    if not instance.all_unit:
-        raise UnsupportedInstanceError("dp_opt requires unit job sizes")
-    s_cap, ceiling = _dp_bounds(instance, cfg or DpConfig())
-    if instance.job_count == 0:
+    s_cap, ceiling, grids = _dp_setup(instance, model, cfg or DpConfig())
+    if grids is None:
         return Horizon(0, ceiling, math.inf)
-    return _certify(instance, s_cap, ceiling,
-                    *_dp_grids(instance, model, s_cap, ceiling))
+    return _certify(instance, s_cap, ceiling, *grids)
 
 
 @np.errstate(over="ignore")  # an overflowed sum costs more than any finite one
 def _certify(instance: ArrivalInstance, s_cap: int, ceiling: int,
              arr: np.ndarray, arrived: np.ndarray, cgrid: np.ndarray) -> Horizon:
-    """certified_horizon for a non-empty unit instance whose bounds are
-    resolved and whose ``_dp_grids`` reach at least slot ceiling + 1."""
+    """certified_horizon on ``_dp_setup``'s grids for a non-empty unit
+    instance, whose ceiling is the t_cap they were built for."""
     n_jobs = instance.job_count
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
     inf = np.inf
@@ -209,15 +203,13 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     other states stay at inf). Rows of n are taken in chunks so one block
     holds at most about ``_DP_BLOCK`` floats.
     """
-    if not instance.all_unit:
-        raise UnsupportedInstanceError("dp_opt requires unit job sizes")
     cfg = cfg or DpConfig()
-    s_cap, t_cap = _dp_bounds(instance, cfg)
-    if instance.job_count == 0:
+    s_cap, t_cap, grids = _dp_setup(instance, model, cfg)
+    if grids is None:
         return 0.0, ScheduleTrace((), (), "dp_opt", instance.instance_id)
-    arr, arrived, cgrid = _dp_grids(instance, model, s_cap, t_cap + 1)
+    arr, arrived, cgrid = grids
     if cfg.t_cap is None:
-        t_cap = _certify(instance, s_cap, t_cap, arr, arrived, cgrid).t_cap
+        t_cap = _certify(instance, s_cap, t_cap, *grids).t_cap
     n_jobs = instance.job_count
     t_end = t_cap + 1  # virtual slot charging the final down-switch
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
@@ -408,17 +400,10 @@ class DualCertificate:
     degenerate: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "flow_alg": self.flow_alg,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "bound": self.bound,
-            # -inf means "no (job, slot) pairs", e.g. an empty instance
-            "per_pair_slack": self.per_pair_slack
-            if math.isfinite(self.per_pair_slack) else None,
-            "degenerate": self.degenerate,
-        }
+        # -inf means "no (job, slot) pairs", e.g. an empty instance
+        slack = self.per_pair_slack if math.isfinite(self.per_pair_slack) else None
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return values | {"lambdas": list(self.lambdas), "per_pair_slack": slack}
 
 
 def dual_lower_bound(instance: ArrivalInstance, alpha: float,

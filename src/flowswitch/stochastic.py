@@ -10,7 +10,7 @@ squared jump magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -98,14 +98,7 @@ class StochasticCostEstimate:
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean_occupancy": self.mean_occupancy,
-            "switch_cost_rate": self.switch_cost_rate,
-            "total": self.total,
-            "ci_halfwidth": self.ci_halfwidth,
-            "alpha": self.alpha,
-            "meta": self.meta,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def stationary_distribution(lam: float, policy: MarkovPolicy) -> np.ndarray:

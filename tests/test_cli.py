@@ -300,11 +300,19 @@ class TestSweep:
         slope = float(rows[0].split(",")[-1])
         assert 0.57 <= slope <= 0.77
 
+    GRID_LIMIT = "grid limit error: the sweep grid has 4 cells, --max-cells is 3\n"
+
     def test_grid_budget(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "sweep", "--kind", "gamma", "--instance", "sigma1:N=2",
             "--gammas", "0,1", "--alphas", "1,2", "--max-cells", "3")
-        assert code == 3
+        assert (code, out, err) == (3, "", self.GRID_LIMIT)
+
+    def test_alg3_grid_budget(self, capsys):
+        # an alg3 sweep runs no DP: its limit is on cells, not DP states
+        code, out, err = run_cli(capsys, "sweep", "--kind", "alg3",
+                                 "--lambdas", "1e2,1e3,1e4,1e5", "--max-cells", "3")
+        assert (code, out, err) == (3, "", self.GRID_LIMIT)
 
 
 class TestReproduceFigure:
@@ -459,6 +467,12 @@ class TestInputErrors:
          2, "--seeds must be an integer, got ''"),
         (("reproduce-figure", "--figure", "quad_a1", "--seeds", "1,2.5"),
          2, "--seeds must be an integer, got '2.5'"),
+        (("run", "--instance", "batch:N=3"), 1, "at least one policy is required"),
+        (("gen", "periodic:x=4,k=-1"), 2, "k must be nonnegative"),
+        (("gen", "sigma2:N=1,T=-1"), 2, "horizon must be nonnegative"),
+        (("gen", "random:rate=1,T=-1,seed=1"), 2, "horizon must be nonnegative"),
+        (("stochastic", "--policy", "alg3", "--lambda", "10", "--c1", "-1"),
+         2, "c1 and c2 must be positive"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative",
@@ -477,7 +491,9 @@ class TestInputErrors:
             "run-dual-beta-overflow", "dual-slack-overflow", "quad-alg-beta-overflow",
             "alg2-huge-alpha-truncation", "alg1-huge-lambda-truncation",
             "rates-not-a-number", "gammas-not-a-number", "alphas-not-a-number",
-            "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer"])
+            "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer",
+            "run-no-policy", "periodic-negative-k", "sigma2-negative-horizon",
+            "random-negative-horizon", "alg3-c1-negative"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
@@ -524,10 +540,11 @@ class TestInputErrors:
         ("model = quad:alpha=1\nmodel = linear:alpha=2", ":3: model is already set"),
         ("seed = 1\nseed = 2", ":3: seed is already set"),
         ("reps = 1\nreps = 1", ":3: reps is already set"),
+        ("policy full_parallel", ":2: expected 'key = value'"),
     ], ids=["misspelled-policy", "misspelled-model", "unknown-oracle",
             "seed-not-an-integer", "reps-not-an-integer", "reps-below-one",
             "repeated-instance", "repeated-model", "repeated-seed",
-            "repeated-reps"])
+            "repeated-reps", "no-equals-sign"])
     def test_config_errors_name_the_line(self, capsys, tmp_path, line, needle):
         path = tmp_path / "exp.cfg"
         path.write_text(f"instance = batch:N=3\n{line}\npolicy = full_parallel\n")

@@ -115,6 +115,16 @@ class TestArrivalInstance:
         with pytest.raises(AttributeError):
             ArrivalInstance.from_counts((1,)).name = "renamed"
 
+    def test_immutable(self):
+        inst = ArrivalInstance(((1, 1), (2, 3)), name="x")
+        assert inst.job_count == 2  # cached from here on
+        with pytest.raises(AttributeError):
+            del inst.name
+        for attr in ("job_count", "total_work", "slot_counts"):  # read, unread, field
+            with pytest.raises(AttributeError):
+                setattr(inst, attr, 0)
+        assert (inst.name, inst.job_count, inst.total_work) == ("x", 2, 4)
+
     def test_prefix_keeps_the_first_jobs(self):
         for inst in (ArrivalInstance.from_counts((0, 2, 0, 3)),
                      ArrivalInstance(((2, 1), (2, 1), (4, 1), (4, 1), (4, 1))),
@@ -201,8 +211,10 @@ class TestCostOfTrace:
     def test_json_keys(self):
         b = cost_of_trace(trace_from_server_counts(batch(1), [1]), CostModel.linear(2))
         payload = json.loads(b.to_json())
-        assert set(payload) == {"flow_time", "switching_cost", "energy_cost",
-                                "total", "alpha", "switching_kind"}
+        # the order run prints them in
+        assert list(payload) == ["flow_time", "switching_cost", "energy_cost",
+                                 "total", "alpha", "switching_kind"]
+        assert payload["switching_kind"] == "linear"
 
     def test_identity_permutation_invariance(self):
         # same-size jobs swapped: identical cost
@@ -468,6 +480,14 @@ class TestColumnarTraces:
                 assert validate_trace(inst, trace).ok
                 cost_of_trace(trace, CostModel.quadratic(2.0))
 
+    def test_mismatched_columns_are_rejected(self):
+        with pytest.raises(ValueError, match="n and s columns differ"):
+            ScheduleTrace((1, 2), (1,))
+        with pytest.raises(ValueError, match="served columns and s differ"):
+            ScheduleTrace((1, 1), (1, 1), served=core.ServedColumns((0,), (1,)))
+        with pytest.raises(ValueError, match="counts do not partition"):
+            core.ServedColumns((0,), (2,))
+
     def test_corruptions_match_the_reference(self, corpus, small_corpus):
         cases = list(corrupted_traces(corpus)) + list(corrupted_traces(small_corpus))
         bulk = simulate(batch(2), FullParallel(), record_served=False)
@@ -480,9 +500,15 @@ class TestColumnarTraces:
             (ArrivalInstance(((1, 2), (1, 1))), "repeated_within_a_slot",
              served_trace([(2, 2, (0, 0)), (1, 1, (1,))])),
         ]
+        # slot 2 serves unit job 0 a second time
+        two = ArrivalInstance.from_counts((2,))
+        overserved = served_trace([(2, 1, (0,)), (1, 1, (0,))])
+        cases.append((two, "overservice", overserved))
         for inst, kind, trace in cases:
             expected = core._validate_reference(inst, trace)
             assert validate_trace(inst, trace) == expected, (inst.name, kind)
+        assert validate_trace(two, overserved) == ValidationResult(
+            False, "overservice", slot=2, job_id=0, message="service beyond job size")
 
     @settings(max_examples=300, deadline=None)
     @given(case=st.integers(0, 10**6),

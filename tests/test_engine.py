@@ -190,6 +190,9 @@ class TestObservableState:
         simulate(ArrivalInstance(arrivals), Probe())
         assert seen == expected
 
+    def test_repr(self):
+        assert repr(ObservableState(1, 2, 0)) == "ObservableState(t=1, n=2, s_prev=0)"
+
 
 class TestMonotonicity:
     def test_one_extra_final_job_never_lowers_occupancy(self):

@@ -542,8 +542,12 @@ class TestDualCertificate:
     def test_json_round_trip_fields(self):
         cert = dual_lower_bound(batch(2), 1.0, 2.177)
         payload = cert.to_json_dict()
-        assert set(payload) == {"lambdas", "flow_alg", "alpha", "beta",
-                                "bound", "per_pair_slack", "degenerate"}
+        # the order dual prints them in
+        assert list(payload) == ["lambdas", "flow_alg", "alpha", "beta",
+                                 "bound", "per_pair_slack", "degenerate"]
+        assert payload["lambdas"] == list(cert.lambdas)
+        assert dual_lower_bound(ArrivalInstance(()), 1.0, 2.177) \
+            .to_json_dict()["per_pair_slack"] is None
 
 
 class TestConvexBatchSolve:

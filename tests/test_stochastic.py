@@ -184,6 +184,12 @@ class TestAnalyticCost:
         assert est.total == pytest.approx(
             est.mean_occupancy + est.alpha * est.switch_cost_rate)
 
+    def test_json_key_order(self):
+        # the order stochastic prints them in
+        est = analytic_cost(1.5, 2.0, alg1())
+        assert list(est.to_json_dict()) == ["mean_occupancy", "switch_cost_rate",
+                                            "total", "ci_halfwidth", "alpha", "meta"]
+
 
 class TestSimulateCtmc:
     def test_matches_analytic_alg1(self):
@@ -265,6 +271,8 @@ class TestAlg3:
     def test_stability_required(self):
         with pytest.raises(ValueError):
             Alg3Params(10, 1.0).validate_stability(2.0)
+        with pytest.raises(ValueError, match="threshold"):
+            Alg3Params(0, 2.0)
         with pytest.raises(ValueError):
             Alg3Params.from_rates(-1.0)
         with pytest.raises(ValueError):
@@ -356,6 +364,10 @@ class TestAlg3:
         params = Alg3Params.from_rates(50.0)  # U = 14 needs >= 14 events
         with pytest.raises(CycleOverflowError):
             simulate_alg3(50.0, 1.0, params, busy_event_guard=10)
+        # U = 5 < 40, but a walk from 5 runs past 40 events
+        with pytest.raises(CycleOverflowError, match="busy period exceeded 40 events"):
+            simulate_alg3(10, 1, Alg3Params(5, 10.01), cycle_budget=30, seed=0,
+                          busy_event_guard=40)
 
 
 class TestScalingExponent:
