@@ -165,11 +165,27 @@ def _dp_config(args) -> DpConfig:
     return DpConfig(s_cap=args.s_cap, t_cap=args.t_cap)
 
 
+def _distinct_policies(specs: list[str], alpha: float) -> list:
+    """The policy of each spec; two specs naming one policy are an error,
+    since their runs would merge as replicates and share a trace file."""
+    seen: dict[str, str] = {}
+    policies = []
+    for spec in specs:
+        policy = make_policy(spec, default_alpha=alpha)
+        if policy.name in seen:
+            raise ValueError(f"policies {seen[policy.name]!r} and {spec!r} "
+                             f"are both {policy.name}")
+        seen[policy.name] = spec
+        policies.append(policy)
+    return policies
+
+
 def _cmd_run(args) -> int:
     _merge_config(args)
     model = CostModel.parse(args.model or "quad:alpha=1")
     oracles = args.oracle or []
     requests = _instance_requests(args.instance, args.seed, args.reps or 1)
+    policies = _distinct_policies(args.policy, model.alpha)
 
     report: dict = {"instance": args.instance, "model": model.label,
                     "reps": len(requests), "policies": []}
@@ -188,8 +204,7 @@ def _cmd_run(args) -> int:
             if args.out_dir:
                 _write(os.path.join(args.out_dir, "dp_opt_trace.csv"),
                        opt_trace.to_csv())
-        for spec in args.policy:
-            policy = make_policy(spec, default_alpha=model.alpha)
+        for policy in policies:
             trace = simulate(instance, policy, model)
             breakdown = cost_of_trace(trace, model)
             _finite(breakdown.total, f"{policy.name} cost under model {model.label}")
@@ -299,6 +314,8 @@ def _alg3_params(args, lam: float) -> Alg3Params:
 
 
 def _cmd_sweep(args) -> int:
+    if args.max_cells is not None and args.max_cells < 0:
+        raise _UsageError(f"--max-cells must be at least 0, got {args.max_cells}")
     max_cells = args.max_cells if args.max_cells is not None \
         else min(state_budget(), 10_000)
     buf = io.StringIO()

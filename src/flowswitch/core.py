@@ -9,7 +9,6 @@ servers after the last busy slot is always charged.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import operator
 from bisect import bisect_left
@@ -518,9 +517,6 @@ class CostBreakdown:
     def to_json_dict(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         return values | {"switching_kind": self.switching_kind.value}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def cost_of_trace(trace: ScheduleTrace, model: CostModel) -> CostBreakdown:

@@ -248,28 +248,3 @@ def _simulate(instance: ArrivalInstance, policy: PolicyDecision,
     served = None if sizes is None else ServedColumns(served_ids, ss)
     return ScheduleTrace(ns, ss, policy.name, instance.instance_id,
                          record_served, served)
-
-
-class _CountReplay(NamedTuple):
-    """A per-slot server-count column replayed as a policy."""
-
-    name: str
-    counts: tuple[int, ...]
-
-    def decide(self, state: ObservableState) -> int:
-        t = state.t
-        want = self.counts[t - 1] if t <= len(self.counts) else 0
-        if want > state.n:
-            raise ValueError(f"replay count {want} exceeds n={state.n} at slot {t}")
-        return want
-
-
-def trace_from_server_counts(instance: ArrivalInstance,
-                             counts: Sequence[int],
-                             policy_name: str = "fixed") -> ScheduleTrace:
-    """Materialize a trace from a per-slot server-count sequence.
-
-    Service order is SRPT, matching the engine. counts[i] is the requested
-    s at slot i+1 and must never exceed the outstanding count there.
-    """
-    return simulate(instance, _CountReplay(policy_name, tuple(int(c) for c in counts)))

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ArrivalInstance, CostModel, ScheduleTrace
-from .engine import simulate, trace_from_server_counts
+from .engine import simulate
 from .policies import QuadAlg, burst_objective, effective_alpha
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -248,17 +248,18 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
         raise ValueError("no feasible schedule within t_cap" if left else
                          f"alpha={model.alpha:g} makes every schedule's cost overflow")
 
-    counts: list[int] = []
+    ns: list[int] = []
+    ss: list[int] = []
     n_cur, s_prev = n0, 0
     for t in range(1, t_end + 1):
         s_t = int(choice[t][n_cur, s_prev])
+        ns.append(n_cur)
+        ss.append(s_t)
         n_cur = n_cur - s_t + int(arr[t + 1])
-        counts.append(s_t)
         s_prev = s_t
         if n_cur == 0 and t >= instance.last_slot:
             break
-    trace = trace_from_server_counts(instance, counts, policy_name="dp_opt")
-    return best, trace
+    return best, ScheduleTrace(ns, ss, "dp_opt", instance.instance_id)
 
 
 def exhaustive_opt(instance: ArrivalInstance, model: CostModel,

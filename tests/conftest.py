@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from flowswitch import ArrivalInstance
+from flowswitch import ArrivalInstance, ObservableState, ScheduleTrace, simulate
 
 CORPUS_SEED = 20260808
 CORPUS_ALPHAS = (0.5, 1.0, 2.0, 4.0)
@@ -23,6 +24,34 @@ def build_corpus(count: int = 200, seed: int = CORPUS_SEED) -> list[ArrivalInsta
         out.append(ArrivalInstance(tuple((s, 1) for s in slots),
                                    name=f"corpus-{seed}-{i}"))
     return out
+
+
+@dataclass(frozen=True)
+class _Replay:
+    """A per-slot server-count column played back as a policy."""
+
+    name: str
+    schedule: tuple[int, ...]
+
+    def decide(self, state: ObservableState) -> int:
+        idx = state.t - 1
+        want = self.schedule[idx] if idx < len(self.schedule) else 0
+        if want > state.n:
+            raise ValueError(
+                f"replay count {want} exceeds n={state.n} at slot {state.t}")
+        return want
+
+
+def replay_reference(instance: ArrivalInstance, counts,
+                     policy_name: str = "fixed") -> ScheduleTrace:
+    """The per-slot server counts replayed through ``simulate`` as a policy.
+
+    Slot t requests counts[t-1] (0 past the end); a count above the
+    outstanding n raises ValueError. The engine works out n, the served
+    sets and where the trace ends, so a trace built from its own columns
+    (``dp_opt``'s) can be checked against it.
+    """
+    return simulate(instance, _Replay(policy_name, tuple(int(c) for c in counts)))
 
 
 @pytest.fixture(scope="session")

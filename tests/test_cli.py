@@ -150,6 +150,23 @@ class TestRun:
         assert events == [{"t": 1, "n": 2, "s": 2, "served": [0, 1]},
                           {"t": 2, "n": 2, "s": 2, "served": [0, 2]}]
 
+    DUPLICATE = ("error: policies 'quad_alg' and 'QUAD_ALG(beta=1)' are both "
+                 "quad_alg(alpha=1,beta=1)\n")
+
+    def test_policies_resolving_alike_are_rejected(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert run_cli(capsys, "run", "--instance", "batch:N=3",
+                       "--policy", "quad_alg", "--policy", "QUAD_ALG(beta=1)",
+                       "--model", "quad:alpha=1", "--oracle", "dp",
+                       "--out-dir", str(out_dir)) == (2, "", self.DUPLICATE)
+        assert not list(out_dir.iterdir())
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("instance = batch:N=3\npolicy = quad_alg\n"
+                       "policy = QUAD_ALG(beta=1)\n")
+        assert run_cli(capsys, "run", "--config", str(cfg)) == \
+            (2, "", self.DUPLICATE)
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--policy", "full_parallel")
         assert code == 1
@@ -361,6 +378,10 @@ class TestInputErrors:
          2, "beta"),
         (("reproduce-figure", "--figure", "quad_a1", "--horizon", "0"),
          1, "--horizon"),
+        (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "0",
+          "--alphas", "1", "--max-cells", "-1"), 1, "--max-cells must be at least 0"),
+        (("sweep", "--kind", "alg3", "--lambdas", "1", "--max-cells", "-1"),
+         1, "--max-cells must be at least 0"),
         (("run", "--instance", "random:rate=5,T=10,seed=-1",
           "--policy", "full_parallel"), 2, "seed must be a nonnegative integer"),
         (("run", "--instance", "random:rate=5,T=10,seed=1", "--seed", "-1",
@@ -475,7 +496,8 @@ class TestInputErrors:
          2, "c1 and c2 must be positive"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
-            "beta-nan", "horizon-zero", "spec-seed-negative", "flag-seed-negative",
+            "beta-nan", "horizon-zero", "gamma-max-cells-negative",
+            "alg3-max-cells-negative", "spec-seed-negative", "flag-seed-negative",
             "gamma-underflow", "gamma-overflow", "gamma-sweep-overflow",
             "balance-value-tiny-alpha", "balance-delta-tiny-alpha",
             "quad-balance-tiny-alpha", "unknown-instance-key",

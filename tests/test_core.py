@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import random
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from flowswitch import (ArrivalInstance, CostModel, ScheduleTrace, SlotRecord,
                         SwitchingKind, TraceValidationError, ValidationResult,
                         cli, core, cost_of_trace, dp_opt, simulate,
-                        trace_from_server_counts, validate_trace)
+                        validate_trace)
 from flowswitch.instances import batch, random_slotted
 from flowswitch.policies import BalanceDelta, FullParallel, Lg, QuadAlg
 
@@ -182,7 +181,7 @@ class TestCostModel:
 class TestCostOfTrace:
     def test_two_jobs_two_slots_quadratic(self):
         # n=(2,1), transitions 0->1, 1->1, 1->0
-        trace = trace_from_server_counts(batch(2), [1, 1])
+        trace = ScheduleTrace((2, 1), (1, 1))
         b = cost_of_trace(trace, CostModel.quadratic(2))
         assert (b.flow_time, b.switching_cost, b.total) == (3, 2, 7)
 
@@ -191,12 +190,12 @@ class TestCostOfTrace:
         assert b.flow_time == 0 and b.total == 0
 
     def test_two_jobs_one_slot_linear(self):
-        trace = trace_from_server_counts(batch(2), [2])
+        trace = ScheduleTrace((2,), (2,))
         b = cost_of_trace(trace, CostModel.linear(1))
         assert (b.flow_time, b.switching_cost, b.total) == (2, 4, 6)
 
     def test_energy_term(self):
-        trace = trace_from_server_counts(batch(2), [1, 1])
+        trace = ScheduleTrace((2, 1), (1, 1))
         b = cost_of_trace(trace, CostModel.quadratic(2, theta=0.25))
         assert b.energy_cost == 0.5
         assert b.total == b.flow_time + b.alpha * b.switching_cost + b.energy_cost
@@ -209,8 +208,8 @@ class TestCostOfTrace:
         assert err.value.slot == 1
 
     def test_json_keys(self):
-        b = cost_of_trace(trace_from_server_counts(batch(1), [1]), CostModel.linear(2))
-        payload = json.loads(b.to_json())
+        b = cost_of_trace(ScheduleTrace((1,), (1,)), CostModel.linear(2))
+        payload = b.to_json_dict()
         # the order run prints them in
         assert list(payload) == ["flow_time", "switching_cost", "energy_cost",
                                  "total", "alpha", "switching_kind"]

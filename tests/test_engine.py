@@ -1,15 +1,11 @@
 import math
 import random
-from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, ObservableState,
                         PolicyFaultError, PolicyStallError, cost_of_trace,
-                        simulate, srpt_select, trace_from_server_counts,
-                        validate_trace)
+                        simulate, srpt_select, validate_trace)
 from flowswitch import engine
 from flowswitch.instances import batch
 from flowswitch.policies import FullParallel, QuadAlg
@@ -230,75 +226,3 @@ class TestMakespanBound:
         trace = simulate(batch(3), QuadAlg(alpha=0.5, beta=2.177))
         assert trace.last_slot == 1
 
-
-def replay_reference(instance, counts, policy_name="fixed"):
-    """The counts replayed through ``simulate`` by a frozen dataclass policy
-    built per call, as trace_from_server_counts did before its module-level
-    replay policy; it stays here as that policy's reference.
-    """
-
-    @dataclass(frozen=True)
-    class _Replay:
-        schedule: tuple[int, ...]
-        name: str = policy_name
-
-        def decide(self, state: ObservableState) -> int:
-            idx = state.t - 1
-            want = self.schedule[idx] if idx < len(self.schedule) else 0
-            if want > state.n:
-                raise ValueError(
-                    f"replay count {want} exceeds n={state.n} at slot {state.t}")
-            return want
-
-    return simulate(instance, _Replay(tuple(int(c) for c in counts)))
-
-
-def _outcome(build, instance, counts):
-    """Everything a trace exposes, or the error type and message."""
-    try:
-        trace = build(instance, counts, "replay")
-    except (ValueError, PolicyStallError) as exc:
-        return type(exc), str(exc)
-    return (trace.n, trace.s, tuple(trace.slots), dict(trace.departures),
-            trace.policy_name, trace.instance_id, trace.complete_records,
-            trace.served is None)
-
-
-def assert_replay_matches(instance, counts):
-    want = _outcome(replay_reference, instance, counts)
-    assert _outcome(trace_from_server_counts, instance, counts) == want, \
-        (instance.name, counts)
-
-
-class TestTraceFromServerCounts:
-    def test_matches_replay_on_corpus(self, corpus):
-        rng = random.Random(11)
-        for inst in corpus[:80]:
-            served = simulate(inst, FullParallel()).s
-            cases = [served, served + (0, 0), served[:-1], (), [0] * 3,
-                     [c + 1 for c in served], [-1] + list(served)]
-            cases += [[rng.randint(-1, 4) for _ in range(rng.randint(0, 12))]
-                      for _ in range(4)]
-            for counts in cases:
-                assert_replay_matches(inst, counts)
-
-    @settings(max_examples=150, deadline=None)
-    @given(arrivals=st.lists(st.integers(0, 4), min_size=1, max_size=6),
-           counts=st.lists(st.integers(-1, 5), max_size=12))
-    def test_matches_replay_generated(self, arrivals, counts):
-        assert_replay_matches(ArrivalInstance.from_counts(arrivals), counts)
-
-    def test_general_sizes_replay_through_srpt(self):
-        inst = ArrivalInstance(((1, 2), (1, 1), (2, 3)))
-        for counts in ([2, 2, 1, 1], [1, 1, 1, 1, 1, 1], [3], [2, 2]):
-            assert_replay_matches(inst, counts)
-
-    def test_replays_exact_counts(self):
-        inst = ArrivalInstance(((1, 1), (1, 1), (1, 1)))
-        trace = trace_from_server_counts(inst, [1, 2])
-        assert trace.s == (1, 2)
-        assert validate_trace(inst, trace).ok
-
-    def test_rejects_infeasible_counts(self):
-        with pytest.raises(ValueError):
-            trace_from_server_counts(batch(1), [2])

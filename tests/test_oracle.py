@@ -19,7 +19,7 @@ from flowswitch.instances import batch, periodic, random_slotted, sigma1, sigma2
 from flowswitch.policies import (BalanceDelta, FullParallel, QuadAlg,
                                  SqrtOnline, burst_objective)
 
-from conftest import CORPUS_ALPHAS
+from conftest import CORPUS_ALPHAS, replay_reference
 
 
 def tiny_instances(max_jobs=4, max_slot=3, budget_slots=6):
@@ -153,10 +153,21 @@ def assert_dp_matches_reference(instance, model, cfg=None):
         return
     value, trace = dp_opt(instance, model, cfg)
     assert (value, trace.s) == want, (instance.name, model, cfg)
+    assert_trace_matches_replay(instance, trace)
+
+
+def assert_trace_matches_replay(instance, trace):
+    """dp_opt's own n and s columns against its s replayed through the engine."""
+    want = replay_reference(instance, trace.s, "dp_opt")
+    assert trace == want, instance.name
+    assert trace.to_csv() == want.to_csv(), instance.name
+    assert (trace.complete_records, trace.served is None) == \
+        (want.complete_records, want.served is None), instance.name
 
 
 class TestDpDifferential:
-    """dp_opt against the per-s' reference loop, by == on value and s."""
+    """dp_opt against the per-s' reference loop, by == on value and s, and
+    its trace against the engine's replay of s, by == and by CSV."""
 
     def test_corpus(self, corpus):
         alphas = (0.3, 0.5, 1.0, 1.7, 2.0, 3.3)
@@ -182,6 +193,26 @@ class TestDpDifferential:
         # 121 x 121 (s_prev, s') cells per row: the rows take two blocks
         assert_dp_matches_reference(batch(120), CostModel.quadratic(1.7),
                                     DpConfig(s_cap=120))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks(self, small_corpus, monkeypatch, block):
+        monkeypatch.setattr(oracle, "_DP_BLOCK", block)
+        for i, inst in enumerate(small_corpus):
+            model = CostModel.quadratic(CORPUS_ALPHAS[i % len(CORPUS_ALPHAS)])
+            assert_dp_matches_reference(inst, model, DpConfig(s_cap=inst.job_count))
+
+    @pytest.mark.parametrize("inst", [
+        batch(9), periodic(4, 3), sigma2(5, 4), sigma2(8, 7),
+        random_slotted(2.0, 8, seed=3), random_slotted(4.0, 6, seed=11),
+    ], ids=lambda inst: inst.name)
+    def test_families_trace_replay(self, inst):
+        # the explicit pair is feasible: 3 a slot clears any backlog
+        tight = DpConfig(s_cap=3, t_cap=inst.last_slot + math.ceil(inst.job_count / 3))
+        cfgs = (DpConfig(), DpConfig(s_cap=inst.job_count), tight)
+        for alpha in (0.3, 1.0, 2.0, 4.0):
+            for model in (CostModel.linear(alpha), CostModel.quadratic(alpha)):
+                for cfg in cfgs:
+                    assert_trace_matches_replay(inst, dp_opt(inst, model, cfg)[1])
 
 
 def default_ceiling(instance):
