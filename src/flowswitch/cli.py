@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 from .core import ArrivalInstance, CostModel, cost_of_trace
 from .engine import PolicyFaultError, PolicyStallError, simulate
@@ -167,7 +166,8 @@ def _dp_config(args) -> DpConfig:
 
 def _distinct_policies(specs: list[str], alpha: float) -> list:
     """The policy of each spec; two specs naming one policy are an error,
-    since their runs would merge as replicates and share a trace file."""
+    since their runs would merge as replicates and share a trace file, and
+    so is a policy alpha other than the cost model's ``alpha``."""
     seen: dict[str, str] = {}
     policies = []
     for spec in specs:
@@ -177,6 +177,10 @@ def _distinct_policies(specs: list[str], alpha: float) -> list:
                              f"are both {policy.name}")
         seen[policy.name] = spec
         policies.append(policy)
+    for policy in policies:
+        if getattr(policy, "alpha", alpha) != alpha:
+            raise ValueError(
+                f"policy alpha {policy.alpha} disagrees with cost model alpha {alpha}")
     return policies
 
 
@@ -197,21 +201,25 @@ def _cmd_run(args) -> int:
     for request in requests:
         instance = request.build() if isinstance(request, GeneratorSpec) \
             else ArrivalInstance.from_file(request)
+        out_dir = args.out_dir
+        if out_dir and len(requests) > 1:  # one directory per replicate
+            out_dir = os.path.join(out_dir, f"seed{request.params['seed']}")
+            if not os.path.isdir(out_dir):  # mkdir: a missing --out-dir stays an error
+                os.mkdir(out_dir)
         opt_cost = None
         if "dp" in oracles:
             opt_cost, opt_trace = dp_opt(instance, model, _dp_config(args))
             dp_costs.append(opt_cost)
-            if args.out_dir:
-                _write(os.path.join(args.out_dir, "dp_opt_trace.csv"),
-                       opt_trace.to_csv())
+            if out_dir:
+                _write(os.path.join(out_dir, "dp_opt_trace.csv"), opt_trace.to_csv())
         for policy in policies:
-            trace = simulate(instance, policy, model)
+            trace = simulate(instance, policy)
             breakdown = cost_of_trace(trace, model)
             _finite(breakdown.total, f"{policy.name} cost under model {model.label}")
             entry = {**breakdown.to_json_dict(), "jobs": instance.job_count}
-            if opt_cost is not None:
-                entry["ratio"] = 1.0 if opt_cost == 0 else \
-                    breakdown.total / opt_cost
+            if opt_cost is not None:  # dp_opt leaves energy out, so the ratio does too
+                online = breakdown.flow_time + model.alpha * breakdown.switching_cost
+                entry["ratio"] = 1.0 if opt_cost == 0 else online / opt_cost
             if "dual" in oracles:
                 beta = getattr(policy, "beta", args.beta)
                 cert = _dual_certificate(instance, model.alpha, beta, warned)
@@ -222,11 +230,10 @@ def _cmd_run(args) -> int:
                     print(json.dumps({"t": rec.t, "n": rec.n, "s": rec.s,
                                       "served": sorted(rec.served)}),
                           file=sys.stderr)
-            if args.out_dir:
+            if out_dir:
                 safe = policy.name.replace("(", "_").replace(")", "") \
                     .replace(",", "_")
-                _write(os.path.join(args.out_dir, f"trace_{safe}.csv"),
-                       trace.to_csv())
+                _write(os.path.join(out_dir, f"trace_{safe}.csv"), trace.to_csv())
     if dp_costs:
         report["dp_opt"] = dp_costs[0] if len(dp_costs) == 1 else {
             "mean": sum(dp_costs) / len(dp_costs), "values": dp_costs}
@@ -254,17 +261,13 @@ def _cmd_opt(args) -> int:
 
 def _dual_certificate(instance: ArrivalInstance, alpha: float, beta: float,
                       warned: set[str]) -> DualCertificate:
-    """dual_lower_bound, its degenerate-beta RuntimeWarning printed as one
-    ``warning:`` line on stderr, once per message in ``warned``, instead of
-    Python's file-and-line form."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("always", "beta=.* gives a nonpositive dual bound",
-                                RuntimeWarning)
-        cert = dual_lower_bound(instance, alpha, beta)
-    for message in (str(w.message) for w in caught):
-        if message not in warned:
-            warned.add(message)
-            print(f"warning: {message}", file=sys.stderr)
+    """dual_lower_bound; a degenerate beta is printed as one ``warning:``
+    line on stderr, once per message in ``warned``."""
+    cert = dual_lower_bound(instance, alpha, beta)
+    message = f"beta={beta:g} gives a nonpositive dual bound"
+    if cert.degenerate and message not in warned:
+        warned.add(message)
+        print(f"warning: {message}", file=sys.stderr)
     return cert
 
 
@@ -575,7 +578,7 @@ def main(argv=None) -> int:
     except _GridLimitError as exc:
         print(f"grid limit error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, KeyError, UnsupportedInstanceError,
+    except (ValueError, OSError, UnsupportedInstanceError,
             PolicyFaultError, PolicyStallError, NonErgodicError,
             TruncationError, CycleOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

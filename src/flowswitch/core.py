@@ -29,15 +29,11 @@ class SwitchingKind(str, Enum):
 class TraceValidationError(Exception):
     """A cost/oracle operation received a trace that breaks an invariant."""
 
-    def __init__(self, violation: str, slot: int | None = None,
-                 job_id: int | None = None, message: str = ""):
+    def __init__(self, violation: str, slot: int | None = None, message: str = ""):
         self.violation = violation
         self.slot = slot
-        self.job_id = job_id
-        detail = message or violation
         where = f" at slot {slot}" if slot is not None else ""
-        who = f" (job {job_id})" if job_id is not None else ""
-        super().__init__(f"{detail}{where}{who}")
+        super().__init__(f"{message or violation}{where}")
 
 
 @dataclass(frozen=True)
@@ -371,8 +367,6 @@ class ScheduleTrace:
 
     n: tuple[int, ...]
     s: tuple[int, ...]
-    policy_name: str = ""
-    instance_id: str = ""
     complete_records: bool = True
     served: ServedColumns | None = field(default=None, repr=False)
 
@@ -412,9 +406,8 @@ class ScheduleTrace:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if (self.n, self.s, self.policy_name, self.instance_id,
-                self.complete_records) != (other.n, other.s, other.policy_name,
-                                           other.instance_id, other.complete_records):
+        if (self.n, self.s, self.complete_records) != \
+                (other.n, other.s, other.complete_records):
             return False
         if self.served is None and other.served is None:
             return True

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from operator import itemgetter
 from typing import ClassVar, NamedTuple, Protocol
 
-from .core import ArrivalInstance, CostModel, ScheduleTrace, ServedColumns
+from .core import ArrivalInstance, ScheduleTrace, ServedColumns
 
 _CEIL_EPS = 1e-9
 
@@ -118,13 +118,6 @@ def srpt_select(outstanding: Sequence[tuple[int, int, int]], k: int) -> frozense
     return frozenset(rec[0] for rec in ranked[: min(k, len(ranked))])
 
 
-def _check_policy_alpha(policy: PolicyDecision, model: CostModel | None):
-    alpha = getattr(policy, "alpha", None)
-    if model is not None and alpha is not None and alpha != model.alpha:
-        raise ValueError(
-            f"policy alpha {alpha} disagrees with cost model alpha {model.alpha}")
-
-
 def _server_request(policy: PolicyDecision, request, t: int) -> int:
     """A non-int request as a server count; fractional values round up."""
     if isinstance(request, bool):
@@ -139,13 +132,10 @@ def _server_request(policy: PolicyDecision, request, t: int) -> int:
     return _ceil(value)
 
 
-def simulate(instance: ArrivalInstance, policy: PolicyDecision,
-             model: CostModel | None = None, *,
+def simulate(instance: ArrivalInstance, policy: PolicyDecision, *,
              record_served: bool = True) -> ScheduleTrace:
     """Run the policy over the whole instance and return its trace.
 
-    ``model`` only cross-checks that a policy's alpha parameter matches the
-    cost model it will be scored under; the dynamics never depend on it.
     ``record_served=False`` (unit jobs only) marks the trace as a bulk run:
     it costs normally but cannot be validated.
 
@@ -156,9 +146,8 @@ def simulate(instance: ArrivalInstance, policy: PolicyDecision,
     outstanding for K_stall = total work + last arrival slot consecutive
     slots.
     """
-    _check_policy_alpha(policy, model)
     if not instance.job_count:
-        return ScheduleTrace((), (), policy.name, instance.instance_id)
+        return ScheduleTrace((), ())
     if not (record_served or instance.all_unit):
         raise ValueError("record_served=False supports unit-size jobs only")
     return _simulate(instance, policy, record_served, instance.sizes)
@@ -246,5 +235,4 @@ def _simulate(instance: ArrivalInstance, policy: PolicyDecision,
         ns.append(n)
         ss.append(s)
     served = None if sizes is None else ServedColumns(served_ids, ss)
-    return ScheduleTrace(ns, ss, policy.name, instance.instance_id,
-                         record_served, served)
+    return ScheduleTrace(ns, ss, record_served, served)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -206,7 +205,7 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     cfg = cfg or DpConfig()
     s_cap, t_cap, grids = _dp_setup(instance, model, cfg)
     if grids is None:
-        return 0.0, ScheduleTrace((), (), "dp_opt", instance.instance_id)
+        return 0.0, ScheduleTrace((), ())
     arr, arrived, cgrid = grids
     if cfg.t_cap is None:
         t_cap = _certify(instance, s_cap, t_cap, *grids).t_cap
@@ -259,7 +258,7 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
         s_prev = s_t
         if n_cur == 0 and t >= instance.last_slot:
             break
-    return best, ScheduleTrace(ns, ss, "dp_opt", instance.instance_id)
+    return best, ScheduleTrace(ns, ss)
 
 
 def exhaustive_opt(instance: ArrivalInstance, model: CostModel,
@@ -335,9 +334,7 @@ def delta_flow(instance: ArrivalInstance, job: int,
 def _prefix_flow(instance: ArrivalInstance, k: int, policy: QuadAlg) -> int:
     """Flow time of the policy on the first k jobs of the instance: one
     replay, the reference for ``_unit_prefix_flows``."""
-    # named prefix: an unnamed instance would hash all its records for its id
-    prefix = instance.prefix(k, name=f"{instance.instance_id}[:{k}]")
-    return sum(simulate(prefix, policy).n)
+    return sum(simulate(instance.prefix(k), policy).n)
 
 
 def _unit_prefix_flows(instance: ArrivalInstance, policy: QuadAlg,
@@ -417,9 +414,6 @@ def dual_lower_bound(instance: ArrivalInstance, alpha: float,
     flow_alg = sum(trace.n)
     bound = dual_bound_from_flow(flow_alg, beta)  # checks beta before the prefix flows
     degenerate = 4.0 * beta * beta <= 9.0
-    if degenerate:
-        warnings.warn(f"beta={beta:g} gives a nonpositive dual bound",
-                      RuntimeWarning, stacklevel=2)
     size = instance.sizes[0] if instance.sizes else 1
     # prefix flows F(0..J); lambda_j = (F(j+1) - F(j)) / size is
     # delta_flow(j) / size exactly, since the flows are integers

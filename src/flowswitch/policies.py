@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 from .core import parse_spec
 from .engine import ShapedRule, _ceil
@@ -184,12 +184,9 @@ class QuadBalance(_Rule):
 # ---------------------------------------------------------------------------
 # registry
 
-POLICY_REGISTRY: dict[str, Callable[..., object]] = {
+POLICY_REGISTRY: dict[str, type[_Rule]] = {
     cls.key: cls for cls in (FullParallel, BalanceValue, BalanceDelta, SqrtOnline,
                              Lg, GammaPolicy, QuadAlg, QuadBalance)}
-
-_NEEDS_ALPHA = {key for key, cls in POLICY_REGISTRY.items()
-                if "alpha" in cls.__dataclass_fields__}
 
 
 def make_policy(spec: str, default_alpha: float | None = None):
@@ -201,14 +198,17 @@ def make_policy(spec: str, default_alpha: float | None = None):
     name, kwargs = parse_spec(spec, "policy")
     if name not in POLICY_REGISTRY:
         raise ValueError(f"unknown policy {name!r}; known: {sorted(POLICY_REGISTRY)}")
-    if name in _NEEDS_ALPHA and "alpha" not in kwargs:
-        if default_alpha is None:
-            raise ValueError(f"policy {name!r} needs alpha (none given, no default)")
-        kwargs["alpha"] = default_alpha
-    try:
-        return POLICY_REGISTRY[name](**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for policy {name!r}: {exc}") from None
+    cls = POLICY_REGISTRY[name]
+    params = {f.name: f.default for f in fields(cls)}
+    for key in kwargs:
+        if key not in params:
+            raise ValueError(f"unknown policy parameter {key!r}")
+    if "alpha" in params and default_alpha is not None:
+        kwargs.setdefault("alpha", default_alpha)
+    for key, default in params.items():
+        if key not in kwargs and default is MISSING:
+            raise ValueError(f"policy {name!r} needs parameter {key!r}")
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ class _Replay:
         return want
 
 
-def replay_reference(instance: ArrivalInstance, counts,
-                     policy_name: str = "fixed") -> ScheduleTrace:
+def replay_reference(instance: ArrivalInstance, counts) -> ScheduleTrace:
     """The per-slot server counts replayed through ``simulate`` as a policy.
 
     Slot t requests counts[t-1] (0 past the end); a count above the
@@ -51,7 +50,7 @@ def replay_reference(instance: ArrivalInstance, counts,
     sets and where the trace ends, so a trace built from its own columns
     (``dp_opt``'s) can be checked against it.
     """
-    return simulate(instance, _Replay(policy_name, tuple(int(c) for c in counts)))
+    return simulate(instance, _Replay("fixed", tuple(int(c) for c in counts)))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from flowswitch import (NonErgodicError, PolicyFaultError, PolicyStallError,
                         TruncationError, cli)
-from flowswitch import CostModel, dp_opt
+from flowswitch import CostModel, ScheduleTrace, cost_of_trace, dp_opt
 from flowswitch.cli import FIGURE_IDS, main, reproduce_figure
 from flowswitch.instances import sigma2
 
@@ -166,6 +166,38 @@ class TestRun:
                        "policy = QUAD_ALG(beta=1)\n")
         assert run_cli(capsys, "run", "--config", str(cfg)) == \
             (2, "", self.DUPLICATE)
+        # a policy alpha other than the model's is refused before any file is written
+        assert run_cli(capsys, "run", "--instance", "batch:N=3",
+                       "--policy", "full_parallel", "--policy", "quad_alg:alpha=2",
+                       "--model", "quad:alpha=1", "--oracle", "dp",
+                       "--out-dir", str(out_dir)) == \
+            (2, "", "error: policy alpha 2.0 disagrees with cost model alpha 1.0\n")
+        assert not list(out_dir.iterdir())
+
+    def test_replicates_write_one_directory_each(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "run", "--instance", "random:rate=3,T=8,seed=2", "--policy", "lg",
+            "--model", "linear:alpha=2", "--oracle", "dp", "--reps", "3",
+            "--out-dir", str(tmp_path))
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["seed2", "seed3", "seed4"]
+        model = CostModel.linear(2.0)
+        costs = [cost_of_trace(ScheduleTrace.from_csv(
+            (tmp_path / f"seed{seed}" / "dp_opt_trace.csv").read_text()), model).total
+            for seed in (2, 3, 4)]
+        assert costs == json.loads(out)["dp_opt"]["values"] == [53, 38, 58]
+        for seed in (2, 3, 4):
+            assert sorted(os.listdir(tmp_path / f"seed{seed}")) == \
+                ["dp_opt_trace.csv", "trace_lg_alpha=2.csv"]
+
+    def test_ratio_leaves_energy_out(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--instance", "batch:N=4", "--policy", "full_parallel",
+            "--model", "quad:alpha=1,theta=0.5", "--oracle", "dp")
+        assert code == 0
+        report = json.loads(out)
+        entry = report["policies"][0]
+        assert (entry["total"], report["dp_opt"], entry["ratio"]) == (38, 12, 3.0)
 
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--policy", "full_parallel")
@@ -494,6 +526,10 @@ class TestInputErrors:
         (("gen", "random:rate=1,T=-1,seed=1"), 2, "horizon must be nonnegative"),
         (("stochastic", "--policy", "alg3", "--lambda", "10", "--c1", "-1"),
          2, "c1 and c2 must be positive"),
+        (("run", "--instance", "batch:N=3", "--policy", "lg:beta=2"),
+         2, "error: unknown policy parameter 'beta'\n"),
+        (("run", "--instance", "batch:N=3", "--policy", "a_gamma"),
+         2, "error: policy 'a_gamma' needs parameter 'gamma'\n"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "gamma-max-cells-negative",
@@ -515,7 +551,8 @@ class TestInputErrors:
             "rates-not-a-number", "gammas-not-a-number", "alphas-not-a-number",
             "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer",
             "run-no-policy", "periodic-negative-k", "sigma2-negative-horizon",
-            "random-negative-horizon", "alg3-c1-negative"])
+            "random-negative-horizon", "alg3-c1-negative", "unknown-policy-key",
+            "missing-policy-key"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code

@@ -17,14 +17,14 @@ from flowswitch.policies import BalanceDelta, FullParallel, Lg, QuadAlg
 from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
 
 
-def served_trace(rows, policy_name="", instance_id=""):
+def served_trace(rows):
     """A trace with its served sets given, one (n, s, ids) row per slot:
     slot numbers and departures follow from the rows."""
     rows = tuple(rows)
     served = core.ServedColumns([j for _, _, ids in rows for j in ids],
                                 [len(ids) for _, _, ids in rows])
     return ScheduleTrace(tuple(n for n, _, _ in rows), tuple(s for _, s, _ in rows),
-                         policy_name, instance_id, served=served)
+                         served=served)
 
 
 def rows_of(slots):
@@ -298,7 +298,7 @@ def corrupted_traces(instances, seed=99):
             if not rec.served:
                 continue
             rows[idx] = (rec.n, rec.s, list(rec.served)[1:])
-        yield inst, kind, served_trace(rows, trace.policy_name, trace.instance_id)
+        yield inst, kind, served_trace(rows)
 
 
 class TestValidatorFuzz:
@@ -314,10 +314,14 @@ class TestValidatorFuzz:
 
 class TestTraceCsv:
     def test_round_trip(self):
-        trace = simulate(ArrivalInstance(((1, 2), (2, 1))), QuadAlg(alpha=1.0))
-        again = ScheduleTrace.from_csv(trace.to_csv())
-        assert again.slots == trace.slots
-        assert dict(again.departures) == dict(trace.departures)
+        unit = random_slotted(3.0, 8, 2)
+        for trace in (simulate(ArrivalInstance(((1, 2), (2, 1))), QuadAlg(alpha=1.0)),
+                      simulate(unit, Lg(alpha=2.0)),
+                      dp_opt(unit, CostModel.linear(2.0))[1]):
+            again = ScheduleTrace.from_csv(trace.to_csv())
+            assert again == trace
+            assert again.slots == trace.slots
+            assert dict(again.departures) == dict(trace.departures)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

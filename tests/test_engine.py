@@ -128,12 +128,6 @@ class TestSimulate:
         with pytest.raises(PolicyStallError):
             simulate(batch(3), _Fixed(0))
 
-    def test_alpha_consistency_check(self):
-        policy = QuadAlg(alpha=2.0)
-        with pytest.raises(ValueError):
-            simulate(batch(1), policy, CostModel.quadratic(1.0))
-        simulate(batch(1), policy, CostModel.quadratic(2.0))
-
     def test_determinism(self):
         inst = ArrivalInstance(((1, 1), (1, 1), (2, 1), (5, 1)))
         a = simulate(inst, QuadAlg(alpha=1.0))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -158,7 +159,7 @@ def assert_dp_matches_reference(instance, model, cfg=None):
 
 def assert_trace_matches_replay(instance, trace):
     """dp_opt's own n and s columns against its s replayed through the engine."""
-    want = replay_reference(instance, trace.s, "dp_opt")
+    want = replay_reference(instance, trace.s)
     assert trace == want, instance.name
     assert trace.to_csv() == want.to_csv(), instance.name
     assert (trace.complete_records, trace.served is None) == \
@@ -429,7 +430,6 @@ def audit_shapes():
     return shapes
 
 
-@pytest.mark.filterwarnings("ignore:.*nonpositive dual bound:RuntimeWarning")
 class TestUnitPrefixFlows:
     """The drain-table prefix flows against one replay per prefix, by ==."""
 
@@ -537,7 +537,8 @@ class TestDualCertificate:
         assert dual_bound_from_flow(40, math.sqrt(3.0)) == pytest.approx(10.0)
 
     def test_degenerate_beta_flagged(self):
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cert = dual_lower_bound(batch(3), 1.0, 1.4)
         assert cert.degenerate
         assert cert.bound <= 0
