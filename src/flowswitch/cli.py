@@ -207,6 +207,7 @@ def _cmd_run(args) -> int:
             if not os.path.isdir(out_dir):  # mkdir: a missing --out-dir stays an error
                 os.mkdir(out_dir)
         opt_cost = None
+        certs: dict[float, DualCertificate] = {}  # one per distinct beta
         if "dp" in oracles:
             opt_cost, opt_trace = dp_opt(instance, model, _dp_config(args))
             dp_costs.append(opt_cost)
@@ -222,12 +223,16 @@ def _cmd_run(args) -> int:
                 entry["ratio"] = 1.0 if opt_cost == 0 else online / opt_cost
             if "dual" in oracles:
                 beta = getattr(policy, "beta", args.beta)
-                cert = _dual_certificate(instance, model.alpha, beta, warned)
-                entry["dual"] = cert.to_json_dict()
+                if beta not in certs:
+                    certs[beta] = _dual_certificate(instance, model.alpha, beta, warned)
+                entry["dual"] = certs[beta].to_json_dict()
             per_policy.setdefault(policy.name, []).append(entry)
             if args.verbose:
+                label = {"policy": policy.name}
+                if len(requests) > 1:
+                    label["seed"] = request.params["seed"]
                 for rec in trace.slots:
-                    print(json.dumps({"t": rec.t, "n": rec.n, "s": rec.s,
+                    print(json.dumps({**label, "t": rec.t, "n": rec.n, "s": rec.s,
                                       "served": sorted(rec.served)}),
                           file=sys.stderr)
             if out_dir:
@@ -512,7 +517,8 @@ def build_parser() -> _Parser:
                    help="beta for the dual oracle when the policy has none")
     p.add_argument("--out-dir")
     p.add_argument("-v", "--verbose", action="store_true",
-                   help="stream per-slot JSON events to stderr")
+                   help="stream per-slot JSON events to stderr, each naming "
+                        "its policy (and seed when --reps > 1)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("opt", help="offline optimal cost and trace", parents=[dp_caps])

@@ -4,6 +4,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -137,7 +140,22 @@ class TestRun:
             "--policy", "full_parallel", "--model", "quad:alpha=1", "-v")
         assert code == 0
         events = [json.loads(line) for line in err.strip().splitlines()]
-        assert events == [{"t": 1, "n": 2, "s": 2, "served": [0, 1]}]
+        assert events == [{"policy": "full_parallel",
+                           "t": 1, "n": 2, "s": 2, "served": [0, 1]}]
+
+    def test_verbose_events_name_policy_and_seed(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--instance", "random:rate=1,T=2,seed=0", "--reps", "2",
+            "--policy", "full_parallel", "--policy", "lg", "--model", "linear:alpha=1",
+            "-v")
+        assert code == 0
+        assert [json.loads(line) for line in err.strip().splitlines()] == [
+            {"policy": "full_parallel", "seed": 0, "t": 1, "n": 1, "s": 1, "served": [0]},
+            {"policy": "lg(alpha=1)", "seed": 0, "t": 1, "n": 1, "s": 1, "served": [0]},
+            {"policy": "full_parallel", "seed": 1, "t": 1, "n": 2, "s": 2, "served": [0, 1]},
+            {"policy": "full_parallel", "seed": 1, "t": 2, "n": 1, "s": 1, "served": [2]},
+            {"policy": "lg(alpha=1)", "seed": 1, "t": 1, "n": 2, "s": 2, "served": [0, 1]},
+            {"policy": "lg(alpha=1)", "seed": 1, "t": 2, "n": 1, "s": 1, "served": [2]}]
 
     def test_verbose_event_stream_general_sizes(self, capsys, tmp_path):
         path = tmp_path / "mixed.txt"
@@ -147,8 +165,9 @@ class TestRun:
             "--policy", "full_parallel", "--model", "quad:alpha=1", "-v")
         assert code == 0
         events = [json.loads(line) for line in err.strip().splitlines()]
-        assert events == [{"t": 1, "n": 2, "s": 2, "served": [0, 1]},
-                          {"t": 2, "n": 2, "s": 2, "served": [0, 2]}]
+        assert events == [
+            {"policy": "full_parallel", "t": 1, "n": 2, "s": 2, "served": [0, 1]},
+            {"policy": "full_parallel", "t": 2, "n": 2, "s": 2, "served": [0, 2]}]
 
     DUPLICATE = ("error: policies 'quad_alg' and 'QUAD_ALG(beta=1)' are both "
                  "quad_alg(alpha=1,beta=1)\n")
@@ -263,6 +282,21 @@ class TestOptDual:
         assert cert["per_pair_slack"] <= 0
         assert len(cert["lambdas"]) == 4
 
+    @pytest.mark.parametrize("extra, calls", [((), 1), (("quad_alg:beta=2",), 2)])
+    def test_run_certifies_each_beta_once(self, capsys, extra, calls):
+        policies = ("full_parallel", "balance_value", "lg") + extra
+        argv = ["run", "--instance", "batch:N=5", "--oracle", "dual"]
+        for policy in policies:
+            argv += ["--policy", policy]
+        with mock.patch.object(cli, "dual_lower_bound",
+                               wraps=cli.dual_lower_bound) as counted:
+            code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert counted.call_count == calls
+        entries = json.loads(out)["policies"]
+        assert [e["dual"]["beta"] for e in entries] == \
+            [math.sqrt(3.0)] * 3 + [2.0] * len(extra)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
         ("dual", "--instance", "batch:N=6", "--alpha", "2", "--beta", "1.2"),
@@ -317,6 +351,51 @@ class TestStochasticCli:
         assert code == 2
         assert out == ""
         assert "below the 32 batches" in err
+
+
+# Runs the argv lists given as JSON through cli.main in one fresh interpreter
+# and prints, per step, the argv, its exit code and whether scipy is loaded.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import flowswitch
+from flowswitch import cli
+steps = [[[], 0, "scipy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cli.main(argv)
+    steps.append([argv, code, "scipy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_for_a_confidence_interval(tmp_path):
+    # the pytest process has imported scipy already, so ask a fresh one
+    (tmp_path / "out").mkdir()
+    simulate = ["stochastic", "--policy", "alg1", "--lambda", "2",
+                "--mode", "simulate", "--events", "3200"]
+    argvs = [
+        ["gen", "batch:N=3", "-o", str(tmp_path / "inst.txt")],
+        ["run", "--instance", "batch:N=3", "--policy", "quad_alg",
+         "--model", "quad:alpha=1", "--oracle", "dp", "--oracle", "dual",
+         "--out-dir", str(tmp_path / "out")],
+        ["opt", "--instance", "batch:N=3", "--model", "quad:alpha=1"],
+        ["dual", "--instance", "batch:N=3", "--alpha", "1", "--beta", "2"],
+        ["sweep", "--kind", "gamma", "--instance", "sigma1:N=2",
+         "--gammas", "0,1", "--alphas", "1", "-o", os.devnull],
+        ["reproduce-figure", "--figure", "quad_a1", "--seeds", "1",
+         "--rates", "5", "--horizon", "20", "-o", os.devnull],
+        ["stochastic", "--policy", "alg1", "--lambda", "2", "--mode", "analytic"],
+        simulate,
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert [argv for argv, _, _ in steps] == [[]] + argvs
+    assert [code for _, code, _ in steps] == [0] * len(steps)
+    assert [argv for argv, _, loaded in steps if loaded] == [simulate]
 
 
 class TestSweep:

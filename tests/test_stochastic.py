@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 from scipy.stats import poisson
 
 from flowswitch import (Alg3Params, CycleOverflowError, MarkovPolicy,
@@ -259,6 +260,16 @@ class TestSimulateCtmc:
         assert est.ci_halfwidth == pytest.approx(ci, rel=1e-9)
         assert est.meta["sim_time"] == pytest.approx(clock, rel=1e-9)
         assert est.meta["batches"] == 32
+
+    @pytest.mark.parametrize("k", [2, 30, 32, 200])
+    def test_batch_ci_is_the_t_interval(self, k):
+        rng = np.random.default_rng(k)
+        rewards = rng.exponential(3.0, k).tolist()
+        durations = rng.uniform(0.5, 2.0, k).tolist()
+        rates = np.asarray(rewards) / np.asarray(durations)
+        expected = (float(stdtrit(k - 1, 0.975)) * float(rates.std(ddof=1))
+                    / math.sqrt(k))
+        assert _batch_ci(rewards, durations) == expected
 
 
 class TestAlg3:
