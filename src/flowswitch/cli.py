@@ -15,17 +15,15 @@ import math
 import os
 import sys
 
-from .core import ArrivalInstance, CostModel, cost_of_trace
-from .engine import PolicyFaultError, PolicyStallError, simulate
+from .core import ArrivalInstance, CostModel, check_positive, cost_of_trace
+from .engine import simulate
 from .instances import (GeneratorKind, GeneratorSpec, parse_instance_spec,
                         random_slotted)
-from .oracle import (DpBudgetError, DpConfig, DualCertificate,
-                     UnsupportedInstanceError, dp_opt, dual_lower_bound,
-                     state_budget)
+from .oracle import (DpBudgetError, DpConfig, DualCertificate, dp_opt,
+                     dual_lower_bound, state_budget)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
-                       QuadAlg, QuadBalance, _check_alpha, make_policy)
-from .stochastic import (Alg3Params, CycleOverflowError, NonErgodicError,
-                         TruncationError, alg1, alg2, alg3_analytic_cost,
+                       QuadAlg, QuadBalance, make_policy)
+from .stochastic import (Alg3Params, alg1, alg2, alg3_analytic_cost,
                          analytic_cost, scaling_exponent, simulate_alg3,
                          simulate_ctmc)
 
@@ -284,7 +282,6 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_stochastic(args) -> int:
-    _check_alpha(args.alpha)
     if args.seed < 0:
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
     if args.policy == "alg3":
@@ -352,7 +349,8 @@ def _cmd_sweep(args) -> int:
                 writer.writerow([f"{gamma:g}", f"{alpha:g}", f"{total:.6g}",
                                  f"{opt_cost:.6g}", f"{ratio:.6g}"])
     else:  # alg3
-        _check_alpha(args.alpha)
+        # an empty --lambdas grid reaches no library check of alpha
+        check_positive("alpha", args.alpha)
         lams = _parse_grid(args.lambdas or "", "--lambdas")
         if len(lams) > max_cells:
             raise _GridLimitError(len(lams), max_cells)
@@ -421,6 +419,9 @@ def reproduce_figure(figure_id: str, seeds=(1, 2, 3), horizon: int | None = None
     """
     model, default_rates, default_t = figure_setup(figure_id)
     horizon = default_t if horizon is None else horizon
+    if horizon < 1 or not seeds:  # the costs divide by both
+        raise ValueError(f"reproduce_figure needs horizon >= 1 and a seed, "
+                         f"got horizon={horizon}, seeds={tuple(seeds)}")
     rates = tuple(rates) if rates else default_rates
     policies = figure_policies(figure_id, model.alpha)
     rows = []
@@ -584,9 +585,7 @@ def main(argv=None) -> int:
     except _GridLimitError as exc:
         print(f"grid limit error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, UnsupportedInstanceError,
-            PolicyFaultError, PolicyStallError, NonErgodicError,
-            TruncationError, CycleOverflowError) as exc:
+    except (ValueError, OSError) as exc:  # library input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -26,7 +26,7 @@ class SwitchingKind(str, Enum):
     QUADRATIC = "quadratic"
 
 
-class TraceValidationError(Exception):
+class TraceValidationError(ValueError):
     """A cost/oracle operation received a trace that breaks an invariant."""
 
     def __init__(self, violation: str, slot: int | None = None, message: str = ""):
@@ -51,6 +51,12 @@ class ValidationResult:
 
 
 _VALID = ValidationResult(True)
+
+
+def check_positive(name: str, value: float):
+    """Raise ValueError unless ``value`` is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -243,8 +249,7 @@ class CostModel:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        check_positive("alpha", self.alpha)
         if not 0 <= self.theta < math.inf:
             raise ValueError(f"theta must be nonnegative and finite, got {self.theta}")
         object.__setattr__(self, "switching", SwitchingKind(self.switching))

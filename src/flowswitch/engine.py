@@ -37,11 +37,11 @@ def _ceil(x: float) -> int:
     return max(0, math.ceil(x - _CEIL_EPS))
 
 
-class PolicyFaultError(Exception):
+class PolicyFaultError(ValueError):
     """Policy returned something that is not a finite number."""
 
 
-class PolicyStallError(Exception):
+class PolicyStallError(ValueError):
     """Policy requested zero servers with work outstanding for K_stall slots."""
 
 

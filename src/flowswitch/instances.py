@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .core import ArrivalInstance, parse_spec
+from .core import ArrivalInstance, check_positive, parse_spec
 
 
 class GeneratorKind(str, Enum):
@@ -60,8 +59,7 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
     Pinned to Poisson so experiment outputs are reproducible; the published
     experiments spread the same average load in an unspecified way.
     """
-    if not (rate > 0 and math.isfinite(rate)):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
+    check_positive("rate", rate)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if seed < 0:

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ArrivalInstance, CostModel, ScheduleTrace
+from .core import ArrivalInstance, CostModel, ScheduleTrace, check_positive
 from .engine import simulate
 from .policies import QuadAlg, burst_objective, effective_alpha
 
@@ -20,7 +20,7 @@ BUDGET_ENV_VAR = "FLOWSWITCH_ORACLE_BUDGET"
 _DP_BLOCK = 1 << 20  # float64 elements per dp_opt or dual-slack block
 
 
-class UnsupportedInstanceError(Exception):
+class UnsupportedInstanceError(ValueError):
     """dp_opt handles unit-size jobs only."""
 
 
@@ -33,7 +33,7 @@ class DpBudgetError(Exception):
         super().__init__(f"DP needs {required} states, budget is {budget}")
 
 
-class OracleSizeError(Exception):
+class OracleSizeError(ValueError):
     """exhaustive_opt is guarded to tiny inputs."""
 
 
@@ -482,12 +482,11 @@ def convex_batch_solve(n: float, horizon: int, alpha: float = 1.0) -> BurstSolut
     elimination on the KKT system, which lands well inside the 1e-8 KKT
     residual contract for these sizes. The minimizer is unique.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not 0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got {n}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_positive("alpha", alpha)
     h = horizon
     if n == 0:
         return BurstSolution((0.0,) * h, 0.0, 0.0)

@@ -15,18 +15,13 @@ from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import ClassVar
 
-from .core import parse_spec
+from .core import check_positive, parse_spec
 from .engine import ShapedRule, _ceil
 
 
 def effective_alpha(alpha: float) -> float:
     """The quadratic rule replaces alpha by 1 whenever alpha < 1."""
     return max(alpha, 1.0)
-
-
-def _check_alpha(alpha: float):
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 # Several targets divide the job count n by a rule constant. From this
@@ -49,7 +44,7 @@ class _Rule(ShapedRule):
 
     def __post_init__(self):
         if hasattr(self, "alpha"):
-            _check_alpha(self.alpha)
+            check_positive("alpha", self.alpha)
             if self.divides_by_alpha and self.alpha < _MIN_DIVISOR:
                 raise ValueError(f"alpha={self.alpha:g} is too small for "
                                  f"{self.key}: n/alpha overflows")
@@ -265,10 +260,6 @@ def batch_quad_continuous(n: float, horizon: int) -> BurstBatchResult:
     """
     from .oracle import convex_batch_solve
 
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     sol = convex_batch_solve(n, horizon, alpha=1.0)
     profile = tuple(float(x) for x in sol.profile)
     closed = closed_form_burst_profile(n, horizon)
@@ -307,9 +298,9 @@ def batch_quad_horizon_search(n: float, alpha: float) -> HorizonSearchResult:
     """
     from .oracle import convex_batch_solve
 
-    _check_alpha(alpha)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_positive("alpha", alpha)
+    if not 0 <= n < math.inf:
+        raise ValueError(f"n must be nonnegative and finite, got {n}")
     if n == 0:
         return HorizonSearchResult(0, 0.0, ())
     h_max = math.ceil(3.0 * math.sqrt(effective_alpha(alpha) * n)) + int(math.ceil(n))

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import check_positive
+
 TAIL_TOL = 1e-12
 MIN_BATCHES = 30
 CTMC_BATCHES = 32
@@ -26,15 +28,15 @@ class RateModel(str, Enum):
     SINGLE_SERVER_SPEED_SCALING = "single_server_speed_scaling"
 
 
-class NonErgodicError(Exception):
+class NonErgodicError(ValueError):
     """Service rates cannot keep the occupancy chain positive recurrent."""
 
 
-class TruncationError(Exception):
+class TruncationError(ValueError):
     """Stationary tail mass stayed above tolerance at the size cap."""
 
 
-class CycleOverflowError(Exception):
+class CycleOverflowError(ValueError):
     """A regenerative busy period did not terminate within the event guard."""
 
 
@@ -73,8 +75,7 @@ def alg1() -> MarkovPolicy:
 
 def alg2(alpha: float) -> MarkovPolicy:
     """Proportional speed scaling: mu_i = i / cbrt(4 alpha)."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    check_positive("alpha", alpha)
     c = (4.0 * alpha) ** (1.0 / 3.0)
     return MarkovPolicy(lambda i: i / c, f"alg2(alpha={alpha:g})",
                         RateModel.SINGLE_SERVER_SPEED_SCALING)
@@ -115,8 +116,7 @@ def _stationary(lam: float, policy: MarkovPolicy) -> tuple[np.ndarray, np.ndarra
     Each rate is evaluated once: every doubling extends one rate table,
     then checks it, takes its logs and sums them as array operations.
     """
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    check_positive("lam", lam)
     mu = np.zeros(1)  # mu[i] = mu_i
     n_max = 64
     while True:
@@ -157,6 +157,7 @@ def _check_rates(policy: MarkovPolicy, mu: np.ndarray):
 def analytic_cost(lam: float, alpha: float,
                   policy: MarkovPolicy) -> StochasticCostEstimate:
     """Exact stationary cost: E[N] + 2 alpha sum_i lam pi_i (mu_i - mu_{i+1})^2."""
+    check_positive("alpha", alpha)
     pi, mu = _stationary(lam, policy)
     idx = np.arange(pi.size)
     mean_occ = float((idx * pi).sum())
@@ -203,8 +204,8 @@ def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
     leftover events count toward the totals but form no batch. Memory is
     O(batch size).
     """
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    check_positive("alpha", alpha)
+    check_positive("lam", lam)
     if event_budget < CTMC_BATCHES:
         raise ValueError(f"event budget {event_budget} is below the "
                          f"{CTMC_BATCHES} batches requested")
@@ -285,8 +286,7 @@ class Alg3Params:
                    theta1: float = 2.0 / 3.0,
                    theta2: float = 1.0 / 3.0) -> "Alg3Params":
         """U = ceil(c1 lam^theta1), mu = lam + c2 lam^theta2, both finite."""
-        if not (lam > 0 and math.isfinite(lam)):
-            raise ValueError(f"lam must be positive and finite, got {lam}")
+        check_positive("lam", lam)
         for name, value in (("c1", c1), ("c2", c2),
                             ("theta1", theta1), ("theta2", theta2)):
             if not math.isfinite(value):
@@ -327,6 +327,7 @@ def alg3_analytic_cost(lam: float, alpha: float,
     accounting behind the lam^(2/3) scaling claim; a faithful simulated
     run of the same policy yields shorter busy periods, U/(mu - lam).
     """
+    check_positive("alpha", alpha)
     params.validate_stability(lam)
     u, mu = params.threshold, params.mu
     mean_idle = u / lam
@@ -360,6 +361,7 @@ def simulate_alg3(lam: float, alpha: float, params: Alg3Params,
     holding times. Renewal-reward estimate with a batch-means CI over
     cycle groups.
     """
+    check_positive("alpha", alpha)
     params.validate_stability(lam)
     if cycle_budget < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} cycles")

@@ -468,6 +468,13 @@ class TestReproduceFigure:
         rows, checks = reproduce_figure("linear_a1", seeds=(1,), horizon=120)
         assert all(ok for _, ok, _ in checks)
 
+    @pytest.mark.parametrize("kwargs", [{"horizon": 0}, {"seeds": ()}],
+                             ids=["horizon-zero", "no-seeds"])
+    def test_nothing_to_average_is_a_value_error(self, kwargs):
+        # each normalized cost divides by the horizon and the seed count
+        with pytest.raises(ValueError, match=r"got horizon=\d+, seeds=\("):
+            reproduce_figure("quad_a1", rates=(5.0,), **kwargs)
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv, expected_code, needle", [
@@ -609,6 +616,8 @@ class TestInputErrors:
          2, "error: unknown policy parameter 'beta'\n"),
         (("run", "--instance", "batch:N=3", "--policy", "a_gamma"),
          2, "error: policy 'a_gamma' needs parameter 'gamma'\n"),
+        (("sweep", "--kind", "alg3", "--lambdas", ",", "--alpha", "nan"),
+         2, "error: alpha must be positive and finite, got nan\n"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "gamma-max-cells-negative",
@@ -631,7 +640,7 @@ class TestInputErrors:
             "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer",
             "run-no-policy", "periodic-negative-k", "sigma2-negative-horizon",
             "random-negative-horizon", "alg3-c1-negative", "unknown-policy-key",
-            "missing-policy-key"])
+            "missing-policy-key", "alg3-empty-sweep-alpha-nan"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code

@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import math
 import os
+import pkgutil
 import random
 from types import SimpleNamespace
 
@@ -7,10 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowswitch import (ArrivalInstance, CostModel, ScheduleTrace, SlotRecord,
-                        SwitchingKind, TraceValidationError, ValidationResult,
-                        cli, core, cost_of_trace, dp_opt, simulate,
-                        validate_trace)
+import flowswitch
+from flowswitch import (Alg3Params, ArrivalInstance, CostModel, ScheduleTrace,
+                        SlotRecord, SwitchingKind, TraceValidationError,
+                        ValidationResult, alg1, alg3_analytic_cost,
+                        analytic_cost, batch_quad_continuous,
+                        batch_quad_horizon_search, cli, convex_batch_solve,
+                        core, cost_of_trace, dp_opt, simulate, simulate_alg3,
+                        simulate_ctmc, validate_trace)
 from flowswitch.instances import batch, random_slotted
 from flowswitch.policies import BalanceDelta, FullParallel, Lg, QuadAlg
 
@@ -550,3 +557,51 @@ class TestColumnarTraces:
         expected = core._validate_reference(inst, old)
         assert core._validate_reference(inst, new) == expected
         assert validate_trace(inst, new) == expected
+
+
+# (entry point, parameter, call with that parameter set to the value)
+INPUT_CHECKS = [
+    ("analytic_cost", "alpha", lambda v: analytic_cost(1.0, v, alg1())),
+    ("simulate_ctmc", "alpha",
+     lambda v: simulate_ctmc(1.0, v, alg1(), event_budget=1000)),
+    ("alg3_analytic_cost", "alpha",
+     lambda v: alg3_analytic_cost(10.0, v, Alg3Params.from_rates(10.0))),
+    ("simulate_alg3", "alpha",
+     lambda v: simulate_alg3(10.0, v, Alg3Params.from_rates(10.0), cycle_budget=30)),
+    ("convex_batch_solve", "n", lambda v: convex_batch_solve(v, 3)),
+    ("convex_batch_solve", "alpha", lambda v: convex_batch_solve(3.0, 3, alpha=v)),
+    ("batch_quad_horizon_search", "n", lambda v: batch_quad_horizon_search(v, 1.0)),
+    ("batch_quad_horizon_search", "alpha",
+     lambda v: batch_quad_horizon_search(3.0, v)),
+    ("batch_quad_continuous", "n", lambda v: batch_quad_continuous(v, 3)),
+]
+
+# the exceptions that are not input errors, so not ValueErrors
+NOT_INPUT_ERRORS = {"oracle.DpBudgetError", "oracle.ConvexSolverError",
+                    "cli._UsageError", "cli._GridLimitError"}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("entry, param, call, value", [
+        pytest.param(entry, param, call, value, id=f"{entry}-{param}-{value:g}")
+        for entry, param, call in INPUT_CHECKS
+        for value in (math.nan, math.inf, 0.0, -1.0)
+        if not (param == "n" and value == 0.0)  # n = 0 is the empty batch
+    ])
+    def test_entry_point_rejects_bad_value(self, entry, param, call, value):
+        with pytest.raises(ValueError,
+                           match=rf"^{param} must be \w+ and finite, got {value}$"):
+            call(value)
+
+    def test_every_input_error_is_a_value_error(self):
+        """cli.main turns every ValueError into exit 2, so an exception
+        class outside that family must be named here on purpose."""
+        found = {}
+        for info in pkgutil.iter_modules(flowswitch.__path__):
+            module = importlib.import_module(f"flowswitch.{info.name}")
+            for name, cls in inspect.getmembers(module, inspect.isclass):
+                if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                    found[f"{info.name}.{name}"] = cls
+        assert NOT_INPUT_ERRORS <= found.keys()
+        assert [name for name, cls in found.items() if name not in NOT_INPUT_ERRORS
+                and not issubclass(cls, ValueError)] == []
