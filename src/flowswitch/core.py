@@ -425,19 +425,17 @@ class ScheduleTrace:
         return len(self.s)
 
     def to_csv(self) -> str:
-        """One row per slot: t, n, s and the served ids in ascending order."""
-        offsets = self._offsets
-        rows = zip(count(1), self.n, self.s, offsets, offsets[1:])
-        lines = ["t,n,s,served_ids"]
-        if self.served is None:  # ids straight from the cumulative s
-            lines += [f"{t},{n},{s},{';'.join(map(str, range(first, end)))}"
-                      for t, n, s, first, end in rows]
-        else:
-            ids = self.served.ids
-            lines += [f"{t},{n},{s},"
-                      f"{';'.join(map(str, sorted(set(ids[first:end]))))}"
-                      for t, n, s, first, end in rows]
-        return "\n".join(lines) + "\n"
+        """One row per slot: t, n, s and the served ids in ascending order.
+
+        A trace of at least ``_BULK_MIN_VALUES`` values (t, n and s of each
+        row plus its served ids) whose values all fit int64 is formatted in
+        numpy by ``_csv_bulk_text``; any other goes through the row loop
+        ``_csv_row_text``. Both write the same bytes.
+        """
+        text = None
+        if 3 * len(self.s) + self._offsets[-1] >= _BULK_MIN_VALUES:
+            text = _csv_bulk_text(self)
+        return _csv_row_text(self) if text is None else text
 
     @classmethod
     def from_csv(cls, text: str) -> "ScheduleTrace":
@@ -446,6 +444,14 @@ class ScheduleTrace:
         Ids are kept as written; the ``slots`` view reads each slot's ids
         as a set, and a job departs at the last row that serves it. The t
         column must count 1..T: ValueError names the first row that does not.
+
+        ``_csv_columns`` parses a text of at least ``_BULK_MIN_VALUES``
+        values (t, n and s of each row plus the ids) in numpy when every
+        value is 1 to 18 ASCII digits, and a smaller text through ``int``.
+        Every other text goes through the row loop ``_csv_rows``: in bulk,
+        one with a sign, space, ``_``, non-ASCII digit or longer value; at
+        any size, one with a short row, an empty id item or a value ``int``
+        rejects. The row loop sets the accepted inputs and the error raised.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].split(",")[:3] != ["t", "n", "s"]:
@@ -461,26 +467,57 @@ class ScheduleTrace:
         return cls(n, s, served=ServedColumns(ids, counts))
 
 
-def _csv_columns(rows: list[list[str]]):
-    """Parse trace CSV rows column by column, all ids in one split.
+# Traces of fewer values than this (t, n and s of each row plus the served
+# ids) are written row by row and read through ``int``: there numpy's fixed
+# cost, some 50 us a call, outweighs what it saves per value. On a 2-vCPU
+# Xeon VM writing broke even near 400 values and reading near 800.
+_BULK_MIN_VALUES = 600
 
-    Returns None, and leaves the input to ``_csv_rows``, when a row lacks
-    a field, an id field holds an empty item, or any value fails to parse;
+
+def _csv_columns(rows: list[list[str]]):
+    """Parse trace CSV rows column by column, each column in one pass.
+
+    Rows of at least ``_BULK_MIN_VALUES`` values (t, n and s of each row
+    plus the served ids) are parsed in numpy (``_digit_items``), smaller
+    ones through ``int``. Returns None, and leaves the input to
+    ``_csv_rows``, when a row lacks a field, an id field holds an empty
+    item, a value fails ``int``, or in bulk a value is not plain digits;
     so the accepted inputs and the error raised are the row reader's.
     """
-    if any(len(row) != 4 for row in rows):
+    if not rows or min(map(len, rows)) != 4:
         return None
-    t_col, n_col, s_col, id_col = zip(*rows) if rows else ((), (), (), ())
-    joined = ";".join(field for field in id_col if field)
-    if ";;" in joined or joined[:1] == ";" or joined[-1:] == ";":
-        return None
-    try:
-        ids = list(map(int, joined.split(";"))) if joined else []
-        t, n, s = (list(map(int, col)) for col in (t_col, n_col, s_col))
-    except ValueError:
-        return None
+    t_col, n_col, s_col, id_col = zip(*rows)
+    joined = ";".join(filter(None, id_col))
     counts = [field.count(";") + 1 if field else 0 for field in id_col]
+    if 3 * len(rows) + sum(counts) < _BULK_MIN_VALUES:
+        try:
+            ids = list(map(int, joined.split(";"))) if joined else []
+            t, n, s = (list(map(int, col)) for col in (t_col, n_col, s_col))
+        except ValueError:
+            return None
+    else:
+        ids = _digit_items(joined, ";") if joined else []
+        t, n, s = (_digit_items(",".join(col), ",")
+                   for col in (t_col, n_col, s_col))
+        if None in (ids, t, n, s):
+            return None
     return t, n, s, ids, counts
+
+
+def _digit_items(text: str, sep: str) -> list[int] | None:
+    """The ints of the ``sep``-separated items of ``text``, parsed in numpy;
+    None unless every item is 1 to 18 ASCII digits, which ``int`` reads
+    the same and int64 holds."""
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(f"{sep}{text}{sep}".encode(), np.uint8)
+    cuts = np.flatnonzero(raw == ord(sep))
+    if np.count_nonzero(raw - ord("0") < 10) + cuts.size != raw.size:
+        return None
+    gaps = np.diff(cuts)  # each item's length plus one
+    if not 2 <= gaps.min() <= gaps.max() <= 19:
+        return None
+    return np.fromstring(text, np.int64, sep=sep).tolist()
 
 
 def _csv_rows(rows: list[list[str]]):
@@ -495,6 +532,87 @@ def _csv_rows(rows: list[list[str]]):
         ids += served
         counts.append(len(served))
     return t, n, s, ids, counts
+
+
+def _csv_row_text(trace: ScheduleTrace) -> str:
+    """The trace CSV written row by row."""
+    offsets = trace._offsets
+    rows = zip(count(1), trace.n, trace.s, offsets, offsets[1:])
+    lines = ["t,n,s,served_ids"]
+    if trace.served is None:  # ids straight from the cumulative s
+        lines += [f"{t},{n},{s},{';'.join(map(str, range(first, end)))}"
+                  for t, n, s, first, end in rows]
+    else:
+        ids = trace.served.ids
+        lines += [f"{t},{n},{s},"
+                  f"{';'.join(map(str, sorted(set(ids[first:end]))))}"
+                  for t, n, s, first, end in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_bulk_text(trace: ScheduleTrace) -> str | None:
+    """The trace CSV built in numpy, or None when a value or the packed
+    (slot, id) sort key does not fit int64.
+
+    Every t, n, s and id becomes one int64 value with the byte that follows
+    it (',' after t, n and s, ';' between ids, a newline ending the row; an
+    idle row ends in a digitless value). Digits fill a (values x width)
+    byte matrix right to left, with NUL bytes for leading zeros and absent
+    signs, and one ``bytes.translate`` drops those.
+    """
+    served = trace.served
+    n, s = _int_column(trace.n), _int_column(trace.s)
+    if served is None:
+        counts, ids = s, np.arange(trace._offsets[-1])
+    else:
+        counts, ids = _int_column(served.counts), _int_column(served.ids)
+    if any(column is None for column in (n, s, counts, ids)) or \
+            counts.min(initial=0) < 0:
+        return None
+    slots = len(counts)
+    if served is not None and ids.size:
+        # sorted(set(...)) per slot: one sort of (slot, id) packed in a key
+        low, span = int(ids.min()), int(ids.max()) - int(ids.min()) + 1
+        if slots * span > np.iinfo(np.int64).max:
+            return None
+        key = np.sort(np.repeat(np.arange(slots) * span, counts) + (ids - low))
+        key = key[np.append(True, key[1:] != key[:-1])]
+        slot = key // span
+        ids = key - slot * span + low
+        counts = np.bincount(slot, minlength=slots)
+    per_row = 3 + np.maximum(counts, 1)
+    ends = np.cumsum(per_row)
+    heads = ends - per_row
+    values = np.zeros(ends[-1] if slots else 0, np.int64)
+    after = np.full(values.size, ord(";"), np.uint8)
+    is_id = np.ones(values.size, bool)
+    for k, column in enumerate((np.arange(1, slots + 1), n, s)):
+        at = heads + k
+        values[at], after[at], is_id[at] = column, ord(","), False
+    idle = heads[counts == 0] + 3
+    is_id[idle] = False
+    values[is_id] = ids
+    after[ends - 1] = ord("\n")
+    negative = values < 0
+    magnitude = np.abs(values, out=values)
+    if magnitude.min(initial=0) < 0:  # -2**63 has no int64 magnitude
+        return None
+    width = len(str(magnitude.max(initial=0)))
+    if width < 10:  # a narrower type halves the work of every pass
+        magnitude = magnitude.astype(np.uint32)
+    chars = np.empty((values.size, width + 2), np.uint8)
+    chars[:, 0] = negative * ord("-")
+    for j in range(width, 0, -1):  # scalar // runs far faster than %
+        quotient = magnitude // 10
+        digits = magnitude - quotient * 10 + ord("0")
+        if j < width:
+            digits *= magnitude > 0  # a leading zero becomes a NUL pad
+        chars[:, j] = digits
+        magnitude = quotient
+    chars[idle, width] = 0
+    chars[:, -1] = after
+    body = chars.tobytes().translate(None, b"\0")  # drop the NUL pads
+    return "t,n,s,served_ids\n" + body.decode()
 
 
 @dataclass(frozen=True)

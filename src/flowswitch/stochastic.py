@@ -291,8 +291,8 @@ class Alg3Params:
                             ("theta1", theta1), ("theta2", theta2)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if c1 <= 0 or c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
+        check_positive("c1", c1)
+        check_positive("c2", c2)
         if theta1 > 1 or theta2 >= 1:
             raise ValueError("need theta1 <= 1 and theta2 < 1")
         u = _scaled_power(c1, lam, theta1)

@@ -611,7 +611,7 @@ class TestInputErrors:
         (("gen", "sigma2:N=1,T=-1"), 2, "horizon must be nonnegative"),
         (("gen", "random:rate=1,T=-1,seed=1"), 2, "horizon must be nonnegative"),
         (("stochastic", "--policy", "alg3", "--lambda", "10", "--c1", "-1"),
-         2, "c1 and c2 must be positive"),
+         2, "c1 must be positive and finite, got -1.0"),
         (("run", "--instance", "batch:N=3", "--policy", "lg:beta=2"),
          2, "error: unknown policy parameter 'beta'\n"),
         (("run", "--instance", "batch:N=3", "--policy", "a_gamma"),

@@ -404,7 +404,11 @@ CSV_INSTANCES = (batch(3), ArrivalInstance.from_counts((2, 0, 3, 1)),
 # applied in this order, so that rows are cut short and dropped last
 CSV_EDITS = ("duplicate_id", "reverse_ids", "shift_t", "repeat_t", "negative_id",
              "unknown_id", "move_last_id", "empty_item", "bump_n", "bump_s",
-             "non_integer", "short_row", "truncate")
+             "non_integer", "odd_token", "short_row", "truncate")
+# Tokens ``int`` reads that the bulk reader must leave to the row loop, or
+# (leading zeros) read as ``int`` does: a sign, a space, an underscore, a
+# non-ASCII digit, and ids of 19 and 20 digits.
+ODD_TOKENS = ("+5", " 5", "1_0", "\u0663", "007", str(10**18), str(2**64))
 
 
 def edit_rows(rows, kind, where, k, jobs):
@@ -436,6 +440,14 @@ def edit_rows(rows, kind, where, k, jobs):
             ids[where // 2 % len(ids)] = bad
         else:
             ids = [bad]
+    elif kind == "odd_token":  # one t, n, s or id token
+        token = ODD_TOKENS[where // 3 % len(ODD_TOKENS)]
+        if k % 2 == 0:
+            row[where % 3] = token
+        elif ids:
+            ids[where // 2 % len(ids)] = token
+        else:
+            ids = [token]
     elif kind == "move_last_id" and ids and i + 1 < len(rows):
         later = rows[i + 1 + abs(k) % (len(rows) - i - 1)]
         later[3] = ";".join(([later[3]] if later[3] else []) + [ids.pop()])
@@ -451,15 +463,12 @@ def edit_rows(rows, kind, where, k, jobs):
 class TestColumnarTraces:
     def test_writer_and_reader_match_the_record_forms(self, corpus):
         for inst, trace in recorded_traces(corpus[:80]):
-            text = trace.to_csv()
-            assert text == writer_by_records(trace), inst.name
-            again, old = ScheduleTrace.from_csv(text), reader_by_records(text)
-            assert again == served_trace(rows_of(old.slots))
-            assert list(again.slots) == old.slots == list(trace.slots), inst.name
-            assert dict(again.departures) == old.departures == \
-                dict(trace.departures)
-            assert again.last_slot == len(old.slots) == len(trace.s)
-            assert again.to_csv() == text
+            assert_round_trip_as_the_record_forms(inst, trace)
+
+    def test_bulk_writer_and_reader_match_the_record_forms(self, corpus, monkeypatch):
+        monkeypatch.setattr(core, "_BULK_MIN_VALUES", 0)  # however small the trace
+        for inst, trace in recorded_traces(corpus[:80]):
+            assert_round_trip_as_the_record_forms(inst, trace)
 
     def test_array_pass_alone_accepts_every_recorded_trace(self, corpus, monkeypatch):
         def refuse(instance, trace):
@@ -526,6 +535,8 @@ class TestColumnarTraces:
                                     st.integers(-2, 3)), min_size=1, max_size=3))
     # a t token of row 1 and an id token of row 4: the row reader meets '1.5' first
     @example(case=2, edits=[("non_integer", 0, 0), ("non_integer", 3, 3)])
+    # a 20-digit id, then a non-ASCII digit in an n field
+    @example(case=1, edits=[("odd_token", 19, 1), ("odd_token", 10, 0)])
     def test_mutated_csv_matches_the_reference(self, case, edits):
         inst = CSV_INSTANCES[case % len(CSV_INSTANCES)]
         policy = COLUMNAR_POLICIES[case // len(CSV_INSTANCES) % len(COLUMNAR_POLICIES)]
@@ -534,29 +545,107 @@ class TestColumnarTraces:
         for kind, where, k in sorted(edits, key=lambda e: CSV_EDITS.index(e[0])):
             rows = edit_rows(rows, kind, where, k, inst.job_count)
         text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-        try:
-            old = reader_by_records(text)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as err:
-                ScheduleTrace.from_csv(text)
-            assert str(err.value) == str(exc)
-            return
-        misnumbered = [row for row, rec in enumerate(old.slots, start=1)
-                       if rec.t != row]
-        if misnumbered:  # the t column must count 1..T
-            row = misnumbered[0]
-            with pytest.raises(ValueError, match=f"row {row} has t="):
-                ScheduleTrace.from_csv(text)
-            return
-        new = ScheduleTrace.from_csv(text)
-        assert new == served_trace(rows_of(old.slots))
-        assert (list(new.slots), dict(new.departures), new.last_slot) == \
-            (old.slots, old.departures, len(old.slots))
-        assert new.to_csv() == writer_by_records(old)
-        # the per-slot loop over the records the old reader built
-        expected = core._validate_reference(inst, old)
-        assert core._validate_reference(inst, new) == expected
-        assert validate_trace(inst, new) == expected
+        # these texts are too small for the bulk reader and writer: force them
+        for bulk_min in (core._BULK_MIN_VALUES, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_BULK_MIN_VALUES", bulk_min)
+                assert_read_as_the_reference(inst, text)
+
+    @pytest.mark.parametrize("token", ODD_TOKENS)
+    @pytest.mark.parametrize("field", ["t", "n", "s", "id"])
+    def test_odd_token_reads_as_the_reference(self, monkeypatch, token, field):
+        rows = [["1", "2", "1", "0"], ["2", "1", "1", "1"], ["3", "0", "0", ""]]
+        column = "tnsi".index(field[0])
+        rows[1][column] = token if field != "id" else f"3;{token}"
+        text = "t,n,s,served_ids\n" + "".join(",".join(row) + "\n" for row in rows)
+        monkeypatch.setattr(core, "_BULK_MIN_VALUES", 0)
+        rows = [row.split(",", 3) for row in text.splitlines()[1:]]
+        assert (core._csv_columns(rows) is None) == (token != "007")  # to the row loop
+        assert_read_as_the_reference(ArrivalInstance.from_counts((2,)), text)
+
+    def test_bulk_writer_matches_the_record_form(self, monkeypatch):
+        monkeypatch.setattr(core, "_BULK_MIN_VALUES", 0)
+        unit = random_slotted(3.0, 8, 2)
+        in_bulk = [
+            ScheduleTrace((), ()), ScheduleTrace((0, 0, 0), (0, 0, 0)),
+            served_trace([]), served_trace([(0, 0, ()), (0, 0, ())]),
+            served_trace([(2, 2, (1, 1, 0)), (1, 1, (3, 1))]),  # a repeated id
+            served_trace([(1, 1, (-5, 2)), (0, 0, ()), (1, 1, (7,))]),
+            served_trace([(2, 2, (10**9 - 1, 10**10 - 1))]),  # 9 and 10 digits
+            served_trace([(1, 1, (2**63 - 1,))]),
+            ScheduleTrace.from_csv("t,n,s,served_ids\n1,-2,3,0\n2,4,-1,\n3,0,0,1\n"),
+            simulate(unit, Lg(alpha=2.0)),
+        ] + [dp_opt(inst, CostModel.quadratic(2.0))[1]
+             for inst in (unit, batch(5), ArrivalInstance.from_counts((2, 0, 3, 1)))]
+        by_rows = [
+            served_trace([(1, 1, (2**63,)), (2, 2, (2**64 + 5, 0))]),  # ids past int64
+            served_trace([(1, 1, (0,)), (1, 1, (2**62,)), (0, 0, ())]),  # key past int64
+            ScheduleTrace.from_csv(f"t,n,s,served_ids\n1,{-2**63},0,\n"),  # no magnitude
+            ScheduleTrace((1,), (-1,)),  # a FIFO trace with s < 0 serves no ids
+        ]
+        for trace in in_bulk:
+            assert core._csv_bulk_text(trace) == writer_by_records(trace)
+            assert trace.to_csv() == writer_by_records(trace)
+        for trace in by_rows:
+            assert core._csv_bulk_text(trace) is None
+            assert trace.to_csv() == writer_by_records(trace)
+
+    def test_large_traces_round_trip_in_bulk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a large trace went through the row loop")
+
+        rng = random.Random(5)
+        mixed = ArrivalInstance(tuple(sorted(
+            (rng.randint(1, 1000), rng.randint(1, 5)) for _ in range(3000))))
+        traces = [simulate(random_slotted(20.0, 1000, 1), FullParallel()),
+                  simulate(mixed, QuadAlg(alpha=2.0, beta=2.0))]
+        texts = [writer_by_records(trace) for trace in traces]
+        monkeypatch.setattr(core, "_csv_row_text", refuse)
+        monkeypatch.setattr(core, "_csv_rows", refuse)
+        for trace, text in zip(traces, texts):
+            assert trace.to_csv() == text
+            again = ScheduleTrace.from_csv(text)
+            assert again == trace
+            assert again.to_csv() == text
+
+
+def assert_round_trip_as_the_record_forms(inst, trace):
+    text = trace.to_csv()
+    assert text == writer_by_records(trace), inst.name
+    again, old = ScheduleTrace.from_csv(text), reader_by_records(text)
+    assert again == served_trace(rows_of(old.slots))
+    assert list(again.slots) == old.slots == list(trace.slots), inst.name
+    assert dict(again.departures) == old.departures == dict(trace.departures)
+    assert again.last_slot == len(old.slots) == len(trace.s)
+    assert again.to_csv() == text
+
+
+def assert_read_as_the_reference(inst, text):
+    """``from_csv`` gives the trace, or the ValueError text, that the
+    record reader gives; its writer and validation agree too."""
+    try:
+        old = reader_by_records(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            ScheduleTrace.from_csv(text)
+        assert str(err.value) == str(exc)
+        return
+    misnumbered = [row for row, rec in enumerate(old.slots, start=1)
+                   if rec.t != row]
+    if misnumbered:  # the t column must count 1..T
+        row = misnumbered[0]
+        with pytest.raises(ValueError, match=f"row {row} has t="):
+            ScheduleTrace.from_csv(text)
+        return
+    new = ScheduleTrace.from_csv(text)
+    assert new == served_trace(rows_of(old.slots))
+    assert (list(new.slots), dict(new.departures), new.last_slot) == \
+        (old.slots, old.departures, len(old.slots))
+    assert new.to_csv() == writer_by_records(old)
+    # the per-slot loop over the records the old reader built
+    expected = core._validate_reference(inst, old)
+    assert core._validate_reference(inst, new) == expected
+    assert validate_trace(inst, new) == expected
 
 
 # (entry point, parameter, call with that parameter set to the value)

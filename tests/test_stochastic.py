@@ -289,6 +289,13 @@ class TestAlg3:
         with pytest.raises(ValueError):
             Alg3Params.from_rates(10.0, theta2=1.0)
 
+    @pytest.mark.parametrize("name", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_constant_is_named(self, name, value):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be positive and finite, got {value}$"):
+            Alg3Params.from_rates(10.0, **{name: value})
+
     def test_idle_period_mean(self):
         # E[idle] = U / lam (time to collect U arrivals)
         lam = 200.0
