@@ -170,101 +170,139 @@ def analytic_cost(lam: float, alpha: float,
 
 
 def _batch_ci(rewards: Sequence[float], durations: Sequence[float]) -> float:
-    """95% halfwidth for a ratio estimator via batch means (t distribution)."""
+    """95% halfwidth of sum(rewards) / sum(durations) over k i.i.d. pairs.
+
+    The regenerative ratio interval (Crane & Iglehart 1974): t_{0.975,k-1}
+    times the standard deviation of R_i - r D_i, with r the ratio
+    estimate, over mean(D) sqrt(k).
+    """
     k = len(rewards)
     if k < 2:
         return math.inf
     # rewards near the float limit give an inf or NaN halfwidth (exit 2 in the CLI)
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = np.asarray(rewards) / np.asarray(durations)
-        spread = float(rates.std(ddof=1))
+        r, d = np.asarray(rewards), np.asarray(durations)
+        spread = float((r - r.sum() / d.sum() * d).std(ddof=1)) / float(d.mean())
     # imported on first use: loading scipy would add ~0.35 s to every command
     from scipy.special import stdtrit
     crit = float(stdtrit(k - 1, 0.975))
     return crit * spread / math.sqrt(k)
 
 
+def _crossing_counts(lam: float, policy: MarkovPolicy, mu: np.ndarray,
+                     state: int, cycles: np.ndarray, rng: np.random.Generator
+                     ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Edge crossing counts of groups of regenerative cycles at ``state``.
+
+    A cycle starts as the walk steps down from state+1 to ``state`` and
+    ends at the next such step, so it steps up from ``state`` once. When
+    the walk crosses into a state c times from the side of ``state``, it
+    leaves that state c times back and, before the last of those,
+    NegBin(c, p_back) times onward, p_back the chance of a step back
+    (Harris 1952). One draw per state serves every group; finished groups
+    are masked, as numpy rejects NegBin(0, p). ``cycles`` holds each
+    group's cycle count.
+
+    Returns (lo, counts, rates): ``counts[j, g]`` is how often group g
+    stepped from lo+j up to lo+j+1, and ``rates`` holds mu_lo through
+    mu_{lo+len(counts)}. Rates past the table ``mu`` are checked as the
+    walk first reaches them; a zero there raises NonErgodicError.
+    """
+    beyond: list[float] = []
+
+    def p_down(n: int) -> float:
+        if n == mu.size + len(beyond):  # past the stationary table
+            beyond.append(policy.check_rate(n))
+            if beyond[-1] == 0.0:
+                raise NonErgodicError(f"mu_{n} = 0 with arrivals pending")
+        rate = mu[n] if n < mu.size else beyond[n - mu.size]
+        return rate / (lam + rate)
+
+    def branch(n: int, step: int, p_back) -> list[np.ndarray]:
+        counts, c = [], cycles
+        while True:
+            draw = rng.negative_binomial(np.maximum(c, 1), p_back(n))
+            c = np.where(c > 0, draw, 0)
+            if not c.any():
+                return counts
+            counts.append(c)
+            n += step
+
+    below = branch(state, -1, lambda n: lam / (lam + mu[n]))
+    above = [cycles] + branch(state + 1, 1, p_down)
+    lo = state - len(below)
+    rates = np.concatenate((mu[lo:state + len(above) + 1], beyond))
+    return lo, np.array(below[::-1] + above), rates
+
+
+def _cycle_totals(lam: float, lo: int, counts: np.ndarray, rates: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per group: clock, occupancy area, switching cost and event count.
+
+    Each visit to n ends in a step down or up, so n has v(n) = counts(n-1)
+    + counts(n) visits, each held 1 / (lam + mu_n), its conditional mean
+    (Fox & Glynn 1986). Every edge is crossed as often down as up, each
+    time paying the squared rate jump.
+    """
+    edge = np.zeros_like(counts[:1])
+    visits = np.concatenate((edge, counts)) + np.concatenate((counts, edge))
+    # a subnormal lam overflows 1 / lam: the CLI rejects what is not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hold = 1.0 / (lam + rates)
+        clock = hold @ visits
+        area = (np.arange(lo, lo + hold.size) * hold) @ visits
+    switching = 2.0 * np.diff(rates) ** 2 @ counts
+    return clock, area, switching, visits.sum(axis=0)
+
+
 def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
                   event_budget: int = 1_000_000,
                   seed: int = 0) -> StochasticCostEstimate:
-    """Discrete-time-converted CTMC run (Fox & Glynn 1986).
+    """Regenerative estimate of the long-run cost from sampled crossing counts.
 
-    Only the jump chain is sampled: one uniform per event from
-    ``np.random.default_rng(seed)`` moves the occupancy up with probability
-    lam / (lam + mu_n) and down otherwise. Each holding time is replaced by
-    its conditional mean 1 / (lam + mu_n), so occupancy time, occupancy
-    area and the squared rate jumps are integrated exactly over the jump
-    path. This estimates the same long-run cost as a run with sampled
-    exponential clocks, with lower variance. Deterministic given the seed;
-    per-seed values differ from releases that sampled holding times.
+    The cost needs only how often the jump chain visits each state and
+    crosses each edge, so no path is walked: ``_crossing_counts`` draws
+    those counts for ``CTMC_BATCHES`` groups of i.i.d. cycles at the most
+    likely state m, one numpy call per state, from
+    ``np.random.default_rng(seed)``. Holding times are their conditional
+    means 1 / (lam + mu_n) (Fox & Glynn 1986), so occupancy time, area and
+    the squared rate jumps are exact given the counts. Deterministic given
+    the seed; per-seed values differ from releases that walked the chain.
 
-    The estimate carries a batch-means 95% confidence halfwidth over
-    segments of ``event_budget // CTMC_BATCHES`` events (at least
-    ``CTMC_BATCHES`` of them, so ``event_budget`` may not be smaller);
-    leftover events count toward the totals but form no batch. Memory is
-    O(batch size).
+    ``event_budget`` sets the cycle count: a cycle takes 2 / pi_m events
+    on average, so ``CTMC_BATCHES`` groups of max(1, round(event_budget
+    pi_m / (2 CTMC_BATCHES))) cycles run, at least ``CTMC_BATCHES`` in
+    all, and the budget may not be smaller. ``meta`` reports the
+    ``cycles`` and the ``events`` that ran. The 95% halfwidth is the
+    regenerative ratio interval over the groups (``_batch_ci``). A rate
+    law with no stationary distribution raises ``_stationary``'s error.
     """
     check_positive("alpha", alpha)
-    check_positive("lam", lam)
     if event_budget < CTMC_BATCHES:
         raise ValueError(f"event budget {event_budget} is below the "
                          f"{CTMC_BATCHES} batches requested")
-    rate_of = policy.check_rate
-    mu = [0.0]
-    for i in range(1, 65):
-        mu.append(rate_of(i))
-        if mu[i] == 0.0:
-            raise NonErgodicError(f"mu_{i} = 0 with positive arrival rate")
-    p_up = [lam / (lam + rate) for rate in mu]
+    if event_budget > 1 << 62:  # the counts are int64
+        raise ValueError(f"event budget {event_budget} is above 2**62")
+    pi, mu = _stationary(lam, policy)
+    state = int(pi.argmax())
+    per_group = max(1, round(event_budget * float(pi[state]) / (2 * CTMC_BATCHES)))
     rng = np.random.default_rng(seed)
+    lo, counts, rates = _crossing_counts(
+        lam, policy, mu, state, np.full(CTMC_BATCHES, per_group), rng)
+    clock, area, switching, events = _cycle_totals(lam, lo, counts, rates)
 
-    n = 0
-    area = sc = clock = 0.0
-    batch_size = event_budget // CTMC_BATCHES
-    full, trailing = divmod(event_budget, batch_size)
-    rewards: list[float] = []
-    durations: list[float] = []
-    for size in [batch_size] * full + ([trailing] if trailing else []):
-        path = [n]
-        step = path.append
-        for u in rng.random(size).tolist():
-            if u < p_up[n]:
-                n += 1
-                if n == len(mu):
-                    mu.append(rate_of(n))
-                    if mu[n] == 0.0:
-                        raise NonErgodicError(
-                            f"mu_{n} = 0 with positive arrival rate")
-                    p_up.append(lam / (lam + mu[n]))
-            else:
-                n -= 1
-            step(n)
-        states = np.fromiter(path, np.int64, size + 1)
-        rates = np.asarray(mu)
-        before = states[:-1]
-        # a subnormal lam overflows 1 / lam: the CLI rejects what is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            hold = (1.0 / (lam + rates))[before]
-            jumps = rates[states[1:]] - rates[before]
-            batch_clock = float(hold.sum())
-            batch_area = float(before @ hold)
-            batch_sc = float(jumps @ jumps)
-        clock += batch_clock
-        area += batch_area
-        sc += batch_sc
-        if size == batch_size:
-            rewards.append(batch_area + alpha * batch_sc)
-            durations.append(batch_clock)
-
-    mean_occ = area / clock
-    switch_rate = sc / clock
+    with np.errstate(over="ignore", invalid="ignore"):  # under a huge alpha
+        rewards = area + alpha * switching
+    sim_time = float(clock.sum())
+    mean_occ = float(area.sum()) / sim_time
+    switch_rate = float(switching.sum()) / sim_time
     total = mean_occ + alpha * switch_rate
-    ci = _batch_ci(rewards, durations)
+    ci = _batch_ci(rewards, clock)
     return StochasticCostEstimate(
         mean_occ, switch_rate, total, ci, alpha,
         {"kind": "simulation", "policy": policy.name, "lam": lam,
-         "events": event_budget, "seed": seed, "batches": len(rewards),
-         "sim_time": clock})
+         "events": int(events.sum()), "cycles": CTMC_BATCHES * per_group,
+         "seed": seed, "batches": CTMC_BATCHES, "sim_time": sim_time})
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowswitch import (NonErgodicError, PolicyFaultError, PolicyStallError,
-                        TruncationError, cli)
+from flowswitch import (MarkovPolicy, NonErgodicError, PolicyFaultError,
+                        PolicyStallError, RateModel, TruncationError, cli)
 from flowswitch import CostModel, ScheduleTrace, cost_of_trace, dp_opt
 from flowswitch.cli import FIGURE_IDS, main, reproduce_figure
 from flowswitch.instances import sigma2
@@ -344,6 +344,19 @@ class TestStochasticCli:
         payload = json.loads(out)
         assert payload["meta"]["cycles"] == 40
 
+    def test_simulate_transient_chain_is_a_validation_error(self, capsys, monkeypatch):
+        # mu_i = 0.5 < lambda = 1 has no stationary law: no estimate, exit 2
+        monkeypatch.setattr(cli, "alg1", lambda: MarkovPolicy(
+            lambda i: 0.5 if i else 0.0, "transient",
+            RateModel.SINGLE_SERVER_SPEED_SCALING))
+        code, out, err = run_cli(
+            capsys, "stochastic", "--policy", "alg1", "--lambda", "1",
+            "--mode", "simulate", "--events", "1000")
+        assert code == 2
+        assert out == ""
+        assert "chain not geometrically stable at n_max=4194304" in err
+        assert "Traceback" not in err
+
     def test_simulate_below_batch_floor(self, capsys):
         code, out, err = run_cli(
             capsys, "stochastic", "--policy", "alg1", "--lambda", "1",
@@ -559,7 +572,7 @@ class TestInputErrors:
          2, "alg3 mean_idle at lambda=5e-324"),
         (("stochastic", "--policy", "alg3", "--lambda", "1e-310", "--mode", "simulate",
           "--cycles", "30"),
-         2, "alg3 mean_idle at lambda=1e-310"),
+         2, "alg3 ci_halfwidth at lambda=1e-310"),
         (("stochastic", "--policy", "alg1", "--lambda", "1e-320", "--mode", "simulate",
           "--events", "1000"),
          2, "alg1 mean_occupancy at lambda=1e-320"),
@@ -594,6 +607,10 @@ class TestInputErrors:
         (("stochastic", "--policy", "alg2", "--lambda", "1", "--alpha", "1e300"),
          2, "n_max=4194304"),
         (("stochastic", "--policy", "alg1", "--lambda", "1e300"), 2, "n_max=4194304"),
+        (("stochastic", "--policy", "alg1", "--lambda", "1e300", "--mode", "simulate",
+          "--events", "1000"), 2, "n_max=4194304"),
+        (("stochastic", "--policy", "alg1", "--lambda", "1", "--mode", "simulate",
+          "--events", str(2 ** 62 + 1)), 2, f"event budget {2 ** 62 + 1} is above 2**62"),
         (("reproduce-figure", "--figure", "quad_a1", "--rates", "1,x"),
          2, "--rates must be a number, got 'x'"),
         (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "0,x",
@@ -636,6 +653,7 @@ class TestInputErrors:
             "opt-every-cost-overflows", "opt-infeasible-t-cap", "dual-beta-overflow",
             "run-dual-beta-overflow", "dual-slack-overflow", "quad-alg-beta-overflow",
             "alg2-huge-alpha-truncation", "alg1-huge-lambda-truncation",
+            "alg1-huge-lambda-simulated-truncation", "simulated-budget-too-large",
             "rates-not-a-number", "gammas-not-a-number", "alphas-not-a-number",
             "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer",
             "run-no-policy", "periodic-negative-k", "sigma2-negative-horizon",

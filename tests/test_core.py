@@ -499,6 +499,21 @@ class TestColumnarTraces:
                 assert validate_trace(inst, trace).ok
                 cost_of_trace(trace, CostModel.quadratic(2.0))
 
+    @pytest.mark.parametrize("ids", [(0, 1.0), (0, 1.5), (1.0, 0), (False, True),
+                                     (True, False)],
+                             ids=["float-one", "float-fraction", "float-first",
+                                  "bools", "bools-reversed"])
+    def test_float_or_bool_ids_are_not_shown_valid(self, ids):
+        # numpy's dtype discovery makes these columns float64 or bool, which
+        # the array pass declines; an int64 dtype would silently turn each
+        # into the valid (0, 1) or (1, 0)
+        inst = ArrivalInstance(((1, 1), (1, 1)))
+        trace = served_trace([(2, 1, ids[:1]), (1, 1, ids[1:])])
+        assert core._columns_valid(inst, trace) is False
+        as_ints = tuple(map(int, ids))
+        assert core._columns_valid(inst, served_trace([(2, 1, as_ints[:1]),
+                                                       (1, 1, as_ints[1:])]))
+
     def test_mismatched_columns_are_rejected(self):
         with pytest.raises(ValueError, match="n and s columns differ"):
             ScheduleTrace((1, 2), (1,))
