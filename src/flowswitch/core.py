@@ -761,9 +761,9 @@ def _validate_reference(instance: ArrivalInstance,
             next_job += 1
 
         for j in rec.served:
-            if j not in served_units:
+            if j not in served_units or not isinstance(j, (int, np.integer)):  # 1.0 finds job 1
                 return ValidationResult(False, "unknown_job", slot=t, job_id=j,
-                                        message=f"served id {j} is not an instance job")
+                                        message=f"served id {j!r} is not an instance job")
         cum_served += len(rec.served)
         if cum_served > cum_work or any(jobs[j][0] > t for j in rec.served):
             return ValidationResult(False, "work_neutrality", slot=t,

@@ -21,6 +21,8 @@ from .core import check_positive
 TAIL_TOL = 1e-12
 MIN_BATCHES = 30
 CTMC_BATCHES = 32
+# a busy-period level costs a numpy call and ~750 bytes: 2**16 take ~3 s, 50 MB
+BUSY_LEVEL_CAP = 1 << 16
 
 
 class RateModel(str, Enum):
@@ -37,7 +39,7 @@ class TruncationError(ValueError):
 
 
 class CycleOverflowError(ValueError):
-    """A regenerative busy period did not terminate within the event guard."""
+    """A busy period climbs past ``BUSY_LEVEL_CAP`` or overflows int64 counts."""
 
 
 @dataclass(frozen=True)
@@ -189,18 +191,35 @@ def _batch_ci(rewards: Sequence[float], durations: Sequence[float]) -> float:
     return crit * spread / math.sqrt(k)
 
 
+def _branch(c: np.ndarray, n: int, step: int, p_back: Callable[[int], float],
+            rng: np.random.Generator, immigrants=0, top: int = 0) -> list[np.ndarray]:
+    """Each group's onward steps from level n, n + step, ... while any are left.
+
+    A walk that steps back from n c times steps NegBin(c, p_back(n)) times
+    onward before the last of those (Harris 1952); each comes back, and
+    levels up to ``top`` get ``immigrants`` steps back more, from walks
+    that start there (Knight 1963). One numpy call per level serves every
+    group; finished groups are masked, as numpy rejects NegBin(0, p).
+    """
+    counts = []
+    while True:
+        draw = rng.negative_binomial(np.maximum(c, 1), p_back(n))
+        onward = np.where(c > 0, draw, 0)
+        n += step
+        c = onward + immigrants if n <= top else onward
+        if not c.any():
+            return counts
+        counts.append(onward)
+
+
 def _crossing_counts(lam: float, policy: MarkovPolicy, mu: np.ndarray,
                      state: int, cycles: np.ndarray, rng: np.random.Generator
                      ) -> tuple[int, np.ndarray, np.ndarray]:
     """Edge crossing counts of groups of regenerative cycles at ``state``.
 
     A cycle starts as the walk steps down from state+1 to ``state`` and
-    ends at the next such step, so it steps up from ``state`` once. When
-    the walk crosses into a state c times from the side of ``state``, it
-    leaves that state c times back and, before the last of those,
-    NegBin(c, p_back) times onward, p_back the chance of a step back
-    (Harris 1952). One draw per state serves every group; finished groups
-    are masked, as numpy rejects NegBin(0, p). ``cycles`` holds each
+    ends at the next such step, so it steps up from ``state`` once, and
+    ``_branch`` draws the crossings on either side. ``cycles`` holds each
     group's cycle count.
 
     Returns (lo, counts, rates): ``counts[j, g]`` is how often group g
@@ -218,18 +237,8 @@ def _crossing_counts(lam: float, policy: MarkovPolicy, mu: np.ndarray,
         rate = mu[n] if n < mu.size else beyond[n - mu.size]
         return rate / (lam + rate)
 
-    def branch(n: int, step: int, p_back) -> list[np.ndarray]:
-        counts, c = [], cycles
-        while True:
-            draw = rng.negative_binomial(np.maximum(c, 1), p_back(n))
-            c = np.where(c > 0, draw, 0)
-            if not c.any():
-                return counts
-            counts.append(c)
-            n += step
-
-    below = branch(state, -1, lambda n: lam / (lam + mu[n]))
-    above = [cycles] + branch(state + 1, 1, p_down)
+    below = _branch(cycles, state, -1, lambda n: lam / (lam + mu[n]), rng)
+    above = [cycles] + _branch(cycles, state + 1, 1, p_down, rng)
     lo = state - len(below)
     rates = np.concatenate((mu[lo:state + len(above) + 1], beyond))
     return lo, np.array(below[::-1] + above), rates
@@ -266,8 +275,7 @@ def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
     likely state m, one numpy call per state, from
     ``np.random.default_rng(seed)``. Holding times are their conditional
     means 1 / (lam + mu_n) (Fox & Glynn 1986), so occupancy time, area and
-    the squared rate jumps are exact given the counts. Deterministic given
-    the seed; per-seed values differ from releases that walked the chain.
+    the squared rate jumps are exact given the counts.
 
     ``event_budget`` sets the cycle count: a cycle takes 2 / pi_m events
     on average, so ``CTMC_BATCHES`` groups of max(1, round(event_budget
@@ -381,81 +389,72 @@ def alg3_analytic_cost(lam: float, alpha: float,
          "mean_busy": mean_busy})
 
 
-def simulate_alg3(lam: float, alpha: float, params: Alg3Params,
-                  cycle_budget: int = 200, seed: int = 0,
-                  busy_event_guard: int = 50_000_000) -> StochasticCostEstimate:
-    """Discrete-time-converted regenerative simulation of the gated policy.
+def _busy_periods(lam: float, mu: float, u: int, sizes: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Events and occupancy area of ``sizes`` M/M/1 busy periods from U per group.
 
-    Each cycle: idle until U jobs accumulate, then an M/M/1 busy period at
-    constant rate mu from occupancy U down to empty. Exactly two rate jumps
-    per cycle (0 -> mu -> 0) cost 2 mu^2. Holding times are replaced by
-    their conditional means (Fox & Glynn 1986), so the idle phase is exact
-    and deterministic: length U/lam and area U(U-1)/(2 lam). The only
-    sampled quantity is the busy period's jump chain, a +-1 walk from U to
-    0 that steps up with probability lam/(lam + mu), drawn in numpy chunks
-    from ``np.random.default_rng(seed)``; its length and area are the event
-    count and the summed pre-event occupancy over lam + mu. Deterministic
-    given the seed; per-seed values differ from releases that sampled
-    holding times. Renewal-reward estimate with a batch-means CI over
-    cycle groups.
+    A busy period steps down from level j d_j times, d_1 = 1 and d_{j+1} =
+    u_j + [j+1 <= U], and up u_j ~ NegBin(d_j, mu/(lam + mu)) times
+    (``_branch``). Its v_j = d_j + u_j visits, each held 1/(lam + mu), give
+    the events sum v_j and the area sum j v_j/(lam + mu).
+    """
+    def p_down(level: int) -> float:
+        if level > BUSY_LEVEL_CAP:
+            raise CycleOverflowError(f"a busy period climbed past level {BUSY_LEVEL_CAP}")
+        return mu / (lam + mu)
+
+    ups = np.array(_branch(sizes, 1, 1, p_down, rng, sizes, u) + [0 * sizes])
+    level = np.arange(1, len(ups) + 1)
+    visits = ups + np.vstack((0 * sizes, ups[:-1])) + np.outer(level <= u, sizes)
+    return visits.sum(axis=0), level.astype(float) @ visits / (lam + mu)
+
+
+def simulate_alg3(lam: float, alpha: float, params: Alg3Params,
+                  cycle_budget: int = 200, seed: int = 0) -> StochasticCostEstimate:
+    """Regenerative estimate of the gated policy's cost from sampled counts.
+
+    A cycle idles until U jobs arrive, then serves at rate mu down to empty;
+    its two rate jumps cost 2 mu^2. Holding times are their conditional
+    means (Fox & Glynn 1986), so the idle phase is exact: U/lam long, area
+    U(U-1)/(2 lam). ``_busy_periods`` samples the busy periods of
+    ``MIN_BATCHES`` groups of cycle_budget // MIN_BATCHES cycles (the last
+    takes the remainder) from ``np.random.default_rng(seed)``. ``meta``
+    reports the ``cycles``, ``events`` and ``batches`` that ran; the 95%
+    halfwidth is the regenerative ratio interval over the groups.
+    CycleOverflowError: a group expects more than 2**62 events (the counts
+    are int64), or a busy period passes level ``BUSY_LEVEL_CAP``.
     """
     check_positive("alpha", alpha)
     params.validate_stability(lam)
     if cycle_budget < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} cycles")
     u, mu = params.threshold, params.mu
-    if u >= busy_event_guard:  # the walk from U to 0 takes at least U events
-        raise CycleOverflowError(
-            f"threshold U >= {busy_event_guard}: no busy period ends within "
-            f"{busy_event_guard} events")
-    rng = np.random.default_rng(seed)
-    total_rate = lam + mu
-    p_arrival = lam / total_rate
-    idle = u / lam
-    idle_area = u * (u - 1) / (2.0 * lam)
-    # about one mean busy period of events per draw, capped to bound memory
-    chunk = min(max(256, int(u * total_rate / (mu - lam))), 1 << 16)
-
-    events = np.empty(cycle_budget)
-    occupancy = np.empty(cycle_budget)
-    for cycle in range(cycle_budget):
-        n = u
-        count = occ = 0
-        while n > 0:
-            size = min(chunk, busy_event_guard - 1 - count)
-            if size <= 0:
-                raise CycleOverflowError(
-                    f"busy period exceeded {busy_event_guard} events")
-            walk = n + np.cumsum(np.where(rng.random(size) < p_arrival, 1, -1))
-            hit = int(np.argmax(walk == 0))
-            if walk[hit] == 0:
-                size = hit + 1
-            occ += n + int(walk[:size - 1].sum())
-            count += size
-            n = int(walk[size - 1])
-        events[cycle] = count
-        occupancy[cycle] = occ
-    busies = events / total_rate
-    areas = idle_area + occupancy / total_rate
-    lengths = idle + busies
-
+    if u > BUSY_LEVEL_CAP:
+        raise CycleOverflowError(f"threshold U > {BUSY_LEVEL_CAP}: no busy period is counted")
+    largest = cycle_budget // MIN_BATCHES + cycle_budget % MIN_BATCHES
+    per_cycle = u * (lam + mu) / (mu - lam)  # a busy period's mean event count
+    if not largest <= (1 << 62) / per_cycle:  # also raises for a NaN or inf per_cycle
+        raise CycleOverflowError(f"a group of {largest} busy periods from U = {u} "
+                                 f"expects more than 2**62 events, {per_cycle:.3g} each")
+    sizes = np.full(MIN_BATCHES, cycle_budget // MIN_BATCHES)
+    sizes[-1] = largest
+    events, busy_area = _busy_periods(lam, mu, u, sizes, np.random.default_rng(seed))
+    busy = events / (lam + mu)
     sc_per_cycle = 2.0 * mu * mu
-    total_len = float(lengths.sum())
-    mean_occ = float(areas.sum()) / total_len
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal lam, a huge alpha
+        areas = sizes * (u * (u - 1) / (2.0 * lam)) + busy_area
+        lengths = sizes * (u / lam) + busy
+        rewards = areas + alpha * sc_per_cycle * sizes
+        total_len = float(lengths.sum())
+        mean_occ = float(areas.sum()) / total_len
     switch_rate = sc_per_cycle * cycle_budget / total_len
-    total = mean_occ + alpha * switch_rate
-
-    per = cycle_budget // MIN_BATCHES
-    starts = np.arange(MIN_BATCHES) * per
-    sizes = np.diff(starts, append=cycle_budget)
-    rewards = np.add.reduceat(areas, starts) + alpha * sc_per_cycle * sizes
-    durations = np.add.reduceat(lengths, starts)
-    ci = _batch_ci(rewards, durations)
     return StochasticCostEstimate(
-        mean_occ, switch_rate, total, ci, alpha,
+        mean_occ, switch_rate, mean_occ + alpha * switch_rate,
+        _batch_ci(rewards, lengths), alpha,
         {"kind": "simulation-regenerative", "policy": "alg3", "lam": lam,
          "threshold": u, "mu": mu, "cycles": cycle_budget, "seed": seed,
-         "mean_idle": idle, "mean_busy": float(busies.mean())})
+         "events": sum(events.tolist()), "batches": MIN_BATCHES,  # may pass 2**63
+         "mean_idle": u / lam, "mean_busy": float(busy.sum()) / cycle_budget})
 
 
 def scaling_exponent(cost_samples: Sequence[tuple[float, float]]) -> float:

@@ -611,6 +611,10 @@ class TestInputErrors:
           "--events", "1000"), 2, "n_max=4194304"),
         (("stochastic", "--policy", "alg1", "--lambda", "1", "--mode", "simulate",
           "--events", str(2 ** 62 + 1)), 2, f"event budget {2 ** 62 + 1} is above 2**62"),
+        (("stochastic", "--policy", "alg3", "--lambda", "100", "--mode", "simulate",
+          "--cycles", str(10 ** 12)), 0, ""),
+        (("stochastic", "--policy", "alg3", "--lambda", "100", "--mode", "simulate",
+          "--cycles", str(10 ** 18)), 2, "expects more than 2**62 events"),
         (("reproduce-figure", "--figure", "quad_a1", "--rates", "1,x"),
          2, "--rates must be a number, got 'x'"),
         (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "0,x",
@@ -654,6 +658,7 @@ class TestInputErrors:
             "run-dual-beta-overflow", "dual-slack-overflow", "quad-alg-beta-overflow",
             "alg2-huge-alpha-truncation", "alg1-huge-lambda-truncation",
             "alg1-huge-lambda-simulated-truncation", "simulated-budget-too-large",
+            "alg3-huge-cycles", "alg3-cycles-past-event-cap",
             "rates-not-a-number", "gammas-not-a-number", "alphas-not-a-number",
             "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer",
             "run-no-policy", "periodic-negative-k", "sigma2-negative-horizon",

@@ -514,6 +514,18 @@ class TestColumnarTraces:
         assert core._columns_valid(inst, served_trace([(2, 1, as_ints[:1]),
                                                        (1, 1, as_ints[1:])]))
 
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1"], ids=["float-one", "fraction", "str"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_non_int_ids_are_unknown_jobs(self, bad, first):
+        # the reference loop names the slot and the id of a served id that is
+        # not an int, where 1.0 used to index the job list and raise TypeError
+        ids = (bad, 0) if first else (0, bad)
+        trace = served_trace([(2, 1, ids[:1]), (1, 1, ids[1:])])
+        result = validate_trace(ArrivalInstance(((1, 1), (1, 1))), trace)
+        assert (result.ok, result.violation) == (False, "unknown_job")
+        assert (result.slot, result.job_id) == (1 if first else 2, bad)
+        assert repr(bad) in result.message
+
     def test_mismatched_columns_are_rejected(self):
         with pytest.raises(ValueError, match="n and s columns differ"):
             ScheduleTrace((1, 2), (1,))

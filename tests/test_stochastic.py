@@ -9,9 +9,11 @@ from flowswitch import (Alg3Params, CycleOverflowError, MarkovPolicy,
                         NonErgodicError, RateModel, alg1, alg2,
                         alg3_analytic_cost, analytic_cost, scaling_exponent,
                         simulate_alg3, simulate_ctmc, stationary_distribution)
-from flowswitch.stochastic import (CTMC_BATCHES, TAIL_TOL, TruncationError,
-                                   _batch_ci, _crossing_counts, _cycle_totals,
-                                   _stationary)
+from flowswitch import stochastic
+from flowswitch.stochastic import (BUSY_LEVEL_CAP, CTMC_BATCHES, MIN_BATCHES,
+                                   TAIL_TOL, TruncationError, _batch_ci,
+                                   _busy_periods, _crossing_counts,
+                                   _cycle_totals, _stationary)
 
 
 def closed_form(policy: str, lam: float, alpha: float) -> float:
@@ -52,6 +54,30 @@ def ctmc_reference(lam, policy, state, cycles, seed):
                 n -= 1
                 if n == state:
                     break
+    return events, areas
+
+
+def alg3_walk_reference(lam, params, cycles, seed):
+    """The gated policy's busy periods walked in numpy chunks: a +-1 walk
+    from U to 0 that steps up with probability lam / (lam + mu). Returns
+    each busy period's event count and area, its summed pre-event
+    occupancy over lam + mu."""
+    u, mu = params.threshold, params.mu
+    rng = np.random.default_rng(seed)
+    # about one mean busy period of events per draw, capped to bound memory
+    chunk = min(max(256, int(u * (lam + mu) / (mu - lam))), 1 << 16)
+    events, areas = np.zeros(cycles, dtype=np.int64), np.zeros(cycles)
+    for cycle in range(cycles):
+        n = u
+        count = occ = 0
+        while n > 0:
+            walk = n + np.cumsum(np.where(rng.random(chunk) < lam / (lam + mu), 1, -1))
+            hit = int(np.argmax(walk == 0))
+            size = hit + 1 if walk[hit] == 0 else chunk
+            occ += n + int(walk[:size - 1].sum())
+            count += size
+            n = int(walk[size - 1])
+        events[cycle], areas[cycle] = count, occ / (lam + mu)
     return events, areas
 
 
@@ -286,6 +312,21 @@ class TestSimulateCtmc:
         tiny = simulate_ctmc(4.0, 2.0, alg2(2.0), event_budget=32, seed=3)
         assert tiny.meta["cycles"] == 32
         assert tiny.meta["events"] >= 64  # out and back at least once a cycle
+        # simulate_alg3 reports the same keys: 95 cycles are 29 groups of 3
+        # and one of 8, and each busy period from U steps down U times more
+        # than up
+        params = Alg3Params.from_rates(10.0)
+        gated = simulate_alg3(10.0, 0.5, params, cycle_budget=95, seed=3)
+        sizes = np.full(MIN_BATCHES, 3)
+        sizes[-1] = 8
+        events, _ = _busy_periods(10.0, params.mu, params.threshold, sizes,
+                                  np.random.default_rng(3))
+        assert gated.meta["cycles"] == 95
+        assert gated.meta["batches"] == MIN_BATCHES
+        assert gated.meta["events"] == events.sum()
+        assert (gated.meta["events"] - 95 * params.threshold) % 2 == 0
+        assert gated.meta["mean_busy"] == pytest.approx(
+            events.sum() / (10.0 + params.mu) / 95, rel=1e-12)
 
     @pytest.mark.parametrize("policy", ["alg1", "alg2"])
     @pytest.mark.parametrize("lam", [1.0, 4.0])
@@ -436,37 +477,43 @@ class TestAlg3:
         assert 0.5 * envelope <= est.total <= 1.5 * envelope
 
     def test_fixed_walk_accounting(self, monkeypatch):
-        # lam = 1, mu = 3, U = 2: a draw below lam/(lam+mu) = 1/4 is an
-        # arrival, and every pre-event occupancy is held 1/(lam+mu) = 1/4.
-        # Each cycle idles U/lam = 2 with area U(U-1)/(2 lam) = 1.
-        up, down = 0.1, 0.9
-        walks = {  # cycle -> draws per chunk, busy length, busy area
-            "a": ([[up, down, down, down]], 1.0, 2.0),  # 2,3,2,1: 4 events, sum 8
-            "b": ([[down, down]], 0.5, 0.75),  # 2,1: 2 events, sum 3
-            # a full 256-event chunk at 2,3,2,3,... (sum 640), then 2,1:
-            # 258 events, sum 643
-            "c": ([[up, down] * 128, [down, down]], 64.5, 160.75),
+        # lam = 1, mu = 3, U = 2: a busy period steps down from level j d_j
+        # times, d_1 = 1 and d_{j+1} = u_j + [j+1 <= 2], and up u_j ~
+        # NegBin(d_j, 3/4) times. Its v_j = d_j + u_j visits are each held
+        # 1/(lam+mu) = 1/4, and each cycle idles U/lam = 2 with area
+        # U(U-1)/(2 lam) = 1. Thirty cycles make thirty groups of one.
+        busy = {  # u_j and d_j by level, then busy length and area
+            "a": ((0, 1, 0), (1, 1, 1), 1.0, 2.0),  # 2,3,2,1: v = 1,2,1
+            "b": ((0, 0), (1, 1), 0.5, 0.75),  # 2,1: v = 1,1
+            "c": ((2, 3, 1, 0), (1, 3, 3, 1), 3.5, 7.75),  # v = 3,6,4,1
         }
         cycles = "abc" * 10
 
-        class ScriptedUniforms:
+        class ScriptedDraws:
             def __init__(self, seed):
-                self.draws = iter([d for c in cycles for d in walks[c][0]])
+                self.level = 0
 
-            def random(self, size):
-                head = next(self.draws)
-                return np.array(head + [down] * (size - len(head)))
+            def negative_binomial(self, n, p):
+                j, self.level = self.level, self.level + 1
+                assert p == 3.0 / 4.0
+                # a finished group is drawn with n = 1, and its draw is masked
+                assert n.tolist() == [busy[c][1][j] if j < len(busy[c][1]) else 1
+                                      for c in cycles]
+                return np.array([busy[c][0][j] if j < len(busy[c][0]) else 7
+                                 for c in cycles])
 
-        monkeypatch.setattr(np.random, "default_rng", ScriptedUniforms)
+        monkeypatch.setattr(np.random, "default_rng", ScriptedDraws)
         est = simulate_alg3(1.0, 2.0, Alg3Params(2, 3.0), cycle_budget=len(cycles))
-        # ten of each cycle: area 10 (3 + 1.75 + 161.75) = 1665 over
-        # length 10 (3 + 2.5 + 66.5) = 720; busy 10 (1 + 0.5 + 64.5) = 660
-        assert sum(1.0 + walks[c][2] for c in cycles) == 1665.0
-        assert sum(2.0 + walks[c][1] for c in cycles) == 720.0
-        assert (est.meta["mean_idle"], est.meta["mean_busy"]) == (2.0, 660 / 30)
-        assert est.mean_occupancy == 1665 / 720
-        assert est.switch_cost_rate == 2 * 3.0 ** 2 * 30 / 720
-        assert est.total == 1665 / 720 + 2.0 * (2 * 3.0 ** 2 * 30 / 720)
+        # ten of each cycle: area 10 (3 + 1.75 + 8.75) = 135 over length
+        # 10 (3 + 2.5 + 5.5) = 110; busy 10 (1 + 0.5 + 3.5) = 50 over
+        # 10 (4 + 2 + 14) = 200 events
+        assert sum(1.0 + busy[c][3] for c in cycles) == 135.0
+        assert sum(2.0 + busy[c][2] for c in cycles) == 110.0
+        assert (est.meta["mean_idle"], est.meta["mean_busy"]) == (2.0, 50 / 30)
+        assert est.meta["events"] == 200
+        assert est.mean_occupancy == 135 / 110
+        assert est.switch_cost_rate == 2 * 3.0 ** 2 * 30 / 110
+        assert est.total == 135 / 110 + 2.0 * (2 * 3.0 ** 2 * 30 / 110)
 
     def test_deterministic_per_seed(self):
         params = Alg3Params.from_rates(100.0)
@@ -482,14 +529,54 @@ class TestAlg3:
             est = simulate_alg3(lam, 1.0, params, seed=seed)
             assert abs(est.total - exact) <= 3 * est.ci_halfwidth
 
-    def test_busy_event_guard(self):
-        params = Alg3Params.from_rates(50.0)  # U = 14 needs >= 14 events
-        with pytest.raises(CycleOverflowError):
-            simulate_alg3(50.0, 1.0, params, busy_event_guard=10)
-        # U = 5 < 40, but a walk from 5 runs past 40 events
-        with pytest.raises(CycleOverflowError, match="busy period exceeded 40 events"):
-            simulate_alg3(10, 1, Alg3Params(5, 10.01), cycle_budget=30, seed=0,
-                          busy_event_guard=40)
+    @pytest.mark.parametrize("lam, params", [
+        (1.0, Alg3Params(2, 3.0)), (10.0, Alg3Params(5, 12.0)),
+        (100.0, Alg3Params.from_rates(100.0))], ids=["lam1", "lam10", "lam100"])
+    def test_matches_walk_reference(self, lam, params):
+        # single busy periods drawn from crossing counts and walked event by
+        # event agree in law: a two-sample Kolmogorov-Smirnov test on each
+        # one's event count and area
+        cycles = 3000
+        events, area = _busy_periods(lam, params.mu, params.threshold,
+                                     np.ones(cycles, dtype=np.int64),
+                                     np.random.default_rng(7))
+        walk_events, walk_area = alg3_walk_reference(lam, params, cycles, 8)
+        assert ks_2samp(events, walk_events).pvalue > 0.01
+        assert ks_2samp(area, walk_area).pvalue > 0.01
+
+    def test_alg3_coverage_on_the_bench_config(self):
+        # the 95% interval covers the exact renewal cost at the benchmark's
+        # lam = 100 and 200 cycles
+        lam = 100.0
+        params = Alg3Params.from_rates(lam)
+        exact = alg3_renewal_cost(lam, 1.0, params)
+        hits = sum(abs(est.total - exact) <= est.ci_halfwidth for est in (
+            simulate_alg3(lam, 1.0, params, seed=seed) for seed in range(200)))
+        assert 0.90 <= hits / 200 <= 0.98, hits
+
+    def test_busy_level_cap(self, monkeypatch):
+        # a threshold above the cap fails before any draw
+        with pytest.raises(CycleOverflowError, match="no busy period"):
+            simulate_alg3(1.0, 1.0, Alg3Params(BUSY_LEVEL_CAP + 1, 2.0))
+        # U = 5 and lam/mu = 0.82: some of 300 busy periods climbs past 8
+        monkeypatch.setattr(stochastic, "BUSY_LEVEL_CAP", 8)
+        params = Alg3Params.from_rates(10.0)
+        with pytest.raises(CycleOverflowError, match="climbed past level 8"):
+            simulate_alg3(10.0, 1.0, params, cycle_budget=300, seed=0)
+        with pytest.raises(CycleOverflowError, match="no busy period"):
+            simulate_alg3(10.0, 1.0, Alg3Params(9, params.mu), cycle_budget=300)
+
+    def test_groups_expecting_more_than_2_62_events(self):
+        # a busy period from U = 22 at lam = 100 takes U (lam+mu)/(mu-lam)
+        # = 970 events on average; the last group holds the remainder
+        lam, params = 100.0, Alg3Params.from_rates(100.0)
+        u, mu = params.threshold, params.mu
+        most = int(2 ** 62 / (u * (lam + mu) / (mu - lam)))
+        est = simulate_alg3(lam, 1.0, params, cycle_budget=MIN_BATCHES * most, seed=0)
+        assert est.meta["events"] > 2 ** 63  # in all, over 30 groups
+        assert est.ci_halfwidth < 1e-6 * est.total
+        with pytest.raises(CycleOverflowError, match=r"more than 2\*\*62 events"):
+            simulate_alg3(lam, 1.0, params, cycle_budget=MIN_BATCHES * most + 1)
 
 
 class TestScalingExponent:
