@@ -290,7 +290,7 @@ def _cmd_stochastic(args) -> int:
             estimate = alg3_analytic_cost(args.lam, args.alpha, params)
         else:
             estimate = simulate_alg3(args.lam, args.alpha, params,
-                                     cycle_budget=args.cycles, seed=args.seed)
+                                     event_budget=args.events, seed=args.seed)
     else:
         policy = alg1() if args.policy == "alg1" else alg2(args.alpha)
         if args.mode == "analytic":
@@ -541,7 +541,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["analytic", "simulate"], default="analytic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--events", type=int, default=1_000_000)
-    p.add_argument("--cycles", type=int, default=200)
     p.set_defaults(func=_cmd_stochastic)
 
     p = sub.add_parser("sweep", help="grid experiments as CSV",

@@ -299,18 +299,14 @@ def batch_quad_horizon_search(n: float, alpha: float) -> HorizonSearchResult:
     from .oracle import convex_batch_solve
 
     check_positive("alpha", alpha)
-    if not 0 <= n < math.inf:
-        raise ValueError(f"n must be nonnegative and finite, got {n}")
     if n == 0:
         return HorizonSearchResult(0, 0.0, ())
+    h, sol = 1, convex_batch_solve(n, 1, alpha=alpha)  # rejects a bad n
+    best = HorizonSearchResult(1, sol.objective + n, sol.profile)
     h_max = math.ceil(3.0 * math.sqrt(effective_alpha(alpha) * n)) + int(math.ceil(n))
-    best: HorizonSearchResult | None = None
-    for h in range(1, h_max + 1):
+    while sol.profile[-1] != 0.0 and h < h_max:  # 0.0: zero padding stays optimal
+        h += 1
         sol = convex_batch_solve(n, h, alpha=alpha)
-        cost = sol.objective + n
-        if best is None or cost < best.cost - 1e-9:
-            best = HorizonSearchResult(h, cost, tuple(float(x) for x in sol.profile))
-        if sol.profile[-1] == 0.0:  # plateau reached: zero padding stays optimal
-            break
-    assert best is not None
+        if sol.objective + n < best.cost - 1e-9:
+            best = HorizonSearchResult(h, sol.objective + n, sol.profile)
     return best

@@ -19,8 +19,7 @@ import numpy as np
 from .core import check_positive
 
 TAIL_TOL = 1e-12
-MIN_BATCHES = 30
-CTMC_BATCHES = 32
+MIN_BATCHES = 32  # the i.i.d. cycle groups behind every simulated estimate
 # a busy-period level costs a numpy call and ~750 bytes: 2**16 take ~3 s, 50 MB
 BUSY_LEVEL_CAP = 1 << 16
 
@@ -39,7 +38,8 @@ class TruncationError(ValueError):
 
 
 class CycleOverflowError(ValueError):
-    """A busy period climbs past ``BUSY_LEVEL_CAP`` or overflows int64 counts."""
+    """A cycle group expects more than 2**62 events (the counts are int64),
+    or a busy period climbs past ``BUSY_LEVEL_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ class MarkovPolicy:
 
     Under the multiserver model the aggregate rate cannot exceed the job
     count (unit-speed servers, one job per server), so mu_i <= i is
-    enforced; the speed-scaling model allows any nonnegative rate.
+    enforced; the speed-scaling model allows any nonnegative rate. Each
+    rate is checked (``check_rate``) where a computation first reads it.
     """
 
     rates: Callable[[int], float]
@@ -58,8 +59,6 @@ class MarkovPolicy:
     def __post_init__(self):
         if self.rates(0) != 0.0:
             raise ValueError("mu_0 must be 0")
-        for i in range(1, 257):
-            self.check_rate(i)
 
     def check_rate(self, i: int) -> float:
         mu = self.rates(i)
@@ -264,6 +263,41 @@ def _cycle_totals(lam: float, lo: int, counts: np.ndarray, rates: np.ndarray
     return clock, area, switching, visits.sum(axis=0)
 
 
+def _group_size(event_budget: int, cycles_per_event: float) -> int:
+    """Cycles in each of ``MIN_BATCHES`` equal groups, at least one, that
+    together expect about ``event_budget`` events. CycleOverflowError: a
+    group expects more than 2**62 events (the counts are int64)."""
+    if event_budget < MIN_BATCHES:
+        raise ValueError(f"event budget {event_budget} is below the "
+                         f"{MIN_BATCHES} batches requested")
+    if event_budget > 1 << 62:
+        raise ValueError(f"event budget {event_budget} is above 2**62")
+    size = max(1, round(event_budget * cycles_per_event / MIN_BATCHES))
+    if not size <= (1 << 62) * cycles_per_event:
+        raise CycleOverflowError(f"a group of {size} cycles expects more than 2**62 "
+                                 f"events, at {cycles_per_event:.3g} cycles an event")
+    return size
+
+
+def _regenerative_estimate(alpha: float, seed: int, size: int, totals: tuple,
+                           labels: dict, **extra) -> StochasticCostEstimate:
+    """The ratio estimate over ``MIN_BATCHES`` groups of ``size`` i.i.d.
+    cycles, from each group's clock, area, unweighted switching cost and
+    events (``totals``), with the regenerative ratio interval
+    (``_batch_ci``); ``meta`` holds ``labels``, what ran, then ``extra``."""
+    clock, area, switching, events = totals
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal lam, a huge alpha
+        rewards = area + alpha * switching
+        sim_time = float(clock.sum())
+        mean_occ = float(area.sum()) / sim_time
+    switch_rate = float(switching.sum()) / sim_time
+    return StochasticCostEstimate(
+        mean_occ, switch_rate, mean_occ + alpha * switch_rate,
+        _batch_ci(rewards, clock), alpha,
+        {**labels, "events": sum(events.tolist()), "cycles": MIN_BATCHES * size,
+         "seed": seed, "batches": MIN_BATCHES, "sim_time": sim_time, **extra})
+
+
 def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
                   event_budget: int = 1_000_000,
                   seed: int = 0) -> StochasticCostEstimate:
@@ -271,46 +305,25 @@ def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
 
     The cost needs only how often the jump chain visits each state and
     crosses each edge, so no path is walked: ``_crossing_counts`` draws
-    those counts for ``CTMC_BATCHES`` groups of i.i.d. cycles at the most
+    those counts for ``MIN_BATCHES`` groups of i.i.d. cycles at the most
     likely state m, one numpy call per state, from
     ``np.random.default_rng(seed)``. Holding times are their conditional
     means 1 / (lam + mu_n) (Fox & Glynn 1986), so occupancy time, area and
     the squared rate jumps are exact given the counts.
 
-    ``event_budget`` sets the cycle count: a cycle takes 2 / pi_m events
-    on average, so ``CTMC_BATCHES`` groups of max(1, round(event_budget
-    pi_m / (2 CTMC_BATCHES))) cycles run, at least ``CTMC_BATCHES`` in
-    all, and the budget may not be smaller. ``meta`` reports the
-    ``cycles`` and the ``events`` that ran. The 95% halfwidth is the
-    regenerative ratio interval over the groups (``_batch_ci``). A rate
-    law with no stationary distribution raises ``_stationary``'s error.
+    A cycle takes 2 / pi_m events on average; ``_group_size`` sizes the
+    groups from ``event_budget``. A rate law with no stationary
+    distribution raises ``_stationary``'s error.
     """
     check_positive("alpha", alpha)
-    if event_budget < CTMC_BATCHES:
-        raise ValueError(f"event budget {event_budget} is below the "
-                         f"{CTMC_BATCHES} batches requested")
-    if event_budget > 1 << 62:  # the counts are int64
-        raise ValueError(f"event budget {event_budget} is above 2**62")
     pi, mu = _stationary(lam, policy)
     state = int(pi.argmax())
-    per_group = max(1, round(event_budget * float(pi[state]) / (2 * CTMC_BATCHES)))
-    rng = np.random.default_rng(seed)
-    lo, counts, rates = _crossing_counts(
-        lam, policy, mu, state, np.full(CTMC_BATCHES, per_group), rng)
-    clock, area, switching, events = _cycle_totals(lam, lo, counts, rates)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # under a huge alpha
-        rewards = area + alpha * switching
-    sim_time = float(clock.sum())
-    mean_occ = float(area.sum()) / sim_time
-    switch_rate = float(switching.sum()) / sim_time
-    total = mean_occ + alpha * switch_rate
-    ci = _batch_ci(rewards, clock)
-    return StochasticCostEstimate(
-        mean_occ, switch_rate, total, ci, alpha,
-        {"kind": "simulation", "policy": policy.name, "lam": lam,
-         "events": int(events.sum()), "cycles": CTMC_BATCHES * per_group,
-         "seed": seed, "batches": CTMC_BATCHES, "sim_time": sim_time})
+    size = _group_size(event_budget, float(pi[state]) / 2)
+    crossings = _crossing_counts(lam, policy, mu, state, np.full(MIN_BATCHES, size),
+                                 np.random.default_rng(seed))
+    return _regenerative_estimate(
+        alpha, seed, size, _cycle_totals(lam, *crossings),
+        {"kind": "simulation", "policy": policy.name, "lam": lam})
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +337,10 @@ class Alg3Params:
     mu: float
 
     def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
+        if not (self.threshold >= 1 and self.threshold % 1 == 0):  # NaN and inf fail
+            raise ValueError(f"threshold must be an integer >= 1, got {self.threshold!r}")
+        object.__setattr__(self, "threshold", int(self.threshold))
+        check_positive("mu", self.mu)
 
     @classmethod
     def from_rates(cls, lam: float, c1: float = 1.0, c2: float = 1.0,
@@ -410,51 +425,35 @@ def _busy_periods(lam: float, mu: float, u: int, sizes: np.ndarray,
 
 
 def simulate_alg3(lam: float, alpha: float, params: Alg3Params,
-                  cycle_budget: int = 200, seed: int = 0) -> StochasticCostEstimate:
+                  event_budget: int = 1_000_000, seed: int = 0) -> StochasticCostEstimate:
     """Regenerative estimate of the gated policy's cost from sampled counts.
 
     A cycle idles until U jobs arrive, then serves at rate mu down to empty;
     its two rate jumps cost 2 mu^2. Holding times are their conditional
     means (Fox & Glynn 1986), so the idle phase is exact: U/lam long, area
-    U(U-1)/(2 lam). ``_busy_periods`` samples the busy periods of
-    ``MIN_BATCHES`` groups of cycle_budget // MIN_BATCHES cycles (the last
-    takes the remainder) from ``np.random.default_rng(seed)``. ``meta``
-    reports the ``cycles``, ``events`` and ``batches`` that ran; the 95%
-    halfwidth is the regenerative ratio interval over the groups.
-    CycleOverflowError: a group expects more than 2**62 events (the counts
-    are int64), or a busy period passes level ``BUSY_LEVEL_CAP``.
+    U(U-1)/(2 lam). ``_busy_periods`` samples the busy periods, U (lam + mu)
+    / (mu - lam) events each on average, of the groups ``_group_size`` sizes
+    from ``event_budget``; ``meta`` adds ``threshold``, ``mu``, ``mean_idle``
+    and ``mean_busy``. CycleOverflowError: U or a busy period passes level
+    ``BUSY_LEVEL_CAP``, or a group expects more than 2**62 events.
     """
     check_positive("alpha", alpha)
     params.validate_stability(lam)
-    if cycle_budget < MIN_BATCHES:
-        raise ValueError(f"need at least {MIN_BATCHES} cycles")
     u, mu = params.threshold, params.mu
     if u > BUSY_LEVEL_CAP:
         raise CycleOverflowError(f"threshold U > {BUSY_LEVEL_CAP}: no busy period is counted")
-    largest = cycle_budget // MIN_BATCHES + cycle_budget % MIN_BATCHES
-    per_cycle = u * (lam + mu) / (mu - lam)  # a busy period's mean event count
-    if not largest <= (1 << 62) / per_cycle:  # also raises for a NaN or inf per_cycle
-        raise CycleOverflowError(f"a group of {largest} busy periods from U = {u} "
-                                 f"expects more than 2**62 events, {per_cycle:.3g} each")
-    sizes = np.full(MIN_BATCHES, cycle_budget // MIN_BATCHES)
-    sizes[-1] = largest
-    events, busy_area = _busy_periods(lam, mu, u, sizes, np.random.default_rng(seed))
+    size = _group_size(event_budget, (mu - lam) / (u * (lam + mu)))
+    events, busy_area = _busy_periods(lam, mu, u, np.full(MIN_BATCHES, size),
+                                      np.random.default_rng(seed))
     busy = events / (lam + mu)
-    sc_per_cycle = 2.0 * mu * mu
-    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal lam, a huge alpha
-        areas = sizes * (u * (u - 1) / (2.0 * lam)) + busy_area
-        lengths = sizes * (u / lam) + busy
-        rewards = areas + alpha * sc_per_cycle * sizes
-        total_len = float(lengths.sum())
-        mean_occ = float(areas.sum()) / total_len
-    switch_rate = sc_per_cycle * cycle_budget / total_len
-    return StochasticCostEstimate(
-        mean_occ, switch_rate, mean_occ + alpha * switch_rate,
-        _batch_ci(rewards, lengths), alpha,
-        {"kind": "simulation-regenerative", "policy": "alg3", "lam": lam,
-         "threshold": u, "mu": mu, "cycles": cycle_budget, "seed": seed,
-         "events": sum(events.tolist()), "batches": MIN_BATCHES,  # may pass 2**63
-         "mean_idle": u / lam, "mean_busy": float(busy.sum()) / cycle_budget})
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal lam
+        clock = size * (u / lam) + busy
+        area = size * (u * (u - 1) / (2.0 * lam)) + busy_area
+    return _regenerative_estimate(
+        alpha, seed, size, (clock, area, np.full(MIN_BATCHES, 2.0 * mu * mu * size), events),
+        {"kind": "simulation-regenerative", "policy": "alg3", "lam": lam},
+        threshold=u, mu=mu, mean_idle=u / lam,
+        mean_busy=float(busy.sum()) / (MIN_BATCHES * size))
 
 
 def scaling_exponent(cost_samples: Sequence[tuple[float, float]]) -> float:

@@ -339,10 +339,11 @@ class TestStochasticCli:
     def test_simulate_alg3(self, capsys):
         code, out, _ = run_cli(
             capsys, "stochastic", "--policy", "alg3", "--lambda", "50",
-            "--mode", "simulate", "--cycles", "40", "--seed", "5")
+            "--mode", "simulate", "--events", "25000", "--seed", "5")
         assert code == 0
         payload = json.loads(out)
-        assert payload["meta"]["cycles"] == 40
+        # a busy period from U = 14 takes 394 events on average: 32 groups of 2
+        assert (payload["meta"]["cycles"], payload["meta"]["batches"]) == (64, 32)
 
     def test_simulate_transient_chain_is_a_validation_error(self, capsys, monkeypatch):
         # mu_i = 0.5 < lambda = 1 has no stationary law: no estimate, exit 2
@@ -557,7 +558,7 @@ class TestInputErrors:
         (("stochastic", "--policy", "alg3", "--lambda", "1", "--c2", "inf"),
          2, "c2 must be finite"),
         (("stochastic", "--policy", "alg3", "--lambda", "0.5", "--c1", "1e300",
-          "--mode", "simulate", "--cycles", "30"), 2, "no busy period"),
+          "--mode", "simulate"), 2, "no busy period"),
         (("stochastic", "--policy", "alg1", "--lambda", "1", "--alpha", "1e308"),
          2, "alg1 total at lambda=1.0, alpha=1e+308 is not finite"),
         (("stochastic", "--policy", "alg1", "--lambda", "1", "--alpha", "1e308",
@@ -566,12 +567,12 @@ class TestInputErrors:
         (("stochastic", "--policy", "alg3", "--lambda", "1", "--alpha", "1e308"),
          2, "alg3 total at lambda=1.0, alpha=1e+308"),
         (("stochastic", "--policy", "alg3", "--lambda", "1", "--alpha", "1e308",
-          "--mode", "simulate", "--cycles", "30"),
+          "--mode", "simulate", "--events", "1000"),
          2, "alg3 total at lambda=1.0, alpha=1e+308"),
         (("stochastic", "--policy", "alg3", "--lambda", "5e-324", "--mode", "analytic"),
          2, "alg3 mean_idle at lambda=5e-324"),
         (("stochastic", "--policy", "alg3", "--lambda", "1e-310", "--mode", "simulate",
-          "--cycles", "30"),
+          "--events", "1000"),
          2, "alg3 ci_halfwidth at lambda=1e-310"),
         (("stochastic", "--policy", "alg1", "--lambda", "1e-320", "--mode", "simulate",
           "--events", "1000"),
@@ -612,9 +613,12 @@ class TestInputErrors:
         (("stochastic", "--policy", "alg1", "--lambda", "1", "--mode", "simulate",
           "--events", str(2 ** 62 + 1)), 2, f"event budget {2 ** 62 + 1} is above 2**62"),
         (("stochastic", "--policy", "alg3", "--lambda", "100", "--mode", "simulate",
-          "--cycles", str(10 ** 12)), 0, ""),
+          "--events", str(2 ** 62)), 0, ""),
         (("stochastic", "--policy", "alg3", "--lambda", "100", "--mode", "simulate",
-          "--cycles", str(10 ** 18)), 2, "expects more than 2**62 events"),
+          "--events", str(2 ** 62 + 1)), 2, f"event budget {2 ** 62 + 1} is above 2**62"),
+        (("stochastic", "--policy", "alg3", "--lambda", "1", "--c1", "1000",
+          "--c2", "2.220446049250313e-16", "--mode", "simulate"),
+         2, "expects more than 2**62 events"),
         (("reproduce-figure", "--figure", "quad_a1", "--rates", "1,x"),
          2, "--rates must be a number, got 'x'"),
         (("sweep", "--kind", "gamma", "--instance", "batch:N=3", "--gammas", "0,x",
@@ -658,7 +662,7 @@ class TestInputErrors:
             "run-dual-beta-overflow", "dual-slack-overflow", "quad-alg-beta-overflow",
             "alg2-huge-alpha-truncation", "alg1-huge-lambda-truncation",
             "alg1-huge-lambda-simulated-truncation", "simulated-budget-too-large",
-            "alg3-huge-cycles", "alg3-cycles-past-event-cap",
+            "alg3-huge-budget", "alg3-budget-too-large", "alg3-group-past-event-cap",
             "rates-not-a-number", "gammas-not-a-number", "alphas-not-a-number",
             "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer",
             "run-no-policy", "periodic-negative-k", "sigma2-negative-horizon",
@@ -867,7 +871,7 @@ def _spec(draw, families):
 
 # Rates, exponents and constants for the stochastic, sweep and figure
 # commands, half in range and half negative, huge, NaN or infinite.
-# Simulated runs keep lambda <= 100, --events <= 1000 and --cycles <= 40.
+# Simulated runs keep lambda <= 100 and --events <= 1000.
 _BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", ""]
 
 
@@ -915,7 +919,6 @@ def _stochastic_argv(draw):
     argv += _optional_flags(draw, [("--alpha", _constant())])
     if mode == "simulate":
         argv += ["--events", draw(_count(["32", "1000", "31"])),
-                 "--cycles", draw(_count(["30", "40"])),
                  "--seed", draw(_count(["0", "1"]))]
     if policy == "alg3":
         argv += _alg3_flags(draw)
@@ -988,15 +991,15 @@ def _no_constant(name):
 @example(["stochastic", "--policy", "alg2", "--lambda", "1", "--alpha", "1e300"])
 @example(["stochastic", "--policy", "alg1", "--lambda", "1e300"])
 @example(["stochastic", "--policy", "alg1", "--mode", "simulate", "--lambda", "0.5",
-          "--alpha", "1e308", "--events", "32", "--cycles", "30", "--seed", "0"])
+          "--alpha", "1e308", "--events", "32", "--seed", "0"])
 @example(["stochastic", "--policy", "alg1", "--lambda", "1", "--alpha", "1e308",
           "--mode", "simulate", "--events", "1000"])
 @example(["stochastic", "--policy", "alg3", "--lambda", "1", "--alpha", "1e308"])
 @example(["stochastic", "--policy", "alg3", "--lambda", "1", "--alpha", "1e308",
-          "--mode", "simulate", "--cycles", "30"])
+          "--mode", "simulate", "--events", "32"])
 @example(["stochastic", "--policy", "alg3", "--lambda", "5e-324", "--mode", "analytic"])
 @example(["stochastic", "--policy", "alg3", "--lambda", "1e-310", "--mode", "simulate",
-          "--cycles", "30"])
+          "--events", "32"])
 @example(["stochastic", "--policy", "alg1", "--lambda", "1e-320", "--mode", "simulate",
           "--events", "1000"])
 @example(["stochastic", "--policy", "alg1", "--lambda", "5e-324"])

@@ -683,7 +683,7 @@ INPUT_CHECKS = [
     ("alg3_analytic_cost", "alpha",
      lambda v: alg3_analytic_cost(10.0, v, Alg3Params.from_rates(10.0))),
     ("simulate_alg3", "alpha",
-     lambda v: simulate_alg3(10.0, v, Alg3Params.from_rates(10.0), cycle_budget=30)),
+     lambda v: simulate_alg3(10.0, v, Alg3Params.from_rates(10.0), event_budget=1000)),
     ("convex_batch_solve", "n", lambda v: convex_batch_solve(v, 3)),
     ("convex_batch_solve", "alpha", lambda v: convex_batch_solve(3.0, 3, alpha=v)),
     ("batch_quad_horizon_search", "n", lambda v: batch_quad_horizon_search(v, 1.0)),

@@ -10,7 +10,7 @@ from flowswitch import (Alg3Params, CycleOverflowError, MarkovPolicy,
                         alg3_analytic_cost, analytic_cost, scaling_exponent,
                         simulate_alg3, simulate_ctmc, stationary_distribution)
 from flowswitch import stochastic
-from flowswitch.stochastic import (BUSY_LEVEL_CAP, CTMC_BATCHES, MIN_BATCHES,
+from flowswitch.stochastic import (BUSY_LEVEL_CAP, MIN_BATCHES,
                                    TAIL_TOL, TruncationError, _batch_ci,
                                    _busy_periods, _crossing_counts,
                                    _cycle_totals, _stationary)
@@ -92,10 +92,13 @@ class TestMarkovPolicy:
             MarkovPolicy(lambda i: i + 1.0, "bad", RateModel.MULTISERVER)
 
     def test_multiserver_rate_cap(self):
-        with pytest.raises(ValueError):
-            MarkovPolicy(lambda i: 2.0 * i, "fast", RateModel.MULTISERVER)
-        MarkovPolicy(lambda i: 2.0 * i, "fast",
-                     RateModel.SINGLE_SERVER_SPEED_SCALING)
+        # a rate is checked where a computation first reads it
+        fast = MarkovPolicy(lambda i: 2.0 * i, "fast", RateModel.MULTISERVER)
+        with pytest.raises(ValueError,
+                           match=r"^multiserver model violated: mu_1 = 2 > 1$"):
+            stationary_distribution(1.0, fast)
+        stationary_distribution(1.0, MarkovPolicy(
+            lambda i: 2.0 * i, "fast", RateModel.SINGLE_SERVER_SPEED_SCALING))
 
     @pytest.mark.parametrize("alpha", [0.0, math.inf, math.nan])
     def test_alg2_rejects_bad_alpha(self, alpha):
@@ -260,7 +263,7 @@ class TestSimulateCtmc:
         assert est.meta["batches"] == 32
 
     def test_rates_past_the_table_are_evaluated_as_reached(self):
-        lam, cycles = 2.0, np.full(CTMC_BATCHES, 200)
+        lam, cycles = 2.0, np.full(MIN_BATCHES, 200)
         _, mu = _stationary(lam, alg1())
         full = _crossing_counts(lam, alg1(), mu, 0, cycles, np.random.default_rng(5))
         short = _crossing_counts(lam, alg1(), mu[:3], 0, cycles,
@@ -300,33 +303,60 @@ class TestSimulateCtmc:
         state = int(pi.argmax())
         per_group = round(budget * pi[state] / 64)  # 2 / pi_m events a cycle
         lo, counts, rates = _crossing_counts(
-            lam, policy, mu, state, np.full(CTMC_BATCHES, per_group),
+            lam, policy, mu, state, np.full(MIN_BATCHES, per_group),
             np.random.default_rng(3))
         clock, _, _, events = _cycle_totals(lam, lo, counts, rates)
-        assert est.meta["cycles"] == CTMC_BATCHES * per_group
+        assert est.meta["cycles"] == MIN_BATCHES * per_group
         assert est.meta["events"] == events.sum() == 2 * counts.sum()
         assert est.meta["sim_time"] == clock.sum()
-        assert est.meta["batches"] == CTMC_BATCHES
+        assert est.meta["batches"] == MIN_BATCHES
         assert abs(est.meta["events"] - budget) < 0.05 * budget
         # a budget below one cycle per group still runs 32 cycles
         tiny = simulate_ctmc(4.0, 2.0, alg2(2.0), event_budget=32, seed=3)
         assert tiny.meta["cycles"] == 32
         assert tiny.meta["events"] >= 64  # out and back at least once a cycle
-        # simulate_alg3 reports the same keys: 95 cycles are 29 groups of 3
-        # and one of 8, and each busy period from U steps down U times more
-        # than up
+        # simulate_alg3 reports the same keys. A busy period from U = 5
+        # takes U (lam + mu) / (mu - lam) = 51.4 events on average, so
+        # 5,000 events make 32 groups of 3, and each busy period from U
+        # steps down U times more than up
         params = Alg3Params.from_rates(10.0)
-        gated = simulate_alg3(10.0, 0.5, params, cycle_budget=95, seed=3)
-        sizes = np.full(MIN_BATCHES, 3)
-        sizes[-1] = 8
-        events, _ = _busy_periods(10.0, params.mu, params.threshold, sizes,
+        u, mu = params.threshold, params.mu
+        gated = simulate_alg3(10.0, 0.5, params, event_budget=5_000, seed=3)
+        events, _ = _busy_periods(10.0, mu, u, np.full(MIN_BATCHES, 3),
                                   np.random.default_rng(3))
-        assert gated.meta["cycles"] == 95
+        assert set(est.meta) - {"kind", "policy"} < set(gated.meta)
+        assert gated.meta["cycles"] == 96
         assert gated.meta["batches"] == MIN_BATCHES
         assert gated.meta["events"] == events.sum()
-        assert (gated.meta["events"] - 95 * params.threshold) % 2 == 0
+        assert (gated.meta["events"] - 96 * u) % 2 == 0
         assert gated.meta["mean_busy"] == pytest.approx(
-            events.sum() / (10.0 + params.mu) / 95, rel=1e-12)
+            events.sum() / (10.0 + mu) / 96, rel=1e-12)
+        assert gated.meta["sim_time"] == pytest.approx(
+            96 * u / 10.0 + events.sum() / (10.0 + mu), rel=1e-12)
+
+    @pytest.mark.parametrize("policy, lam, alpha, budget, seed, expected", [
+        (alg1(), 1.0, 1.0, 1000, 7,
+         (0.9343947568766344, 1.9343947568766344, 0.1633645274534005, 974, 192,
+          503.51666666666665)),
+        (alg2(0.5), 4.0, 0.5, 12345, 123,
+         (4.947758760196007, 4.993721479887751, 0.26219370356587113, 13004, 1088,
+          1640.4612670950578)),
+        (alg2(2.0), 100.0, 2.0, 100_000, 0,
+         (200.02398003491652, 50.002997504364565, 3.4071110422741686, 100394, 1408,
+          501.9399086586609)),
+        (alg1(), 1.0, 1.0, 10 ** 17, 0,
+         (1.000000014174422, 2.000000014174422, 2.329357204484776e-08,
+          100000001952934500, 18393972058572096, 5.0000000622106696e+16))],
+        ids=["alg1", "alg2-half", "alg2-two", "alg1-huge"])
+    def test_pinned_estimates(self, policy, lam, alpha, budget, seed, expected):
+        # recorded estimates: sizing the groups from the budget and forming
+        # the ratio must not move a draw or a bit. At 1e17 events a group
+        # holds about 2**49 cycles, where dividing the budget by 2 / pi_m
+        # instead of multiplying it by pi_m / 2 rounds to one cycle more
+        est = simulate_ctmc(lam, alpha, policy, event_budget=budget, seed=seed)
+        assert (est.mean_occupancy, est.switch_cost_rate, est.ci_halfwidth,
+                est.meta["events"], est.meta["cycles"], est.meta["sim_time"]) == expected
+        assert est.total == est.mean_occupancy + alpha * est.switch_cost_rate
 
     @pytest.mark.parametrize("policy", ["alg1", "alg2"])
     @pytest.mark.parametrize("lam", [1.0, 4.0])
@@ -391,12 +421,12 @@ class TestSimulateCtmc:
         pi, mu = _stationary(lam, policy)
         for state in (0, most_likely_state(lam, policy)):
             lo, counts, _ = _crossing_counts(
-                lam, policy, mu, state, np.full(CTMC_BATCHES, 20_000),
+                lam, policy, mu, state, np.full(MIN_BATCHES, 20_000),
                 np.random.default_rng(11))
             per_cycle = counts / 20_000
             expected = pi[lo:lo + len(counts)] / pi[state]
             mean = per_cycle.mean(axis=1)
-            stderr = per_cycle.std(axis=1, ddof=1) / math.sqrt(CTMC_BATCHES)
+            stderr = per_cycle.std(axis=1, ddof=1) / math.sqrt(MIN_BATCHES)
             shown = expected >= 1e-3
             assert shown.sum() >= 8
             assert (np.abs(mean - expected) <= 4 * stderr)[shown].all(), state
@@ -434,6 +464,20 @@ class TestAlg3:
         with pytest.raises(ValueError):
             Alg3Params.from_rates(10.0, theta2=1.0)
 
+    @pytest.mark.parametrize("threshold, mu, name", [
+        (math.inf, 3.0, "threshold"), (math.nan, 3.0, "threshold"),
+        (2.5, 3.0, "threshold"), (0, 3.0, "threshold"), (2, math.inf, "mu"),
+        (2, math.nan, "mu"), (2, 0.0, "mu"), (2, -1.0, "mu")])
+    def test_params_reject_what_cannot_be_simulated(self, threshold, mu, name):
+        # the threshold is a whole number of jobs and mu a finite rate
+        value = threshold if name == "threshold" else mu
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value}$"):
+            Alg3Params(threshold, mu)
+
+    def test_integral_threshold_is_stored_as_an_int(self):
+        params = Alg3Params(2.0, 3.0)
+        assert params.threshold == 2 and type(params.threshold) is int
+
     @pytest.mark.parametrize("name", ["c1", "c2"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_nonpositive_constant_is_named(self, name, value):
@@ -445,7 +489,7 @@ class TestAlg3:
         # E[idle] = U / lam (time to collect U arrivals)
         lam = 200.0
         params = Alg3Params.from_rates(lam)
-        est = simulate_alg3(lam, 1.0, params, cycle_budget=400, seed=9)
+        est = simulate_alg3(lam, 1.0, params, event_budget=1_000_000, seed=9)
         assert est.meta["mean_idle"] == pytest.approx(params.threshold / lam,
                                                       rel=0.05)
 
@@ -455,14 +499,14 @@ class TestAlg3:
         lam = 200.0
         params = Alg3Params.from_rates(lam)
         honest = params.threshold / (params.mu - lam)
-        est = simulate_alg3(lam, 1.0, params, cycle_budget=600, seed=10)
+        est = simulate_alg3(lam, 1.0, params, event_budget=1_500_000, seed=10)
         assert est.meta["mean_busy"] == pytest.approx(honest, rel=0.30)
         assert est.meta["mean_busy"] < honest * params.mu / 2
 
     def test_switch_cost_is_two_jumps_per_cycle(self):
         lam = 50.0
         params = Alg3Params.from_rates(lam)
-        est = simulate_alg3(lam, 2.0, params, cycle_budget=64, seed=1)
+        est = simulate_alg3(lam, 2.0, params, event_budget=25_000, seed=1)
         cycles = est.meta["cycles"]
         total_time = cycles * (est.meta["mean_idle"] + est.meta["mean_busy"])
         expect_rate = 2.0 * params.mu ** 2 * cycles / total_time
@@ -481,13 +525,14 @@ class TestAlg3:
         # times, d_1 = 1 and d_{j+1} = u_j + [j+1 <= 2], and up u_j ~
         # NegBin(d_j, 3/4) times. Its v_j = d_j + u_j visits are each held
         # 1/(lam+mu) = 1/4, and each cycle idles U/lam = 2 with area
-        # U(U-1)/(2 lam) = 1. Thirty cycles make thirty groups of one.
+        # U(U-1)/(2 lam) = 1. A busy period takes 4 events on average, so
+        # 32 events make 32 groups of one.
         busy = {  # u_j and d_j by level, then busy length and area
             "a": ((0, 1, 0), (1, 1, 1), 1.0, 2.0),  # 2,3,2,1: v = 1,2,1
             "b": ((0, 0), (1, 1), 0.5, 0.75),  # 2,1: v = 1,1
             "c": ((2, 3, 1, 0), (1, 3, 3, 1), 3.5, 7.75),  # v = 3,6,4,1
         }
-        cycles = "abc" * 10
+        cycles = "abc" * 10 + "ab"
 
         class ScriptedDraws:
             def __init__(self, seed):
@@ -503,22 +548,24 @@ class TestAlg3:
                                  for c in cycles])
 
         monkeypatch.setattr(np.random, "default_rng", ScriptedDraws)
-        est = simulate_alg3(1.0, 2.0, Alg3Params(2, 3.0), cycle_budget=len(cycles))
-        # ten of each cycle: area 10 (3 + 1.75 + 8.75) = 135 over length
-        # 10 (3 + 2.5 + 5.5) = 110; busy 10 (1 + 0.5 + 3.5) = 50 over
-        # 10 (4 + 2 + 14) = 200 events
-        assert sum(1.0 + busy[c][3] for c in cycles) == 135.0
-        assert sum(2.0 + busy[c][2] for c in cycles) == 110.0
-        assert (est.meta["mean_idle"], est.meta["mean_busy"]) == (2.0, 50 / 30)
-        assert est.meta["events"] == 200
-        assert est.mean_occupancy == 135 / 110
-        assert est.switch_cost_rate == 2 * 3.0 ** 2 * 30 / 110
-        assert est.total == 135 / 110 + 2.0 * (2 * 3.0 ** 2 * 30 / 110)
+        est = simulate_alg3(1.0, 2.0, Alg3Params(2, 3.0), event_budget=32)
+        # ten of each cycle and one more a and b: area 10 (3 + 1.75 + 8.75)
+        # + 3 + 1.75 = 139.75 over length 10 (3 + 2.5 + 5.5) + 3 + 2.5 =
+        # 115.5; busy 10 (1 + 0.5 + 3.5) + 1.5 = 51.5 over 10 (4 + 2 + 14)
+        # + 6 = 206 events
+        assert sum(1.0 + busy[c][3] for c in cycles) == 139.75
+        assert sum(2.0 + busy[c][2] for c in cycles) == 115.5
+        assert (est.meta["mean_idle"], est.meta["mean_busy"]) == (2.0, 51.5 / 32)
+        assert (est.meta["events"], est.meta["cycles"], est.meta["sim_time"]) == \
+            (206, 32, 115.5)
+        assert est.mean_occupancy == 139.75 / 115.5
+        assert est.switch_cost_rate == 2 * 3.0 ** 2 * 32 / 115.5
+        assert est.total == 139.75 / 115.5 + 2.0 * (2 * 3.0 ** 2 * 32 / 115.5)
 
     def test_deterministic_per_seed(self):
         params = Alg3Params.from_rates(100.0)
-        a = simulate_alg3(100.0, 1.0, params, cycle_budget=50, seed=3)
-        b = simulate_alg3(100.0, 1.0, params, cycle_budget=50, seed=3)
+        a = simulate_alg3(100.0, 1.0, params, event_budget=50_000, seed=3)
+        b = simulate_alg3(100.0, 1.0, params, event_budget=50_000, seed=3)
         assert a == b
 
     @pytest.mark.parametrize("lam", [50.0, 100.0, 200.0])
@@ -546,12 +593,13 @@ class TestAlg3:
 
     def test_alg3_coverage_on_the_bench_config(self):
         # the 95% interval covers the exact renewal cost at the benchmark's
-        # lam = 100 and 200 cycles
+        # lam = 100, here over 2e5 events: 32 groups of 6 cycles
         lam = 100.0
         params = Alg3Params.from_rates(lam)
         exact = alg3_renewal_cost(lam, 1.0, params)
         hits = sum(abs(est.total - exact) <= est.ci_halfwidth for est in (
-            simulate_alg3(lam, 1.0, params, seed=seed) for seed in range(200)))
+            simulate_alg3(lam, 1.0, params, event_budget=200_000, seed=seed)
+            for seed in range(200)))
         assert 0.90 <= hits / 200 <= 0.98, hits
 
     def test_busy_level_cap(self, monkeypatch):
@@ -562,21 +610,34 @@ class TestAlg3:
         monkeypatch.setattr(stochastic, "BUSY_LEVEL_CAP", 8)
         params = Alg3Params.from_rates(10.0)
         with pytest.raises(CycleOverflowError, match="climbed past level 8"):
-            simulate_alg3(10.0, 1.0, params, cycle_budget=300, seed=0)
+            simulate_alg3(10.0, 1.0, params, event_budget=15_000, seed=0)
         with pytest.raises(CycleOverflowError, match="no busy period"):
-            simulate_alg3(10.0, 1.0, Alg3Params(9, params.mu), cycle_budget=300)
+            simulate_alg3(10.0, 1.0, Alg3Params(9, params.mu), event_budget=15_000)
+
+    def test_event_budget_edges(self):
+        # the budget covers one event per group at least and 2**62 at most
+        lam, params = 100.0, Alg3Params.from_rates(100.0)
+        with pytest.raises(ValueError,
+                           match=r"^event budget 31 is below the 32 batches requested$"):
+            simulate_alg3(lam, 1.0, params, event_budget=31)
+        assert simulate_alg3(lam, 1.0, params, event_budget=32).meta["cycles"] == 32
+        with pytest.raises(ValueError, match=rf"^event budget {2 ** 62 + 1} is above 2\*\*62$"):
+            simulate_alg3(lam, 1.0, params, event_budget=2 ** 62 + 1)
 
     def test_groups_expecting_more_than_2_62_events(self):
         # a busy period from U = 22 at lam = 100 takes U (lam+mu)/(mu-lam)
-        # = 970 events on average; the last group holds the remainder
+        # = 970 events on average, so a 2**62 budget makes 32 groups of
+        # about 2**57 events, and the estimate is the exact renewal cost
         lam, params = 100.0, Alg3Params.from_rates(100.0)
-        u, mu = params.threshold, params.mu
-        most = int(2 ** 62 / (u * (lam + mu) / (mu - lam)))
-        est = simulate_alg3(lam, 1.0, params, cycle_budget=MIN_BATCHES * most, seed=0)
-        assert est.meta["events"] > 2 ** 63  # in all, over 30 groups
+        est = simulate_alg3(lam, 1.0, params, event_budget=2 ** 62, seed=0)
+        assert abs(est.meta["events"] - 2 ** 62) < 1e-3 * 2 ** 62
         assert est.ci_halfwidth < 1e-6 * est.total
-        with pytest.raises(CycleOverflowError, match=r"more than 2\*\*62 events"):
-            simulate_alg3(lam, 1.0, params, cycle_budget=MIN_BATCHES * most + 1)
+        assert abs(est.total - alg3_renewal_cost(lam, 1.0, params)) <= 3 * est.ci_halfwidth
+        # from U = 1000 at mu = nextafter(1, 2) and lam = 1 one busy period
+        # expects 9e18 events, so even a group of one cycle is too many
+        with pytest.raises(CycleOverflowError,
+                           match=r"^a group of 1 cycles expects more than 2\*\*62 events"):
+            simulate_alg3(1.0, 1.0, Alg3Params(1000, math.nextafter(1.0, 2.0)))
 
 
 class TestScalingExponent:
