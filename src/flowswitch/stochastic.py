@@ -20,7 +20,7 @@ from .core import check_positive
 
 TAIL_TOL = 1e-12
 MIN_BATCHES = 32  # the i.i.d. cycle groups behind every simulated estimate
-# a busy-period level costs a numpy call and ~750 bytes: 2**16 take ~3 s, 50 MB
+# a busy-period level costs two numpy calls and ~780 bytes: 2**16 take ~1.3 s, 51 MB
 BUSY_LEVEL_CAP = 1 << 16
 
 
@@ -190,25 +190,29 @@ def _batch_ci(rewards: Sequence[float], durations: Sequence[float]) -> float:
     return crit * spread / math.sqrt(k)
 
 
-def _branch(c: np.ndarray, n: int, step: int, p_back: Callable[[int], float],
+def _branch(c: np.ndarray, n: int, step: int, odds: Callable[[int], float],
             rng: np.random.Generator, immigrants=0, top: int = 0) -> list[np.ndarray]:
     """Each group's onward steps from level n, n + step, ... while any are left.
 
-    A walk that steps back from n c times steps NegBin(c, p_back(n)) times
-    onward before the last of those (Harris 1952); each comes back, and
-    levels up to ``top`` get ``immigrants`` steps back more, from walks
-    that start there (Knight 1963). One numpy call per level serves every
-    group; finished groups are masked, as numpy rejects NegBin(0, p).
+    A walk that steps back from n c times steps onward before the last of
+    those NegBin(c, 1 / (1 + odds(n))) times (Harris 1952), odds(n) being
+    the rate of an onward step over that of a step back; each comes back,
+    and levels up to ``top`` get ``immigrants`` steps back more, from
+    walks that start there (Knight 1963). The negative binomial is drawn
+    as a Poisson with a Gamma(c) mean times the odds (Devroye 1986,
+    X.4.7): one Gamma and one Poisson call per level serve every group,
+    and a finished group, c = 0, draws 0.
     """
     counts = []
-    while True:
-        draw = rng.negative_binomial(np.maximum(c, 1), p_back(n))
-        onward = np.where(c > 0, draw, 0)
-        n += step
-        c = onward + immigrants if n <= top else onward
-        if not c.any():
-            return counts
-        counts.append(onward)
+    # poisson rejects an odds past its range, inf, and NaN (0 * inf) with a ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            onward = rng.poisson(rng.standard_gamma(c) * odds(n))
+            n += step
+            c = onward + immigrants if n <= top else onward
+            if not c.any():
+                return counts
+            counts.append(onward)
 
 
 def _crossing_counts(lam: float, policy: MarkovPolicy, mu: np.ndarray,
@@ -218,8 +222,9 @@ def _crossing_counts(lam: float, policy: MarkovPolicy, mu: np.ndarray,
 
     A cycle starts as the walk steps down from state+1 to ``state`` and
     ends at the next such step, so it steps up from ``state`` once, and
-    ``_branch`` draws the crossings on either side. ``cycles`` holds each
-    group's cycle count.
+    ``_branch`` draws the crossings on either side: below, a step down
+    from n against one up has odds mu_n / lam; above, lam / mu_n.
+    ``cycles`` holds each group's cycle count.
 
     Returns (lo, counts, rates): ``counts[j, g]`` is how often group g
     stepped from lo+j up to lo+j+1, and ``rates`` holds mu_lo through
@@ -228,16 +233,15 @@ def _crossing_counts(lam: float, policy: MarkovPolicy, mu: np.ndarray,
     """
     beyond: list[float] = []
 
-    def p_down(n: int) -> float:
+    def odds_up(n: int) -> float:
         if n == mu.size + len(beyond):  # past the stationary table
             beyond.append(policy.check_rate(n))
             if beyond[-1] == 0.0:
                 raise NonErgodicError(f"mu_{n} = 0 with arrivals pending")
-        rate = mu[n] if n < mu.size else beyond[n - mu.size]
-        return rate / (lam + rate)
+        return lam / (mu[n] if n < mu.size else beyond[n - mu.size])
 
-    below = _branch(cycles, state, -1, lambda n: lam / (lam + mu[n]), rng)
-    above = [cycles] + _branch(cycles, state + 1, 1, p_down, rng)
+    below = _branch(cycles, state, -1, lambda n: mu[n] / lam, rng)
+    above = [cycles] + _branch(cycles, state + 1, 1, odds_up, rng)
     lo = state - len(below)
     rates = np.concatenate((mu[lo:state + len(above) + 1], beyond))
     return lo, np.array(below[::-1] + above), rates
@@ -306,7 +310,7 @@ def simulate_ctmc(lam: float, alpha: float, policy: MarkovPolicy,
     The cost needs only how often the jump chain visits each state and
     crosses each edge, so no path is walked: ``_crossing_counts`` draws
     those counts for ``MIN_BATCHES`` groups of i.i.d. cycles at the most
-    likely state m, one numpy call per state, from
+    likely state m, one Gamma and one Poisson call per state, from
     ``np.random.default_rng(seed)``. Holding times are their conditional
     means 1 / (lam + mu_n) (Fox & Glynn 1986), so occupancy time, area and
     the squared rate jumps are exact given the counts.
@@ -409,16 +413,16 @@ def _busy_periods(lam: float, mu: float, u: int, sizes: np.ndarray,
     """Events and occupancy area of ``sizes`` M/M/1 busy periods from U per group.
 
     A busy period steps down from level j d_j times, d_1 = 1 and d_{j+1} =
-    u_j + [j+1 <= U], and up u_j ~ NegBin(d_j, mu/(lam + mu)) times
-    (``_branch``). Its v_j = d_j + u_j visits, each held 1/(lam + mu), give
-    the events sum v_j and the area sum j v_j/(lam + mu).
+    u_j + [j+1 <= U], and up u_j ~ NegBin(d_j, mu/(lam + mu)) times, which
+    ``_branch`` draws at odds lam/mu. Its v_j = d_j + u_j visits, each held
+    1/(lam + mu), give the events sum v_j and the area sum j v_j/(lam + mu).
     """
-    def p_down(level: int) -> float:
+    def odds_up(level: int) -> float:
         if level > BUSY_LEVEL_CAP:
             raise CycleOverflowError(f"a busy period climbed past level {BUSY_LEVEL_CAP}")
-        return mu / (lam + mu)
+        return lam / mu
 
-    ups = np.array(_branch(sizes, 1, 1, p_down, rng, sizes, u) + [0 * sizes])
+    ups = np.array(_branch(sizes, 1, 1, odds_up, rng, sizes, u) + [0 * sizes])
     level = np.arange(1, len(ups) + 1)
     visits = ups + np.vstack((0 * sizes, ups[:-1])) + np.outer(level <= u, sizes)
     return visits.sum(axis=0), level.astype(float) @ visits / (lam + mu)

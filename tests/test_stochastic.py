@@ -12,7 +12,7 @@ from flowswitch import (Alg3Params, CycleOverflowError, MarkovPolicy,
 from flowswitch import stochastic
 from flowswitch.stochastic import (BUSY_LEVEL_CAP, MIN_BATCHES,
                                    TAIL_TOL, TruncationError, _batch_ci,
-                                   _busy_periods, _crossing_counts,
+                                   _branch, _busy_periods, _crossing_counts,
                                    _cycle_totals, _stationary)
 
 
@@ -336,17 +336,17 @@ class TestSimulateCtmc:
 
     @pytest.mark.parametrize("policy, lam, alpha, budget, seed, expected", [
         (alg1(), 1.0, 1.0, 1000, 7,
-         (0.9343947568766344, 1.9343947568766344, 0.1633645274534005, 974, 192,
-          503.51666666666665)),
+         (0.9990805095059091, 1.9990805095059092, 0.15489278429801734, 1056, 192,
+          528.2428571428571)),
         (alg2(0.5), 4.0, 0.5, 12345, 123,
-         (4.947758760196007, 4.993721479887751, 0.26219370356587113, 13004, 1088,
-          1640.4612670950578)),
+         (5.08707521402779, 5.063379706803642, 0.22242866943859782, 12862, 1088,
+          1600.226082390496)),
         (alg2(2.0), 100.0, 2.0, 100_000, 0,
-         (200.02398003491652, 50.002997504364565, 3.4071110422741686, 100394, 1408,
-          501.9399086586609)),
+         (200.11122481951028, 50.01390310243878, 2.7897652108913933, 97120, 1408,
+          485.4650106045424)),
         (alg1(), 1.0, 1.0, 10 ** 17, 0,
-         (1.000000014174422, 2.000000014174422, 2.329357204484776e-08,
-          100000001952934500, 18393972058572096, 5.0000000622106696e+16))],
+         (0.999999999191785, 1.9999999991917847, 2.2615177195171596e-08,
+          100000000111419760, 18393972058572096, 5.0000000075915256e+16))],
         ids=["alg1", "alg2-half", "alg2-two", "alg1-huge"])
     def test_pinned_estimates(self, policy, lam, alpha, budget, seed, expected):
         # recorded estimates: sizing the groups from the budget and forming
@@ -447,6 +447,56 @@ class TestSimulateCtmc:
             pytest.approx(expected, rel=1e-12)
 
 
+def one_level(c, odds, seed):
+    """The onward steps ``_branch`` draws at its first level, n = 0."""
+    counts = _branch(np.asarray(c), 0, 1, lambda n: odds if n == 0 else 0.0,
+                     np.random.default_rng(seed))
+    return counts[0] if counts else np.zeros(len(c), dtype=np.int64)
+
+
+class TestBranch:
+    @pytest.mark.parametrize("odds", [0.05, 1.0, 22.0])
+    @pytest.mark.parametrize("c", [1, 7, 577])
+    def test_level_matches_negative_binomial(self, c, odds):
+        # a level's Gamma-Poisson draw is NegBin(c, 1 / (1 + odds)), numpy's
+        # own draw kept here as the reference: a two-sample Kolmogorov-Smirnov
+        # test, and the mean c odds and variance c odds (1 + odds) each
+        # within 4 standard errors of the sample's
+        size = 20_000
+        drawn = one_level(np.full(size, c), odds, seed=c)
+        reference = np.random.default_rng(c + 1).negative_binomial(c, 1 / (1 + odds), size)
+        assert ks_2samp(drawn, reference).pvalue > 0.01
+        mean, var = c * odds, c * odds * (1 + odds)
+        centred = drawn - drawn.mean()
+        var_stderr = math.sqrt(((centred ** 4).mean() - drawn.var() ** 2) / size)
+        assert abs(drawn.mean() - mean) <= 4 * math.sqrt(var / size)
+        assert abs(drawn.var(ddof=1) - var) <= 4 * var_stderr
+
+    def test_finished_groups_and_zero_odds_draw_nothing(self):
+        # no mask: a group with c = 0 draws Gamma(0) = 0 steps, and at odds 0
+        # (the walk's floor below m, where mu_0 = 0) no group steps on
+        drawn = one_level(np.array([0, 577, 0, 7, 0, 1] * 50), 22.0, seed=3)
+        assert (drawn[0::2] == 0).all() and drawn[1::2].any()
+        assert _branch(np.full(MIN_BATCHES, 577), 0, -1, lambda n: 0.0,
+                       np.random.default_rng(3)) == []
+
+    @pytest.mark.parametrize("c", [[5, 5], [0, 5]], ids=["live", "one-finished"])
+    @pytest.mark.parametrize("odds", [math.inf, 1e300], ids=["inf", "overflowing"])
+    def test_odds_past_the_poisson_range_raise_value_error(self, c, odds):
+        # numpy's ValueError, which the CLI maps to exit 2, never a NaN count
+        with pytest.raises(ValueError, match="lam value too large"):
+            one_level(np.array(c), odds, seed=0)
+
+    def test_subnormal_rate_past_the_table_raises_value_error(self):
+        # lam / 5e-324 is inf: past a table of mu_0..mu_2 the walk meets it
+        # at 3, and poisson rejects it where (1 - p) / p would divide by 0
+        lam, cycles = 2.0, np.full(MIN_BATCHES, 200)
+        _, mu = _stationary(lam, alg1())
+        with pytest.raises(ValueError, match="lam value too large"):
+            _crossing_counts(lam, rates_breaking_at(3, 5e-324), mu[:3], 0, cycles,
+                             np.random.default_rng(5))
+
+
 class TestAlg3:
     def test_parameter_scaling(self):
         lam = 1000.0
@@ -523,10 +573,11 @@ class TestAlg3:
     def test_fixed_walk_accounting(self, monkeypatch):
         # lam = 1, mu = 3, U = 2: a busy period steps down from level j d_j
         # times, d_1 = 1 and d_{j+1} = u_j + [j+1 <= 2], and up u_j ~
-        # NegBin(d_j, 3/4) times. Its v_j = d_j + u_j visits are each held
-        # 1/(lam+mu) = 1/4, and each cycle idles U/lam = 2 with area
-        # U(U-1)/(2 lam) = 1. A busy period takes 4 events on average, so
-        # 32 events make 32 groups of one.
+        # NegBin(d_j, 3/4) times, drawn as a Poisson with mean Gamma(d_j)
+        # lam/mu. Its v_j = d_j + u_j visits are each held 1/(lam+mu) =
+        # 1/4, and each cycle idles U/lam = 2 with area U(U-1)/(2 lam) = 1.
+        # A busy period takes 4 events on average, so 32 events make 32
+        # groups of one.
         busy = {  # u_j and d_j by level, then busy length and area
             "a": ((0, 1, 0), (1, 1, 1), 1.0, 2.0),  # 2,3,2,1: v = 1,2,1
             "b": ((0, 0), (1, 1), 0.5, 0.75),  # 2,1: v = 1,1
@@ -534,18 +585,23 @@ class TestAlg3:
         }
         cycles = "abc" * 10 + "ab"
 
+        def script(k, j):  # a cycle's entry k at level j; 0 once it is done
+            return [busy[c][k][j] if j < len(busy[c][k]) else 0 for c in cycles]
+
         class ScriptedDraws:
             def __init__(self, seed):
                 self.level = 0
 
-            def negative_binomial(self, n, p):
+            def standard_gamma(self, shape):
+                # a finished group gets shape 0; the draw is the shape, its mean
+                assert shape.tolist() == script(1, self.level)
+                return shape.astype(float)
+
+            def poisson(self, mean):
                 j, self.level = self.level, self.level + 1
-                assert p == 3.0 / 4.0
-                # a finished group is drawn with n = 1, and its draw is masked
-                assert n.tolist() == [busy[c][1][j] if j < len(busy[c][1]) else 1
-                                      for c in cycles]
-                return np.array([busy[c][0][j] if j < len(busy[c][0]) else 7
-                                 for c in cycles])
+                assert mean.tolist() == pytest.approx(
+                    [d / 3 for d in script(1, j)], rel=1e-15, abs=0)
+                return np.array(script(0, j))
 
         monkeypatch.setattr(np.random, "default_rng", ScriptedDraws)
         est = simulate_alg3(1.0, 2.0, Alg3Params(2, 3.0), event_budget=32)
