@@ -52,6 +52,13 @@ class ValidationResult:
 
 _VALID = ValidationResult(True)
 
+# Texts of fewer values than this (t, n and s of each trace CSV row plus its
+# served ids; the slots and sizes of an instance file) are written and read
+# through ``str`` and ``int``: there numpy's fixed cost, some 50 us a call,
+# outweighs what it saves per value. On a 2-vCPU Xeon VM writing traces broke
+# even near 400 values and reading them near 800.
+_BULK_MIN_VALUES = 600
+
 
 def check_positive(name: str, value: float):
     """Raise ValueError unless ``value`` is positive and finite."""
@@ -182,6 +189,20 @@ class ArrivalInstance:
 
     @classmethod
     def from_text(cls, text: str, name: str = "") -> "ArrivalInstance":
+        """Read ``to_text`` output: one job per line as 'slot size', in any
+        slot order, with '#' starting a comment.
+
+        ``_instance_text_columns`` parses a text of plain digits and at
+        least ``_BULK_MIN_VALUES`` values in one numpy pass. Every other
+        text (a smaller one, comments past the first line, signs, tabs, a
+        value below 1, ...) goes through the line loop, which names the line
+        of the first bad value.
+        """
+        columns = _instance_text_columns(text)
+        if columns is not None:
+            inst = cls.__new__(cls)
+            inst._assign(*columns, name)
+            return inst
         records = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -203,6 +224,42 @@ class ArrivalInstance:
     def from_file(cls, path, name: str = "") -> "ArrivalInstance":
         with open(path) as fh:
             return cls.from_text(fh.read(), name=name or str(path))
+
+
+def _instance_text_columns(text: str):
+    """The arrival counts and id-ordered sizes of an instance text, parsed
+    in one numpy pass; None unless the text, past a first comment line,
+    holds only ASCII digits, spaces and newlines, each line two values or
+    none, every value 1 or more and at most 18 digits, and at least
+    ``_BULK_MIN_VALUES`` values in all."""
+    if len(text) < _BULK_MIN_VALUES:  # every value takes at least a byte
+        return None
+    if text.startswith("#"):
+        comment, _, text = text.partition("\n")
+        if not comment.isprintable():  # no line break that splitlines cuts at
+            return None
+    if not text.isascii():
+        return None
+    data = text.encode()
+    if data.translate(None, b"0123456789 \n"):  # another byte is left
+        return None
+    raw = np.frombuffer(data, np.uint8)
+    digit = np.zeros(raw.size + 2, bool)
+    digit[1:-1] = raw - ord("0") < 10  # uint8 wraps: only digits are below 10
+    edges = np.flatnonzero(digit[1:] != digit[:-1])  # each value's start, end
+    starts = edges[0::2]
+    if not starts.size or starts.size < _BULK_MIN_VALUES or \
+            (edges[1::2] - starts).max() > 18:
+        return None
+    per_line = np.bincount(np.cumsum(raw == ord("\n"))[starts])
+    if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    values = np.fromstring(data, np.int64, sep=" ")
+    if values.min() < 1:
+        return None
+    slots = values[0::2]
+    sizes = values[1::2][np.argsort(slots, kind="stable")]
+    return tuple(np.bincount(slots)[1:].tolist()), tuple(sizes.tolist())
 
 
 def parse_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
@@ -356,11 +413,12 @@ class ScheduleTrace:
     """A complete schedule as per-slot columns: occupancy n and servers s.
 
     ``n[i]`` and ``s[i]`` belong to slot i+1. Idle slots (n=0, s=0) are
-    recorded. A FIFO trace (unit jobs from the count engine or ``dp_opt``)
-    keeps only these columns: slot t serves ids [S(t-1), S(t)), with S the
-    running sum of s. Every other trace (general-size SRPT, CSV input)
-    keeps its served sets in ``served``, one flat id column with per-slot
-    counts (see ``ServedColumns``).
+    recorded. A FIFO trace (unit jobs from the count engine or ``dp_opt``,
+    or a FIFO-shaped CSV read back by ``from_csv``) keeps only these
+    columns: slot t serves ids [S(t-1), S(t)), with S the running sum of s.
+    Every other trace (general-size SRPT, any other CSV input) keeps its
+    served sets in ``served``, one flat id column with per-slot counts (see
+    ``ServedColumns``).
 
     ``slots`` is a view built on access: no SlotRecord or frozenset exists
     until a caller reads it. A slot's number is its position, and a job
@@ -444,80 +502,102 @@ class ScheduleTrace:
         Ids are kept as written; the ``slots`` view reads each slot's ids
         as a set, and a job departs at the last row that serves it. The t
         column must count 1..T: ValueError names the first row that does not.
+        A FIFO-shaped text, whose every row serves s ids and whose ids count
+        0..S(T)-1 in order, comes back in the FIFO form (``served`` None):
+        the same slots and departures, equal to the served form, and the
+        same bytes written.
 
-        ``_csv_columns`` parses a text of at least ``_BULK_MIN_VALUES``
-        values (t, n and s of each row plus the ids) in numpy when every
-        value is 1 to 18 ASCII digits, and a smaller text through ``int``.
-        Every other text goes through the row loop ``_csv_rows``: in bulk,
-        one with a sign, space, ``_``, non-ASCII digit or longer value; at
-        any size, one with a short row, an empty id item or a value ``int``
-        rejects. The row loop sets the accepted inputs and the error raised.
+        ``_csv_text_columns`` parses a text of at least ``_BULK_MIN_VALUES``
+        values (t, n and s of each row plus the ids) in one numpy pass when
+        it has exactly ``to_csv``'s header and row shape and every value is
+        1 to 18 ASCII digits. Every other text is split into rows and read
+        through ``int`` column by column (``_csv_columns``), or by the row
+        loop ``_csv_rows`` when a row is short, an id field holds an empty
+        item or a value fails ``int``. The row loop sets the accepted inputs
+        and the error raised.
         """
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].split(",")[:3] != ["t", "n", "s"]:
-            raise ValueError("trace CSV must start with header 't,n,s,served_ids'")
-        rows = [ln.split(",", 3) for ln in lines[1:]]
-        columns = _csv_columns(rows)
+        columns = _csv_text_columns(text)
         if columns is None:
-            columns = _csv_rows(rows)
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            if not lines or lines[0].split(",")[:3] != ["t", "n", "s"]:
+                raise ValueError("trace CSV must start with header 't,n,s,served_ids'")
+            rows = [ln.split(",", 3) for ln in lines[1:]]
+            columns = _csv_columns(rows) or _csv_rows(rows)
         t, n, s, ids, counts = columns
         if t != list(range(1, len(t) + 1)):
             row = next(row for row, value in enumerate(t, start=1) if value != row)
             raise ValueError(f"trace CSV row {row} has t={t[row - 1]}, expected {row}")
+        if counts == s and (isinstance(ids, range) or ids == [*range(len(ids))]):
+            return cls(n, s)  # FIFO-shaped
         return cls(n, s, served=ServedColumns(ids, counts))
 
 
-# Traces of fewer values than this (t, n and s of each row plus the served
-# ids) are written row by row and read through ``int``: there numpy's fixed
-# cost, some 50 us a call, outweighs what it saves per value. On a 2-vCPU
-# Xeon VM writing broke even near 400 values and reading near 800.
-_BULK_MIN_VALUES = 600
+_CSV_HEADER = "t,n,s,served_ids\n"
+_SEPARATORS_TO_SPACES = bytes.maketrans(b",;\n", b"   ")
+
+
+def _csv_text_columns(text: str):
+    """Parse a whole trace CSV in one numpy pass, as ``_csv_columns`` does,
+    but with the ids as ``range(S)`` when they count 0..S-1 in order.
+
+    Every non-digit byte is found once. Each row must be t, n and s, each
+    ended by a comma, then ids separated by ';' and a newline; no item may
+    be empty but an idle row's id field, nor longer than 18 digits, which
+    ``int`` reads the same and int64 holds. One ``np.fromstring`` then
+    parses every value. Returns None, and leaves the text to the line
+    readers, for another header, any other byte or shape, or fewer than
+    ``_BULK_MIN_VALUES`` values.
+    """
+    # every value takes at least a digit and a separator
+    if not (text.startswith(_CSV_HEADER) and text.isascii() and
+            len(text) - len(_CSV_HEADER) >= 2 * _BULK_MIN_VALUES):
+        return None
+    body = text[len(_CSV_HEADER):].encode()
+    if body[-1:] != b"\n":
+        return None
+    raw = np.frombuffer(body, np.uint8)
+    cuts = np.flatnonzero(raw - ord("0") > 9)  # uint8 wraps: every non-digit
+    kinds = raw[cuts]
+    comma = kinds == ord(",")
+    newline = np.flatnonzero(kinds == ord("\n"))
+    nrows = newline.size
+    per_row = np.diff(newline, prepend=-1)  # separators, the newline included
+    if per_row.min() < 4 or np.count_nonzero(comma) != 3 * nrows or \
+            np.count_nonzero(kinds == ord(";")) != kinds.size - 4 * nrows:
+        return None
+    heads = newline - per_row + 1
+    if not (comma[heads] & comma[heads + 1] & comma[heads + 2]).all():
+        return None  # the three commas do not lead the row
+    length = np.diff(cuts, prepend=-1) - 1  # the digits before each separator
+    idle = (per_row == 4) & (length[newline] == 0)  # an empty id field
+    if np.count_nonzero(length == 0) != np.count_nonzero(idle) or \
+            length.max() > 18 or cuts.size - np.count_nonzero(idle) < _BULK_MIN_VALUES:
+        return None
+    values = np.fromstring(body.translate(_SEPARATORS_TO_SPACES), np.int64, sep=" ")
+    is_tns = np.delete(comma, newline[idle])  # t, n and s end in a comma
+    t, n, s = values[is_tns].reshape(-1, 3).T.tolist()
+    ids = values[~is_tns]
+    ids = range(ids.size) if np.array_equal(ids, np.arange(ids.size)) else ids.tolist()
+    return t, n, s, ids, (per_row - 3 - idle).tolist()
 
 
 def _csv_columns(rows: list[list[str]]):
-    """Parse trace CSV rows column by column, each column in one pass.
+    """Parse trace CSV rows column by column through ``int``.
 
-    Rows of at least ``_BULK_MIN_VALUES`` values (t, n and s of each row
-    plus the served ids) are parsed in numpy (``_digit_items``), smaller
-    ones through ``int``. Returns None, and leaves the input to
-    ``_csv_rows``, when a row lacks a field, an id field holds an empty
-    item, a value fails ``int``, or in bulk a value is not plain digits;
-    so the accepted inputs and the error raised are the row reader's.
+    Returns None, and leaves the input to ``_csv_rows``, when a row lacks
+    a field, an id field holds an empty item or a value fails ``int``; so
+    the accepted inputs and the error raised are the row reader's.
     """
     if not rows or min(map(len, rows)) != 4:
         return None
     t_col, n_col, s_col, id_col = zip(*rows)
     joined = ";".join(filter(None, id_col))
-    counts = [field.count(";") + 1 if field else 0 for field in id_col]
-    if 3 * len(rows) + sum(counts) < _BULK_MIN_VALUES:
-        try:
-            ids = list(map(int, joined.split(";"))) if joined else []
-            t, n, s = (list(map(int, col)) for col in (t_col, n_col, s_col))
-        except ValueError:
-            return None
-    else:
-        ids = _digit_items(joined, ";") if joined else []
-        t, n, s = (_digit_items(",".join(col), ",")
-                   for col in (t_col, n_col, s_col))
-        if None in (ids, t, n, s):
-            return None
-    return t, n, s, ids, counts
-
-
-def _digit_items(text: str, sep: str) -> list[int] | None:
-    """The ints of the ``sep``-separated items of ``text``, parsed in numpy;
-    None unless every item is 1 to 18 ASCII digits, which ``int`` reads
-    the same and int64 holds."""
-    if not text.isascii():
+    try:
+        ids = list(map(int, joined.split(";"))) if joined else []
+        t, n, s = (list(map(int, col)) for col in (t_col, n_col, s_col))
+    except ValueError:
         return None
-    raw = np.frombuffer(f"{sep}{text}{sep}".encode(), np.uint8)
-    cuts = np.flatnonzero(raw == ord(sep))
-    if np.count_nonzero(raw - ord("0") < 10) + cuts.size != raw.size:
-        return None
-    gaps = np.diff(cuts)  # each item's length plus one
-    if not 2 <= gaps.min() <= gaps.max() <= 19:
-        return None
-    return np.fromstring(text, np.int64, sep=sep).tolist()
+    return t, n, s, ids, [field.count(";") + 1 if field else 0 for field in id_col]
 
 
 def _csv_rows(rows: list[list[str]]):

@@ -58,6 +58,37 @@ def described(inst):
             {attr: getattr(inst, attr) for attr in AGGREGATES})
 
 
+# Tokens the one-pass instance reader must leave to the line loop, or read
+# as ``int`` does (leading zeros): the loop's errors name the line.
+INSTANCE_TOKENS = ("0", "-1", "+5", "1_0", "\u0663", "01", "9" * 19, "1.5", "x", "")
+INSTANCE_EDITS = ("token", "extra_token", "drop_token", "blank_line", "comment_line",
+                  "trailing_comment", "tab", "crlf")
+
+
+def edit_instance_lines(lines, kind, where, k):
+    """One edit of an instance text's lines; the first is the header comment."""
+    lines = list(lines)
+    i = 1 + where % (len(lines) - 1) if len(lines) > 1 else 0
+    if kind == "blank_line":
+        lines.insert(i, " " * k)
+    elif kind == "comment_line":
+        lines.insert(i, "# note")
+    elif kind == "crlf":
+        lines[i] += "\r"
+    elif i:  # the other edits change a job line
+        tokens = lines[i].split(" ")
+        if kind == "token":
+            tokens[k % len(tokens)] = INSTANCE_TOKENS[where % len(INSTANCE_TOKENS)]
+        elif kind == "extra_token":
+            tokens.append(str(1 + k))
+        elif kind == "drop_token":
+            tokens.pop(k % len(tokens))
+        elif kind == "trailing_comment":
+            tokens.append("# c")
+        lines[i] = ("\t" if kind == "tab" else " ").join(tokens)
+    return lines
+
+
 class TestArrivalInstance:
     def test_sorted_with_stable_ties(self):
         inst = ArrivalInstance(((3, 2), (1, 1), (3, 5)))
@@ -148,6 +179,52 @@ class TestArrivalInstance:
         path.write_text(inst.to_text() + "# trailing comment\n")
         again = ArrivalInstance.from_file(path)
         assert again.arrivals == inst.arrivals
+
+    def test_large_instance_file_reads_in_one_pass(self):
+        rng = random.Random(3)
+        inst = ArrivalInstance(tuple((rng.randint(1, 1000), rng.randint(1, 5))
+                                     for _ in range(3000)), name="mixed")
+        text = inst.to_text()  # its header comment too
+        assert core._instance_text_columns(text) is not None
+        assert ArrivalInstance.from_text(text, name="mixed") == inst
+        unit = random_slotted(20.0, 100, 4)
+        assert ArrivalInstance.from_text(unit.to_text(), name=unit.name) == unit
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=8),
+           name=st.sampled_from(["", "a\u20282 2", "b\x85c"]),
+           edits=st.lists(st.tuples(st.sampled_from(INSTANCE_EDITS), st.integers(0, 10**6),
+                                    st.integers(0, 3)), max_size=3),
+           final_newline=st.booleans())
+    # a slot of 0, a 19-digit size, a line break in the header comment
+    @example(records=[(1, 1), (2, 1)], name="", edits=[("token", 0, 0)],
+             final_newline=True)
+    @example(records=[(1, 1), (2, 1)], name="", edits=[("token", 6, 1)],
+             final_newline=True)
+    @example(records=[(1, 1)], name="a\u20282 2", edits=[], final_newline=True)
+    @example(records=[(1, 1)], name="", edits=[("token", 6, 0)], final_newline=False)
+    def test_mutated_instance_text_reads_as_the_line_loop(self, records, name, edits,
+                                                          final_newline):
+        text = ArrivalInstance(tuple(records), name=name).to_text()
+        lines = text[:-1].split("\n")  # the header comment stays one line
+        for kind, where, k in edits:
+            lines = edit_instance_lines(lines, kind, where, k)
+        text = "\n".join(lines) + ("\n" if final_newline else "")
+        if not (name or edits):  # to_text output, header comment and all
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_BULK_MIN_VALUES", 0)
+                assert (core._instance_text_columns(text) is None) == (not records)
+        read = []
+        for fast in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(core, "_BULK_MIN_VALUES", 0)  # however small the text
+                if not fast:
+                    patch.setattr(core, "_instance_text_columns", lambda text: None)
+                try:
+                    read.append(ArrivalInstance.from_text(text, name="x"))
+                except (ValueError, OverflowError) as exc:  # a 19-digit slot overflows
+                    read.append(f"{type(exc).__name__}: {exc}")
+        assert read[0] == read[1]
 
 
 class TestCostModel:
@@ -404,10 +481,10 @@ CSV_INSTANCES = (batch(3), ArrivalInstance.from_counts((2, 0, 3, 1)),
 # applied in this order, so that rows are cut short and dropped last
 CSV_EDITS = ("duplicate_id", "reverse_ids", "shift_t", "repeat_t", "negative_id",
              "unknown_id", "move_last_id", "empty_item", "bump_n", "bump_s",
-             "non_integer", "odd_token", "short_row", "truncate")
-# Tokens ``int`` reads that the bulk reader must leave to the row loop, or
-# (leading zeros) read as ``int`` does: a sign, a space, an underscore, a
-# non-ASCII digit, and ids of 19 and 20 digits.
+             "non_integer", "odd_token", "misplaced_comma", "short_row", "truncate")
+# Tokens ``int`` reads that the whole-text reader must leave to the line
+# readers, or (leading zeros) read as ``int`` does: a sign, a space, an
+# underscore, a non-ASCII digit, and ids of 19 and 20 digits.
 ODD_TOKENS = ("+5", " 5", "1_0", "\u0663", "007", str(10**18), str(2**64))
 
 
@@ -448,6 +525,8 @@ def edit_rows(rows, kind, where, k, jobs):
             ids[where // 2 % len(ids)] = token
         else:
             ids = [token]
+    elif kind == "misplaced_comma" and ids:  # 't,n;s,id,id;id': three commas
+        row[1:3] = [f"{row[1]};{row[2]}", ids.pop(0)]
     elif kind == "move_last_id" and ids and i + 1 < len(rows):
         later = rows[i + 1 + abs(k) % (len(rows) - i - 1)]
         later[3] = ";".join(([later[3]] if later[3] else []) + [ids.pop()])
@@ -458,6 +537,18 @@ def edit_rows(rows, kind, where, k, jobs):
     if kind != "short_row":
         row[3] = ";".join(ids)
     return rows
+
+
+FIFO_CSV = "t,n,s,served_ids\n1,2,2,0;1\n2,0,0,\n3,3,3,2;3;4\n4,1,1,5\n"
+# (old, new) edits of FIFO_CSV: each breaks one condition of the FIFO form,
+# that every row serve s ids and that the ids count 0..S(T)-1 in order
+NEAR_FIFO = {
+    "id_moved_to_the_next_row": ("2;3;4\n4,1,1,5", "2;3\n4,1,1,4;5"),
+    "id_duplicated": ("4,1,1,5", "4,1,1,4"),
+    "ids_shifted_by_one": ("0;1\n2,0,0,\n3,3,3,2;3;4\n4,1,1,5",
+                           "1;2\n2,0,0,\n3,3,3,3;4;5\n4,1,1,6"),
+    "idle_row_with_s_1": ("2,0,0,", "2,0,1,"),
+}
 
 
 class TestColumnarTraces:
@@ -564,6 +655,8 @@ class TestColumnarTraces:
     @example(case=2, edits=[("non_integer", 0, 0), ("non_integer", 3, 3)])
     # a 20-digit id, then a non-ASCII digit in an n field
     @example(case=1, edits=[("odd_token", 19, 1), ("odd_token", 10, 0)])
+    # 't,n;s,id,id;id' has its three commas, not leading the row
+    @example(case=0, edits=[("misplaced_comma", 0, 0)])
     def test_mutated_csv_matches_the_reference(self, case, edits):
         inst = CSV_INSTANCES[case % len(CSV_INSTANCES)]
         policy = COLUMNAR_POLICIES[case // len(CSV_INSTANCES) % len(COLUMNAR_POLICIES)]
@@ -572,7 +665,8 @@ class TestColumnarTraces:
         for kind, where, k in sorted(edits, key=lambda e: CSV_EDITS.index(e[0])):
             rows = edit_rows(rows, kind, where, k, inst.job_count)
         text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-        # these texts are too small for the bulk reader and writer: force them
+        # these texts are too small for the whole-text reader and the bulk
+        # writer: force them
         for bulk_min in (core._BULK_MIN_VALUES, 0):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(core, "_BULK_MIN_VALUES", bulk_min)
@@ -586,8 +680,8 @@ class TestColumnarTraces:
         rows[1][column] = token if field != "id" else f"3;{token}"
         text = "t,n,s,served_ids\n" + "".join(",".join(row) + "\n" for row in rows)
         monkeypatch.setattr(core, "_BULK_MIN_VALUES", 0)
-        rows = [row.split(",", 3) for row in text.splitlines()[1:]]
-        assert (core._csv_columns(rows) is None) == (token != "007")  # to the row loop
+        # declined to the line readers
+        assert (core._csv_text_columns(text) is None) == (token != "007")
         assert_read_as_the_reference(ArrivalInstance.from_counts((2,)), text)
 
     def test_bulk_writer_matches_the_record_form(self, monkeypatch):
@@ -634,6 +728,34 @@ class TestColumnarTraces:
             again = ScheduleTrace.from_csv(text)
             assert again == trace
             assert again.to_csv() == text
+        assert ScheduleTrace.from_csv(texts[0]).served is None  # 20k jobs, FIFO
+
+    @pytest.mark.parametrize("bulk_min", [core._BULK_MIN_VALUES, 0],
+                             ids=["by-lines", "whole-text"])
+    def test_fifo_traces_read_back_as_fifo(self, monkeypatch, bulk_min):
+        monkeypatch.setattr(core, "_BULK_MIN_VALUES", bulk_min)
+        units = (random_slotted(3.0, 8, 2), batch(5),
+                 ArrivalInstance.from_counts((2, 0, 3, 1)))
+        traces = [simulate(inst, policy) for inst in units for policy in COLUMNAR_POLICIES]
+        traces += [dp_opt(inst, CostModel.quadratic(2.0))[1] for inst in units]
+        for trace in traces:
+            text = trace.to_csv()
+            again = ScheduleTrace.from_csv(text)
+            assert trace.served is None and again.served is None
+            assert again == trace
+            assert again.to_csv() == text
+
+    @pytest.mark.parametrize("bulk_min", [core._BULK_MIN_VALUES, 0],
+                             ids=["by-lines", "whole-text"])
+    @pytest.mark.parametrize("kind", sorted(NEAR_FIFO))
+    def test_near_fifo_traces_keep_their_served_ids(self, monkeypatch, bulk_min, kind):
+        inst = ArrivalInstance.from_counts((2, 0, 3, 1))
+        assert simulate(inst, FullParallel()).to_csv() == FIFO_CSV
+        monkeypatch.setattr(core, "_BULK_MIN_VALUES", bulk_min)
+        text = FIFO_CSV.replace(*NEAR_FIFO[kind])
+        assert text != FIFO_CSV
+        assert ScheduleTrace.from_csv(text).served is not None
+        assert_read_as_the_reference(inst, text)
 
 
 def assert_round_trip_as_the_record_forms(inst, trace):
