@@ -9,7 +9,7 @@ from .core import (ArrivalInstance, CostBreakdown, CostModel, ScheduleTrace,
                    SlotRecord, SwitchingKind, TraceValidationError,
                    ValidationResult, cost_of_trace, validate_trace)
 from .engine import (ObservableState, PolicyDecision, PolicyFaultError,
-                     PolicyStallError, ShapedRule, simulate, srpt_select)
+                     PolicyStallError, ShapedRule, simulate)
 from .oracle import (ConvexSolverError, DpBudgetError, DpConfig,
                      DualCertificate, Horizon, OracleSizeError,
                      UnsupportedInstanceError, certified_horizon,

@@ -59,6 +59,10 @@ _VALID = ValidationResult(True)
 # even near 400 values and reading them near 800.
 _BULK_MIN_VALUES = 600
 
+# The latest arrival slot an instance may hold: its counts keep one entry
+# per slot up to the last arrival, and every run walks each of those slots.
+MAX_SLOT = 10_000_000
+
 
 def check_positive(name: str, value: float):
     """Raise ValueError unless ``value`` is positive and finite."""
@@ -72,7 +76,8 @@ class ArrivalInstance:
 
     Invariants:
         - ``slot_counts[i]`` jobs arrive at slot i+1, for slots
-          1..last_slot, and the last count is nonzero
+          1..last_slot, and the last count is nonzero; ``__init__`` and
+          the text readers take slots of at most ``MAX_SLOT``
         - job ids run in arrival order; jobs of one slot keep the order
           they were given in
         - ``sizes[j]`` is job j's size, at least 1; ``sizes`` is None
@@ -93,6 +98,8 @@ class ArrivalInstance:
         for slot, size in arrivals:
             if int(slot) != slot or slot < 1:
                 raise ValueError(f"arrival slot must be a positive integer, got {slot!r}")
+            if slot > MAX_SLOT:
+                raise ValueError(f"arrival slot must be at most {MAX_SLOT}, got {slot!r}")
             if int(size) != size or size < 1:
                 raise ValueError(f"job size must be a positive integer, got {size!r}")
             records.append((int(slot), int(size)))
@@ -213,7 +220,7 @@ class ArrivalInstance:
                 raise ValueError(f"line {lineno}: expected 't w', got {raw!r}")
             try:
                 slot, size = int(parts[0]), int(parts[1])
-                if slot < 1 or size < 1:
+                if not 1 <= slot <= MAX_SLOT or size < 1:
                     cls(((slot, size),))  # raises, naming the field
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
@@ -230,8 +237,8 @@ def _instance_text_columns(text: str):
     """The arrival counts and id-ordered sizes of an instance text, parsed
     in one numpy pass; None unless the text, past a first comment line,
     holds only ASCII digits, spaces and newlines, each line two values or
-    none, every value 1 or more and at most 18 digits, and at least
-    ``_BULK_MIN_VALUES`` values in all."""
+    none, every value 1 or more and at most 18 digits, every slot at most
+    ``MAX_SLOT``, and at least ``_BULK_MIN_VALUES`` values in all."""
     if len(text) < _BULK_MIN_VALUES:  # every value takes at least a byte
         return None
     if text.startswith("#"):
@@ -255,9 +262,9 @@ def _instance_text_columns(text: str):
     if not ((per_line == 0) | (per_line == 2)).all():
         return None
     values = np.fromstring(data, np.int64, sep=" ")
-    if values.min() < 1:
-        return None
     slots = values[0::2]
+    if values.min() < 1 or slots.max() > MAX_SLOT:
+        return None
     sizes = values[1::2][np.argsort(slots, kind="stable")]
     return tuple(np.bincount(slots)[1:].tolist()), tuple(sizes.tolist())
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from operator import itemgetter
 from typing import ClassVar, NamedTuple, Protocol
 
 from .core import ArrivalInstance, ScheduleTrace, ServedColumns
@@ -104,20 +103,6 @@ class ShapedRule:
         return min(f, n)
 
 
-def srpt_select(outstanding: Sequence[tuple[int, int, int]], k: int) -> frozenset[int]:
-    """Pick the min(k, len) jobs to serve, by (remaining, arrival, id).
-
-    Equal remaining work is broken by arrival slot, then by job id, so
-    same-size jobs run in arrival order.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0 or not outstanding:
-        return frozenset()
-    ranked = sorted(outstanding, key=itemgetter(2, 1, 0))
-    return frozenset(rec[0] for rec in ranked[: min(k, len(ranked))])
-
-
 def _server_request(policy: PolicyDecision, request, t: int) -> int:
     """A non-int request as a server count; fractional values round up."""
     if isinstance(request, bool):
@@ -161,8 +146,9 @@ def _simulate(instance: ArrivalInstance, policy: PolicyDecision,
     rank again, slot t+1's jobs arrive, and the policy picks s(t+1).
     ``sizes=None`` serves unit jobs first-in first-out, so n and s are the
     whole state. Otherwise the outstanding jobs sit in ``rem`` (remaining
-    work) and ``ids`` sorted by (remaining, id), which is srpt_select's
-    order since ids run in arrival order. A slot serves the first s; a
+    work) and ``ids`` sorted by (remaining, id), which is shortest
+    remaining first with ties in arrival order, since ids run in arrival
+    order. A slot serves the first s; a
     served job, decremented, still ranks ahead of every unserved one.
     Served ids go to one flat list, s(t) of them per slot.
     """

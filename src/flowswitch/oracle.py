@@ -136,14 +136,28 @@ def certified_horizon(instance: ArrivalInstance, model: CostModel,
     s_cap, ceiling, grids = _dp_setup(instance, model, cfg or DpConfig())
     if grids is None:
         return Horizon(0, ceiling, math.inf)
-    return _certify(instance, s_cap, ceiling, *grids)
+    return _certify(instance, model.alpha, s_cap, ceiling, *grids)[0]
 
 
 @np.errstate(over="ignore")  # an overflowed sum costs more than any finite one
-def _certify(instance: ArrivalInstance, s_cap: int, ceiling: int,
-             arr: np.ndarray, arrived: np.ndarray, cgrid: np.ndarray) -> Horizon:
+def _certify(instance: ArrivalInstance, alpha: float, s_cap: int, ceiling: int,
+             arr: np.ndarray, arrived: np.ndarray,
+             cgrid: np.ndarray) -> tuple[Horizon, list]:
     """certified_horizon on ``_dp_setup``'s grids for a non-empty unit
-    instance, whose ceiling is the t_cap they were built for."""
+    instance, whose ceiling is the t_cap they were built for, and dp_opt's
+    survivor boxes for that horizon T.
+
+    Any schedule through state (t, n, s_prev) costs at least
+        G_t(n, s_prev) + A(>t),  G_t = F_t + n + alpha s_prev,
+    where A(>t) counts the jobs arriving after t (one slot each) and
+    alpha s_prev is the least ramp down to 0, since c(d) >= |d| on
+    integers. So only states with G_t + A(>t) <= V_T (1 + 1e-9) can lie on
+    an optimal path, ties included. Each slot keeps the row and column
+    minima of G_t over its reachable band, O(N + S) numbers, and once V_T
+    is known they give ``boxes[t]``, the (first n, last n + 1, s_prev
+    bound) box around slot t's survivors for t = 1..T+1, with
+    boxes[T+2] = (0, 1, 1) holding the terminal state.
+    """
     n_jobs = instance.job_count
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
     inf = np.inf
@@ -154,8 +168,19 @@ def _certify(instance: ArrivalInstance, s_cap: int, ceiling: int,
     gather = (np.arange(n_jobs + 1)[:, None] + s_idx) * cols + s_idx
     h_pad = np.full((n_jobs + cols + 1, cols), inf)
     slot_cost = np.where(s_idx <= n_vals[:, None], n_vals[:, None], inf)  # s' <= n
+    rest = n_vals[:, None] + alpha * s_idx  # G_t - F_t
     f = np.full((n_jobs + 1, cols), inf)
     f[int(arr[1]), 0] = 0.0
+    row_min: list = []  # of G_t over rows n = 0..arrived(t), t = 1..T+1
+    col_min: list = []  # of G_t over s_prev = 0..min(arrived(t-1), s_cap)
+
+    def keep_minima(t: int):
+        g = f[:int(arrived[t]) + 1, :min(int(arrived[t - 1]), s_cap) + 1]
+        g = g + rest[:g.shape[0], :g.shape[1]]
+        row_min.append(g.min(axis=1))
+        col_min.append(g.min(axis=0))
+
+    keep_minima(1)
     margin = -inf
     for t in range(1, ceiling + 1):
         top = int(arrived[t])
@@ -172,13 +197,44 @@ def _certify(instance: ArrivalInstance, s_cap: int, ceiling: int,
         a_next = int(arr[t + 1])
         f[:a_next] = inf  # n' >= a_{t+1}
         f[a_next:] = h_pad.ravel()[gather[:n_jobs + 1 - a_next]]
+        keep_minima(t + 1)
         if t >= instance.last_slot:
             done = float((f[0] + cgrid[:, 0]).min())
             left = float((f[1:] + n_vals[1:, None]).min())
             margin = left - done
             if margin > 1e-9 * max(1.0, done):
-                return Horizon(t, ceiling, margin)
-    return Horizon(ceiling, ceiling, margin)
+                break
+    bound = done * (1 + 1e-9)
+    ahead = n_jobs - arrived[1:t + 2]  # A(>t)
+    first, end = _kept_spans(row_min, ahead, bound)
+    width = _kept_spans(col_min, ahead, bound)[1]
+    # rows below a_t are unreachable, and stay out even when bound is inf
+    boxes = [None] + list(zip(np.maximum(first, arr[1:t + 2]).tolist(),
+                              end.tolist(), width.tolist()))
+    boxes.append((0, 1, 1))
+    return Horizon(t, ceiling, margin), boxes
+
+
+def _kept_spans(minima: list, ahead: np.ndarray,
+                bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot t, (first, last + 1) of the indices i with
+    minima[t][i] + ahead[t] <= bound, in one pass over all slots."""
+    sizes = np.array([m.size for m in minima])
+    start = np.cumsum(sizes) - sizes
+    kept = np.concatenate(minima) + np.repeat(ahead, sizes) <= bound
+    pos = np.arange(kept.size)
+    first = np.minimum.reduceat(np.where(kept, pos, kept.size), start)
+    last = np.maximum.reduceat(np.where(kept, pos, -1), start)
+    return first - start, last + 1 - start
+
+
+def _band(arr: np.ndarray, arrived: np.ndarray, s_cap: int, t_cap: int) -> list:
+    """The reachable band as dp_opt's boxes for slots 1..t_cap+2: n from
+    a_t to the jobs arrived by slot t, s_prev at most the jobs arrived by
+    slot t - 1 and s_cap."""
+    return [None] + [(int(arr[t]), int(arrived[t]) + 1,
+                      min(int(arrived[t - 1]), s_cap) + 1)
+                     for t in range(1, t_cap + 2)] + [(0, 1, 1)]
 
 
 @np.errstate(over="ignore")  # an overflowed sum costs more than any finite one
@@ -193,14 +249,17 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     same value and trace as the default ceiling of ``DpConfig.resolve``
     (the state budget is checked against that ceiling).
 
-    Each slot t is one numpy step over the block
+    Each slot t is one numpy step over a box of states (n, s_prev),
     ``cand[n, s_prev, s'] = (n + alpha c(s', s_prev)) + V_{t+1}(n - s' + a_{t+1}, s')``
-    minimised over s'; ``argmin`` keeps the first minimum, so ties break
-    toward smaller s' and the returned trace is deterministic. Only the
-    reachable band is filled: n at most the jobs arrived by slot t, s_prev
-    at most the jobs arrived by slot t - 1 (the backtrack never leaves it;
-    other states stay at inf). Rows of n are taken in chunks so one block
-    holds at most about ``_DP_BLOCK`` floats.
+    minimised over s' below the next slot's s_prev bound; ``argmin`` keeps
+    the first minimum, so ties break toward smaller s' and the returned
+    trace is deterministic. By default the boxes are ``_certify``'s: they
+    hold every state that can lie on an optimal path, ties included, so
+    the value and trace equal those of the whole reachable band. Under an
+    explicit t_cap each box is the reachable band (``_band``). States
+    outside a box count as inf. V_{t+1} is read through one sheared
+    ``take``, and the choices are kept per box. Rows of n are taken in
+    chunks so one block holds at most about ``_DP_BLOCK`` floats.
     """
     cfg = cfg or DpConfig()
     s_cap, t_cap, grids = _dp_setup(instance, model, cfg)
@@ -208,38 +267,47 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
         return 0.0, ScheduleTrace((), ())
     arr, arrived, cgrid = grids
     if cfg.t_cap is None:
-        t_cap = _certify(instance, s_cap, t_cap, *grids).t_cap
+        horizon, boxes = _certify(instance, model.alpha, s_cap, t_cap, *grids)
+        t_cap = horizon.t_cap
+    else:
+        boxes = _band(arr, arrived, s_cap, t_cap)
     n_jobs = instance.job_count
     t_end = t_cap + 1  # virtual slot charging the final down-switch
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
 
-    inf = np.inf
-    v_next = np.full((n_jobs + 1, s_cap + 1), inf)
-    v_next[0, 0] = 0.0
-    choice = np.zeros((t_end + 1, n_jobs + 1, s_cap + 1), dtype=np.int16)
+    # V_{t+1}(m, s') sits at v_pad[m + s_cap, s'], inf outside its box;
+    # shear[j, s'] indexes v_pad.flat at row j - s' + s_cap, column s', so
+    # shear[n + a_{t+1}, s'] reads V_{t+1}(n - s' + a_{t+1}, s'). A box
+    # starts at n >= a_t, so s' > n reads a row below a_{t+1}: inf.
+    cols = s_cap + 1
+    s_idx = np.arange(cols)
+    shear = (np.arange(n_jobs + 1)[:, None] - s_idx + s_cap) * cols + s_idx
+    v_pad = np.full((n_jobs + cols, cols), np.inf)
+    v_pad[s_cap, 0] = 0.0
+    v_flat = v_pad.ravel()
+    choice: list = [None] * (t_end + 1)
+    lo_next, hi_next, w_next = boxes[t_end + 1]
     for t in range(t_end, 0, -1):
         a_next = int(arr[t + 1])
-        top = int(arrived[t])  # n <= top, hence s' <= min(top, s_cap)
-        s_new = np.arange(min(top, s_cap) + 1)
-        prev_w = min(int(arrived[t - 1]), s_cap) + 1
-        cg = cgrid[:prev_w, :s_new.size]
+        lo, hi, prev_w = boxes[t]
+        s_w = min(w_next, hi)  # s' <= n < hi
+        cg = cgrid[:prev_w, :s_w]
         rows = max(1, _DP_BLOCK // cg.size)
-        v_t = np.full((n_jobs + 1, s_cap + 1), inf)
-        for lo in range(0, top + 1, rows):
-            n_idx = np.arange(lo, min(lo + rows, top + 1))
-            tgt = n_idx[:, None] - s_new + a_next  # <= arrived[t + 1] <= n_jobs
-            ok = s_new <= n_idx[:, None]
-            g = np.where(ok, v_next[np.where(ok, tgt, 0), s_new], inf)
-            cand = np.add(n_vals[n_idx, None, None], cg)
-            cand += g[:, None, :]
-            pick = cand.argmin(axis=2)
-            v_t[n_idx, :prev_w] = np.take_along_axis(
-                cand, pick[..., None], axis=2)[..., 0]
-            choice[t, n_idx, :prev_w] = pick
-        v_next = v_t
+        v_t = np.empty((hi - lo, prev_w))
+        pick = np.empty((hi - lo, prev_w), dtype=np.int16)
+        for r in range(lo, hi, rows):
+            e = min(r + rows, hi)
+            cand = np.add(n_vals[r:e, None, None], cg)
+            cand += v_flat.take(shear[r + a_next:e + a_next, :s_w])[:, None, :]
+            pick[r - lo:e - lo] = cand.argmin(axis=2)
+            cand.min(axis=2, out=v_t[r - lo:e - lo])
+        v_pad[lo_next + s_cap:hi_next + s_cap, :w_next] = np.inf
+        v_pad[lo + s_cap:hi + s_cap, :prev_w] = v_t
+        choice[t] = (lo, pick)
+        lo_next, hi_next, w_next = lo, hi, prev_w
 
     n0 = int(arr[1])
-    best = float(v_next[n0, 0])
+    best = float(v_pad[n0 + s_cap, 0])
     if not math.isfinite(best):
         left = 0  # jobs left after t_cap when every slot serves min(n, s_cap)
         for a in arr[1:t_cap + 1].tolist():
@@ -251,7 +319,8 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     ss: list[int] = []
     n_cur, s_prev = n0, 0
     for t in range(1, t_end + 1):
-        s_t = int(choice[t][n_cur, s_prev])
+        lo, pick = choice[t]
+        s_t = int(pick[n_cur - lo, s_prev])
         ns.append(n_cur)
         ss.append(s_t)
         n_cur = n_cur - s_t + int(arr[t + 1])

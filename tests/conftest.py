@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 import pytest
 
@@ -40,6 +41,21 @@ class _Replay:
             raise ValueError(
                 f"replay count {want} exceeds n={state.n} at slot {state.t}")
         return want
+
+
+def srpt_select(outstanding, k: int) -> frozenset[int]:
+    """The sort-based SRPT reference: of the (id, arrival, remaining)
+    records, the min(k, len) to serve, by (remaining, arrival, id).
+
+    Equal remaining work is broken by arrival slot, then by job id, so
+    same-size jobs run in arrival order.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0 or not outstanding:
+        return frozenset()
+    ranked = sorted(outstanding, key=itemgetter(2, 1, 0))
+    return frozenset(rec[0] for rec in ranked[: min(k, len(ranked))])
 
 
 def replay_reference(instance: ArrivalInstance, counts) -> ScheduleTrace:

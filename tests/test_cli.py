@@ -693,7 +693,10 @@ class TestInputErrors:
         ("0 1\n", "line 1: arrival slot must be a positive integer, got 0"),
         ("1 1\n\n3 0\n", "line 3: job size must be a positive integer, got 0"),
         ("1 1\n2\n", "line 2: expected 't w'"),
-    ], ids=["letter", "fraction", "slot-zero", "size-zero", "one-field"])
+        ("9999999999999999999 1\n", "line 1: arrival slot must be at most 10000000"),
+        ("1 1\n999999999999999999 1\n", "line 2: arrival slot must be at most"),
+    ], ids=["letter", "fraction", "slot-zero", "size-zero", "one-field",
+            "slot-past-int64", "slot-below-int64"])
     def test_instance_file_errors_name_the_line(self, capsys, tmp_path, body, needle):
         path = tmp_path / "inst.txt"
         path.write_text(body)
@@ -850,6 +853,10 @@ _HUGE_KEYS = ("alpha", "theta", "beta")
 _INSTANCE_KEYS = {"batch": ("n", "w"), "periodic": ("x", "k"), "sigma1": ("n",),
                   "sigma2": ("n", "t"), "random": ("rate", "t", "seed")}
 _MODEL_KEYS = {"linear": ("alpha", "theta"), "quad": ("alpha", "theta")}
+# Instance files whose last slot is past core.MAX_SLOT: one past int64, one
+# below 2**63 that would still ask for 2**62 slot counts.
+_SLOT_FILES = [str(Path(__file__).parent / "data" / name)
+               for name in ("slot_past_int64.txt", "slot_2_62.txt")]
 _POLICY_KEYS = {"full_parallel": (), "balance_value": ("alpha",),
                 "balance_delta": ("alpha",), "sqrt_online": ("alpha",),
                 "lg": ("alpha",), "a_gamma": ("alpha", "gamma"),
@@ -949,7 +956,7 @@ def _figure_argv(draw):
 @st.composite
 def _instance_argv(draw):
     command = draw(st.sampled_from(["gen", "run", "opt", "dual"]))
-    instance = draw(_spec(_INSTANCE_KEYS))
+    instance = draw(st.one_of(_spec(_INSTANCE_KEYS), st.sampled_from(_SLOT_FILES)))
     if command == "gen":
         return ["gen", instance]
     argv = [command, "--instance", instance]
@@ -1003,6 +1010,8 @@ def _no_constant(name):
 @example(["stochastic", "--policy", "alg1", "--lambda", "1e-320", "--mode", "simulate",
           "--events", "1000"])
 @example(["stochastic", "--policy", "alg1", "--lambda", "5e-324"])
+@example(["run", "--instance", _SLOT_FILES[0], "--policy", "full_parallel"])
+@example(["opt", "--instance", _SLOT_FILES[1], "--model", "linear:alpha=1"])
 def test_exit_code_contract(argv):
     """Any argv built from these tokens exits 0-3 with a message, never a
     traceback. On exit 0 the JSON that run, opt, dual and stochastic print

@@ -60,7 +60,8 @@ def described(inst):
 
 # Tokens the one-pass instance reader must leave to the line loop, or read
 # as ``int`` does (leading zeros): the loop's errors name the line.
-INSTANCE_TOKENS = ("0", "-1", "+5", "1_0", "\u0663", "01", "9" * 19, "1.5", "x", "")
+INSTANCE_TOKENS = ("0", "-1", "+5", "1_0", "\u0663", "01", "9" * 19, "1.5", "x", "",
+                   "9" * 18)
 INSTANCE_EDITS = ("token", "extra_token", "drop_token", "blank_line", "comment_line",
                   "trailing_comment", "tab", "crlf")
 
@@ -190,6 +191,14 @@ class TestArrivalInstance:
         unit = random_slotted(20.0, 100, 4)
         assert ArrivalInstance.from_text(unit.to_text(), name=unit.name) == unit
 
+    def test_slot_past_the_maximum_names_its_line(self):
+        with pytest.raises(ValueError, match=f"at most {core.MAX_SLOT}, got"):
+            ArrivalInstance(((1, 1), (core.MAX_SLOT + 1, 1)))
+        lines = [f"{1 + i % 300} {1 + i % 5}" for i in range(400)]
+        lines[250] = "999999999999999999 1"  # 18 digits: the one-pass reader's width
+        with pytest.raises(ValueError, match="^line 251: arrival slot must be at most"):
+            ArrivalInstance.from_text("\n".join(lines) + "\n")
+
     @settings(max_examples=300, deadline=None)
     @given(records=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 3)), max_size=8),
            name=st.sampled_from(["", "a\u20282 2", "b\x85c"]),
@@ -222,7 +231,7 @@ class TestArrivalInstance:
                     patch.setattr(core, "_instance_text_columns", lambda text: None)
                 try:
                     read.append(ArrivalInstance.from_text(text, name="x"))
-                except (ValueError, OverflowError) as exc:  # a 19-digit slot overflows
+                except ValueError as exc:
                     read.append(f"{type(exc).__name__}: {exc}")
         assert read[0] == read[1]
 

@@ -9,7 +9,7 @@ wrapper that exposes only ``name`` and ``decide``) and, for unit jobs, the
 per-job list forced by passing unit sizes. All must agree on occupancy and
 server counts, and the count and per-job branches also on served sets and
 departures, for every online rule and both recording modes. The per-job
-list is in turn checked against the sort-based ``srpt_select``.
+list is in turn checked against the sort-based ``conftest.srpt_select``.
 """
 
 import math
@@ -21,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, ShapedRule, cost_of_trace,
-                        srpt_select, validate_trace)
+                        validate_trace)
 from flowswitch import cli, engine
 from flowswitch.instances import random_slotted
 from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  GammaPolicy, Lg, QuadAlg, QuadBalance,
                                  SqrtOnline)
+
+from conftest import srpt_select
 
 
 def all_policies(alpha: float) -> list:

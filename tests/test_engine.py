@@ -5,10 +5,12 @@ import pytest
 
 from flowswitch import (ArrivalInstance, CostModel, ObservableState,
                         PolicyFaultError, PolicyStallError, cost_of_trace,
-                        simulate, srpt_select, validate_trace)
+                        simulate, validate_trace)
 from flowswitch import engine
 from flowswitch.instances import batch
 from flowswitch.policies import FullParallel, QuadAlg
+
+from conftest import srpt_select
 
 
 class _Fixed:

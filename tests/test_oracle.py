@@ -202,6 +202,38 @@ class TestDpDifferential:
             model = CostModel.quadratic(CORPUS_ALPHAS[i % len(CORPUS_ALPHAS)])
             assert_dp_matches_reference(inst, model, DpConfig(s_cap=inst.job_count))
 
+    @pytest.mark.parametrize("inst", [sigma2(8, 7), sigma2(20, 10)],
+                             ids=lambda inst: inst.name)
+    def test_full_cap_boxes(self, inst):
+        # the reference solves the certified horizon, which
+        # TestCertifiedHorizon pins to the ceiling's value and trace
+        cfg = DpConfig(s_cap=inst.job_count)
+        for alpha in (0.3, 1.0, 2.0):
+            for model in (CostModel.linear(alpha), CostModel.quadratic(alpha)):
+                t_cap = certified_horizon(inst, model, cfg).t_cap
+                want = _dp_reference(inst, model,
+                                     DpConfig(s_cap=inst.job_count, t_cap=t_cap))
+                # one row per block at any of these on sigma2(20,10)
+                blocks = (1, 7, 64) if inst.job_count < 100 else ()
+                for block in (oracle._DP_BLOCK, *blocks):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(oracle, "_DP_BLOCK", block)
+                        value, trace = dp_opt(inst, model, cfg)
+                    assert (value, trace.s) == want, (alpha, model, block)
+                assert_trace_matches_replay(inst, trace)
+
+    def test_boxes_prune_the_band(self):
+        inst, model = batch(40), CostModel.quadratic(2)
+        s_cap, ceiling, grids = oracle._dp_setup(inst, model, DpConfig())
+        horizon, boxes = oracle._certify(inst, model.alpha, s_cap, ceiling, *grids)
+        band = oracle._band(grids[0], grids[1], s_cap, horizon.t_cap)
+        assert len(boxes) == len(band) == horizon.t_cap + 3
+
+        def cells(slot_boxes):
+            return sum((hi - lo) * width for lo, hi, width in slot_boxes[1:])
+
+        assert cells(boxes) < 0.25 * cells(band)
+
     @pytest.mark.parametrize("inst", [
         batch(9), periodic(4, 3), sigma2(5, 4), sigma2(8, 7),
         random_slotted(2.0, 8, seed=3), random_slotted(4.0, 6, seed=11),
@@ -570,6 +602,29 @@ class TestDualCertificate:
             for inst, alpha, beta in cases:
                 cert = dual_lower_bound(inst, alpha, beta)
                 assert cert.per_pair_slack == slack_by_loop(inst, cert), inst.name
+
+    def test_lambda_remark_in_slot_convention(self):
+        # PAPER.md's remark: lambda_j <= (d_j - a_j)/w_j, where d_j is job
+        # j's completion when nothing arrives after a_j. In the lab's slots
+        # the slot that serves j counts in its flow, hence the + 1.
+        insts = [sigma2(5, 4), sigma2(8, 7), batch(9), periodic(4, 3),
+                 random_slotted(2.0, 8, seed=3), random_slotted(4.0, 6, seed=11),
+                 random_slotted(3.0, 10, seed=5)]
+        reached = exceeded = False
+        for inst in insts:
+            for alpha in (0.3, 1.0, 4.0):
+                for beta in (1.6, math.sqrt(3.0), 2.177, 3.0):
+                    policy = QuadAlg(alpha=alpha, beta=beta)
+                    lambdas = dual_lower_bound(inst, alpha, beta).lambdas
+                    for j, ((a_j, w_j), lam) in enumerate(zip(inst.arrivals, lambdas)):
+                        # unit jobs first-in first-out: j, the last job of
+                        # its prefix, completes in the last serving slot
+                        s = simulate(inst.prefix(j + 1), policy).s
+                        d_j = max(t for t, s_t in enumerate(s, 1) if s_t)
+                        assert lam <= (d_j - a_j + 1) / w_j, (inst.name, alpha, beta, j)
+                        reached |= lam == (d_j - a_j + 1) / w_j
+                        exceeded |= lam > (d_j - a_j) / w_j
+        assert reached and exceeded
 
     def test_json_round_trip_fields(self):
         cert = dual_lower_bound(batch(2), 1.0, 2.177)
