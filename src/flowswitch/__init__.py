@@ -23,7 +23,7 @@ from .stochastic import (Alg3Params, CycleOverflowError, MarkovPolicy,
                          NonErgodicError, RateModel, StochasticCostEstimate,
                          TruncationError, alg1, alg2, alg3_analytic_cost,
                          analytic_cost, scaling_exponent, simulate_alg3,
-                         simulate_ctmc, stationary_distribution)
+                         simulate_ctmc)
 from . import instances
 
 __version__ = "0.1.0"

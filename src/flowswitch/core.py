@@ -761,9 +761,10 @@ def validate_trace(instance: ArrivalInstance, trace: ScheduleTrace) -> Validatio
     Slot numbers and departures come from the rows, so nothing checks them.
 
     One array pass over the columns (``_columns_valid``) accepts a valid
-    trace without an id repeated within a slot. Any other trace goes to the
-    per-slot loop ``_validate_reference``, the one place that picks and
-    words the first violation.
+    trace without an id repeated within a slot; for a FIFO trace of a unit
+    instance it takes O(T) running sums, not a pass over every job. Any
+    other trace goes to the per-slot loop ``_validate_reference``, the one
+    place that picks and words the first violation.
     """
     if _columns_valid(instance, trace):
         return _VALID
@@ -784,15 +785,19 @@ def _int_column(values) -> np.ndarray | None:
 def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
     """True when the trace passes every check of ``_validate_reference``.
 
-    The checks hold as array operations over the flat served ids (FIFO
-    traces: ``range(S(T))``) when no slot repeats an id: then each job's
-    service count, its completion slot and the per-slot arrived work are
-    plain reductions. False means "not shown valid", never "invalid".
+    A FIFO trace of a unit instance needs only running sums over its
+    slots (``_fifo_unit_valid``). Any other trace's checks hold as array
+    operations over the flat served ids (FIFO traces: ``range(S(T))``)
+    when no slot repeats an id: then each job's service count, its
+    completion slot and the per-slot arrived work are plain reductions.
+    False means "not shown valid", never "invalid".
     """
     served = trace.served
     if not trace.complete_records or (served is not None and
                                       served.counts != trace.s):
         return False
+    if served is None and instance.all_unit:
+        return _fifo_unit_valid(instance, trace.n, trace.s)
     n, s = _int_column(trace.n), _int_column(trace.s)
     if n is None or s is None or not ((s >= 0) & (s <= n)).all():
         return False
@@ -822,6 +827,27 @@ def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
         done = at[np.append(~again, True)]  # each job's last service
     finished_by = np.cumsum(np.bincount(done, minlength=horizon + 1))
     return bool((n == arrived - finished_by[:horizon]).all())
+
+
+def _fifo_unit_valid(instance: ArrivalInstance, n: tuple, s: tuple) -> bool:
+    """``_columns_valid`` for a FIFO trace of a unit instance, in O(T).
+
+    Slot t serves jobs S(t-1)..S(t)-1, S being the running sum of s, and
+    completes each of them. So the trace is valid exactly when every n and
+    s is an int, n_t = A(t) - S(t-1) and 0 <= s_t <= n_t at every slot
+    (A(t) the jobs arrived by t; no job is served before it arrives), and
+    S(T) is the job count. Then S(T) <= A(T), so the trace also reaches
+    the last arrival.
+    """
+    horizon, last, jobs = len(s), instance.last_slot, instance.job_count
+    if set(map(type, n)) | set(map(type, s)) != {int}:
+        return False
+    before = tuple(accumulate(s, initial=0))  # S(0..T)
+    if before[-1] != jobs or min(s) < 0:
+        return False
+    arrived = instance._arrived_through + (jobs,) * (horizon - last)
+    return tuple(map(operator.sub, arrived, before)) == n and \
+        all(map(operator.le, s, n))
 
 
 def _validate_reference(instance: ArrivalInstance,

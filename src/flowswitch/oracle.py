@@ -18,6 +18,7 @@ from .policies import QuadAlg, burst_objective, effective_alpha
 DEFAULT_STATE_BUDGET = 50_000_000
 BUDGET_ENV_VAR = "FLOWSWITCH_ORACLE_BUDGET"
 _DP_BLOCK = 1 << 20  # float64 elements per dp_opt or dual-slack block
+_PRUNE_CELLS = 256  # a slot's min-plus cells below which its box costs more than it saves
 
 
 class UnsupportedInstanceError(ValueError):
@@ -84,7 +85,10 @@ class DpConfig:
 class Horizon(NamedTuple):
     """A DP horizon: the slot t_cap, the ceiling it was sought under, and
     the certificate's margin LB - V at t_cap. t_cap is certified when the
-    margin exceeds ``1e-9 * max(1, V)``; otherwise it is the ceiling.
+    margin exceeds ``1e-9 * max(1, V)``; otherwise it is the ceiling. The
+    forward pass behind it is pruned (``_certify``), which can only raise
+    LB: t_cap may come earlier, and the margin be larger, than an unpruned
+    pass would give, and either is a certificate.
     """
 
     t_cap: int
@@ -123,6 +127,9 @@ def certified_horizon(instance: ArrivalInstance, model: CostModel,
     A forward DP ``F_t(n, s_prev)``, the least cost of slots 1..t-1 that
     reaches slot t with n jobs outstanding and s_prev servers, runs from
     slot 1 under the same s_cap, reachable band and row blocks as dp_opt.
+    It is pruned by branch and bound against the cost of a feasible
+    schedule (``_certify``): F is exact on every state a schedule costing
+    at most that can pass, and never below the true value elsewhere.
     At each T >= last arrival it compares
         V_T  = min_s F_{T+1}(0, s) + alpha c(0, s)       (done by slot T)
         LB_T = min_{m>=1, s} F_{T+1}(m, s) + m           (work left after T)
@@ -130,7 +137,8 @@ def certified_horizon(instance: ArrivalInstance, model: CostModel,
     LB_T exceeds V_T by more than ``1e-9 * max(1, V_T)`` (a float-safety
     margin that can only delay the stop) no longer horizon reaches or ties
     the optimum: the DP solved with t_cap = T returns the same value and
-    trace as under any larger t_cap. T is the ceiling
+    trace as under any larger t_cap. Pruning can only raise LB_T, so T
+    comes no later than the unpruned pass's. T is the ceiling
     (``cfg.resolve``'s t_cap) if the bound never holds before it.
     """
     s_cap, ceiling, grids = _dp_setup(instance, model, cfg or DpConfig())
@@ -151,74 +159,141 @@ def _certify(instance: ArrivalInstance, alpha: float, s_cap: int, ceiling: int,
         G_t(n, s_prev) + A(>t),  G_t = F_t + n + alpha s_prev,
     where A(>t) counts the jobs arriving after t (one slot each) and
     alpha s_prev is the least ramp down to 0, since c(d) >= |d| on
-    integers. So only states with G_t + A(>t) <= V_T (1 + 1e-9) can lie on
-    an optimal path, ties included. Each slot keeps the row and column
-    minima of G_t over its reachable band, O(N + S) numbers, and once V_T
-    is known they give ``boxes[t]``, the (first n, last n + 1, s_prev
-    bound) box around slot t's survivors for t = 1..T+1, with
+    integers. Along a move to (t+1, n - s' + a_{t+1}, s'), s' <= n, the
+    cost so far plus this bound never falls.
+
+    The forward pass is branch and bound against U, the cost of a schedule
+    known to be feasible: the cheapest constant-rate one (``_incumbent``),
+    lowered to V_T whenever V_T is smaller. Slot t's min-plus step runs
+    over the box of rows n and s_prev bound around its states with
+    G_t + A(>t) <= U (1 + 1e-9), and the rest of F_{t+1} stays inf; a
+    step of fewer than ``_PRUNE_CELLS`` cells, or any step while U = inf,
+    runs whole. Every state of a schedule costing at most U, and every
+    state on the cheapest path into a kept one, is kept. So F_t is exact
+    on kept states and never below the true value elsewhere, V_T is exact
+    whenever it is at most U >= OPT, and LB_T can only rise: T comes no
+    later than without pruning, and is still certified, since a schedule
+    holding work after it passes a kept state (cost >= LB_T > V_T) or a
+    pruned one (cost > U >= V_T).
+
+    Each slot keeps the row and column minima of G_t over the rows and
+    columns F_t was written in, O(N + S) numbers, and once V_T is known
+    they give ``boxes[t]``, the (first n, last n + 1, s_prev bound) box
+    around slot t's states with G_t + A(>t) <= V_T (1 + 1e-9), the ones
+    that can lie on an optimal path, ties included, for t = 1..T+1, with
     boxes[T+2] = (0, 1, 1) holding the terminal state.
     """
     n_jobs = instance.job_count
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)
     inf = np.inf
     # gather[j, s'] indexes h_pad.flat at row j + s', column s': the
-    # sheared read F_{t+1}[a + j, s'] = H[j + s', s'] (n = n' - a + s')
+    # sheared read F_{t+1}[a + j, s'] = H[j + s', s'] (n = n' - a + s'),
+    # which never reads an s' > n; h_pad is inf outside the rows and
+    # columns the current slot writes
     cols = s_cap + 1
     s_idx = np.arange(cols)
     gather = (np.arange(n_jobs + 1)[:, None] + s_idx) * cols + s_idx
     h_pad = np.full((n_jobs + cols + 1, cols), inf)
-    slot_cost = np.where(s_idx <= n_vals[:, None], n_vals[:, None], inf)  # s' <= n
+    h_flat = h_pad.ravel()
     rest = n_vals[:, None] + alpha * s_idx  # G_t - F_t
+    ahead = n_jobs - arrived  # A(>t)
+    a_t, ahead_t = arr.tolist(), ahead.tolist()
+    upper = _incumbent(instance.slot_counts, cgrid[0].tolist(), s_cap, ceiling)
+    # F_t lives in f[lo:hi, :w]; every other entry of f is inf
+    lo, hi, w = a_t[1], a_t[1] + 1, 1
     f = np.full((n_jobs + 1, cols), inf)
-    f[int(arr[1]), 0] = 0.0
-    row_min: list = []  # of G_t over rows n = 0..arrived(t), t = 1..T+1
-    col_min: list = []  # of G_t over s_prev = 0..min(arrived(t-1), s_cap)
-
-    def keep_minima(t: int):
-        g = f[:int(arrived[t]) + 1, :min(int(arrived[t - 1]), s_cap) + 1]
-        g = g + rest[:g.shape[0], :g.shape[1]]
-        row_min.append(g.min(axis=1))
-        col_min.append(g.min(axis=0))
-
-    keep_minima(1)
-    margin = -inf
-    for t in range(1, ceiling + 1):
-        top = int(arrived[t])
-        s_w = min(top, s_cap) + 1
-        prev_w = min(int(arrived[t - 1]), s_cap) + 1
-        cg = cgrid[:prev_w, :s_w]
+    f[lo, 0] = 0.0
+    offsets: list = []  # lo of each slot t = 1..T+1
+    # G_t's minima per slot t = 1..T+1: over each row n = lo..hi-1, then
+    # over each column s_prev = 0..w-1
+    minima: list = []
+    least = np.minimum.reduce  # ndarray.min without its Python wrapper
+    last_slot = instance.last_slot
+    for t in range(1, ceiling + 2):
+        g = f[lo:hi, :w] + rest[lo:hi, :w]
+        offsets.append(lo)
+        minima += least(g, axis=1), least(g, axis=0)
+        if t > last_slot:
+            done = float(least(f[0, :w] + cgrid[:w, 0])) if lo == 0 else inf
+            left = float(least(f[max(lo, 1):hi, :w] + n_vals[max(lo, 1):hi, None],
+                               axis=None, initial=inf))
+            margin = left - done
+            if margin > 1e-9 * max(1.0, done) or t > ceiling:
+                break
+            upper = min(upper, done)
+        # slot t's box: rows r_lo..r_hi-1 and s_prev < w of the kept states
+        r_lo, r_hi = lo, hi
+        if upper < inf and (hi - lo) * w * min(hi, cols) >= _PRUNE_CELLS:
+            cut = upper * (1 + 1e-9) - ahead_t[t]
+            kept = (minima[-2] <= cut).nonzero()[0]
+            r_lo, r_hi = lo + int(kept[0]), lo + int(kept[-1]) + 1
+            w = int((minima[-1] <= cut).nonzero()[0][-1]) + 1
+        s_w = min(r_hi, cols)  # s' <= n < r_hi
+        cg = cgrid[:w, :s_w]
         rows = max(1, _DP_BLOCK // cg.size)
         # H[n, s'] = n + min_{s_prev} F_t(n, s_prev) + alpha c(s', s_prev)
-        for lo in range(0, top + 1, rows):
-            hi = min(lo + rows, top + 1)
-            h = h_pad[lo:hi, :s_w]
-            np.add(f[lo:hi, :prev_w, None], cg).min(axis=1, out=h)
-            h += slot_cost[lo:hi, :s_w]
-        a_next = int(arr[t + 1])
-        f[:a_next] = inf  # n' >= a_{t+1}
-        f[a_next:] = h_pad.ravel()[gather[:n_jobs + 1 - a_next]]
-        keep_minima(t + 1)
-        if t >= instance.last_slot:
-            done = float((f[0] + cgrid[:, 0]).min())
-            left = float((f[1:] + n_vals[1:, None]).min())
-            margin = left - done
-            if margin > 1e-9 * max(1.0, done):
-                break
+        for r in range(r_lo, r_hi, rows):
+            e = min(r + rows, r_hi)
+            h = h_pad[r:e, :s_w]
+            least(np.add(f[r:e, :w, None], cg), axis=1, out=h)
+            h += n_vals[r:e, None]
+        f[lo:hi, :w] = inf
+        a_next = a_t[t + 1]
+        j_lo = max(r_lo - s_w + 1, 0)  # n' = n - s' + a_{t+1} >= a_{t+1}
+        lo, hi, w = a_next + j_lo, a_next + r_hi, s_w
+        f[lo:hi, :w] = h_flat.take(gather[j_lo:r_hi, :w])
+        h_pad[r_lo:r_hi, :s_w] = inf
     bound = done * (1 + 1e-9)
-    ahead = n_jobs - arrived[1:t + 2]  # A(>t)
-    first, end = _kept_spans(row_min, ahead, bound)
-    width = _kept_spans(col_min, ahead, bound)[1]
-    # rows below a_t are unreachable, and stay out even when bound is inf
-    boxes = [None] + list(zip(np.maximum(first, arr[1:t + 2]).tolist(),
-                              end.tolist(), width.tolist()))
+    t -= 1  # the horizon T; slot T+1's minima are the last kept
+    first, end = _kept_spans(minima, np.repeat(ahead[1:t + 2], 2), bound)
+    starts = np.array(offsets)
+    boxes = [None] + list(zip((first[::2] + starts).tolist(),
+                              (end[::2] + starts).tolist(), end[1::2].tolist()))
     boxes.append((0, 1, 1))
     return Horizon(t, ceiling, margin), boxes
 
 
+def _incumbent(counts: tuple[int, ...], step: list, s_cap: int,
+               ceiling: int) -> float:
+    """The least cost among the constant-rate schedules s_t = min(n_t, k),
+    k = 1..s_cap, that end by slot ``ceiling``; inf if none does.
+
+    ``step[d]`` is alpha c(d). The slots up to the last arrival are costed
+    one by one, and a k is dropped once its running cost passes the best so
+    far. The n jobs left then drain in q = ceil(n / k) slots, k a slot and
+    r <= k in the last, for q n - k q (q - 1) / 2 in flow and alpha c(k - r)
+    before the ramp down. No k beyond the largest n_t its schedule meets
+    gives another schedule.
+    """
+    best = math.inf
+    for k in range(1, s_cap + 1):
+        cost, n, s_prev, peak = 0.0, 0, 0, 0
+        for a in counts:
+            n += a
+            if n > peak:
+                peak = n
+            s = min(n, k)
+            cost += n + step[abs(s - s_prev)]
+            n -= s
+            s_prev = s
+            if cost > best:
+                break
+        else:
+            q = -(-n // k)
+            if q:  # then s_prev = k
+                s_prev = n - k * (q - 1)
+                cost += q * n - k * q * (q - 1) // 2 + step[k - s_prev]
+            if len(counts) + q <= ceiling:
+                best = min(best, cost + step[s_prev])
+            if k >= peak:  # every later k serves all n_t too
+                break
+    return best
+
+
 def _kept_spans(minima: list, ahead: np.ndarray,
                 bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot t, (first, last + 1) of the indices i with
-    minima[t][i] + ahead[t] <= bound, in one pass over all slots."""
+    """Per array k of ``minima``, (first, last + 1) of the indices i with
+    minima[k][i] + ahead[k] <= bound, in one pass over all arrays."""
     sizes = np.array([m.size for m in minima])
     start = np.cumsum(sizes) - sizes
     kept = np.concatenate(minima) + np.repeat(ahead, sizes) <= bound
@@ -247,7 +322,9 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     one virtual slot past the horizon. The horizon is ``cfg.t_cap`` when
     given; by default it is ``certified_horizon``'s slot, which gives the
     same value and trace as the default ceiling of ``DpConfig.resolve``
-    (the state budget is checked against that ceiling).
+    (the state budget is checked against that ceiling). That forward pass
+    is pruned by the cost of a feasible schedule, so it may certify an
+    earlier slot than an unpruned one; all optimal schedules end by either.
 
     Each slot t is one numpy step over a box of states (n, s_prev),
     ``cand[n, s_prev, s'] = (n + alpha c(s', s_prev)) + V_{t+1}(n - s' + a_{t+1}, s')``

@@ -102,20 +102,14 @@ class StochasticCostEstimate:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def stationary_distribution(lam: float, policy: MarkovPolicy) -> np.ndarray:
-    """Birth-death stationary law by detailed balance, pi_{i+1} = pi_i lam/mu_{i+1}.
-
-    The truncation point starts at 64 and doubles, up to 2**22, until the
-    certified tail mass (geometric bound past the cut) drops below 1e-12.
-    """
-    return _stationary(lam, policy)[0]
-
-
 def _stationary(lam: float, policy: MarkovPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """The stationary pi over 0..n_max and the rates mu_0..mu_{n_max+1}.
+    """The birth-death stationary law pi over 0..n_max, by detailed balance
+    pi_{i+1} = pi_i lam/mu_{i+1}, and the rates mu_0..mu_{n_max+1}.
 
-    Each rate is evaluated once: every doubling extends one rate table,
-    then checks it, takes its logs and sums them as array operations.
+    The truncation point n_max starts at 64 and doubles, up to 2**22, until
+    the certified tail mass (geometric bound past the cut) drops below
+    1e-12. Each rate is evaluated once: every doubling extends one rate
+    table, then checks it, takes its logs and sums them as array operations.
     """
     check_positive("lam", lam)
     mu = np.zeros(1)  # mu[i] = mu_i

@@ -9,6 +9,7 @@ from operator import itemgetter
 import pytest
 
 from flowswitch import ArrivalInstance, ObservableState, ScheduleTrace, simulate
+from flowswitch.stochastic import _stationary
 
 CORPUS_SEED = 20260808
 CORPUS_ALPHAS = (0.5, 1.0, 2.0, 4.0)
@@ -67,6 +68,12 @@ def replay_reference(instance: ArrivalInstance, counts) -> ScheduleTrace:
     (``dp_opt``'s) can be checked against it.
     """
     return simulate(instance, _Replay("fixed", tuple(int(c) for c in counts)))
+
+
+def stationary_distribution(lam: float, policy):
+    """The birth-death stationary law of a Markov policy at arrival rate
+    lam, the pi that ``stochastic._stationary`` returns with its rates."""
+    return _stationary(lam, policy)[0]
 
 
 @pytest.fixture(scope="session")

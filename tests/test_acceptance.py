@@ -19,11 +19,13 @@ from flowswitch import (ArrivalInstance, CostModel, DpConfig, alg1, alg2,
                         Alg3Params, alg3_analytic_cost, analytic_cost,
                         batch_quad_continuous, cost_of_trace, dp_opt,
                         dual_lower_bound, exhaustive_opt, scaling_exponent,
-                        simulate, simulate_ctmc, stationary_distribution)
+                        simulate, simulate_ctmc)
 from flowswitch.cli import reproduce_figure
 from flowswitch.instances import batch, periodic
 from flowswitch.policies import (BalanceValue, FullParallel, Lg, QuadAlg,
                                  burst_objective)
+
+from conftest import stationary_distribution
 
 SQRT3 = math.sqrt(3.0)
 QUAD_ALPHAS = (0.5, 1.0, 2.0, 4.0)

@@ -6,6 +6,7 @@ import pkgutil
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,9 @@ from flowswitch import (Alg3Params, ArrivalInstance, CostModel, ScheduleTrace,
                         core, cost_of_trace, dp_opt, simulate, simulate_alg3,
                         simulate_ctmc, validate_trace)
 from flowswitch.instances import batch, random_slotted
-from flowswitch.policies import BalanceDelta, FullParallel, Lg, QuadAlg
+from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
+                                 GammaPolicy, Lg, QuadAlg, QuadBalance,
+                                 SqrtOnline)
 
 from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
 
@@ -765,6 +768,96 @@ class TestColumnarTraces:
         assert text != FIFO_CSV
         assert ScheduleTrace.from_csv(text).served is not None
         assert_read_as_the_reference(inst, text)
+
+
+FIFO_RULES = (FullParallel(), BalanceValue(alpha=2.0), BalanceDelta(alpha=2.0),
+              SqrtOnline(alpha=2.0), Lg(alpha=2.0), GammaPolicy(alpha=2.0, gamma=0.25),
+              QuadAlg(alpha=2.0, beta=2.177), QuadBalance(alpha=2.0))
+FIFO_INSTANCES = (batch(3), ArrivalInstance.from_counts((2, 0, 3, 1)),
+                  ArrivalInstance.from_counts((0, 1, 0, 0, 2)),
+                  random_slotted(3.0, 6, 11))
+# the FIFO traces of the eight rules and dp_opt
+FIFO_TRACES = [(inst, trace) for inst in FIFO_INSTANCES for trace in
+               [simulate(inst, rule) for rule in FIFO_RULES]
+               + [dp_opt(inst, CostModel.quadratic(2.0))[1]]]
+# applied in this order, so that the horizon is cut last; "defer" and
+# "advance" move one job's service a slot later or earlier and keep n
+# consistent, so each breaks at most s >= 0 or s <= n
+FIFO_EDITS = ("defer", "advance", "n_up", "n_down", "s_above_n", "s_negative",
+              "missing_job", "non_int", "truncate")
+
+
+def edit_fifo(trace, kind, where):
+    """The trace with one column edit at slot ``where`` (mod T)."""
+    n, s = list(trace.n), list(trace.s)
+    if not s:
+        return trace
+    i = where % len(s)
+    if kind in ("defer", "advance") and i + 1 < len(s):
+        step = 1 if kind == "defer" else -1
+        s[i] -= step
+        s[i + 1] += step
+        n[i + 1] += step
+    elif kind == "n_up":
+        n[i] += 1
+    elif kind == "n_down":
+        n[i] -= 1
+    elif kind == "s_above_n":
+        s[i] = n[i] + 1
+    elif kind == "s_negative":
+        s[i] = -1
+    elif kind == "missing_job":  # the last serving slot serves one job less
+        s[max((t for t, s_t in enumerate(s) if s_t), default=i)] -= 1
+    elif kind == "non_int":
+        column = n if where % 2 else s
+        column[i] = (float, bool, np.int64)[where % 3](column[i])
+    elif kind == "truncate":
+        del n[i:], s[i:]
+    return ScheduleTrace(n, s)
+
+
+def verdict(check, inst, trace):
+    """What ``check`` returns, or the class of what it raises: the per-slot
+    loop raises TypeError on a served count that is not an int."""
+    try:
+        return check(inst, trace)
+    except TypeError as exc:
+        return type(exc)
+
+
+class TestFifoValidation:
+    """``_fifo_unit_valid``'s running sums against the per-slot loop."""
+
+    def test_fifo_traces_pass_the_running_sums(self, monkeypatch):
+        def refuse(instance, trace):
+            raise AssertionError("validate_trace fell back to the per-slot loop")
+
+        for inst, trace in FIFO_TRACES:
+            assert trace.served is None
+            assert core._validate_reference(inst, trace).ok, inst.name
+        monkeypatch.setattr(core, "_validate_reference", refuse)
+        for inst, trace in FIFO_TRACES:
+            assert validate_trace(inst, trace).ok, inst.name
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.integers(0, 10**6),
+           edits=st.lists(st.tuples(st.sampled_from(FIFO_EDITS), st.integers(0, 10**6)),
+                          min_size=1, max_size=3))
+    # a float s, which the per-slot loop cannot take; a bool s, which it can
+    @example(case=0, edits=[("non_int", 0)])
+    @example(case=0, edits=[("non_int", 4)])
+    # FullParallel on counts (2, 0, 3, 1) gives n = s = (2, 0, 3, 1); then
+    # s = (2, -1, 4, 1) and s = (2, 0, 4, 0) with n kept consistent
+    @example(case=9, edits=[("defer", 1)])
+    @example(case=9, edits=[("advance", 2)])
+    def test_mutated_columns_match_the_reference(self, case, edits):
+        inst, trace = FIFO_TRACES[case % len(FIFO_TRACES)]
+        for kind, where in sorted(edits, key=lambda e: FIFO_EDITS.index(e[0])):
+            trace = edit_fifo(trace, kind, where)
+        expected = verdict(core._validate_reference, inst, trace)
+        assert verdict(validate_trace, inst, trace) == expected
+        if core._columns_valid(inst, trace):
+            assert expected == ValidationResult(True)
 
 
 def assert_round_trip_as_the_record_forms(inst, trace):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, DpBudgetError, DpConfig,
-                        OracleSizeError, PolicyStallError,
+                        OracleSizeError, PolicyStallError, ScheduleTrace,
                         UnsupportedInstanceError, certified_horizon,
                         convex_batch_solve, cost_of_trace, delta_flow, dp_opt,
                         dual_bound_from_flow, dual_lower_bound, exhaustive_opt,
@@ -202,7 +202,7 @@ class TestDpDifferential:
             model = CostModel.quadratic(CORPUS_ALPHAS[i % len(CORPUS_ALPHAS)])
             assert_dp_matches_reference(inst, model, DpConfig(s_cap=inst.job_count))
 
-    @pytest.mark.parametrize("inst", [sigma2(8, 7), sigma2(20, 10)],
+    @pytest.mark.parametrize("inst", [sigma2(8, 7), sigma2(20, 10), batch(40)],
                              ids=lambda inst: inst.name)
     def test_full_cap_boxes(self, inst):
         # the reference solves the certified horizon, which
@@ -261,6 +261,38 @@ def assert_certified_matches_ceiling(instance, model, s_cap=None):
     assert (trace.n, trace.s) == (full.n, full.s), (instance.name, model, s_cap)
 
 
+def assert_pruning_keeps_the_optimum(instance, model, s_cap=None):
+    """With every slot's forward step pruned, the certified horizon comes
+    no later than with none pruned, and dp_opt's value and trace equal
+    those under the unpruned horizon."""
+    cfg = DpConfig(s_cap=s_cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_PRUNE_CELLS", math.inf)
+        whole = certified_horizon(instance, model, cfg)
+        patch.setattr(oracle, "_PRUNE_CELLS", 0)
+        pruned = certified_horizon(instance, model, cfg)
+        value, trace = dp_opt(instance, model, cfg)
+    assert pruned.t_cap <= whole.t_cap, (instance.name, model, s_cap)
+    want, full = dp_opt(instance, model, DpConfig(s_cap=s_cap, t_cap=whole.t_cap))
+    assert (value, trace) == (want, full), (instance.name, model, s_cap)
+
+
+def constant_rate_cost(instance, model, k, ceiling):
+    """The cost of serving s_t = min(n_t, k) every slot, slot by slot, or
+    inf if that leaves work after slot ``ceiling``."""
+    ns, ss, n = [], [], 0
+    for t in range(1, ceiling + 1):
+        n += instance.slot_counts[t - 1] if t <= instance.last_slot else 0
+        if n == 0 and t > instance.last_slot:
+            break
+        ns.append(n)
+        ss.append(min(n, k))
+        n -= ss[-1]
+    if n:
+        return math.inf
+    return cost_of_trace(ScheduleTrace(ns, ss), model).total
+
+
 class TestCertifiedHorizon:
     @pytest.mark.parametrize("model", [CostModel.linear(2), CostModel.quadratic(2)],
                              ids=["linear", "quadratic"])
@@ -289,6 +321,52 @@ class TestCertifiedHorizon:
         model = CostModel.quadratic(alpha) if quadratic else CostModel.linear(alpha)
         s_cap = {"default": None, "jobs": inst.job_count}.get(cap, cap)
         assert_certified_matches_ceiling(inst, model, s_cap)
+
+    def test_pruning_never_certifies_later(self, corpus):
+        alphas = (0.3, 1.0, 2.0, 4.0)
+        for i, inst in enumerate(corpus):
+            alpha = alphas[i % len(alphas)]
+            for model in (CostModel.linear(alpha), CostModel.quadratic(alpha)):
+                for s_cap in (None, inst.job_count):
+                    assert_pruning_keeps_the_optimum(inst, model, s_cap)
+
+    @settings(max_examples=120, deadline=None)
+    @given(counts=st.lists(st.integers(0, 8), min_size=1, max_size=10),
+           alpha=st.sampled_from([0.3, 1.0, 2.0, 4.0]),
+           quadratic=st.booleans(), cap=st.sampled_from(["default", "jobs", 1]))
+    def test_generated_pruning_never_certifies_later(self, counts, alpha,
+                                                     quadratic, cap):
+        inst = ArrivalInstance.from_counts(counts)
+        model = CostModel.quadratic(alpha) if quadratic else CostModel.linear(alpha)
+        s_cap = {"default": None, "jobs": inst.job_count}.get(cap, cap)
+        assert_pruning_keeps_the_optimum(inst, model, s_cap)
+
+    @pytest.mark.parametrize("s_cap", [None, 40])
+    def test_pruning_certifies_sooner(self, monkeypatch, s_cap):
+        # on batch(40) at linear alpha=4 the states of every schedule dearer
+        # than the best constant rate are pruned, and the certificate holds
+        # two slots before the unpruned pass's
+        inst, model, cfg = batch(40), CostModel.linear(4), DpConfig(s_cap=s_cap)
+        value, trace = dp_opt(inst, model, cfg)
+        assert certified_horizon(inst, model, cfg).t_cap == 5
+        monkeypatch.setattr(oracle, "_PRUNE_CELLS", math.inf)
+        assert certified_horizon(inst, model, cfg).t_cap == 7
+        assert dp_opt(inst, model, cfg) == (value, trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any),
+           alpha=st.sampled_from([0.3, 1.0, 2.5]), quadratic=st.booleans(),
+           cap=st.integers(1, 48), extra=st.integers(0, 48))
+    def test_incumbent_is_the_cheapest_constant_rate(self, counts, alpha,
+                                                     quadratic, cap, extra):
+        inst = ArrivalInstance.from_counts(counts)
+        model = CostModel.quadratic(alpha) if quadratic else CostModel.linear(alpha)
+        s_cap, ceiling = min(cap, inst.job_count), inst.last_slot + extra
+        step = [alpha * model.transition_cost(0, d) for d in range(s_cap + 1)]
+        want = min(constant_rate_cost(inst, model, k, ceiling)
+                   for k in range(1, s_cap + 1))
+        got = oracle._incumbent(inst.slot_counts, step, s_cap, ceiling)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_explicit_t_cap_skips_the_certificate(self, monkeypatch):
         def refuse(*args, **kwargs):

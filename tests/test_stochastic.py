@@ -8,12 +8,14 @@ from scipy.stats import ks_2samp, poisson
 from flowswitch import (Alg3Params, CycleOverflowError, MarkovPolicy,
                         NonErgodicError, RateModel, alg1, alg2,
                         alg3_analytic_cost, analytic_cost, scaling_exponent,
-                        simulate_alg3, simulate_ctmc, stationary_distribution)
+                        simulate_alg3, simulate_ctmc)
 from flowswitch import stochastic
 from flowswitch.stochastic import (BUSY_LEVEL_CAP, MIN_BATCHES,
                                    TAIL_TOL, TruncationError, _batch_ci,
                                    _branch, _busy_periods, _crossing_counts,
                                    _cycle_totals, _stationary)
+
+from conftest import stationary_distribution
 
 
 def closed_form(policy: str, lam: float, alpha: float) -> float:
