@@ -19,8 +19,8 @@ from .core import ArrivalInstance, CostModel, check_positive, cost_of_trace
 from .engine import simulate
 from .instances import (GeneratorKind, GeneratorSpec, parse_instance_spec,
                         random_slotted)
-from .oracle import (DpBudgetError, DpConfig, DualCertificate, dp_opt,
-                     dual_lower_bound, state_budget)
+from .oracle import (BUDGET_ENV_VAR, DpBudgetError, DpConfig, DualCertificate,
+                     dp_opt, dual_lower_bound, state_budget)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
                        QuadAlg, QuadBalance, make_policy)
 from .stochastic import (Alg3Params, alg1, alg2, alg3_analytic_cost,
@@ -38,10 +38,11 @@ class _UsageError(Exception):
 
 
 class _GridLimitError(Exception):
-    """A sweep grid has more cells than ``--max-cells`` (exit 3)."""
+    """A sweep grid has more cells than its limit (exit 3); ``source`` names
+    where the limit came from."""
 
-    def __init__(self, cells: int, max_cells: int):
-        super().__init__(f"the sweep grid has {cells} cells, --max-cells is {max_cells}")
+    def __init__(self, cells: int, max_cells: int, source: str):
+        super().__init__(f"the sweep grid has {cells} cells, {source} is {max_cells}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -319,10 +320,14 @@ def _alg3_params(args, lam: float) -> Alg3Params:
 
 
 def _cmd_sweep(args) -> int:
-    if args.max_cells is not None and args.max_cells < 0:
-        raise _UsageError(f"--max-cells must be at least 0, got {args.max_cells}")
-    max_cells = args.max_cells if args.max_cells is not None \
-        else min(state_budget(), 10_000)
+    if args.max_cells is not None:
+        if args.max_cells < 0:
+            raise _UsageError(f"--max-cells must be at least 0, got {args.max_cells}")
+        max_cells, source = args.max_cells, "--max-cells"
+    else:
+        budget = state_budget()
+        max_cells, source = (budget, BUDGET_ENV_VAR) if budget < 10_000 \
+            else (10_000, "the default grid limit")
     buf = io.StringIO()
     writer = csv.writer(buf)
     if args.kind == "gamma":
@@ -332,7 +337,7 @@ def _cmd_sweep(args) -> int:
         alphas = _parse_grid(args.alphas or "", "--alphas")
         cells = len(gammas) * len(alphas)
         if cells > max_cells:
-            raise _GridLimitError(cells, max_cells)
+            raise _GridLimitError(cells, max_cells, source)
         writer.writerow(["gamma", "alpha", "policy_cost", "dp_cost", "ratio"])
         instance = _load_instance(args.instance) if cells else None
         opt_costs: dict[float, float] = {}  # the optimum depends on alpha only
@@ -353,7 +358,7 @@ def _cmd_sweep(args) -> int:
         check_positive("alpha", args.alpha)
         lams = _parse_grid(args.lambdas or "", "--lambdas")
         if len(lams) > max_cells:
-            raise _GridLimitError(len(lams), max_cells)
+            raise _GridLimitError(len(lams), max_cells, source)
         writer.writerow(["lambda", "cost", "slope"])
         samples = []
         for lam in lams:

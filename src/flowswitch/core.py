@@ -12,7 +12,7 @@ import hashlib
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -429,7 +429,7 @@ class ScheduleTrace:
 
     ``slots`` is a view built on access: no SlotRecord or frozenset exists
     until a caller reads it. A slot's number is its position, and a job
-    departs at the last slot that serves it (``departures``).
+    departs at the last slot that serves it.
 
     ``complete_records`` is False for bulk simulation runs; such traces
     cost fine but cannot be validated.
@@ -466,12 +466,6 @@ class ScheduleTrace:
     @cached_property
     def slots(self) -> Sequence[SlotRecord]:
         return _SlotView(self.n, self.s, self._ids, self._offsets)
-
-    @cached_property
-    def departures(self) -> Mapping[int, int]:
-        # later slots overwrite earlier ones: the last slot serving each id
-        return dict(zip(self._ids, chain.from_iterable(
-            map(repeat, count(1), self._counts))))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -511,25 +505,22 @@ class ScheduleTrace:
         column must count 1..T: ValueError names the first row that does not.
         A FIFO-shaped text, whose every row serves s ids and whose ids count
         0..S(T)-1 in order, comes back in the FIFO form (``served`` None):
-        the same slots and departures, equal to the served form, and the
-        same bytes written.
+        the same slots, equal to the served form, and the same bytes
+        written.
 
         ``_csv_text_columns`` parses a text of at least ``_BULK_MIN_VALUES``
         values (t, n and s of each row plus the ids) in one numpy pass when
         it has exactly ``to_csv``'s header and row shape and every value is
         1 to 18 ASCII digits. Every other text is split into rows and read
-        through ``int`` column by column (``_csv_columns``), or by the row
-        loop ``_csv_rows`` when a row is short, an id field holds an empty
-        item or a value fails ``int``. The row loop sets the accepted inputs
-        and the error raised.
+        by the row loop ``_csv_rows``, which sets the accepted inputs and
+        the error raised.
         """
         columns = _csv_text_columns(text)
         if columns is None:
             lines = [ln for ln in text.splitlines() if ln.strip()]
             if not lines or lines[0].split(",")[:3] != ["t", "n", "s"]:
                 raise ValueError("trace CSV must start with header 't,n,s,served_ids'")
-            rows = [ln.split(",", 3) for ln in lines[1:]]
-            columns = _csv_columns(rows) or _csv_rows(rows)
+            columns = _csv_rows([ln.split(",", 3) for ln in lines[1:]])
         t, n, s, ids, counts = columns
         if t != list(range(1, len(t) + 1)):
             row = next(row for row, value in enumerate(t, start=1) if value != row)
@@ -544,8 +535,9 @@ _SEPARATORS_TO_SPACES = bytes.maketrans(b",;\n", b"   ")
 
 
 def _csv_text_columns(text: str):
-    """Parse a whole trace CSV in one numpy pass, as ``_csv_columns`` does,
-    but with the ids as ``range(S)`` when they count 0..S-1 in order.
+    """Parse a whole trace CSV in one numpy pass into the columns that
+    ``_csv_rows`` gives, but with the ids as ``range(S)`` when they count
+    0..S-1 in order.
 
     Every non-digit byte is found once. Each row must be t, n and s, each
     ended by a comma, then ids separated by ';' and a newline; no item may
@@ -586,25 +578,6 @@ def _csv_text_columns(text: str):
     ids = values[~is_tns]
     ids = range(ids.size) if np.array_equal(ids, np.arange(ids.size)) else ids.tolist()
     return t, n, s, ids, (per_row - 3 - idle).tolist()
-
-
-def _csv_columns(rows: list[list[str]]):
-    """Parse trace CSV rows column by column through ``int``.
-
-    Returns None, and leaves the input to ``_csv_rows``, when a row lacks
-    a field, an id field holds an empty item or a value fails ``int``; so
-    the accepted inputs and the error raised are the row reader's.
-    """
-    if not rows or min(map(len, rows)) != 4:
-        return None
-    t_col, n_col, s_col, id_col = zip(*rows)
-    joined = ";".join(filter(None, id_col))
-    try:
-        ids = list(map(int, joined.split(";"))) if joined else []
-        t, n, s = (list(map(int, col)) for col in (t_col, n_col, s_col))
-    except ValueError:
-        return None
-    return t, n, s, ids, [field.count(";") + 1 if field else 0 for field in id_col]
 
 
 def _csv_rows(rows: list[list[str]]):
@@ -760,11 +733,12 @@ def validate_trace(instance: ArrivalInstance, trace: ScheduleTrace) -> Validatio
     served_count (s ids served), overservice; then incomplete_job.
     Slot numbers and departures come from the rows, so nothing checks them.
 
-    One array pass over the columns (``_columns_valid``) accepts a valid
-    trace without an id repeated within a slot; for a FIFO trace of a unit
-    instance it takes O(T) running sums, not a pass over every job. Any
-    other trace goes to the per-slot loop ``_validate_reference``, the one
-    place that picks and words the first violation.
+    ``_columns_valid`` accepts a valid trace by one rule per trace form:
+    O(T) running sums for a FIFO trace of a unit instance, and one array
+    pass over the served ids for a served-form trace without an id repeated
+    within a slot. Any other trace goes to the per-slot loop
+    ``_validate_reference``, the one place that picks and words the first
+    violation.
     """
     if _columns_valid(instance, trace):
         return _VALID
@@ -785,25 +759,25 @@ def _int_column(values) -> np.ndarray | None:
 def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
     """True when the trace passes every check of ``_validate_reference``.
 
-    A FIFO trace of a unit instance needs only running sums over its
-    slots (``_fifo_unit_valid``). Any other trace's checks hold as array
-    operations over the flat served ids (FIFO traces: ``range(S(T))``)
-    when no slot repeats an id: then each job's service count, its
-    completion slot and the per-slot arrived work are plain reductions.
+    A FIFO trace serves each id once, so only a unit instance's can be
+    valid; its checks are running sums over its slots (``_fifo_unit_valid``).
+    A served-form trace's checks hold as array operations over its flat
+    served ids when no slot repeats an id: then each job's service count,
+    its completion slot and the per-slot arrived work are plain reductions.
     False means "not shown valid", never "invalid".
     """
     served = trace.served
-    if not trace.complete_records or (served is not None and
-                                      served.counts != trace.s):
+    if not trace.complete_records:
         return False
-    if served is None and instance.all_unit:
-        return _fifo_unit_valid(instance, trace.n, trace.s)
+    if served is None:
+        return instance.all_unit and _fifo_unit_valid(instance, trace.n, trace.s)
+    if served.counts != trace.s:
+        return False
     n, s = _int_column(trace.n), _int_column(trace.s)
     if n is None or s is None or not ((s >= 0) & (s <= n)).all():
         return False
-    ids = np.arange(int(s.sum())) if served is None else _int_column(served.ids)
-    unit = instance.all_unit
-    size = 1 if unit else _int_column(instance.sizes)
+    ids = _int_column(served.ids)
+    size = 1 if instance.all_unit else _int_column(instance.sizes)
     arrival = np.repeat(np.arange(1, instance.last_slot + 1), instance.slot_counts)
     jobs, horizon = arrival.size, len(s)
     if ids is None or size is None or instance.last_slot > horizon or \
@@ -815,16 +789,12 @@ def _columns_valid(instance: ArrivalInstance, trace: ScheduleTrace) -> bool:
     if (arrival[ids] > slot).any():  # with the sizes, implies S(t) <= work(t)
         return False  # some job served before it arrived
     arrived = np.searchsorted(arrival, np.arange(1, horizon + 1), side="right")
-    if unit:  # every id served once
-        done = np.empty(jobs, dtype=np.int64)
-        done[ids] = slot
-    else:
-        order = np.argsort(ids, kind="stable")  # by job, then by slot
-        job, at = ids[order], slot[order]
-        again = job[1:] == job[:-1]
-        if (again & (at[1:] == at[:-1])).any():
-            return False  # an id repeated within a slot
-        done = at[np.append(~again, True)]  # each job's last service
+    order = np.argsort(ids, kind="stable")  # by job, then by slot
+    job, at = ids[order], slot[order]
+    again = job[1:] == job[:-1]
+    if (again & (at[1:] == at[:-1])).any():
+        return False  # an id repeated within a slot
+    done = np.append(at[:-1][~again], at[-1:])  # each job's last service
     finished_by = np.cumsum(np.bincount(done, minlength=horizon + 1))
     return bool((n == arrived - finished_by[:horizon]).all())
 

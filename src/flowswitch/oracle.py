@@ -43,13 +43,18 @@ class ConvexSolverError(Exception):
 
 
 def state_budget() -> int:
+    """``FLOWSWITCH_ORACLE_BUDGET`` when set, else ``DEFAULT_STATE_BUDGET``;
+    a value that is not an integer of at least 0 raises ValueError."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if not raw:
         return DEFAULT_STATE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be at least 0, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)

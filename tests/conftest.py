@@ -70,6 +70,15 @@ def replay_reference(instance: ArrivalInstance, counts) -> ScheduleTrace:
     return simulate(instance, _Replay("fixed", tuple(int(c) for c in counts)))
 
 
+def departures(trace: ScheduleTrace) -> dict[int, int]:
+    """Each served id's departure: the last slot of the trace that serves it."""
+    last = {}
+    for rec in trace.slots:
+        for j in rec.served:
+            last[j] = rec.t
+    return last
+
+
 def stationary_distribution(lam: float, policy):
     """The birth-death stationary law of a Markov policy at arrival rate
     lam, the pi that ``stochastic._stationary`` returns with its rates."""

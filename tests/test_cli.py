@@ -674,6 +674,27 @@ class TestInputErrors:
         assert needle in err
         assert "Traceback" not in err
 
+    ALG3_SWEEP = ("sweep", "--kind", "alg3", "--lambdas", "1,10")
+
+    @pytest.mark.parametrize("budget, argv, expected_code, expected_err", [
+        ("-5", ALG3_SWEEP, 2,
+         "error: FLOWSWITCH_ORACLE_BUDGET must be at least 0, got -5\n"),
+        ("-5", ("opt", "--instance", "batch:N=2", "--model", "quad:alpha=1"), 2,
+         "error: FLOWSWITCH_ORACLE_BUDGET must be at least 0, got -5\n"),
+        ("0", ALG3_SWEEP, 3, "grid limit error: the sweep grid has 2 cells, "
+                             "FLOWSWITCH_ORACLE_BUDGET is 0\n"),
+        ("", ("sweep", "--kind", "gamma", "--instance", "batch:N=3",
+              "--gammas", ",".join(map(str, range(101))),
+              "--alphas", ",".join(map(str, range(1, 101)))), 3,
+         "grid limit error: the sweep grid has 10100 cells, "
+         "the default grid limit is 10000\n"),
+    ], ids=["sweep-negative-budget", "opt-negative-budget", "sweep-zero-budget",
+            "sweep-default-limit"])
+    def test_budget_errors_name_their_source(self, capsys, monkeypatch, budget, argv,
+                                             expected_code, expected_err):
+        monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", budget)
+        assert run_cli(capsys, *argv) == (expected_code, "", expected_err)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, expected_code", [
         (("--policy", "alg1", "--lambda", "5e-324"), 0),

@@ -24,7 +24,8 @@ from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  GammaPolicy, Lg, QuadAlg, QuadBalance,
                                  SqrtOnline)
 
-from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
+from conftest import (EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, departures,
+                      spec_text)
 
 
 def served_trace(rows):
@@ -350,6 +351,15 @@ class TestValidateTrace:
         result = validate_trace(batch(2), trace)
         assert (result.violation, result.slot) == ("occupancy_mismatch", 1)
 
+    def test_empty_instance_in_both_forms(self):
+        # the served form's array pass meets no id at all
+        empty = ArrivalInstance.from_counts(())
+        for trace in (served_trace([]), served_trace([(0, 0, ())]),
+                      ScheduleTrace((), ()), ScheduleTrace((0,), (0,))):
+            assert validate_trace(empty, trace) == \
+                core._validate_reference(empty, trace) == ValidationResult(True)
+        assert core._columns_valid(empty, served_trace([(0, 0, ())]))
+
     def test_flow_at_least_total_work(self, small_corpus):
         # each unit of work holds its job for at least one slot
         model = CostModel.linear(1)
@@ -417,7 +427,7 @@ class TestTraceCsv:
             again = ScheduleTrace.from_csv(trace.to_csv())
             assert again == trace
             assert again.slots == trace.slots
-            assert dict(again.departures) == dict(trace.departures)
+            assert departures(again) == departures(trace)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):
@@ -859,6 +869,27 @@ class TestFifoValidation:
         if core._columns_valid(inst, trace):
             assert expected == ValidationResult(True)
 
+    def test_sized_instances_get_the_reference_verdict(self):
+        """A FIFO trace serves each id once, so no instance with a job of
+        size 2 or more accepts it, though its running sums may match."""
+        inst = ArrivalInstance(((1, 2), (1, 1), (2, 1)))
+        assert validate_trace(inst, ScheduleTrace((2, 1), (2, 1))) == \
+            ValidationResult(False, "occupancy_mismatch", slot=2,
+                             message="recorded n=1, actual 2")
+        for unit, trace in FIFO_TRACES:
+            jobs = unit.job_count
+            columns = [trace] + [edit_fifo(trace, kind, where) for kind in FIFO_EDITS
+                                 for where in (0, jobs // 2)]
+            for big in (0, jobs // 2, jobs - 1):
+                sized = ArrivalInstance(tuple(
+                    (slot, 2 if j == big else 1)
+                    for j, (slot, _) in enumerate(unit.arrivals)))
+                assert sized.slot_counts == unit.slot_counts
+                for fifo in columns:
+                    expected = verdict(core._validate_reference, sized, fifo)
+                    assert verdict(validate_trace, sized, fifo) == expected
+                    assert expected != ValidationResult(True)
+
 
 def assert_round_trip_as_the_record_forms(inst, trace):
     text = trace.to_csv()
@@ -866,7 +897,7 @@ def assert_round_trip_as_the_record_forms(inst, trace):
     again, old = ScheduleTrace.from_csv(text), reader_by_records(text)
     assert again == served_trace(rows_of(old.slots))
     assert list(again.slots) == old.slots == list(trace.slots), inst.name
-    assert dict(again.departures) == old.departures == dict(trace.departures)
+    assert departures(again) == old.departures == departures(trace)
     assert again.last_slot == len(old.slots) == len(trace.s)
     assert again.to_csv() == text
 
@@ -890,7 +921,7 @@ def assert_read_as_the_reference(inst, text):
         return
     new = ScheduleTrace.from_csv(text)
     assert new == served_trace(rows_of(old.slots))
-    assert (list(new.slots), dict(new.departures), new.last_slot) == \
+    assert (list(new.slots), departures(new), new.last_slot) == \
         (old.slots, old.departures, len(old.slots))
     assert new.to_csv() == writer_by_records(old)
     # the per-slot loop over the records the old reader built

@@ -28,7 +28,7 @@ from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  GammaPolicy, Lg, QuadAlg, QuadBalance,
                                  SqrtOnline)
 
-from conftest import srpt_select
+from conftest import departures, srpt_select
 
 
 def all_policies(alpha: float) -> list:
@@ -63,7 +63,7 @@ def assert_paths_agree(instance, policy, record_served):
     assert fast.s == ref.s, where
     assert [rec.served for rec in fast.slots] == \
         [rec.served for rec in ref.slots], where
-    assert dict(fast.departures) == dict(ref.departures), where
+    assert departures(fast) == departures(ref), where
     if record_served:
         assert fast.complete_records and validate_trace(instance, fast).ok, where
     return fast, ref
@@ -239,7 +239,7 @@ def test_decide_override_takes_the_generic_path():
 
 def srpt_by_sorting(instance, s_column):
     """Served sets and departures of the SRPT loop, ranked by srpt_select."""
-    outstanding, served_sets, departures = [], [], {}
+    outstanding, served_sets, departed = [], [], {}
     for t, s in enumerate(s_column, start=1):
         outstanding += [[j, t, size] for j, (slot, size) in enumerate(instance.arrivals)
                         if slot == t]
@@ -248,10 +248,10 @@ def srpt_by_sorting(instance, s_column):
             if rec[0] in served:
                 rec[2] -= 1
                 if not rec[2]:
-                    departures[rec[0]] = t
+                    departed[rec[0]] = t
         outstanding = [rec for rec in outstanding if rec[2]]
         served_sets.append(served)
-    return served_sets, departures
+    return served_sets, departed
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,9 +262,9 @@ def test_srpt_loop_matches_sorting(jobs, alpha, which):
     inst = ArrivalInstance(tuple(sorted(jobs)))
     policy = all_policies(alpha)[which]
     trace = per_job(inst, policy)
-    served_sets, departures = srpt_by_sorting(inst, trace.s)
+    served_sets, departed = srpt_by_sorting(inst, trace.s)
     assert [rec.served for rec in trace.slots] == served_sets
-    assert dict(trace.departures) == departures
+    assert departures(trace) == departed
     assert validate_trace(inst, trace).ok
     generic = per_job(inst, _Generic(policy))
     assert (generic.n, generic.s) == (trace.n, trace.s)

@@ -20,7 +20,7 @@ from flowswitch.instances import batch, periodic, random_slotted, sigma1, sigma2
 from flowswitch.policies import (BalanceDelta, FullParallel, QuadAlg,
                                  SqrtOnline, burst_objective)
 
-from conftest import CORPUS_ALPHAS, replay_reference
+from conftest import CORPUS_ALPHAS, departures, replay_reference
 
 
 def tiny_instances(max_jobs=4, max_slot=3, budget_slots=6):
@@ -447,7 +447,7 @@ class TestDeltaFlow:
         inst = batch(6)
         policy = QuadAlg(alpha=1.0, beta=1.0)
         trace = simulate(inst, policy)
-        flow_last = trace.departures[5] - 1 + 1
+        flow_last = departures(trace)[5] - 1 + 1
         assert delta_flow(inst, 5, 1.0, 1.0) == flow_last
 
     def test_never_exceeds_own_flow(self):
@@ -463,7 +463,7 @@ class TestDeltaFlow:
             j = rng.randrange(n_jobs)
             prefix = ArrivalInstance(inst.arrivals[: j + 1])
             trace = simulate(prefix, QuadAlg(alpha=alpha, beta=beta))
-            own_flow = trace.departures[j] - inst.arrivals[j][0] + 1
+            own_flow = departures(trace)[j] - inst.arrivals[j][0] + 1
             assert delta_flow(inst, j, alpha, beta) <= own_flow
 
     def test_strictly_below_own_flow_when_peers_speed_up(self):
@@ -471,7 +471,7 @@ class TestDeltaFlow:
         # earlier, so the net flow increase is below the job's own flow
         inst = batch(5)
         trace = simulate(inst, QuadAlg(alpha=1.0, beta=1.0))
-        own_flow = trace.departures[4] - 1 + 1
+        own_flow = departures(trace)[4] - 1 + 1
         assert delta_flow(inst, 4, 1.0, 1.0) == 1
         assert own_flow == 2
 
