@@ -76,8 +76,8 @@ class ArrivalInstance:
 
     Invariants:
         - ``slot_counts[i]`` jobs arrive at slot i+1, for slots
-          1..last_slot, and the last count is nonzero; ``__init__`` and
-          the text readers take slots of at most ``MAX_SLOT``
+          1..last_slot, and the last count is nonzero; every constructor
+          and text reader takes slots of at most ``MAX_SLOT``
         - job ids run in arrival order; jobs of one slot keep the order
           they were given in
         - ``sizes[j]`` is job j's size, at least 1; ``sizes`` is None
@@ -111,7 +111,10 @@ class ArrivalInstance:
 
     @classmethod
     def from_counts(cls, counts, name: str = "") -> "ArrivalInstance":
-        """Unit jobs, ``counts[i]`` of them arriving at slot i+1."""
+        """Unit jobs, ``counts[i]`` of them arriving at slot i+1, from a
+        sequence of at most ``MAX_SLOT`` counts."""
+        if len(counts) > MAX_SLOT:
+            raise ValueError(f"counts must hold at most {MAX_SLOT} slots, got {len(counts)}")
         values = []
         for count in counts:
             if int(count) != count or count < 0:

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ArrivalInstance, check_positive, parse_spec
+from .core import MAX_SLOT, ArrivalInstance, check_positive, parse_spec
 
 
 class GeneratorKind(str, Enum):
@@ -34,6 +34,8 @@ def periodic(x: int, k: int) -> ArrivalInstance:
         raise ValueError(f"x must be a positive even integer, got {x}")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if 2 * k > MAX_SLOT:
+        raise ValueError(f"k must be at most {MAX_SLOT // 2}, got {k}")
     return ArrivalInstance.from_counts((0, x) * k, name=f"periodic(x={x},k={k})")
 
 
@@ -43,12 +45,18 @@ def sigma1(n_jobs: int) -> ArrivalInstance:
                                        name=f"sigma1(N={n_jobs})")
 
 
+def _check_horizon(horizon: int):
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if horizon > MAX_SLOT:
+        raise ValueError(f"horizon must be at most {MAX_SLOT}, got {horizon}")
+
+
 def sigma2(n_jobs: int, horizon: int) -> ArrivalInstance:
     """Sustained load: N unit jobs at every slot 1..T."""
     if n_jobs < 0:
         raise ValueError("n_jobs must be nonnegative")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_horizon(horizon)
     counts = (n_jobs,) * horizon if n_jobs > 0 else ()  # N = 0: no jobs
     return ArrivalInstance.from_counts(counts, name=f"sigma2(N={n_jobs},T={horizon})")
 
@@ -60,8 +68,7 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
     experiments spread the same average load in an unspecified way.
     """
     check_positive("rate", rate)
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    _check_horizon(horizon)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
@@ -85,13 +92,14 @@ class GeneratorSpec:
             if key not in _PARAMETERS[self.kind]:
                 raise ValueError(f"unknown instance parameter {key!r}")
 
+    def _value(self, key: str, default: float | None = None) -> float:
+        value = self.params.get(key, default)
+        if value is None:
+            raise ValueError(f"instance kind {self.kind.value!r} needs parameter {key!r}")
+        return value
+
     def _int(self, key: str, default: int | None = None) -> int:
-        if key not in self.params:
-            if default is None:
-                raise ValueError(
-                    f"instance kind {self.kind.value!r} needs parameter {key!r}")
-            return default
-        value = self.params[key]
+        value = self._value(key, default)
         if not float(value).is_integer():
             raise ValueError(f"parameter {key!r} must be an integer")
         return int(value)
@@ -105,8 +113,7 @@ class GeneratorSpec:
             return sigma1(self._int("n"))
         if self.kind is GeneratorKind.SIGMA2:
             return sigma2(self._int("n"), self._int("t"))
-        return random_slotted(self.params.get("rate", 0.0),
-                              self._int("t"), self._int("seed"))
+        return random_slotted(self._value("rate"), self._int("t"), self._int("seed"))
 
     @classmethod
     def parse(cls, spec: str) -> "GeneratorSpec":

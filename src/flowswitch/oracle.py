@@ -64,11 +64,12 @@ class DpConfig:
     s_cap defaults to the largest per-slot arrival count; tests that need a
     provably unrestricted optimum pass the total job count instead (s <= n
     <= total jobs always). An explicit s_cap must be at least 1, or at
-    least 0 for an instance with no jobs. t_cap defaults to last arrival +
-    total work, which no optimal schedule exceeds; ``resolve`` returns that
-    ceiling, and ``dp_opt`` solves only up to the first slot
-    ``certified_horizon`` proves final. An explicit t_cap is taken as
-    given, with no certificate. The state budget is ``state_budget()``.
+    least 0 for an instance with no jobs. t_cap is the ceiling: the last
+    slot a schedule may hold work in. It defaults to last arrival + total
+    work, which no optimal schedule exceeds. ``resolve`` returns it, the
+    state budget (``state_budget()``) is checked against it, and
+    ``dp_opt`` solves only up to the first slot ``certified_horizon``
+    proves final under it.
     """
 
     s_cap: int | None = None
@@ -141,10 +142,10 @@ def certified_horizon(instance: ArrivalInstance, model: CostModel,
     Any schedule still holding work after T costs at least LB_T, so once
     LB_T exceeds V_T by more than ``1e-9 * max(1, V_T)`` (a float-safety
     margin that can only delay the stop) no longer horizon reaches or ties
-    the optimum: the DP solved with t_cap = T returns the same value and
-    trace as under any larger t_cap. Pruning can only raise LB_T, so T
-    comes no later than the unpruned pass's. T is the ceiling
-    (``cfg.resolve``'s t_cap) if the bound never holds before it.
+    the optimum: the DP solved up to T returns the same value and trace
+    as up to any larger slot within the ceiling, ``cfg.resolve``'s t_cap.
+    Pruning can only raise LB_T, so T comes no later than the unpruned
+    pass's. T is the ceiling if the bound never holds before it.
     """
     s_cap, ceiling, grids = _dp_setup(instance, model, cfg or DpConfig())
     if grids is None:
@@ -308,15 +309,6 @@ def _kept_spans(minima: list, ahead: np.ndarray,
     return first - start, last + 1 - start
 
 
-def _band(arr: np.ndarray, arrived: np.ndarray, s_cap: int, t_cap: int) -> list:
-    """The reachable band as dp_opt's boxes for slots 1..t_cap+2: n from
-    a_t to the jobs arrived by slot t, s_prev at most the jobs arrived by
-    slot t - 1 and s_cap."""
-    return [None] + [(int(arr[t]), int(arrived[t]) + 1,
-                      min(int(arrived[t - 1]), s_cap) + 1)
-                     for t in range(1, t_cap + 2)] + [(0, 1, 1)]
-
-
 @np.errstate(over="ignore")  # an overflowed sum costs more than any finite one
 def dp_opt(instance: ArrivalInstance, model: CostModel,
            cfg: DpConfig | None = None) -> tuple[float, ScheduleTrace]:
@@ -324,35 +316,30 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
 
     State is (slot, outstanding, previous server count); transitions pick
     s' in [0, min(n, s_cap)]. The final ramp-down to 0 is charged through
-    one virtual slot past the horizon. The horizon is ``cfg.t_cap`` when
-    given; by default it is ``certified_horizon``'s slot, which gives the
-    same value and trace as the default ceiling of ``DpConfig.resolve``
-    (the state budget is checked against that ceiling). That forward pass
-    is pruned by the cost of a feasible schedule, so it may certify an
+    one virtual slot past the horizon. The horizon is
+    ``certified_horizon``'s slot under the ceiling ``DpConfig.resolve``
+    returns (t_cap, by default last arrival + total work), and gives the
+    same value and trace as the ceiling itself. That forward pass is
+    pruned by the cost of a feasible schedule, so it may certify an
     earlier slot than an unpruned one; all optimal schedules end by either.
 
     Each slot t is one numpy step over a box of states (n, s_prev),
     ``cand[n, s_prev, s'] = (n + alpha c(s', s_prev)) + V_{t+1}(n - s' + a_{t+1}, s')``
     minimised over s' below the next slot's s_prev bound; ``argmin`` keeps
     the first minimum, so ties break toward smaller s' and the returned
-    trace is deterministic. By default the boxes are ``_certify``'s: they
-    hold every state that can lie on an optimal path, ties included, so
-    the value and trace equal those of the whole reachable band. Under an
-    explicit t_cap each box is the reachable band (``_band``). States
-    outside a box count as inf. V_{t+1} is read through one sheared
+    trace is deterministic. The boxes are ``_certify``'s: they hold every
+    state that can lie on an optimal path, ties included, so the value
+    and trace equal those of the whole reachable band up to the ceiling.
+    States outside a box count as inf. V_{t+1} is read through one sheared
     ``take``, and the choices are kept per box. Rows of n are taken in
     chunks so one block holds at most about ``_DP_BLOCK`` floats.
     """
-    cfg = cfg or DpConfig()
-    s_cap, t_cap, grids = _dp_setup(instance, model, cfg)
+    s_cap, ceiling, grids = _dp_setup(instance, model, cfg or DpConfig())
     if grids is None:
         return 0.0, ScheduleTrace((), ())
-    arr, arrived, cgrid = grids
-    if cfg.t_cap is None:
-        horizon, boxes = _certify(instance, model.alpha, s_cap, t_cap, *grids)
-        t_cap = horizon.t_cap
-    else:
-        boxes = _band(arr, arrived, s_cap, t_cap)
+    horizon, boxes = _certify(instance, model.alpha, s_cap, ceiling, *grids)
+    arr, _, cgrid = grids
+    t_cap = horizon.t_cap
     n_jobs = instance.job_count
     t_end = t_cap + 1  # virtual slot charging the final down-switch
     n_vals = np.arange(n_jobs + 1, dtype=np.float64)

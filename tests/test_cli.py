@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from flowswitch import (MarkovPolicy, NonErgodicError, PolicyFaultError,
                         PolicyStallError, RateModel, TruncationError, cli)
 from flowswitch import CostModel, ScheduleTrace, cost_of_trace, dp_opt
-from flowswitch.cli import FIGURE_IDS, main, reproduce_figure
+from flowswitch.cli import (FIGURE_IDS, figure_policies, figure_setup, main,
+                            reproduce_figure)
 from flowswitch.instances import sigma2
 
 
@@ -489,6 +490,13 @@ class TestReproduceFigure:
         with pytest.raises(ValueError, match=r"got horizon=\d+, seeds=\("):
             reproduce_figure("quad_a1", rates=(5.0,), **kwargs)
 
+    def test_unknown_figure_id_is_a_value_error(self):
+        for call in (lambda: figure_setup("quad_a3"),
+                     lambda: figure_policies("quad_a3", 1.0),
+                     lambda: reproduce_figure("quad_a3")):
+            with pytest.raises(ValueError, match="unknown figure id 'quad_a3'"):
+                call()
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv, expected_code, needle", [
@@ -635,6 +643,16 @@ class TestInputErrors:
         (("gen", "periodic:x=4,k=-1"), 2, "k must be nonnegative"),
         (("gen", "sigma2:N=1,T=-1"), 2, "horizon must be nonnegative"),
         (("gen", "random:rate=1,T=-1,seed=1"), 2, "horizon must be nonnegative"),
+        (("gen", "random:rate=1,T=1e13,seed=1"), 2,
+         "horizon must be at most 10000000, got 10000000000000"),
+        (("gen", "sigma2:N=1,T=1e13"), 2,
+         "horizon must be at most 10000000, got 10000000000000"),
+        (("gen", "periodic:x=2,k=1e13"), 2,
+         "k must be at most 5000000, got 10000000000000"),
+        (("reproduce-figure", "--figure", "quad_a1", "--horizon", "10000000000000"),
+         2, "horizon must be at most 10000000, got 10000000000000"),
+        (("gen", "random:T=10,seed=1"), 2,
+         "error: instance kind 'random' needs parameter 'rate'\n"),
         (("stochastic", "--policy", "alg3", "--lambda", "10", "--c1", "-1"),
          2, "c1 must be positive and finite, got -1.0"),
         (("run", "--instance", "batch:N=3", "--policy", "lg:beta=2"),
@@ -666,8 +684,10 @@ class TestInputErrors:
             "rates-not-a-number", "gammas-not-a-number", "alphas-not-a-number",
             "lambdas-not-a-number", "seeds-empty-item", "seeds-not-an-integer",
             "run-no-policy", "periodic-negative-k", "sigma2-negative-horizon",
-            "random-negative-horizon", "alg3-c1-negative", "unknown-policy-key",
-            "missing-policy-key", "alg3-empty-sweep-alpha-nan"])
+            "random-negative-horizon", "random-horizon-past-max-slot",
+            "sigma2-horizon-past-max-slot", "periodic-k-past-max-slot",
+            "figure-horizon-past-max-slot", "random-missing-rate", "alg3-c1-negative",
+            "unknown-policy-key", "missing-policy-key", "alg3-empty-sweep-alpha-nan"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code

@@ -154,6 +154,9 @@ class TestArrivalInstance:
         for bad in ((1, -1), (1.5,), (2, 0.5)):
             with pytest.raises(ValueError, match="arrival count"):
                 ArrivalInstance.from_counts(bad)
+        with pytest.raises(ValueError, match="counts must hold at most 10000000 "
+                                             "slots, got 10000001"):
+            ArrivalInstance.from_counts(range(core.MAX_SLOT + 1))
         with pytest.raises(AttributeError):
             ArrivalInstance.from_counts((1,)).name = "renamed"
 
@@ -298,11 +301,12 @@ class TestCostOfTrace:
         assert b.total == b.flow_time + b.alpha * b.switching_cost + b.energy_cost
 
     def test_rejects_broken_slot(self):
-        trace = served_trace([(1, 2, (0,))])
-        with pytest.raises(TraceValidationError) as err:
-            cost_of_trace(trace, CostModel.linear(1))
-        assert err.value.violation == "s_le_n"
-        assert err.value.slot == 1
+        for trace, violation in ((served_trace([(1, 2, (0,))]), "s_le_n"),
+                                 (ScheduleTrace((-1,), (0,)), "negative_occupancy")):
+            with pytest.raises(TraceValidationError) as err:
+                cost_of_trace(trace, CostModel.linear(1))
+            assert err.value.violation == violation
+            assert err.value.slot == 1
 
     def test_json_keys(self):
         b = cost_of_trace(ScheduleTrace((1,), (1,)), CostModel.linear(2))

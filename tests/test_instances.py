@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowswitch import ArrivalInstance, validate_trace, simulate
+from flowswitch.core import MAX_SLOT
 from flowswitch.instances import (GeneratorKind, GeneratorSpec, batch,
                                   parse_instance_spec, periodic,
                                   random_slotted, sigma1, sigma2)
@@ -29,6 +30,9 @@ class TestGenerators:
         assert periodic(4, 0).arrivals == ()
         with pytest.raises(ValueError):
             periodic(3, 2)
+        # refused before anything is built: slot 2k would pass MAX_SLOT
+        with pytest.raises(ValueError, match=f"k must be at most {MAX_SLOT // 2}, got"):
+            periodic(2, MAX_SLOT // 2 + 1)
 
     def test_sigma_families(self):
         assert sigma1(5).arrivals == tuple((1, 1) for _ in range(5))
@@ -37,6 +41,9 @@ class TestGenerators:
         assert sigma2(0, 3).arrivals == ()
         with pytest.raises(ValueError, match="n_jobs must be nonnegative"):
             sigma2(-2, 3)
+        for n_jobs in (0, 1):
+            with pytest.raises(ValueError, match=f"horizon must be at most {MAX_SLOT}"):
+                sigma2(n_jobs, MAX_SLOT + 1)
 
     def test_random_slotted_determinism(self):
         one = random_slotted(5.0, 50, seed=9)
@@ -47,6 +54,8 @@ class TestGenerators:
         with pytest.raises(ValueError,
                            match="seed must be a nonnegative integer, got -1"):
             random_slotted(5.0, 50, seed=-1)
+        with pytest.raises(ValueError, match=f"horizon must be at most {MAX_SLOT}"):
+            random_slotted(5.0, MAX_SLOT + 1, seed=1)
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_random_slotted_rejects_bad_rates(self, rate):
@@ -107,6 +116,8 @@ class TestParseSpec:
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
             parse_instance_spec("random:rate=2,T=5")
+        with pytest.raises(ValueError, match="needs parameter 'rate'"):
+            parse_instance_spec("random:T=5,seed=1")
 
     @pytest.mark.parametrize("form", SPEC_FORMS)
     def test_spec_forms(self, form):

@@ -57,8 +57,9 @@ class TestDpOpt:
                 assert cost_of_trace(trace, model).total == pytest.approx(cost)
 
     def test_non_unit_rejected(self):
-        with pytest.raises(UnsupportedInstanceError):
-            dp_opt(ArrivalInstance(((1, 2),)), CostModel.linear(1))
+        for fn in (dp_opt, exhaustive_opt):
+            with pytest.raises(UnsupportedInstanceError):
+                fn(ArrivalInstance(((1, 2),)), CostModel.linear(1))
 
     def test_budget_error_carries_requirement(self, monkeypatch):
         monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", "10")
@@ -226,7 +227,11 @@ class TestDpDifferential:
         inst, model = batch(40), CostModel.quadratic(2)
         s_cap, ceiling, grids = oracle._dp_setup(inst, model, DpConfig())
         horizon, boxes = oracle._certify(inst, model.alpha, s_cap, ceiling, *grids)
-        band = oracle._band(grids[0], grids[1], s_cap, horizon.t_cap)
+        # the reachable band: n from a_t to the jobs arrived by slot t,
+        # s_prev at most the jobs arrived by slot t - 1 and s_cap
+        arr, arrived = grids[0].tolist(), grids[1].tolist()
+        band = [None] + [(arr[t], arrived[t] + 1, min(arrived[t - 1], s_cap) + 1)
+                         for t in range(1, horizon.t_cap + 2)] + [(0, 1, 1)]
         assert len(boxes) == len(band) == horizon.t_cap + 3
 
         def cells(slot_boxes):
@@ -253,18 +258,21 @@ def default_ceiling(instance):
 
 
 def assert_certified_matches_ceiling(instance, model, s_cap=None):
-    """dp_opt under the certified horizon equals dp_opt under the ceiling."""
+    """dp_opt under the certified horizon equals the reference DP over the
+    whole band up to the ceiling, by == on the value and s; its n column
+    is the replay of s."""
     value, trace = dp_opt(instance, model, DpConfig(s_cap=s_cap))
-    want, full = dp_opt(instance, model,
-                        DpConfig(s_cap=s_cap, t_cap=default_ceiling(instance)))
-    assert value == want, (instance.name, model, s_cap)
-    assert (trace.n, trace.s) == (full.n, full.s), (instance.name, model, s_cap)
+    want = _dp_reference(instance, model,
+                         DpConfig(s_cap=s_cap, t_cap=default_ceiling(instance)))
+    assert (value, trace.s) == want, (instance.name, model, s_cap)
+    assert_trace_matches_replay(instance, trace)
 
 
 def assert_pruning_keeps_the_optimum(instance, model, s_cap=None):
     """With every slot's forward step pruned, the certified horizon comes
-    no later than with none pruned, and dp_opt's value and trace equal
-    those under the unpruned horizon."""
+    no later than with none pruned, and dp_opt's value and s equal the
+    reference DP's under the unpruned horizon; its n column is the replay
+    of s."""
     cfg = DpConfig(s_cap=s_cap)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_PRUNE_CELLS", math.inf)
@@ -273,8 +281,9 @@ def assert_pruning_keeps_the_optimum(instance, model, s_cap=None):
         pruned = certified_horizon(instance, model, cfg)
         value, trace = dp_opt(instance, model, cfg)
     assert pruned.t_cap <= whole.t_cap, (instance.name, model, s_cap)
-    want, full = dp_opt(instance, model, DpConfig(s_cap=s_cap, t_cap=whole.t_cap))
-    assert (value, trace) == (want, full), (instance.name, model, s_cap)
+    want = _dp_reference(instance, model, DpConfig(s_cap=s_cap, t_cap=whole.t_cap))
+    assert (value, trace.s) == want, (instance.name, model, s_cap)
+    assert_trace_matches_replay(instance, trace)
 
 
 def constant_rate_cost(instance, model, k, ceiling):
@@ -368,14 +377,20 @@ class TestCertifiedHorizon:
         got = oracle._incumbent(inst.slot_counts, step, s_cap, ceiling)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_explicit_t_cap_skips_the_certificate(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("certificate run under an explicit t_cap")
-
-        monkeypatch.setattr(oracle, "_certify", refuse)
-        for t_cap in (4, 9, 16):
-            assert_dp_matches_reference(sigma2(3, 4), CostModel.linear(2),
-                                        DpConfig(t_cap=t_cap))
+    def test_explicit_t_cap_is_the_ceiling(self):
+        # every t_cap from the last arrival to the default ceiling: dp_opt
+        # equals the reference over the band up to t_cap, and from the
+        # default certified horizon on it equals the default dp_opt
+        for inst in (sigma2(3, 4), batch(9), sigma2(8, 7)):
+            for model in (CostModel.linear(2), CostModel.quadratic(1)):
+                certified = certified_horizon(inst, model).t_cap
+                default = dp_opt(inst, model)
+                for t_cap in range(inst.last_slot, default_ceiling(inst) + 1):
+                    cfg = DpConfig(t_cap=t_cap)
+                    assert_dp_matches_reference(inst, model, cfg)
+                    if t_cap >= certified:
+                        assert dp_opt(inst, model, cfg) == default, \
+                            (inst.name, model, t_cap)
 
     def test_ceiling_when_the_bound_never_holds(self):
         # one server cannot clear three jobs by slot 2: V is inf at every T
@@ -437,6 +452,8 @@ class TestExhaustive:
             exhaustive_opt(batch(7), CostModel.linear(1))
         with pytest.raises(OracleSizeError):
             exhaustive_opt(batch(2), CostModel.linear(1), t_cap=9)
+        with pytest.raises(OracleSizeError, match="arrival beyond t_cap"):
+            exhaustive_opt(ArrivalInstance(((5, 1),)), CostModel.linear(1), t_cap=3)
 
 
 class TestDeltaFlow:

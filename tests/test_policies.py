@@ -10,7 +10,7 @@ from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  GammaPolicy, Lg, QuadAlg, QuadBalance,
                                  SqrtOnline, batch_quad_continuous,
                                  batch_quad_horizon_search, burst_objective,
-                                 make_policy)
+                                 closed_form_burst_profile, make_policy)
 
 from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
 
@@ -180,6 +180,8 @@ class TestBatchQuadContinuous:
             batch_quad_continuous(-1.0, 3)
         with pytest.raises(ValueError):
             batch_quad_continuous(1.0, 0)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            closed_form_burst_profile(1.0, 0)
 
 
 class TestHorizonSearch:
