@@ -8,8 +8,7 @@ stochastic variants, all behind one simulation engine.
 from .core import (ArrivalInstance, CostBreakdown, CostModel, ScheduleTrace,
                    SlotRecord, SwitchingKind, TraceValidationError,
                    ValidationResult, cost_of_trace, validate_trace)
-from .engine import (ObservableState, PolicyDecision, PolicyFaultError,
-                     PolicyStallError, ShapedRule, simulate)
+from .engine import PolicyFaultError, PolicyStallError, ShapedRule, simulate
 from .oracle import (ConvexSolverError, DpBudgetError, DpConfig,
                      DualCertificate, Horizon, OracleSizeError,
                      UnsupportedInstanceError, certified_horizon,

@@ -59,8 +59,9 @@ _VALID = ValidationResult(True)
 # even near 400 values and reading them near 800.
 _BULK_MIN_VALUES = 600
 
-# The latest arrival slot an instance may hold: its counts keep one entry
-# per slot up to the last arrival, and every run walks each of those slots.
+# The latest arrival slot and the largest job size an instance may hold:
+# its counts keep one entry per slot up to the last arrival, every run
+# walks each of those slots, and a job of size w needs w slots.
 MAX_SLOT = 10_000_000
 
 
@@ -77,7 +78,7 @@ class ArrivalInstance:
     Invariants:
         - ``slot_counts[i]`` jobs arrive at slot i+1, for slots
           1..last_slot, and the last count is nonzero; every constructor
-          and text reader takes slots of at most ``MAX_SLOT``
+          and text reader takes slots and sizes of at most ``MAX_SLOT``
         - job ids run in arrival order; jobs of one slot keep the order
           they were given in
         - ``sizes[j]`` is job j's size, at least 1; ``sizes`` is None
@@ -102,6 +103,8 @@ class ArrivalInstance:
                 raise ValueError(f"arrival slot must be at most {MAX_SLOT}, got {slot!r}")
             if int(size) != size or size < 1:
                 raise ValueError(f"job size must be a positive integer, got {size!r}")
+            if size > MAX_SLOT:
+                raise ValueError(f"job size must be at most {MAX_SLOT}, got {size!r}")
             records.append((int(slot), int(size)))
         records.sort(key=operator.itemgetter(0))  # stable: same-slot order preserved
         counts = [0] * (records[-1][0] if records else 0)
@@ -205,8 +208,8 @@ class ArrivalInstance:
         ``_instance_text_columns`` parses a text of plain digits and at
         least ``_BULK_MIN_VALUES`` values in one numpy pass. Every other
         text (a smaller one, comments past the first line, signs, tabs, a
-        value below 1, ...) goes through the line loop, which names the line
-        of the first bad value.
+        value below 1 or above ``MAX_SLOT``, ...) goes through the line
+        loop, which names the line of the first bad value.
         """
         columns = _instance_text_columns(text)
         if columns is not None:
@@ -223,7 +226,7 @@ class ArrivalInstance:
                 raise ValueError(f"line {lineno}: expected 't w', got {raw!r}")
             try:
                 slot, size = int(parts[0]), int(parts[1])
-                if not 1 <= slot <= MAX_SLOT or size < 1:
+                if not (1 <= slot <= MAX_SLOT and 1 <= size <= MAX_SLOT):
                     cls(((slot, size),))  # raises, naming the field
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
@@ -240,8 +243,8 @@ def _instance_text_columns(text: str):
     """The arrival counts and id-ordered sizes of an instance text, parsed
     in one numpy pass; None unless the text, past a first comment line,
     holds only ASCII digits, spaces and newlines, each line two values or
-    none, every value 1 or more and at most 18 digits, every slot at most
-    ``MAX_SLOT``, and at least ``_BULK_MIN_VALUES`` values in all."""
+    none, every value at most 18 digits and from 1 to ``MAX_SLOT``, and at
+    least ``_BULK_MIN_VALUES`` values in all."""
     if len(text) < _BULK_MIN_VALUES:  # every value takes at least a byte
         return None
     if text.startswith("#"):
@@ -266,7 +269,7 @@ def _instance_text_columns(text: str):
         return None
     values = np.fromstring(data, np.int64, sep=" ")
     slots = values[0::2]
-    if values.min() < 1 or slots.max() > MAX_SLOT:
+    if values.min() < 1 or values.max() > MAX_SLOT:
         return None
     sizes = values[1::2][np.argsort(slots, kind="stable")]
     return tuple(np.bincount(slots)[1:].tolist()), tuple(sizes.tolist())
@@ -382,6 +385,8 @@ class _SlotView(Sequence):
 
     def __getitem__(self, index):
         i = range(len(self._s))[index]
+        if isinstance(i, range):  # a slice
+            return tuple(self[j] for j in i)
         first, end = self._offsets[i], self._offsets[i + 1]
         return SlotRecord(i + 1, self._n[i], self._s[i],
                           frozenset(self._ids[first:end]))

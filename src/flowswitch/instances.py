@@ -22,6 +22,8 @@ def batch(n_jobs: int, size: int = 1) -> ArrivalInstance:
     """All jobs arrive together at slot 1."""
     if n_jobs < 0:
         raise ValueError("n_jobs must be nonnegative")
+    if size > MAX_SLOT:  # refused before n_jobs records are built
+        raise ValueError(f"job size w must be at most {MAX_SLOT}, got {size}")
     name = f"batch(N={n_jobs},w={size})"
     if size == 1:
         return ArrivalInstance.from_counts((n_jobs,), name=name)
@@ -72,7 +74,11 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(rate, horizon)
+    try:
+        counts = rng.poisson(rate, horizon)
+    except ValueError:  # numpy's own bound on the Poisson mean
+        raise ValueError(f"rate={rate:g} is too large for numpy's Poisson "
+                         "sampler") from None
     return ArrivalInstance.from_counts(
         counts.tolist(), name=f"random(rate={rate:g},T={horizon},seed={seed})")
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
 from operator import itemgetter
 
 import pytest
 
-from flowswitch import ArrivalInstance, ObservableState, ScheduleTrace, simulate
+from flowswitch import ArrivalInstance, PolicyFaultError, ScheduleTrace, ShapedRule
 from flowswitch.stochastic import _stationary
 
 CORPUS_SEED = 20260808
@@ -28,20 +28,31 @@ def build_corpus(count: int = 200, seed: int = CORPUS_SEED) -> list[ArrivalInsta
     return out
 
 
-@dataclass(frozen=True)
-class _Replay:
-    """A per-slot server-count column played back as a policy."""
+def shaped_request(rule: ShapedRule, n: int, s_prev: int) -> int:
+    """The per-slot reference for the engine's memoised kernel: the server
+    count ``rule`` asks for with n jobs outstanding after s_prev servers.
 
-    name: str
-    schedule: tuple[int, ...]
-
-    def decide(self, state: ObservableState) -> int:
-        idx = state.t - 1
-        want = self.schedule[idx] if idx < len(self.schedule) else 0
-        if want > state.n:
-            raise ValueError(
-                f"replay count {want} exceeds n={state.n} at slot {state.t}")
-        return want
+    target(n) is evaluated fresh on every call. A non-int target is ceiled
+    (float noise of up to 1e-9 is forgiven), or raises PolicyFaultError
+    when it is a bool or not a finite number; then the shape applies, and
+    the request is clamped to [0, n]. n = 0 gives 0 without asking.
+    """
+    if n == 0:
+        return 0
+    f = rule.target(n)
+    if type(f) is not int:
+        try:
+            value = float(f)
+        except (TypeError, ValueError):
+            value = math.nan
+        if isinstance(f, bool) or not math.isfinite(value):
+            raise PolicyFaultError(f"{rule.name} returned {f!r}")
+        f = math.ceil(value - 1e-9)
+    if rule.shape == "add":
+        f += s_prev
+    elif rule.shape == "lazy":
+        f = max(f, s_prev)
+    return max(0, min(f, n))
 
 
 def srpt_select(outstanding, k: int) -> frozenset[int]:
@@ -60,14 +71,30 @@ def srpt_select(outstanding, k: int) -> frozenset[int]:
 
 
 def replay_reference(instance: ArrivalInstance, counts) -> ScheduleTrace:
-    """The per-slot server counts replayed through ``simulate`` as a policy.
+    """Per-slot server counts replayed first-in first-out on unit jobs.
 
-    Slot t requests counts[t-1] (0 past the end); a count above the
-    outstanding n raises ValueError. The engine works out n, the served
-    sets and where the trace ends, so a trace built from its own columns
-    (``dp_opt``'s) can be checked against it.
+    Slot t serves counts[t-1] (0 past the end) of the n jobs outstanding
+    after its arrivals; a count above n, or jobs left when the counts and
+    arrivals run out, raise ValueError. The replay works out n and where
+    the trace ends, so a trace built from its own columns (``dp_opt``'s)
+    can be checked against it.
     """
-    return simulate(instance, _Replay("fixed", tuple(int(c) for c in counts)))
+    assert instance.all_unit
+    arrivals, ns, ss, n = instance.slot_counts, [], [], 0
+    for t in range(1, max(len(counts), len(arrivals)) + 1):
+        if t <= len(arrivals):
+            n += arrivals[t - 1]
+        elif not n:
+            break
+        want = int(counts[t - 1]) if t <= len(counts) else 0
+        if want > n:
+            raise ValueError(f"replay count {want} exceeds n={n} at slot {t}")
+        ns.append(n)
+        ss.append(want)
+        n -= want
+    if n:
+        raise ValueError(f"replay leaves {n} jobs outstanding")
+    return ScheduleTrace(ns, ss)
 
 
 def departures(trace: ScheduleTrace) -> dict[int, int]:

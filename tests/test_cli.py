@@ -661,6 +661,14 @@ class TestInputErrors:
          2, "error: policy 'a_gamma' needs parameter 'gamma'\n"),
         (("sweep", "--kind", "alg3", "--lambdas", ",", "--alpha", "nan"),
          2, "error: alpha must be positive and finite, got nan\n"),
+        (("run", "--instance", "batch:N=1,w=1e11", "--policy", "full_parallel"),
+         2, "error: job size w must be at most 10000000, got 100000000000\n"),
+        (("run", "--instance", "random:rate=1e300,T=2,seed=1",
+          "--policy", "full_parallel"), 2, "error: rate=1e+300 is too large"),
+        (("reproduce-figure", "--figure", "quad_a1", "--rates", "1e300",
+          "--seeds", "1", "--horizon", "3"), 2, "error: rate=1e+300 is too large"),
+        (("opt", "--instance", "sigma2:N=1,T=3", "--model", "quad:alpha=1",
+          "--t-cap", "1"), 2, "error: t_cap ends before the last arrival\n"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "gamma-max-cells-negative",
@@ -687,7 +695,9 @@ class TestInputErrors:
             "random-negative-horizon", "random-horizon-past-max-slot",
             "sigma2-horizon-past-max-slot", "periodic-k-past-max-slot",
             "figure-horizon-past-max-slot", "random-missing-rate", "alg3-c1-negative",
-            "unknown-policy-key", "missing-policy-key", "alg3-empty-sweep-alpha-nan"])
+            "unknown-policy-key", "missing-policy-key", "alg3-empty-sweep-alpha-nan",
+            "batch-size-past-max-slot", "random-rate-past-poisson",
+            "figure-rate-past-poisson", "opt-t-cap-before-last-arrival"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
@@ -736,8 +746,11 @@ class TestInputErrors:
         ("1 1\n2\n", "line 2: expected 't w'"),
         ("9999999999999999999 1\n", "line 1: arrival slot must be at most 10000000"),
         ("1 1\n999999999999999999 1\n", "line 2: arrival slot must be at most"),
+        ("1 100000000000\n", "line 1: job size must be at most 10000000, got 1000"),
+        ("1 99999999999999999999999\n", "line 1: job size must be at most 10000000"),
     ], ids=["letter", "fraction", "slot-zero", "size-zero", "one-field",
-            "slot-past-int64", "slot-below-int64"])
+            "slot-past-int64", "slot-below-int64", "size-past-max-slot",
+            "size-past-int64"])
     def test_instance_file_errors_name_the_line(self, capsys, tmp_path, body, needle):
         path = tmp_path / "inst.txt"
         path.write_text(body)
@@ -894,10 +907,12 @@ _HUGE_KEYS = ("alpha", "theta", "beta")
 _INSTANCE_KEYS = {"batch": ("n", "w"), "periodic": ("x", "k"), "sigma1": ("n",),
                   "sigma2": ("n", "t"), "random": ("rate", "t", "seed")}
 _MODEL_KEYS = {"linear": ("alpha", "theta"), "quad": ("alpha", "theta")}
-# Instance files whose last slot is past core.MAX_SLOT: one past int64, one
-# below 2**63 that would still ask for 2**62 slot counts.
+# Instance files past core.MAX_SLOT: a last slot past int64, one below 2**63
+# that would still ask for 2**62 slot counts, and a job whose size would
+# need 10**11 slots.
 _SLOT_FILES = [str(Path(__file__).parent / "data" / name)
-               for name in ("slot_past_int64.txt", "slot_2_62.txt")]
+               for name in ("slot_past_int64.txt", "slot_2_62.txt",
+                            "size_past_max_slot.txt")]
 _POLICY_KEYS = {"full_parallel": (), "balance_value": ("alpha",),
                 "balance_delta": ("alpha",), "sqrt_online": ("alpha",),
                 "lg": ("alpha",), "a_gamma": ("alpha", "gamma"),
@@ -1053,6 +1068,7 @@ def _no_constant(name):
 @example(["stochastic", "--policy", "alg1", "--lambda", "5e-324"])
 @example(["run", "--instance", _SLOT_FILES[0], "--policy", "full_parallel"])
 @example(["opt", "--instance", _SLOT_FILES[1], "--model", "linear:alpha=1"])
+@example(["run", "--instance", _SLOT_FILES[2], "--policy", "full_parallel"])
 def test_exit_code_contract(argv):
     """Any argv built from these tokens exits 0-3 with a message, never a
     traceback. On exit 0 the JSON that run, opt, dual and stochastic print

@@ -198,6 +198,20 @@ class TestArrivalInstance:
         unit = random_slotted(20.0, 100, 4)
         assert ArrivalInstance.from_text(unit.to_text(), name=unit.name) == unit
 
+    def test_size_past_the_maximum_names_its_line(self):
+        assert ArrivalInstance(((1, core.MAX_SLOT),)).total_work == core.MAX_SLOT
+        with pytest.raises(ValueError,
+                           match=f"^job size must be at most {core.MAX_SLOT}, got"):
+            ArrivalInstance(((1, 1), (2, core.MAX_SLOT + 1)))
+        lines = [f"{1 + i % 300} {1 + i % 5}" for i in range(400)]
+        lines[250] = f"7 {core.MAX_SLOT + 1}"
+        text = "\n".join(lines) + "\n"
+        assert core._instance_text_columns(text) is None  # declined to the line loop
+        for body, line in ((text, 251), (f"1 1\n3 {core.MAX_SLOT + 1}\n", 2)):
+            with pytest.raises(ValueError, match=f"^line {line}: job size must be at most "
+                                                 f"{core.MAX_SLOT}, got {core.MAX_SLOT + 1}$"):
+                ArrivalInstance.from_text(body)
+
     def test_slot_past_the_maximum_names_its_line(self):
         with pytest.raises(ValueError, match=f"at most {core.MAX_SLOT}, got"):
             ArrivalInstance(((1, 1), (core.MAX_SLOT + 1, 1)))
@@ -432,6 +446,11 @@ class TestTraceCsv:
             assert again == trace
             assert again.slots == trace.slots
             assert departures(again) == departures(trace)
+            # other n, other s; the slot view against a non-sequence
+            assert again != ScheduleTrace(trace.n[:-1] + (1,), trace.s)
+            assert again != ScheduleTrace(trace.n, trace.s[:-1] + (1,))
+            assert again.slots.__eq__(len(trace.s)) is NotImplemented
+            assert again.slots != len(trace.s)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):
@@ -642,6 +661,21 @@ class TestColumnarTraces:
         assert (result.ok, result.violation) == (False, "unknown_job")
         assert (result.slot, result.job_id) == (1 if first else 2, bad)
         assert repr(bad) in result.message
+
+    @pytest.mark.parametrize("index", [
+        slice(None, 1), slice(1, None), slice(-2, None), slice(None, -1),
+        slice(None, None, 2), slice(None, None, -1), slice(-1, 0, -2),
+        slice(5, 9), slice(3, 1)], ids=str)
+    def test_slot_view_slices_as_a_tuple(self, index):
+        unit = ArrivalInstance.from_counts((2, 0, 3, 1))
+        traces = (simulate(batch(3), FullParallel()), simulate(unit, Lg(alpha=2.0)),
+                  simulate(ArrivalInstance(((1, 2), (1, 1), (2, 3))), QuadAlg(alpha=1.0)),
+                  served_trace(rows_of(simulate(unit, FullParallel()).slots)),
+                  ScheduleTrace((), ()), served_trace([]))
+        for trace in traces:
+            got = trace.slots[index]
+            assert type(got) is tuple
+            assert got == tuple(trace.slots)[index]
 
     def test_mismatched_columns_are_rejected(self):
         with pytest.raises(ValueError, match="n and s columns differ"):

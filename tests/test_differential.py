@@ -2,14 +2,15 @@
 
 ``simulate`` runs every instance through one slot loop: unit instances as
 counts served first-in first-out, general sizes through a per-job list
-sorted by (remaining, id); in both, a built-in rule runs through its
-kernel: target(n) memoised per distinct n, the shape applied inline. The
-references are the same loop calling ``decide`` every slot (forced by a
-wrapper that exposes only ``name`` and ``decide``) and, for unit jobs, the
-per-job list forced by passing unit sizes. All must agree on occupancy and
-server counts, and the count and per-job branches also on served sets and
-departures, for every online rule and both recording modes. The per-job
-list is in turn checked against the sort-based ``conftest.srpt_select``.
+sorted by (remaining, id); in both, a rule runs through its kernel:
+target(n) memoised per distinct n, the shape applied inline. The
+references are ``conftest.shaped_request``, which evaluates the target
+afresh and applies the shape for one slot, checked against every slot of
+a trace, and, for unit jobs, the per-job list forced by passing unit
+sizes. The count and per-job branches must agree on occupancy, server
+counts, served sets and departures, for every online rule and both
+recording modes. The per-job list is in turn checked against the
+sort-based ``conftest.srpt_select``.
 """
 
 import math
@@ -28,7 +29,7 @@ from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  GammaPolicy, Lg, QuadAlg, QuadBalance,
                                  SqrtOnline)
 
-from conftest import departures, srpt_select
+from conftest import departures, shaped_request, srpt_select
 
 
 def all_policies(alpha: float) -> list:
@@ -39,12 +40,12 @@ def all_policies(alpha: float) -> list:
             QuadAlg(alpha=alpha, beta=2.177), QuadBalance(alpha=alpha)]
 
 
-class _Generic:
-    """Only ``name`` and ``decide``: the count loop must call decide per slot."""
-
-    def __init__(self, policy):
-        self.name = policy.name
-        self.decide = policy.decide
+def assert_follows_reference(trace, policy, where=None):
+    """Every slot's s against ``shaped_request`` at that slot's n and s_prev."""
+    s_prev = 0
+    for t, (n, s) in enumerate(zip(trace.n, trace.s), start=1):
+        assert s == shaped_request(policy, n, s_prev), (where, t)
+        s_prev = s
 
 
 def per_job(instance, policy, record_served=True):
@@ -55,10 +56,9 @@ def per_job(instance, policy, record_served=True):
 
 def assert_paths_agree(instance, policy, record_served):
     fast = engine.simulate(instance, policy, record_served=record_served)
-    generic = engine.simulate(instance, _Generic(policy), record_served=record_served)
     ref = per_job(instance, policy, record_served)
     where = (instance.instance_id, policy.name, record_served)
-    assert (fast.n, fast.s) == (generic.n, generic.s), where
+    assert_follows_reference(fast, policy, where)
     assert fast.n == ref.n, where
     assert fast.s == ref.s, where
     assert [rec.served for rec in fast.slots] == \
@@ -111,39 +111,6 @@ def test_figure_cell(figure):
                 cost.total) == cost_by_slots(ref, model)
 
 
-class _Fixed:
-    name = "fixed"
-
-    def __init__(self, value):
-        self.value = value
-
-    def decide(self, state):
-        return self.value
-
-
-@pytest.mark.parametrize("run", [
-    lambda inst, policy: engine.simulate(inst, policy),
-    per_job,
-], ids=["counts", "jobs"])
-class TestFractionalRequests:
-    def test_half_serves_one(self, run):
-        assert run(ArrivalInstance.from_counts((2,)), _Fixed(0.5)).s == (1, 1)
-
-    def test_rounds_up_then_clamps_at_n(self, run):
-        assert run(ArrivalInstance.from_counts((2,)), _Fixed(2.5)).s == (2,)
-        assert run(ArrivalInstance.from_counts((4,)), _Fixed(2.5)).s == (3, 1)
-
-    def test_float_noise_is_not_rounded_up(self, run):
-        trace = run(ArrivalInstance.from_counts((4,)), _Fixed(2 + 1e-12))
-        assert trace.s == (2, 2)
-
-    def test_numpy_scalars_and_faults(self, run):
-        assert run(ArrivalInstance.from_counts((3,)), _Fixed(np.float64(1.5))).s == (2, 1)
-        for bad in (True, math.inf, "two"):
-            with pytest.raises(engine.PolicyFaultError):
-                run(ArrivalInstance.from_counts((1,)), _Fixed(bad))
-
-
 class _Shaped(ShapedRule):
     """A user rule with a settable shape and target; counts target calls."""
 
@@ -159,6 +126,34 @@ class _Shaped(ShapedRule):
         return self._target(n)
 
 
+def _fixed(value):
+    """A cap rule whose target is ``value`` at every n."""
+    return _Shaped("cap", lambda n: value)
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst, policy: engine.simulate(inst, policy),
+    per_job,
+], ids=["counts", "jobs"])
+class TestFractionalRequests:
+    def test_half_serves_one(self, run):
+        assert run(ArrivalInstance.from_counts((2,)), _fixed(0.5)).s == (1, 1)
+
+    def test_rounds_up_then_clamps_at_n(self, run):
+        assert run(ArrivalInstance.from_counts((2,)), _fixed(2.5)).s == (2,)
+        assert run(ArrivalInstance.from_counts((4,)), _fixed(2.5)).s == (3, 1)
+
+    def test_float_noise_is_not_rounded_up(self, run):
+        trace = run(ArrivalInstance.from_counts((4,)), _fixed(2 + 1e-12))
+        assert trace.s == (2, 2)
+
+    def test_numpy_scalars_and_faults(self, run):
+        assert run(ArrivalInstance.from_counts((3,)), _fixed(np.float64(1.5))).s == (2, 1)
+        for bad in (True, math.inf, "two"):
+            with pytest.raises(engine.PolicyFaultError):
+                run(ArrivalInstance.from_counts((1,)), _fixed(bad))
+
+
 def _sized(instance, seed=0):
     """The same arrival slots with sizes 1..5, so simulate takes the SRPT loop."""
     rng = random.Random(seed)
@@ -168,12 +163,10 @@ def _sized(instance, seed=0):
     return sized
 
 
-def assert_kernel_agrees(instance, kernel_rule, generic_rule):
+def assert_kernel_agrees(instance, kernel_rule, reference_rule):
     kernel = engine.simulate(instance, kernel_rule)
-    generic = engine.simulate(instance, _Generic(generic_rule))
-    assert (kernel.n, kernel.s) == (generic.n, generic.s)
-    assert [rec.served for rec in kernel.slots] == \
-        [rec.served for rec in generic.slots]
+    assert_follows_reference(kernel, reference_rule)
+    assert validate_trace(instance, kernel).ok
     return kernel
 
 
@@ -200,41 +193,32 @@ def test_kernel_ceils_fractional_targets(shape, value):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "two", True])
 def test_kernel_faults_like_decide(bad):
+    # the kernel faults where the per-slot reference does, naming the slot
     rule = _Shaped("cap", lambda n: bad)
+    with pytest.raises(engine.PolicyFaultError) as info:
+        shaped_request(rule, 2, 0)
+    assert str(info.value) == f"shaped returned {bad!r}"
     for inst in (ArrivalInstance.from_counts((2,)), ArrivalInstance(((1, 2), (1, 3)))):
-        errors = []
-        for policy in (rule, _Generic(rule)):
-            with pytest.raises(engine.PolicyFaultError) as info:
-                engine.simulate(inst, policy)
-            errors.append(str(info.value))
-        assert errors[0] == errors[1] == f"shaped returned {bad!r} at slot 1"
+        with pytest.raises(engine.PolicyFaultError) as info:
+            engine.simulate(inst, rule)
+        assert str(info.value) == f"shaped returned {bad!r} at slot 1"
 
 
 @pytest.mark.parametrize("policy", [GammaPolicy(alpha=1e30, gamma=1),
                                     Lg(alpha=1e40), QuadBalance(alpha=1e30)],
                          ids=lambda p: p.name)
 def test_stalling_rule_stalls_on_both_paths(policy):
+    assert [shaped_request(policy, n, 0) for n in (1, 2, 3, 5)] == [0] * 4
     unit = ArrivalInstance.from_counts((3, 0, 2))
     for inst in (unit, _sized(unit, 2)):
         errors = []
-        for run in (policy, _Generic(policy)):
+        for run in (engine.simulate, per_job):
             with pytest.raises(engine.PolicyStallError) as info:
-                engine.simulate(inst, run)
+                run(inst, policy)
             errors.append(str(info.value))
         k_stall = inst.total_work + inst.last_slot  # 8 for the unit instance
         assert errors[0] == errors[1] == \
             f"{policy.name} idled {k_stall} slots with work outstanding"
-
-
-def test_decide_override_takes_the_generic_path():
-    class EveryJob(QuadAlg):
-        def decide(self, state):
-            return state.n
-
-    inst = random_slotted(5.0, 100, 2)
-    trace = engine.simulate(inst, EveryJob(alpha=2.0))
-    assert trace.s == engine.simulate(inst, FullParallel()).s
-    assert trace.s != engine.simulate(inst, QuadAlg(alpha=2.0)).s
 
 
 def srpt_by_sorting(instance, s_column):
@@ -266,6 +250,4 @@ def test_srpt_loop_matches_sorting(jobs, alpha, which):
     assert [rec.served for rec in trace.slots] == served_sets
     assert departures(trace) == departed
     assert validate_trace(inst, trace).ok
-    generic = per_job(inst, _Generic(policy))
-    assert (generic.n, generic.s) == (trace.n, trace.s)
-    assert generic.served.ids == trace.served.ids
+    assert_follows_reference(trace, policy)

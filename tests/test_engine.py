@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from flowswitch import (ArrivalInstance, CostModel, ObservableState,
-                        PolicyFaultError, PolicyStallError, cost_of_trace,
-                        simulate, validate_trace)
+from flowswitch import (ArrivalInstance, CostModel, PolicyFaultError,
+                        PolicyStallError, ShapedRule, cost_of_trace, simulate,
+                        validate_trace)
 from flowswitch import engine
 from flowswitch.instances import batch
 from flowswitch.policies import FullParallel, QuadAlg
@@ -13,29 +13,29 @@ from flowswitch.policies import FullParallel, QuadAlg
 from conftest import departures, srpt_select
 
 
-class _Fixed:
-    """Request a constant count (test helper)."""
+class _Fixed(ShapedRule):
+    """Target a constant count (test helper)."""
 
     name = "fixed"
 
     def __init__(self, value):
         self.value = value
 
-    def decide(self, state):
+    def target(self, n):
         return self.value
 
 
-class _Choose:
-    """Request n, a count in between or, after a busy slot, 0 (test helper)."""
+class _Choose(ShapedRule):
+    """Target n, 0 or a count in between, drawn on the first ask for each n;
+    lazy, so s(t) is 0 only until the first busy slot (test helper)."""
 
-    name = "choose"
+    name, shape = "choose", "lazy"
 
     def __init__(self, rng):
         self.rng = rng
 
-    def decide(self, state):
-        low = 0 if state.s_prev or not state.n else 1  # never two idle slots
-        return self.rng.choice((low, state.n, self.rng.randint(low, state.n)))
+    def target(self, n):
+        return self.rng.choice((0, n, self.rng.randint(0, n)))
 
 
 class TestSrptSelect:
@@ -66,8 +66,11 @@ class TestSrptSelect:
             jobs = sorted((rng.randint(1, 4), rng.randint(1, 3))
                           for _ in range(rng.randint(1, 14)))
             inst = ArrivalInstance(tuple(jobs))
-            trace = engine._simulate(inst, _Choose(rng), True,
-                                     inst.sizes or (1,) * inst.job_count)
+            try:
+                trace = engine._simulate(inst, _Choose(rng), True,
+                                         inst.sizes or (1,) * inst.job_count)
+            except PolicyStallError:  # every n drew 0 and no slot was ever busy
+                continue
             outstanding = []  # [id, arrival, remaining]
             for rec in trace.slots:
                 outstanding += [[j, a, size] for j, (a, size) in enumerate(jobs)
@@ -164,26 +167,51 @@ class TestSimulate:
                 assert validate_trace(inst, simulate(inst, policy)).ok
 
 
-class TestObservableState:
+class _Probe(ShapedRule):
+    """Serve one job a slot, recording each n that target is asked about."""
+
+    name = "probe"
+
+    def __init__(self):
+        self.seen = []
+
+    def target(self, n):
+        self.seen.append(n)
+        return 1
+
+
+class _DecideOnly:
+    """A per-slot policy of the old form: a name and decide(state)."""
+
+    name = "decide-only"
+
+    def decide(self, state):
+        return 1
+
+
+class TestPolicyInterface:
     @pytest.mark.parametrize("arrivals, expected", [
-        (((1, 2), (2, 1)), [(1, 1, 0), (2, 2, 1), (3, 1, 1)]),
-        (((1, 1), (2, 1)), [(1, 1, 0), (2, 1, 1)]),
+        (((1, 2), (2, 1), (2, 1), (4, 1)), [1, 3, 2]),
+        (((1, 1), (2, 1), (2, 1), (5, 1)), [1, 2]),
     ], ids=["general", "unit"])
-    def test_policy_sees_t_n_s_prev(self, arrivals, expected):
-        seen = []
+    def test_target_sees_each_new_n_once(self, arrivals, expected):
+        # the count path and the per-job list ask about the same n values,
+        # in the same order; n = 0 is never asked about
+        inst = ArrivalInstance(arrivals)
+        for sizes in (inst.sizes, inst.sizes or (1,) * inst.job_count):
+            probe = _Probe()
+            trace = engine._simulate(inst, probe, True, sizes)
+            assert probe.seen == expected
+            assert set(trace.n) - {0} == set(expected)
 
-        class Probe:
-            name = "probe"
-
-            def decide(self, state):
-                seen.append((state.t, state.n, state.s_prev))
-                return 1
-
-        simulate(ArrivalInstance(arrivals), Probe())
-        assert seen == expected
-
-    def test_repr(self):
-        assert repr(ObservableState(1, 2, 0)) == "ObservableState(t=1, n=2, s_prev=0)"
+    @pytest.mark.parametrize("policy, kind", [
+        (_DecideOnly(), "_DecideOnly"), (None, "NoneType"), ("quad_alg", "str"),
+    ], ids=["decide-only", "none", "spec-text"])
+    def test_simulate_refuses_a_non_shaped_rule(self, policy, kind):
+        for inst in (batch(2), ArrivalInstance(())):
+            with pytest.raises(ValueError,
+                               match=f"^policy must be a ShapedRule, got {kind}$"):
+                simulate(inst, policy)
 
 
 class TestMonotonicity:

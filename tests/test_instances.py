@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 
 import numpy as np
@@ -22,6 +23,10 @@ class TestGenerators:
         assert batch(100).job_count == 100
         assert batch(0).arrivals == ()
         assert batch(3, size=2).total_work == 6
+        assert batch(2, size=MAX_SLOT).total_work == 2 * MAX_SLOT
+        # refused before any record is built: a job of size w needs w slots
+        with pytest.raises(ValueError, match=f"^job size w must be at most {MAX_SLOT}, got"):
+            batch(1000, MAX_SLOT + 1)
 
     def test_periodic(self):
         inst = periodic(2, 1)
@@ -61,6 +66,13 @@ class TestGenerators:
     def test_random_slotted_rejects_bad_rates(self, rate):
         with pytest.raises(ValueError, match="rate must be positive and finite"):
             random_slotted(rate, 5, seed=1)
+
+    @pytest.mark.parametrize("rate", [1e19, 1e300])
+    def test_random_slotted_rejects_rates_past_the_sampler(self, rate):
+        # numpy's own message, "lam value too large", names nothing
+        for horizon in (0, 2):
+            with pytest.raises(ValueError, match=re.escape(f"rate={rate:g} is too large")):
+                random_slotted(rate, horizon, seed=1)
 
     def test_random_slotted_mean_load(self):
         rate, horizon = 5.0, 1000

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from flowswitch import (ArrivalInstance, CostModel, ObservableState, cost_of_trace,
+from flowswitch import (ArrivalInstance, CostModel, cost_of_trace,
                         dual_lower_bound, simulate)
 from flowswitch.instances import batch, sigma2
 from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
@@ -12,53 +12,50 @@ from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  batch_quad_horizon_search, burst_objective,
                                  closed_form_burst_profile, make_policy)
 
-from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
-
-
-def state(n, s_prev=0, t=1):
-    return ObservableState(t, n, s_prev)
+from conftest import (EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS,
+                      shaped_request, spec_text)
 
 
 class TestDecisionRules:
     def test_full_parallel(self):
-        assert FullParallel().decide(state(5)) == 5
-        assert FullParallel().decide(state(0)) == 0
-        assert FullParallel().decide(state(17)) == 17
+        assert shaped_request(FullParallel(), 5, 0) == 5
+        assert shaped_request(FullParallel(), 0, 0) == 0
+        assert shaped_request(FullParallel(), 17, 0) == 17
 
     def test_balance_value(self):
-        assert BalanceValue(alpha=4).decide(state(10)) == 3
-        assert BalanceValue(alpha=4).decide(state(0)) == 0
-        assert BalanceValue(alpha=1).decide(state(10)) == 10
+        assert shaped_request(BalanceValue(alpha=4), 10, 0) == 3
+        assert shaped_request(BalanceValue(alpha=4), 0, 0) == 0
+        assert shaped_request(BalanceValue(alpha=1), 10, 0) == 10
 
     def test_balance_delta(self):
-        assert BalanceDelta(alpha=5).decide(state(10, s_prev=2)) == 4
-        assert BalanceDelta(alpha=5).decide(state(0, s_prev=3)) == 0
-        assert BalanceDelta(alpha=2).decide(state(4, s_prev=8)) == 4
+        assert shaped_request(BalanceDelta(alpha=5), 10, 2) == 4
+        assert shaped_request(BalanceDelta(alpha=5), 0, 3) == 0
+        assert shaped_request(BalanceDelta(alpha=2), 4, 8) == 4
 
     def test_sqrt_online(self):
-        assert SqrtOnline(alpha=9).decide(state(9)) == 3
-        assert SqrtOnline(alpha=100).decide(state(1)) == 1
-        assert SqrtOnline(alpha=4).decide(state(0)) == 0
+        assert shaped_request(SqrtOnline(alpha=9), 9, 0) == 3
+        assert shaped_request(SqrtOnline(alpha=100), 1, 0) == 1
+        assert shaped_request(SqrtOnline(alpha=4), 0, 0) == 0
 
     def test_lg(self):
-        assert Lg(alpha=16).decide(state(16, s_prev=1)) == 8
-        assert Lg(alpha=16).decide(state(16, s_prev=10)) == 10
-        assert Lg(alpha=16).decide(state(0, s_prev=10)) == 0
+        assert shaped_request(Lg(alpha=16), 16, 1) == 8
+        assert shaped_request(Lg(alpha=16), 16, 10) == 10
+        assert shaped_request(Lg(alpha=16), 0, 10) == 0
 
     def test_a_gamma(self):
-        assert GammaPolicy(alpha=16, gamma=0.25).decide(state(8)) == 4
-        assert GammaPolicy(alpha=16, gamma=0.0).decide(state(8)) == 8
-        assert GammaPolicy(alpha=16, gamma=0.5).decide(state(0)) == 0
+        assert shaped_request(GammaPolicy(alpha=16, gamma=0.25), 8, 0) == 4
+        assert shaped_request(GammaPolicy(alpha=16, gamma=0.0), 8, 0) == 8
+        assert shaped_request(GammaPolicy(alpha=16, gamma=0.5), 0, 0) == 0
 
     def test_quad_alg(self):
-        assert QuadAlg(alpha=3, beta=math.sqrt(3)).decide(state(12)) == 4
-        assert QuadAlg(alpha=0.5, beta=1).decide(state(4)) == 2
-        assert QuadAlg(alpha=1, beta=1).decide(state(0)) == 0
+        assert shaped_request(QuadAlg(alpha=3, beta=math.sqrt(3)), 12, 0) == 4
+        assert shaped_request(QuadAlg(alpha=0.5, beta=1), 4, 0) == 2
+        assert shaped_request(QuadAlg(alpha=1, beta=1), 0, 0) == 0
 
     def test_quad_balance(self):
-        assert QuadBalance(alpha=1).decide(state(9, s_prev=0)) == 3
-        assert QuadBalance(alpha=1).decide(state(4, s_prev=5)) == 4
-        assert QuadBalance(alpha=1).decide(state(0, s_prev=5)) == 0
+        assert shaped_request(QuadBalance(alpha=1), 9, 0) == 3
+        assert shaped_request(QuadBalance(alpha=1), 4, 5) == 4
+        assert shaped_request(QuadBalance(alpha=1), 0, 5) == 0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
