@@ -59,9 +59,11 @@ _VALID = ValidationResult(True)
 # even near 400 values and reading them near 800.
 _BULK_MIN_VALUES = 600
 
-# The latest arrival slot and the largest job size an instance may hold:
-# its counts keep one entry per slot up to the last arrival, every run
-# walks each of those slots, and a job of size w needs w slots.
+# The latest arrival slot, the largest job size and the largest total work
+# (so job count) an instance may hold: its counts keep one entry per slot
+# up to the last arrival, every run walks each of those slots, a job of
+# size w needs w slots, the general-size slot loop keeps one served id per
+# unit of work, and to_text writes a line per job.
 MAX_SLOT = 10_000_000
 
 
@@ -78,7 +80,8 @@ class ArrivalInstance:
     Invariants:
         - ``slot_counts[i]`` jobs arrive at slot i+1, for slots
           1..last_slot, and the last count is nonzero; every constructor
-          and text reader takes slots and sizes of at most ``MAX_SLOT``
+          and text reader takes slots, sizes and a total work (so a job
+          count) of at most ``MAX_SLOT``
         - job ids run in arrival order; jobs of one slot keep the order
           they were given in
         - ``sizes[j]`` is job j's size, at least 1; ``sizes`` is None
@@ -96,6 +99,7 @@ class ArrivalInstance:
 
     def __init__(self, arrivals: tuple[tuple[int, int], ...], name: str = ""):
         records = []
+        work = 0
         for slot, size in arrivals:
             if int(slot) != slot or slot < 1:
                 raise ValueError(f"arrival slot must be a positive integer, got {slot!r}")
@@ -105,6 +109,10 @@ class ArrivalInstance:
                 raise ValueError(f"job size must be a positive integer, got {size!r}")
             if size > MAX_SLOT:
                 raise ValueError(f"job size must be at most {MAX_SLOT}, got {size!r}")
+            work += int(size)
+            if work > MAX_SLOT:
+                raise ValueError(f"total work must be at most {MAX_SLOT}, got {work} "
+                                 f"by job {len(records) + 1}")
             records.append((int(slot), int(size)))
         records.sort(key=operator.itemgetter(0))  # stable: same-slot order preserved
         counts = [0] * (records[-1][0] if records else 0)
@@ -124,6 +132,9 @@ class ArrivalInstance:
                 raise ValueError(
                     f"arrival count must be a nonnegative integer, got {count!r}")
             values.append(int(count))
+        jobs = sum(values)
+        if jobs > MAX_SLOT:
+            raise ValueError(f"job count must be at most {MAX_SLOT}, got {jobs}")
         while values and values[-1] == 0:
             values.pop()
         inst = cls.__new__(cls)
@@ -196,9 +207,11 @@ class ArrivalInstance:
         return tuple(accumulate(self.slot_counts))
 
     def to_text(self) -> str:
-        lines = [f"# instance {self.instance_id}: {self.job_count} jobs"]
-        lines += [f"{s} {w}" for s, w in self.arrivals]
-        return "\n".join(lines) + "\n"
+        head = f"# instance {self.instance_id}: {self.job_count} jobs\n"
+        if self.sizes is None:  # a run of equal lines per slot, no records built
+            return head + "".join(f"{slot} 1\n" * count
+                                  for slot, count in enumerate(self.slot_counts, 1))
+        return head + "".join(f"{s} {w}\n" for s, w in self.arrivals)
 
     @classmethod
     def from_text(cls, text: str, name: str = "") -> "ArrivalInstance":
@@ -209,14 +222,19 @@ class ArrivalInstance:
         least ``_BULK_MIN_VALUES`` values in one numpy pass. Every other
         text (a smaller one, comments past the first line, signs, tabs, a
         value below 1 or above ``MAX_SLOT``, ...) goes through the line
-        loop, which names the line of the first bad value.
+        loop, which names the line of the first bad value, or the line
+        where the total work passes ``MAX_SLOT``.
         """
         columns = _instance_text_columns(text)
         if columns is not None:
+            work = sum(columns[1])
+            if work > MAX_SLOT:
+                raise ValueError(f"total work must be at most {MAX_SLOT}, got {work}")
             inst = cls.__new__(cls)
             inst._assign(*columns, name)
             return inst
         records = []
+        work = 0
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -228,6 +246,10 @@ class ArrivalInstance:
                 slot, size = int(parts[0]), int(parts[1])
                 if not (1 <= slot <= MAX_SLOT and 1 <= size <= MAX_SLOT):
                     cls(((slot, size),))  # raises, naming the field
+                work += size
+                if work > MAX_SLOT:
+                    raise ValueError(f"total work must be at most {MAX_SLOT}, "
+                                     f"got {work} by this line")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             records.append((slot, size))

@@ -10,6 +10,13 @@ import numpy as np
 from .core import MAX_SLOT, ArrivalInstance, check_positive, parse_spec
 
 
+def _check_jobs(what: str, jobs: int):
+    """Refuse a job count above ``MAX_SLOT`` (see there), before any record
+    is built; ``what`` names the parameters that give it."""
+    if jobs > MAX_SLOT:
+        raise ValueError(f"job count {what} must be at most {MAX_SLOT}, got {jobs}")
+
+
 class GeneratorKind(str, Enum):
     BATCH = "batch"
     PERIODIC = "periodic"
@@ -24,6 +31,9 @@ def batch(n_jobs: int, size: int = 1) -> ArrivalInstance:
         raise ValueError("n_jobs must be nonnegative")
     if size > MAX_SLOT:  # refused before n_jobs records are built
         raise ValueError(f"job size w must be at most {MAX_SLOT}, got {size}")
+    _check_jobs("N", n_jobs)
+    if n_jobs * size > MAX_SLOT:
+        raise ValueError(f"total work N*w must be at most {MAX_SLOT}, got {n_jobs * size}")
     name = f"batch(N={n_jobs},w={size})"
     if size == 1:
         return ArrivalInstance.from_counts((n_jobs,), name=name)
@@ -38,6 +48,7 @@ def periodic(x: int, k: int) -> ArrivalInstance:
         raise ValueError("k must be nonnegative")
     if 2 * k > MAX_SLOT:
         raise ValueError(f"k must be at most {MAX_SLOT // 2}, got {k}")
+    _check_jobs("x*k", x * k)
     return ArrivalInstance.from_counts((0, x) * k, name=f"periodic(x={x},k={k})")
 
 
@@ -59,6 +70,7 @@ def sigma2(n_jobs: int, horizon: int) -> ArrivalInstance:
     if n_jobs < 0:
         raise ValueError("n_jobs must be nonnegative")
     _check_horizon(horizon)
+    _check_jobs("N*T", n_jobs * horizon)
     counts = (n_jobs,) * horizon if n_jobs > 0 else ()  # N = 0: no jobs
     return ArrivalInstance.from_counts(counts, name=f"sigma2(N={n_jobs},T={horizon})")
 
@@ -79,8 +91,10 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
     except ValueError:  # numpy's own bound on the Poisson mean
         raise ValueError(f"rate={rate:g} is too large for numpy's Poisson "
                          "sampler") from None
+    counts = counts.tolist()
+    _check_jobs("rate*T (as drawn)", sum(counts))
     return ArrivalInstance.from_counts(
-        counts.tolist(), name=f"random(rate={rate:g},T={horizon},seed={seed})")
+        counts, name=f"random(rate={rate:g},T={horizon},seed={seed})")
 
 
 @dataclass(frozen=True)

@@ -384,11 +384,9 @@ print(json.dumps(steps))
 """
 
 
-def test_scipy_loads_only_for_a_confidence_interval(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # the pytest process has imported scipy already, so ask a fresh one
     (tmp_path / "out").mkdir()
-    simulate = ["stochastic", "--policy", "alg1", "--lambda", "2",
-                "--mode", "simulate", "--events", "3200"]
     argvs = [
         ["gen", "batch:N=3", "-o", str(tmp_path / "inst.txt")],
         ["run", "--instance", "batch:N=3", "--policy", "quad_alg",
@@ -398,11 +396,13 @@ def test_scipy_loads_only_for_a_confidence_interval(tmp_path):
         ["dual", "--instance", "batch:N=3", "--alpha", "1", "--beta", "2"],
         ["sweep", "--kind", "gamma", "--instance", "sigma1:N=2",
          "--gammas", "0,1", "--alphas", "1", "-o", os.devnull],
+        ["sweep", "--kind", "alg3", "--lambdas", "1,10", "-o", os.devnull],
         ["reproduce-figure", "--figure", "quad_a1", "--seeds", "1",
          "--rates", "5", "--horizon", "20", "-o", os.devnull],
         ["stochastic", "--policy", "alg1", "--lambda", "2", "--mode", "analytic"],
-        simulate,
-    ]
+    ] + [["stochastic", "--policy", policy, "--lambda", "2",
+          "--mode", "simulate", "--events", "3200"]
+         for policy in ("alg1", "alg2", "alg3")]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -410,7 +410,7 @@ def test_scipy_loads_only_for_a_confidence_interval(tmp_path):
     steps = json.loads(proc.stdout)
     assert [argv for argv, _, _ in steps] == [[]] + argvs
     assert [code for _, code, _ in steps] == [0] * len(steps)
-    assert [argv for argv, _, loaded in steps if loaded] == [simulate]
+    assert [argv for argv, _, loaded in steps if loaded] == []
 
 
 class TestSweep:
@@ -669,6 +669,10 @@ class TestInputErrors:
           "--seeds", "1", "--horizon", "3"), 2, "error: rate=1e+300 is too large"),
         (("opt", "--instance", "sigma2:N=1,T=3", "--model", "quad:alpha=1",
           "--t-cap", "1"), 2, "error: t_cap ends before the last arrival\n"),
+        (("gen", "batch:N=1e13"), 2, "job count N must be at most 10000000"),
+        (("gen", "sigma2:N=1e12,T=2"), 2, "job count N*T must be at most 10000000"),
+        (("run", "--instance", "batch:N=1000,w=10000000", "--policy", "full_parallel"),
+         2, "total work N*w must be at most 10000000, got 10000000000"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "gamma-max-cells-negative",
@@ -697,7 +701,9 @@ class TestInputErrors:
             "figure-horizon-past-max-slot", "random-missing-rate", "alg3-c1-negative",
             "unknown-policy-key", "missing-policy-key", "alg3-empty-sweep-alpha-nan",
             "batch-size-past-max-slot", "random-rate-past-poisson",
-            "figure-rate-past-poisson", "opt-t-cap-before-last-arrival"])
+            "figure-rate-past-poisson", "opt-t-cap-before-last-arrival",
+            "batch-jobs-past-max-slot", "sigma2-jobs-past-max-slot",
+            "batch-work-past-max-slot"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
@@ -908,11 +914,11 @@ _INSTANCE_KEYS = {"batch": ("n", "w"), "periodic": ("x", "k"), "sigma1": ("n",),
                   "sigma2": ("n", "t"), "random": ("rate", "t", "seed")}
 _MODEL_KEYS = {"linear": ("alpha", "theta"), "quad": ("alpha", "theta")}
 # Instance files past core.MAX_SLOT: a last slot past int64, one below 2**63
-# that would still ask for 2**62 slot counts, and a job whose size would
-# need 10**11 slots.
+# that would still ask for 2**62 slot counts, a job whose size would need
+# 10**11 slots, and a total work one unit past it.
 _SLOT_FILES = [str(Path(__file__).parent / "data" / name)
                for name in ("slot_past_int64.txt", "slot_2_62.txt",
-                            "size_past_max_slot.txt")]
+                            "size_past_max_slot.txt", "work_past_max_slot.txt")]
 _POLICY_KEYS = {"full_parallel": (), "balance_value": ("alpha",),
                 "balance_delta": ("alpha",), "sqrt_online": ("alpha",),
                 "lg": ("alpha",), "a_gamma": ("alpha", "gamma"),
@@ -1069,6 +1075,7 @@ def _no_constant(name):
 @example(["run", "--instance", _SLOT_FILES[0], "--policy", "full_parallel"])
 @example(["opt", "--instance", _SLOT_FILES[1], "--model", "linear:alpha=1"])
 @example(["run", "--instance", _SLOT_FILES[2], "--policy", "full_parallel"])
+@example(["run", "--instance", _SLOT_FILES[3], "--policy", "full_parallel"])
 def test_exit_code_contract(argv):
     """Any argv built from these tokens exits 0-3 with a message, never a
     traceback. On exit 0 the JSON that run, opt, dual and stochastic print

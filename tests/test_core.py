@@ -212,6 +212,34 @@ class TestArrivalInstance:
                                                  f"{core.MAX_SLOT}, got {core.MAX_SLOT + 1}$"):
                 ArrivalInstance.from_text(body)
 
+    def test_total_work_and_job_count_at_the_bound(self):
+        top = core.MAX_SLOT
+        assert ArrivalInstance(((1, top // 2), (3, top // 2))).total_work == top
+        with pytest.raises(ValueError, match=f"^total work must be at most {top}, "
+                                             f"got {top + 1} by job 2$"):
+            ArrivalInstance(((3, top // 2), (1, top // 2 + 1)))
+        assert ArrivalInstance.from_counts((top - 1, 0, 1)).job_count == top
+        with pytest.raises(ValueError, match=f"^job count must be at most {top}, "
+                                             f"got {top + 1}$"):
+            ArrivalInstance.from_counts((top, 0, 1))
+        # the line loop names the line where the total passes the bound
+        assert ArrivalInstance.from_text(f"1 {top}\n").total_work == top
+        for lineno, body in ((2, f"1 {top}\n2 1\n"), (4, f"1 {top}\n# note\n\n2 1\n")):
+            with pytest.raises(ValueError, match=f"^line {lineno}: total work must be at "
+                                                 f"most {top}, got {top + 1} by this line$"):
+                ArrivalInstance.from_text(body)
+        # the one-pass reader refuses the whole text's total
+        lines = [f"{1 + i % 300} {top // 400}" for i in range(400)]
+        text = "\n".join(lines) + "\n"
+        assert core._instance_text_columns(text) is not None
+        assert ArrivalInstance.from_text(text).total_work == top
+        lines[250] = f"7 {top // 400 + 1}"
+        text = "\n".join(lines) + "\n"
+        assert core._instance_text_columns(text) is not None
+        with pytest.raises(ValueError, match=f"^total work must be at most {top}, "
+                                             f"got {top + 1}$"):
+            ArrivalInstance.from_text(text)
+
     def test_slot_past_the_maximum_names_its_line(self):
         with pytest.raises(ValueError, match=f"at most {core.MAX_SLOT}, got"):
             ArrivalInstance(((1, 1), (core.MAX_SLOT + 1, 1)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowswitch import ArrivalInstance, validate_trace, simulate
+from flowswitch import ArrivalInstance, core, instances, validate_trace, simulate
 from flowswitch.core import MAX_SLOT
 from flowswitch.instances import (GeneratorKind, GeneratorSpec, batch,
                                   parse_instance_spec, periodic,
@@ -23,7 +23,7 @@ class TestGenerators:
         assert batch(100).job_count == 100
         assert batch(0).arrivals == ()
         assert batch(3, size=2).total_work == 6
-        assert batch(2, size=MAX_SLOT).total_work == 2 * MAX_SLOT
+        assert batch(1, size=MAX_SLOT).total_work == MAX_SLOT
         # refused before any record is built: a job of size w needs w slots
         with pytest.raises(ValueError, match=f"^job size w must be at most {MAX_SLOT}, got"):
             batch(1000, MAX_SLOT + 1)
@@ -80,6 +80,35 @@ class TestGenerators:
                  for seed in range(20)]
         assert abs(statistics.mean(means) - rate) < 0.5
         assert random_slotted(rate, 0, seed=1).arrivals == ()
+
+    def test_job_count_and_total_work_at_the_bound(self, monkeypatch):
+        # MAX_SLOT bounds the job count and the total work, refused from the
+        # parameters before any record is built
+        assert batch(MAX_SLOT).job_count == MAX_SLOT
+        assert batch(10, size=MAX_SLOT // 10).total_work == MAX_SLOT
+        assert sigma2(MAX_SLOT // 10, 10).job_count == MAX_SLOT
+        assert periodic(MAX_SLOT // 10, 10).job_count == MAX_SLOT
+        bound = re.escape(f"must be at most {MAX_SLOT}, got {MAX_SLOT + 1}")
+        with pytest.raises(ValueError, match=f"^job count N {bound}$"):
+            batch(MAX_SLOT + 1)
+        with pytest.raises(ValueError, match=f"^total work N\\*w {bound}$"):
+            batch(11, size=(MAX_SLOT + 1) // 11)  # 10000001 = 11 * 909091
+        with pytest.raises(ValueError, match=f"^job count N\\*T {bound}$"):
+            sigma2((MAX_SLOT + 1) // 11, 11)
+        # x is even, so x*k passes the bound at 10000002 or more
+        with pytest.raises(ValueError, match=re.escape(
+                f"job count x*k must be at most {MAX_SLOT}, got {MAX_SLOT + 4}")):
+            periodic(4, MAX_SLOT // 4 + 1)
+        # a random draw is refused after the draw, at exactly its job count
+        jobs = random_slotted(5.0, 50, seed=9).job_count
+        for module in (core, instances):
+            monkeypatch.setattr(module, "MAX_SLOT", jobs)
+        assert random_slotted(5.0, 50, seed=9).job_count == jobs
+        for module in (core, instances):
+            monkeypatch.setattr(module, "MAX_SLOT", jobs - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"job count rate*T (as drawn) must be at most {jobs - 1}, got {jobs}")):
+            random_slotted(5.0, 50, seed=9)
 
     def test_generated_instances_simulate_cleanly(self):
         for inst in (batch(4), periodic(2, 3), sigma2(2, 3),

@@ -721,6 +721,20 @@ class TestDualCertificate:
                         exceeded |= lam > (d_j - a_j) / w_j
         assert reached and exceeded
 
+    def test_lambda_remark_fails_with_actual_completions(self):
+        # The remark itself, with d_j job j's completion in the whole run,
+        # fails: later arrivals raise the server count, so d_j can come
+        # before d^_j, its completion when nothing arrives after a_j.
+        inst, alpha, beta, j = sigma2(20, 10), 4.0, 1.6, 83
+        policy = QuadAlg(alpha=alpha, beta=beta)
+        lam = dual_lower_bound(inst, alpha, beta).lambdas[j]
+        a_j, w_j = inst.arrivals[j]
+        d_j = departures(simulate(inst, policy))[j]
+        d_hat = departures(simulate(inst.prefix(j + 1), policy))[j]
+        assert (lam, a_j, w_j, d_j, d_hat) == (15, 5, 1, 11, 19)
+        assert lam > (d_j - a_j + 1) / w_j  # 15 > 7: the d_j form is violated
+        assert lam == (d_hat - a_j + 1) / w_j  # the d^_j form holds, with equality
+
     def test_json_round_trip_fields(self):
         cert = dual_lower_bound(batch(2), 1.0, 2.177)
         payload = cert.to_json_dict()

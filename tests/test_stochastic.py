@@ -10,7 +10,7 @@ from flowswitch import (Alg3Params, CycleOverflowError, MarkovPolicy,
                         alg3_analytic_cost, analytic_cost, scaling_exponent,
                         simulate_alg3, simulate_ctmc)
 from flowswitch import stochastic
-from flowswitch.stochastic import (BUSY_LEVEL_CAP, MIN_BATCHES,
+from flowswitch.stochastic import (BUSY_LEVEL_CAP, MIN_BATCHES, T_975,
                                    TAIL_TOL, TruncationError, _batch_ci,
                                    _branch, _busy_periods, _crossing_counts,
                                    _cycle_totals, _stationary)
@@ -438,15 +438,29 @@ class TestSimulateCtmc:
     @pytest.mark.parametrize("k", [2, 30, 32, 200])
     def test_batch_ci_is_the_t_interval(self, k):
         # the regenerative ratio interval over k i.i.d. (reward, duration)
-        # pairs: t_{0.975,k-1} sd(R_i - r D_i) / (mean(D) sqrt(k)), r = sum R / sum D
+        # pairs: t_{0.975,k-1} sd(R_i - r D_i) / (mean(D) sqrt(k)), r = sum R / sum D;
+        # its one quantile is pinned at k = MIN_BATCHES, so any other k is refused
         rng = np.random.default_rng(k)
         rewards = rng.exponential(3.0, k)
         durations = rng.uniform(0.5, 2.0, k)
+        if k != MIN_BATCHES:
+            with pytest.raises(ValueError, match=f"takes {MIN_BATCHES} groups, got k={k}$"):
+                _batch_ci(rewards.tolist(), durations.tolist())
+            return
         residuals = rewards - rewards.sum() / durations.sum() * durations
         expected = (float(stdtrit(k - 1, 0.975)) * float(residuals.std(ddof=1))
                     / (float(durations.mean()) * math.sqrt(k)))
         assert _batch_ci(rewards.tolist(), durations.tolist()) == \
             pytest.approx(expected, rel=1e-12)
+
+    def test_t_quantile_is_scipys(self):
+        # the interval's one quantile, pinned bit for bit to scipy's
+        assert T_975 == float(stdtrit(MIN_BATCHES - 1, 0.975))
+
+    def test_batch_ci_takes_only_min_batches_groups(self):
+        for k in (0, 1, MIN_BATCHES - 1, MIN_BATCHES + 1):
+            with pytest.raises(ValueError, match=f"takes {MIN_BATCHES} groups, got k={k}$"):
+                _batch_ci([1.0] * k, [1.0] * k)
 
 
 def one_level(c, odds, seed):
