@@ -67,6 +67,15 @@ _BULK_MIN_VALUES = 600
 MAX_SLOT = 10_000_000
 
 
+def _check_size(size):
+    """Raise ValueError unless ``size`` is a job size: an integer from 1 to
+    ``MAX_SLOT``."""
+    if int(size) != size or size < 1:
+        raise ValueError(f"job size must be a positive integer, got {size!r}")
+    if size > MAX_SLOT:
+        raise ValueError(f"job size must be at most {MAX_SLOT}, got {size!r}")
+
+
 def check_positive(name: str, value: float):
     """Raise ValueError unless ``value`` is positive and finite."""
     if not (value > 0 and math.isfinite(value)):
@@ -105,10 +114,7 @@ class ArrivalInstance:
                 raise ValueError(f"arrival slot must be a positive integer, got {slot!r}")
             if slot > MAX_SLOT:
                 raise ValueError(f"arrival slot must be at most {MAX_SLOT}, got {slot!r}")
-            if int(size) != size or size < 1:
-                raise ValueError(f"job size must be a positive integer, got {size!r}")
-            if size > MAX_SLOT:
-                raise ValueError(f"job size must be at most {MAX_SLOT}, got {size!r}")
+            _check_size(size)
             work += int(size)
             if work > MAX_SLOT:
                 raise ValueError(f"total work must be at most {MAX_SLOT}, got {work} "
@@ -121,24 +127,42 @@ class ArrivalInstance:
         self._assign(tuple(counts), tuple(size for _, size in records), name)
 
     @classmethod
-    def from_counts(cls, counts, name: str = "") -> "ArrivalInstance":
-        """Unit jobs, ``counts[i]`` of them arriving at slot i+1, from a
-        sequence of at most ``MAX_SLOT`` counts."""
+    def from_counts(cls, counts, name: str = "", size: int = 1) -> "ArrivalInstance":
+        """Jobs of one ``size`` (unit jobs by default), ``counts[i]`` of them
+        arriving at slot i+1, from a sequence of at most ``MAX_SLOT`` counts.
+
+        The counts are checked in bulk: converted by ``int``, compared with
+        the originals and their minimum taken. Only when that fails does the
+        per-count loop run, to name the first count that is not a
+        nonnegative integer (or to raise what ``int`` raises for it).
+        """
         if len(counts) > MAX_SLOT:
             raise ValueError(f"counts must hold at most {MAX_SLOT} slots, got {len(counts)}")
-        values = []
-        for count in counts:
-            if int(count) != count or count < 0:
-                raise ValueError(
-                    f"arrival count must be a nonnegative integer, got {count!r}")
-            values.append(int(count))
+        try:
+            values = list(map(int, counts))
+        except (TypeError, ValueError, OverflowError):
+            values = None
+        if values is None or values != list(counts) or min(values, default=0) < 0:
+            values = []
+            for count in counts:
+                if int(count) != count or count < 0:
+                    raise ValueError(
+                        f"arrival count must be a nonnegative integer, got {count!r}")
+                values.append(int(count))
         jobs = sum(values)
         if jobs > MAX_SLOT:
             raise ValueError(f"job count must be at most {MAX_SLOT}, got {jobs}")
+        sizes = None
+        if size != 1 and jobs:
+            _check_size(size)
+            if jobs * size > MAX_SLOT:
+                raise ValueError(f"total work must be at most {MAX_SLOT}, "
+                                 f"got {jobs * size}")
+            sizes = (int(size),) * jobs
         while values and values[-1] == 0:
             values.pop()
         inst = cls.__new__(cls)
-        inst._assign(tuple(values), None, name)
+        inst._assign(tuple(values), sizes, name)
         return inst
 
     def _assign(self, counts: tuple[int, ...], sizes: tuple[int, ...] | None,
@@ -207,11 +231,25 @@ class ArrivalInstance:
         return tuple(accumulate(self.slot_counts))
 
     def to_text(self) -> str:
+        """One 'slot size' line per job in id order, after a comment line.
+
+        No ``arrivals`` record is built: each slot's lines come from its
+        count and its run of ``sizes``, and a slot whose jobs share one
+        size is one line repeated.
+        """
         head = f"# instance {self.instance_id}: {self.job_count} jobs\n"
-        if self.sizes is None:  # a run of equal lines per slot, no records built
+        if self.sizes is None:
             return head + "".join(f"{slot} 1\n" * count
                                   for slot, count in enumerate(self.slot_counts, 1))
-        return head + "".join(f"{s} {w}\n" for s, w in self.arrivals)
+        lines = [head]
+        for slot, (end, jobs) in enumerate(zip(accumulate(self.slot_counts),
+                                               self.slot_counts), 1):
+            sizes = self.sizes[end - jobs:end]
+            if jobs and sizes.count(sizes[0]) == jobs:
+                lines.append(f"{slot} {sizes[0]}\n" * jobs)
+            else:
+                lines.append("".join(map(f"{slot} {{}}\n".format, sizes)))
+        return "".join(lines)
 
     @classmethod
     def from_text(cls, text: str, name: str = "") -> "ArrivalInstance":
@@ -286,7 +324,8 @@ def _instance_text_columns(text: str):
     if not starts.size or starts.size < _BULK_MIN_VALUES or \
             (edges[1::2] - starts).max() > 18:
         return None
-    per_line = np.bincount(np.cumsum(raw == ord("\n"))[starts])
+    # each value's line number: the newlines before its start
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(raw == ord("\n")), starts))
     if not ((per_line == 0) | (per_line == 2)).all():
         return None
     values = np.fromstring(data, np.int64, sep=" ")
@@ -730,10 +769,13 @@ def cost_of_trace(trace: ScheduleTrace, model: CostModel) -> CostBreakdown:
 
     All transitions are charged, including 0 -> s(1) and the final drop back
     to zero. Raises TraceValidationError on internally inconsistent slots;
-    full validation against an instance is validate_trace's job.
+    full validation against an instance is validate_trace's job. One check,
+    0 <= s <= n in every slot, also covers n >= 0; only when it fails does
+    the slot loop run, to report the first broken slot. Sums are exact
+    integer sums, converted to float once.
     """
     n, s = trace.n, trace.s
-    if n and (min(n) < 0 or min(s) < 0 or any(map(operator.gt, s, n))):
+    if s and (min(s) < 0 or any(map(operator.gt, s, n))):
         for rec in trace.slots:  # report the first broken slot
             if rec.n < 0:
                 raise TraceValidationError("negative_occupancy", slot=rec.t)
@@ -744,11 +786,11 @@ def cost_of_trace(trace: ScheduleTrace, model: CostModel) -> CostBreakdown:
     flow = sum(n)
     servers = sum(s)
     # every step from s(0) = 0 through the final drop back to 0
-    steps = list(map(operator.sub, s + (0,), (0,) + s))
     if model.switching is SwitchingKind.LINEAR:
-        switching = float(sum(map(abs, steps)))
-    else:
-        switching = float(sum(map(operator.mul, steps, steps)))
+        switching = float(sum(map(abs, map(operator.sub, s + (0,), (0,) + s))))
+    else:  # sum of (s_t - s_{t-1})^2 over those steps
+        switching = float(2 * (sum(map(operator.mul, s, s)) -
+                               sum(map(operator.mul, s, s[1:]))))
     energy = model.theta * servers
     total = flow + model.alpha * switching + energy
     return CostBreakdown(flow, switching, energy, total, model.alpha, model.switching)

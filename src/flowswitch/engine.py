@@ -33,7 +33,8 @@ _CEIL_EPS = 1e-9
 
 def _ceil(x: float) -> int:
     """Round up, forgiving float noise of up to 1e-9; never below 0."""
-    return max(0, math.ceil(x - _CEIL_EPS))
+    c = math.ceil(x - _CEIL_EPS)
+    return c if c > 0 else 0
 
 
 class PolicyFaultError(ValueError):

@@ -34,10 +34,8 @@ def batch(n_jobs: int, size: int = 1) -> ArrivalInstance:
     _check_jobs("N", n_jobs)
     if n_jobs * size > MAX_SLOT:
         raise ValueError(f"total work N*w must be at most {MAX_SLOT}, got {n_jobs * size}")
-    name = f"batch(N={n_jobs},w={size})"
-    if size == 1:
-        return ArrivalInstance.from_counts((n_jobs,), name=name)
-    return ArrivalInstance(tuple((1, size) for _ in range(n_jobs)), name=name)
+    return ArrivalInstance.from_counts((n_jobs,), name=f"batch(N={n_jobs},w={size})",
+                                       size=size)
 
 
 def periodic(x: int, k: int) -> ArrivalInstance:

@@ -36,7 +36,11 @@ class _Rule(ShapedRule):
 
     The name is the registry key followed by the dataclass fields, for
     example ``quad_alg(alpha=2,beta=1.732)``; a rule without fields prints
-    its bare key. It is built once per rule, on first use.
+    its bare key. It is built once per rule, on first use. So is a rule's
+    constant ``_divisor`` (``sqrt(alpha)``, ``alpha**0.25``,
+    ``alpha**gamma`` or quad_alg's effective alpha), the same float that
+    target(n) would compute inline; a rule made by ``dataclasses.replace``
+    computes its own.
     """
 
     key: ClassVar[str]
@@ -101,8 +105,12 @@ class SqrtOnline(_Rule):
     alpha: float
     key, shape = "sqrt_online", "cap"
 
+    @cached_property
+    def _divisor(self) -> float:
+        return math.sqrt(self.alpha)
+
     def target(self, n: int) -> int:
-        return max(1, _ceil(n / math.sqrt(self.alpha)))
+        return _ceil(n / self._divisor) or 1
 
 
 @dataclass(frozen=True)
@@ -116,8 +124,12 @@ class Lg(_Rule):
     alpha: float
     key, shape = "lg", "lazy"
 
+    @cached_property
+    def _divisor(self) -> float:
+        return self.alpha ** 0.25
+
     def target(self, n: int) -> int:
-        return _ceil(n / self.alpha ** 0.25)
+        return _ceil(n / self._divisor)
 
 
 @dataclass(frozen=True)
@@ -133,15 +145,19 @@ class GammaPolicy(_Rule):
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         try:
-            divisor = self.alpha ** self.gamma
+            divisor = self._divisor
         except OverflowError:
             divisor = math.inf
         if not _MIN_DIVISOR <= divisor < math.inf:
             raise ValueError(f"gamma={self.gamma:g} takes alpha**gamma out of "
                              f"range (alpha={self.alpha:g})")
 
+    @cached_property
+    def _divisor(self) -> float:
+        return self.alpha ** self.gamma
+
     def target(self, n: int) -> int:
-        return _ceil(n / self.alpha ** self.gamma)
+        return _ceil(n / self._divisor)
 
 
 @dataclass(frozen=True)
@@ -160,8 +176,12 @@ class QuadAlg(_Rule):
             raise ValueError(f"beta={self.beta:g} is too large for {self.key}: "
                              f"beta*sqrt(n/alpha) overflows")
 
+    @cached_property
+    def _divisor(self) -> float:
+        return effective_alpha(self.alpha)
+
     def target(self, n: int) -> int:
-        return _ceil(self.beta * math.sqrt(n / effective_alpha(self.alpha)))
+        return _ceil(self.beta * math.sqrt(n / self._divisor))
 
 
 @dataclass(frozen=True)

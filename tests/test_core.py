@@ -4,6 +4,7 @@ import math
 import os
 import pkgutil
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,6 +161,23 @@ class TestArrivalInstance:
         with pytest.raises(AttributeError):
             ArrivalInstance.from_counts((1,)).name = "renamed"
 
+    def test_from_counts_with_a_size(self):
+        top = core.MAX_SLOT
+        inst = ArrivalInstance.from_counts((2, 0, 1, 0), name="w", size=3)
+        assert inst == ArrivalInstance(((1, 3), (1, 3), (3, 3)), name="w")
+        assert ArrivalInstance.from_counts((2, 1), size=1).all_unit
+        assert ArrivalInstance.from_counts((0, 0), size=0).slot_counts == ()  # no job
+        assert ArrivalInstance.from_counts((1,), size=top).total_work == top
+        for size in (0, -1, 2.5, top + 1):
+            with pytest.raises(ValueError) as want:
+                ArrivalInstance(((1, size),))
+            with pytest.raises(ValueError) as got:
+                ArrivalInstance.from_counts((0, 2), size=size)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match=f"^total work must be at most {top}, "
+                                             f"got {top + 2}$"):
+            ArrivalInstance.from_counts((top // 2 + 1,), size=2)
+
     def test_immutable(self):
         inst = ArrivalInstance(((1, 1), (2, 3)), name="x")
         assert inst.job_count == 2  # cached from here on
@@ -187,6 +205,49 @@ class TestArrivalInstance:
         path.write_text(inst.to_text() + "# trailing comment\n")
         again = ArrivalInstance.from_file(path)
         assert again.arrivals == inst.arrivals
+
+    def test_to_text_writes_each_record_without_building_them(self):
+        rng = random.Random(8)
+        for inst in (ArrivalInstance(((1, 2), (1, 2), (3, 1), (3, 4), (6, 7), (6, 7)),
+                                     name="mixed"),
+                     ArrivalInstance(tuple((rng.randint(1, 40), rng.randint(1, 3))
+                                           for _ in range(200)), name="random"),
+                     batch(5, 3), batch(0, 2), random_slotted(4.0, 30, 1)):
+            text = inst.to_text()
+            assert "arrivals" not in vars(inst)
+            assert text == f"# instance {inst.name}: {inst.job_count} jobs\n" + \
+                "".join(f"{s} {w}\n" for s, w in inst.arrivals)
+
+    def test_one_pass_reader_counts_values_per_line(self, monkeypatch):
+        # declined exactly when a line holds other than 0 or 2 values
+        monkeypatch.setattr(core, "_BULK_MIN_VALUES", 0)
+        rng = random.Random(4)
+        for _ in range(300):
+            widths = [rng.choice((0, 2, 2, 2, 1, 3)) for _ in range(rng.randint(1, 8))]
+            lines = [" ".join(str(rng.randint(1, 9)) for _ in range(k)) for k in widths]
+            lines = [rng.choice(("", " ", "  ")) + line + rng.choice(("", " "))
+                     for line in lines]
+            text = "\n".join(lines) + rng.choice(("", "\n"))
+            columns = core._instance_text_columns(text)
+            if not any(widths) or set(widths) - {0, 2}:
+                assert columns is None, text
+            else:
+                records = [tuple(map(int, line.split())) for line in lines if line.strip()]
+                inst = ArrivalInstance(tuple(records))
+                assert columns == (inst.slot_counts, inst.sizes or (1,) * inst.job_count)
+
+    def test_one_pass_reader_memory(self):
+        # its peak, numpy arrays included, is at most 24 bytes a text byte
+        # (about 23 on unit-job text): no array holds one int64 per byte
+        text = batch(10_000).to_text()
+        tracemalloc.start()
+        try:
+            columns = core._instance_text_columns(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert columns == ((10_000,), (1,) * 10_000)
+        assert peak <= 24 * len(text)
 
     def test_large_instance_file_reads_in_one_pass(self):
         rng = random.Random(3)

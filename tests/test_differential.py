@@ -11,9 +11,19 @@ sizes. The count and per-job branches must agree on occupancy, server
 counts, served sets and departures, for every online rule and both
 recording modes. The per-job list is in turn checked against the
 sort-based ``conftest.srpt_select``.
+
+The accounting, instance-building and rule-target fast forms are checked
+the same way, against the code they replaced: ``cost_reference`` (a
+min(n) pass and a list of steps), ``from_counts_reference`` (one check per
+count) and ``PRE_HOIST_TARGETS`` (each rule's constant recomputed per call,
+ceiled by ``max``).
 """
 
+import copy
+import dataclasses
 import math
+import operator
+import pickle
 import random
 
 import numpy as np
@@ -21,9 +31,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowswitch import (ArrivalInstance, CostModel, ShapedRule, cost_of_trace,
+from flowswitch import (ArrivalInstance, CostModel, ScheduleTrace, ShapedRule,
+                        SwitchingKind, TraceValidationError, cost_of_trace,
                         validate_trace)
-from flowswitch import cli, engine
+from flowswitch import cli, core, engine, policies
+from flowswitch.core import CostBreakdown
 from flowswitch.instances import random_slotted
 from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
                                  GammaPolicy, Lg, QuadAlg, QuadBalance,
@@ -251,3 +263,222 @@ def test_srpt_loop_matches_sorting(jobs, alpha, which):
     assert departures(trace) == departed
     assert validate_trace(inst, trace).ok
     assert_follows_reference(trace, policy)
+
+
+# ---------------------------------------------------------------------------
+# accounting, instance building and rule targets
+
+
+def cost_reference(trace, model: CostModel) -> CostBreakdown:
+    """cost_of_trace with a min(n) pass beside the 0 <= s <= n check and the
+    steps s(t) - s(t-1) built as a list."""
+    n, s = trace.n, trace.s
+    if n and (min(n) < 0 or min(s) < 0 or any(map(operator.gt, s, n))):
+        for rec in trace.slots:  # report the first broken slot
+            if rec.n < 0:
+                raise TraceValidationError("negative_occupancy", slot=rec.t)
+            if rec.s < 0 or rec.s > rec.n:
+                raise TraceValidationError(
+                    "s_le_n", slot=rec.t,
+                    message=f"s={rec.s} exceeds n={rec.n}")
+    flow = sum(n)
+    servers = sum(s)
+    steps = list(map(operator.sub, s + (0,), (0,) + s))
+    if model.switching is SwitchingKind.LINEAR:
+        switching = float(sum(map(abs, steps)))
+    else:
+        switching = float(sum(map(operator.mul, steps, steps)))
+    energy = model.theta * servers
+    total = flow + model.alpha * switching + energy
+    return CostBreakdown(flow, switching, energy, total, model.alpha, model.switching)
+
+
+def from_counts_reference(counts) -> tuple[int, ...]:
+    """The slot counts from_counts keeps, checking one count at a time."""
+    if len(counts) > core.MAX_SLOT:
+        raise ValueError(f"counts must hold at most {core.MAX_SLOT} slots, "
+                         f"got {len(counts)}")
+    values = []
+    for count in counts:
+        if int(count) != count or count < 0:
+            raise ValueError(
+                f"arrival count must be a nonnegative integer, got {count!r}")
+        values.append(int(count))
+    jobs = sum(values)
+    if jobs > core.MAX_SLOT:
+        raise ValueError(f"job count must be at most {core.MAX_SLOT}, got {jobs}")
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
+
+
+def outcome(call, *args):
+    """call(*args), or the type, message, violation and slot of what it raised."""
+    try:
+        return call(*args)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return (type(exc), str(exc), getattr(exc, "violation", None),
+                getattr(exc, "slot", None))
+
+
+COST_MODELS = (CostModel.linear(2.0), CostModel.quadratic(0.5, theta=0.25),
+               CostModel.quadratic(3.0))
+
+
+def assert_cost_matches_reference(trace, where=None):
+    for model in COST_MODELS:
+        assert outcome(cost_of_trace, trace, model) == \
+            outcome(cost_reference, trace, model), (where, model)
+
+
+def test_cost_matches_reference_on_rule_traces(corpus):
+    sized = _sized(random_slotted(3.0, 60, 5))
+    instances = corpus[::20] + [random_slotted(5.0, 400, 2), sized]
+    for inst in instances:
+        for policy in all_policies(2.0):
+            for record_served in (True, False) if inst.all_unit else (True,):
+                trace = engine.simulate(inst, policy, record_served=record_served)
+                assert_cost_matches_reference(trace, (inst.name, policy.name))
+                read = ScheduleTrace.from_csv(trace.to_csv())  # bulk or row reader
+                assert_cost_matches_reference(read, (inst.name, policy.name, "csv"))
+
+
+def test_cost_matches_reference_beyond_int64():
+    big = 2 ** 70
+    for n, s in (((big + 5, big + 2, 7), (big, big - 3, 7)),
+                 ((2 ** 64, 2 ** 63), (2 ** 63, 1)),
+                 ((2 ** 600, 2 ** 600), (2 ** 599, 2 ** 600))):  # squares pass float
+        assert_cost_matches_reference(ScheduleTrace(n, s), n)
+
+
+BROKEN_SLOTS = (  # (n, s) of the broken slot
+    (-1, 0), (-1, -1), (-2, 1), (3, -1), (3, 4), (0, 1))
+
+
+@pytest.mark.parametrize("where", [0, 3, 6])
+@pytest.mark.parametrize("slot", BROKEN_SLOTS)
+def test_cost_matches_reference_on_broken_traces(where, slot):
+    n, s = [3, 4, 5, 2, 6, 1, 1], [1, 2, 3, 1, 2, 1, 1]
+    n[where], s[where] = slot
+    assert_cost_matches_reference(ScheduleTrace(n, s), (where, slot))
+    if where < 6:  # a second break after it: the first one is named
+        n[6], s[6] = -1, 2
+        assert_cost_matches_reference(ScheduleTrace(n, s), (where, slot, "twice"))
+
+
+BAD_COUNTS = (True, False, 2.0, 1.5, -1, -0.0, math.nan, math.inf, -math.inf,
+              "3", "x", None, np.int64(4), np.uint8(7), np.float64(2.0),
+              np.float64(0.5), np.float64(math.nan), 2 ** 70)
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+def test_from_counts_matches_reference(where, value):
+    counts = [3, 0, 2, 5, 0]
+    counts[where] = value
+    for form in (list, tuple):
+        got = outcome(lambda c: ArrivalInstance.from_counts(c, name="c").slot_counts,
+                      form(counts))
+        assert got == outcome(from_counts_reference, form(counts)), (form, counts)
+
+
+@pytest.mark.parametrize("counts", [
+    [], range(0), range(6), range(5, -1, -1), [-1, 2, math.nan], [math.nan, 2, -1],
+    ["3", 1.5], [1, 2 ** 64], np.arange(5), np.array([2.0, 0.0, 1.0]),
+    np.array([2.0, 1.5]), np.array([1.0, math.nan]), np.array([3, -2]),
+    np.zeros(4, np.int64), [np.int32(3), 2.0, True]], ids=repr)
+def test_from_counts_matches_reference_on_sequences(counts):
+    got = outcome(lambda c: ArrivalInstance.from_counts(c).slot_counts, counts)
+    assert got == outcome(from_counts_reference, counts)
+
+
+def _ceil_reference(x: float) -> int:
+    return max(0, math.ceil(x - 1e-9))
+
+
+PRE_HOIST_TARGETS = {
+    FullParallel: lambda rule, n: n,
+    BalanceValue: lambda rule, n: _ceil_reference(n / rule.alpha),
+    BalanceDelta: lambda rule, n: _ceil_reference(n / rule.alpha),
+    SqrtOnline: lambda rule, n: max(1, _ceil_reference(n / math.sqrt(rule.alpha))),
+    Lg: lambda rule, n: _ceil_reference(n / rule.alpha ** 0.25),
+    GammaPolicy: lambda rule, n: _ceil_reference(n / rule.alpha ** rule.gamma),
+    QuadAlg: lambda rule, n: _ceil_reference(
+        rule.beta * math.sqrt(n / max(rule.alpha, 1.0))),
+    QuadBalance: lambda rule, n: _ceil_reference(math.sqrt(n / rule.alpha)),
+}
+TARGET_NS = list(range(1, 5001)) + [2 ** k for k in range(13, 54)]
+ALPHAS = (math.ulp(0.0), policies._MIN_DIVISOR, 1e-300, 1e-3, 0.5, 1.0, 2.0,
+          math.pi, 1e3, 1e300)
+
+
+def _rules(cls):
+    """Every accepted rule of ``cls`` over ALPHAS and a few gammas and betas;
+    for a_gamma also the smallest alpha each gamma accepts."""
+    if cls is FullParallel:
+        return [FullParallel()]
+    grids = {GammaPolicy: [{"gamma": g} for g in (0.0, 0.25, 0.5, 1.0, 2.5)],
+             QuadAlg: [{"beta": b} for b in (1.0, math.sqrt(3.0), 2.177, 1e6,
+                                             policies._MAX_FACTOR)]}
+    rules = []
+    for extra in grids.get(cls, [{}]):
+        alphas = list(ALPHAS)
+        if extra.get("gamma"):
+            edge = policies._MIN_DIVISOR ** (1 / extra["gamma"])
+            alphas += [edge, math.nextafter(edge, math.inf)]
+        for alpha in alphas:
+            try:
+                rules.append(cls(alpha=alpha, **extra))
+            except ValueError:
+                pass  # rejected at construction, before any target
+    return rules
+
+
+@pytest.mark.parametrize("cls", list(PRE_HOIST_TARGETS), ids=lambda c: c.key)
+def test_targets_match_pre_hoist_expressions(cls):
+    reference = PRE_HOIST_TARGETS[cls]
+    rules = _rules(cls)
+    if cls in (BalanceValue, BalanceDelta, QuadBalance):  # the smallest accepted alpha
+        assert min(rule.alpha for rule in rules) == policies._MIN_DIVISOR
+    elif cls in (SqrtOnline, Lg, QuadAlg):
+        assert min(rule.alpha for rule in rules) == math.ulp(0.0)
+    for rule in rules:
+        assert [rule.target(n) for n in TARGET_NS] == \
+            [reference(rule, n) for n in TARGET_NS], rule
+
+
+@pytest.mark.parametrize("x", [
+    -1e300, -1.0, -0.0, 0.0, 1e-10, 1e-9, 2e-9, 0.5, 2.0 ** 53, 1e308,
+    *(k + d for k in (1, 2, 7, 1000, 2 ** 40) for d in (-1e-9, 0.0, 1e-9)),
+    *(math.nextafter(k + 1e-9, math.inf) for k in (1, 7))])
+def test_ceil_is_the_max_form(x):
+    assert engine._ceil(x) == _ceil_reference(x)
+    assert type(engine._ceil(x)) is int
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_ceil_refuses_what_the_max_form_refuses(x):
+    assert outcome(engine._ceil, x) == outcome(_ceil_reference, x)
+    assert outcome(engine._ceil, x)[0] is (ValueError if math.isnan(x) else OverflowError)
+
+
+@pytest.mark.parametrize("rule", [SqrtOnline(alpha=4.0), Lg(alpha=16.0),
+                                  GammaPolicy(alpha=16.0, gamma=0.5),
+                                  QuadAlg(alpha=9.0, beta=2.0)], ids=lambda r: r.key)
+def test_hoisted_constant_follows_copies(rule):
+    reference = PRE_HOIST_TARGETS[type(rule)]
+    ns = range(1, 400)
+
+    def assert_targets(r):
+        assert [r.target(n) for n in ns] == [reference(r, n) for n in ns], r
+
+    unread = pickle.loads(pickle.dumps(rule))  # before the constant is computed
+    assert_targets(rule)
+    other = dataclasses.replace(rule, alpha=rule.alpha * 25)
+    assert_targets(other)
+    assert other._divisor != rule._divisor  # a new alpha, a new divisor
+    for twin in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule)),
+                 unread, pickle.loads(pickle.dumps(other))):
+        assert_targets(twin)
+        assert twin == (other if twin.alpha != rule.alpha else rule)
+        assert repr(twin) == repr(other if twin.alpha != rule.alpha else rule)

@@ -24,6 +24,16 @@ class TestGenerators:
         assert batch(0).arrivals == ()
         assert batch(3, size=2).total_work == 6
         assert batch(1, size=MAX_SLOT).total_work == MAX_SLOT
+        # the same instance as its records give, built from the counts
+        for n_jobs, size in ((0, 2), (0, 0), (1, 2), (5, 3), (4, MAX_SLOT // 4)):
+            name = f"batch(N={n_jobs},w={size})"
+            assert batch(n_jobs, size) == ArrivalInstance(((1, size),) * n_jobs, name=name)
+        for size in (0, -1, 2.5):
+            with pytest.raises(ValueError) as want:
+                ArrivalInstance(((1, size),) * 3)
+            with pytest.raises(ValueError) as got:
+                batch(3, size)
+            assert str(got.value) == str(want.value)
         # refused before any record is built: a job of size w needs w slots
         with pytest.raises(ValueError, match=f"^job size w must be at most {MAX_SLOT}, got"):
             batch(1000, MAX_SLOT + 1)
