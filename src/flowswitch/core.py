@@ -66,6 +66,11 @@ _BULK_MIN_VALUES = 600
 # unit of work, and to_text writes a line per job.
 MAX_SLOT = 10_000_000
 
+# Records a piece of the repr that ``ArrivalInstance.instance_id`` hashes
+# holds at most: about 10 bytes each, so a piece stays near 40 KB however many
+# jobs share one slot and size.
+_REPR_RUN = 4096
+
 
 def _check_size(size):
     """Raise ValueError unless ``size`` is a job size: an integer from 1 to
@@ -209,10 +214,34 @@ class ArrivalInstance:
 
     @cached_property
     def instance_id(self) -> str:
+        """The name, or for an unnamed instance ``custom-`` and the first 8
+        hex digits of the SHA-256 of ``repr(self.arrivals)``.
+
+        The repr is hashed in pieces of at most ``_REPR_RUN`` records, made
+        slot by slot from ``slot_counts`` and ``sizes`` as ``to_text`` makes
+        its lines, so no record is built: a slot whose jobs share one size
+        is one record repeated.
+        """
         if self.name:
             return self.name
-        digest = hashlib.sha256(repr(self.arrivals).encode()).hexdigest()[:8]
-        return f"custom-{digest}"
+        digest = hashlib.sha256(b"(")
+        skip = len(", ")  # no separator before the first record
+        for slot, (end, jobs) in enumerate(zip(accumulate(self.slot_counts),
+                                               self.slot_counts), 1):
+            sizes = self.sizes[end - jobs:end] if self.sizes else ()
+            if not sizes or sizes.count(sizes[0]) == jobs:
+                record = f", ({slot}, {sizes[0] if sizes else 1})"
+                pieces = (record * min(_REPR_RUN, jobs - done)
+                          for done in range(0, jobs, _REPR_RUN))
+            else:
+                record = f", ({slot}, {{}})".format
+                pieces = ("".join(map(record, sizes[done:done + _REPR_RUN]))
+                          for done in range(0, jobs, _REPR_RUN))
+            for piece in pieces:
+                digest.update(piece[skip:].encode())
+                skip = 0
+        digest.update(b",)" if self.job_count == 1 else b")")
+        return f"custom-{digest.hexdigest()[:8]}"
 
     def prefix(self, k: int, name: str = "") -> "ArrivalInstance":
         """The jobs with ids below k, as a new instance."""

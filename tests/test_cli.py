@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -496,6 +497,173 @@ class TestReproduceFigure:
                      lambda: reproduce_figure("quad_a3")):
             with pytest.raises(ValueError, match="unknown figure id 'quad_a3'"):
                 call()
+
+
+# Each command that takes -o, with small arguments.
+OUTPUT_COMMANDS = {
+    "gen": ["gen", "batch:N=3"],
+    "opt": ["opt", "--instance", "batch:N=3", "--model", "quad:alpha=1"],
+    "sweep-gamma": ["sweep", "--kind", "gamma", "--instance", "sigma1:N=2",
+                    "--gammas", "0,1", "--alphas", "1"],
+    "sweep-alg3": ["sweep", "--kind", "alg3", "--lambdas", "1,10"],
+    "reproduce-figure": ["reproduce-figure", "--figure", "quad_a1", "--seeds", "1",
+                         "--rates", "5", "--horizon", "20"],
+}
+RUN_OUT_DIR = ["run", "--instance", "sigma2:N=4,T=3", "--model", "quad:alpha=2",
+               "--policy", "quad_alg:beta=2", "--policy", "balance_value",
+               "--oracle", "dp", "--oracle", "dual", "--out-dir"]
+
+
+PRIORS = ("longer", "other-longer", "shorter")
+
+
+def _prior_contents(fresh: bytes, kind: str) -> bytes:
+    """What a path holds before a command writes to it: one of ``PRIORS``."""
+    return {"longer": fresh + b"#" * 5000,  # the fresh bytes, then a tail
+            "other-longer": b"x" * (3 * len(fresh) + 100),
+            "shorter": fresh[:len(fresh) // 2]}[kind]
+
+
+class TestOutputFiles:
+    """``cli._write`` overwrites a file in place and cuts it to the new
+    length: what it leaves must be the bytes of a write to a new path."""
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_overwrite_leaves_a_fresh_write(self, capsys, tmp_path, command, prior):
+        argv = OUTPUT_COMMANDS[command]
+        fresh_path, old_path = tmp_path / "fresh", tmp_path / "old"
+        assert run_cli(capsys, *argv, "-o", str(fresh_path))[0] == 0
+        fresh = fresh_path.read_bytes()
+        assert fresh
+        old_path.write_bytes(_prior_contents(fresh, prior))
+        assert run_cli(capsys, *argv, "-o", str(old_path))[0] == 0
+        assert old_path.read_bytes() == fresh
+        code, out, _ = run_cli(capsys, *argv)  # opt prints its report first
+        assert code == 0 and out.encode().endswith(fresh)
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_run_out_dir_overwrites_every_trace(self, capsys, tmp_path, prior):
+        fresh_dir, old_dir = tmp_path / "fresh", tmp_path / "old"
+        fresh_dir.mkdir()
+        old_dir.mkdir()
+        assert run_cli(capsys, *RUN_OUT_DIR, str(fresh_dir))[0] == 0
+        fresh = {p.name: p.read_bytes() for p in fresh_dir.iterdir()}
+        assert len(fresh) == 3 and "dp_opt_trace.csv" in fresh
+        for name, data in fresh.items():
+            (old_dir / name).write_bytes(_prior_contents(data, prior))
+        assert run_cli(capsys, *RUN_OUT_DIR, str(old_dir))[0] == 0
+        assert {p.name: p.read_bytes() for p in old_dir.iterdir()} == fresh
+        assert run_cli(capsys, *RUN_OUT_DIR, str(fresh_dir))[0] == 0  # a second run
+        assert {p.name: p.read_bytes() for p in fresh_dir.iterdir()} == fresh
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path, mask):
+        path = tmp_path / "inst.txt"
+        old = os.umask(mask)
+        try:
+            code, _, _ = run_cli(capsys, "gen", "batch:N=3", "-o", str(path))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert path.stat().st_mode & 0o777 == 0o666 & ~mask
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_output_to_a_directory_is_a_validation_error(self, capsys, tmp_path,
+                                                         command):
+        code, _, err = run_cli(capsys, *OUTPUT_COMMANDS[command], "-o", str(tmp_path))
+        assert code == 2
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_output_to_devnull(self, capsys, command):
+        # a character device cannot be cut to a length
+        code, _, err = run_cli(capsys, *OUTPUT_COMMANDS[command], "-o", os.devnull)
+        assert code == 0
+        assert "error" not in err
+
+    def test_output_to_a_fifo(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            code, _, err = run_cli(capsys, "gen", "batch:N=3", "-o", str(fifo))
+            data, _ = reader.communicate(timeout=30)
+        finally:
+            reader.kill()
+        assert (code, err) == (0, "")
+        assert data == run_cli(capsys, "gen", "batch:N=3")[1].encode()
+
+
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether ``call`` may open a file for writing: ``open``, ``io.open``
+    or a path's ``open`` with a mode that is not a literal read mode,
+    ``os.open`` with flags that are not only read flags, or a path's
+    ``write_text`` or ``write_bytes``."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    if owner == "os":
+        flags = call.args[1] if len(call.args) > 1 else keywords.get("flags")
+        names = {getattr(node, "attr", None) or node.id for node in ast.walk(flags)
+                 if isinstance(node, (ast.Name, ast.Attribute))} - {"os"}
+        return not names or any(not n.startswith("O_") or n in WRITE_FLAGS
+                                for n in names)
+    index = 1 if isinstance(func, ast.Name) or owner in ("io", "builtins") else 0
+    mode = call.args[index] if len(call.args) > index else keywords.get("mode")
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def _file_writes(source: str, module: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call in ``source`` that may open a
+    file for writing."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("open(p)", False), ("open(p, 'rb')", False), ("open(p, mode='r')", False),
+    ("os.open(p, os.O_RDONLY)", False), ("Path(p).open()", False),
+    ("io.open(p, encoding='ascii')", False), ("p.read_text()", False),
+    ("open(p, 'w')", True), ("open(p, mode='a')", True), ("open(p, 'r+')", True),
+    ("open(p, 'xb')", True), ("open(p, m)", True), ("io.open(p, 'wb')", True),
+    ("builtins.open(p, 'w')", True), ("Path(p).open('w')", True),
+    ("Path(p).open(mode='wb')", True), ("os.open(p, os.O_WRONLY | os.O_TRUNC)", True),
+    ("os.open(p, flags=os.O_RDWR)", True), ("os.open(p, flags)", True),
+    ("os.open(p, 1)", True), ("p.write_text(s)", True), ("p.write_bytes(b)", True),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_write_scanner(source, writes):
+    assert bool(_file_writes(source, "m")) == writes
+
+
+def test_one_function_writes_files():
+    # cli._write overwrites in place; a second writer could truncate to zero
+    src = Path(cli.__file__).parent
+    writers = {where for path in sorted(src.glob("*.py"))
+               for where, _ in _file_writes(path.read_text(), path.stem)}
+    assert writers == {"cli._write"}
 
 
 class TestInputErrors:

@@ -15,12 +15,14 @@ sort-based ``conftest.srpt_select``.
 The accounting, instance-building and rule-target fast forms are checked
 the same way, against the code they replaced: ``cost_reference`` (a
 min(n) pass and a list of steps), ``from_counts_reference`` (one check per
-count) and ``PRE_HOIST_TARGETS`` (each rule's constant recomputed per call,
-ceiled by ``max``).
+count), ``PRE_HOIST_TARGETS`` (each rule's constant recomputed per call,
+ceiled by ``max``) and ``id_reference`` (the hash of the built records'
+repr).
 """
 
 import copy
 import dataclasses
+import hashlib
 import math
 import operator
 import pickle
@@ -390,6 +392,36 @@ def test_from_counts_matches_reference(where, value):
 def test_from_counts_matches_reference_on_sequences(counts):
     got = outcome(lambda c: ArrivalInstance.from_counts(c).slot_counts, counts)
     assert got == outcome(from_counts_reference, counts)
+
+
+def id_reference(instance) -> str:
+    """The id of an unnamed instance, from the repr of its built records."""
+    return "custom-" + hashlib.sha256(repr(instance.arrivals).encode()).hexdigest()[:8]
+
+
+def test_instance_id_matches_reference(corpus):
+    run = core._REPR_RUN
+    mixed = tuple((1, 1 + i % 3) for i in range(2 * run + 5))
+    instances = [ArrivalInstance(()), ArrivalInstance.from_counts(()),
+                 ArrivalInstance(((1, 1),)), ArrivalInstance(((4, 7),)),
+                 ArrivalInstance.from_counts((0, 3, 0, 0, 2)), ArrivalInstance(mixed),
+                 ArrivalInstance(mixed + ((1, 3),) * run + ((2, 5),)),
+                 ArrivalInstance(((3, 2),) * run + ((3, 1),))]
+    for jobs in (1, 2, run - 1, run, run + 1, 2 * run + 1):
+        for size in (1, 2):
+            instances.append(ArrivalInstance.from_counts((jobs,), size=size))
+            instances.append(ArrivalInstance.from_counts((0, jobs, 0, 1), size=size))
+    rng = random.Random(5)
+    for inst in corpus:
+        unnamed = ArrivalInstance.from_counts(inst.slot_counts)
+        sized = ArrivalInstance(tuple((slot, rng.randint(1, 3))
+                                      for slot, _ in inst.arrivals))
+        instances += [unnamed, sized, unnamed.prefix(1), sized.prefix(1)]
+    for inst in instances:
+        assert not inst.name
+        got = inst.instance_id
+        assert "arrivals" not in vars(inst)
+        assert got == id_reference(inst), inst.slot_counts[:4]
 
 
 def _ceil_reference(x: float) -> int:
