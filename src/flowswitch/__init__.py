@@ -13,7 +13,7 @@ from .oracle import (ConvexSolverError, DpBudgetError, DpConfig,
                      DualCertificate, Horizon, OracleSizeError,
                      UnsupportedInstanceError, certified_horizon,
                      convex_batch_solve, delta_flow, dp_opt,
-                     dual_bound_from_flow, dual_lower_bound, exhaustive_opt)
+                     dual_lower_bound, exhaustive_opt)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
                        Lg, QuadAlg, QuadBalance, SqrtOnline,
                        batch_quad_continuous, batch_quad_horizon_search,

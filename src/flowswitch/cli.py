@@ -18,8 +18,7 @@ import sys
 
 from .core import ArrivalInstance, CostModel, check_positive, cost_of_trace
 from .engine import simulate
-from .instances import (GeneratorKind, GeneratorSpec, parse_instance_spec,
-                        random_slotted)
+from .instances import GeneratorSpec, parse_instance_spec, random_slotted
 from .oracle import (BUDGET_ENV_VAR, DpBudgetError, DpConfig, DualCertificate,
                      dp_opt, dual_lower_bound, state_budget)
 from .policies import (BalanceDelta, BalanceValue, FullParallel, GammaPolicy,
@@ -62,7 +61,7 @@ def _instance_requests(spec: str, seed: int | None,
     """What each repetition loads: an existing file, or a generator spec
     whose random seed is ``seed`` (if given) plus the repetition index."""
     request = spec if os.path.exists(spec) else GeneratorSpec.parse(spec)
-    if getattr(request, "kind", None) is GeneratorKind.RANDOM_SLOTTED:
+    if getattr(request, "kind", None) == "random":
         base = request._int("seed") if seed is None else seed
         return [GeneratorSpec(request.kind, {**request.params, "seed": base + i})
                 for i in range(reps)]
@@ -274,9 +273,13 @@ def _cmd_opt(args) -> int:
     instance = _load_instance(args.instance)
     model = CostModel.parse(args.model)
     cost, trace = dp_opt(instance, model, _dp_config(args))
+    csv = trace.to_csv()
+    if args.output:  # the file first, so a failed write prints no report
+        _write(args.output, csv)
     print(json.dumps({"instance": instance.instance_id, "model": model.label,
                       "cost": cost}, indent=2, allow_nan=False))
-    _write(args.output, trace.to_csv())
+    if not args.output:
+        _write(None, csv)
     return EXIT_OK
 
 

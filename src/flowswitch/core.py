@@ -243,7 +243,7 @@ class ArrivalInstance:
         digest.update(b",)" if self.job_count == 1 else b")")
         return f"custom-{digest.hexdigest()[:8]}"
 
-    def prefix(self, k: int, name: str = "") -> "ArrivalInstance":
+    def prefix(self, k: int) -> "ArrivalInstance":
         """The jobs with ids below k, as a new instance."""
         if not 0 <= k <= self.job_count:
             raise ValueError(f"prefix length {k} out of range")
@@ -252,7 +252,7 @@ class ArrivalInstance:
         before = through[last - 1] if last else 0
         inst = ArrivalInstance.__new__(ArrivalInstance)
         inst._assign(self.slot_counts[:last] + (k - before,) if k else (),
-                     self.sizes and self.sizes[:k], name)
+                     self.sizes and self.sizes[:k], "")
         return inst
 
     @cached_property
@@ -323,9 +323,9 @@ class ArrivalInstance:
         return cls(tuple(records), name=name)
 
     @classmethod
-    def from_file(cls, path, name: str = "") -> "ArrivalInstance":
+    def from_file(cls, path) -> "ArrivalInstance":
         with open(path) as fh:
-            return cls.from_text(fh.read(), name=name or str(path))
+            return cls.from_text(fh.read(), name=str(path))
 
 
 def _instance_text_columns(text: str):
@@ -422,12 +422,12 @@ class CostModel:
         return delta * delta
 
     @classmethod
-    def linear(cls, alpha: float, theta: float = 0.0) -> "CostModel":
-        return cls(SwitchingKind.LINEAR, alpha, theta)
+    def linear(cls, alpha: float) -> "CostModel":
+        return cls(SwitchingKind.LINEAR, alpha)
 
     @classmethod
-    def quadratic(cls, alpha: float, theta: float = 0.0) -> "CostModel":
-        return cls(SwitchingKind.QUADRATIC, alpha, theta)
+    def quadratic(cls, alpha: float) -> "CostModel":
+        return cls(SwitchingKind.QUADRATIC, alpha)
 
     @classmethod
     def parse(cls, spec: str) -> "CostModel":

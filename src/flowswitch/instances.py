@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -15,14 +14,6 @@ def _check_jobs(what: str, jobs: int):
     is built; ``what`` names the parameters that give it."""
     if jobs > MAX_SLOT:
         raise ValueError(f"job count {what} must be at most {MAX_SLOT}, got {jobs}")
-
-
-class GeneratorKind(str, Enum):
-    BATCH = "batch"
-    PERIODIC = "periodic"
-    SIGMA1 = "sigma1"
-    SIGMA2 = "sigma2"
-    RANDOM_SLOTTED = "random"
 
 
 def batch(n_jobs: int, size: int = 1) -> ArrivalInstance:
@@ -95,17 +86,30 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
         counts, name=f"random(rate={rate:g},T={horizon},seed={seed})")
 
 
+# the instance kinds, each with the parameter keys its build reads
+_PARAMETERS = {
+    "batch": ("n", "w"),
+    "periodic": ("x", "k"),
+    "sigma1": ("n",),
+    "sigma2": ("n", "t"),
+    "random": ("rate", "t", "seed"),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A parsed generator request: which family, with which parameters.
+    """A parsed generator request: which kind (a key of ``_PARAMETERS``),
+    with which parameters.
 
     Random generation needs a seed parameter, so builds are reproducible.
     """
 
-    kind: GeneratorKind
+    kind: str
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.kind not in _PARAMETERS:
+            raise ValueError(f"unknown instance kind {self.kind!r}")
         for key in self.params:
             if key not in _PARAMETERS[self.kind]:
                 raise ValueError(f"unknown instance parameter {key!r}")
@@ -113,45 +117,36 @@ class GeneratorSpec:
     def _value(self, key: str, default: float | None = None) -> float:
         value = self.params.get(key, default)
         if value is None:
-            raise ValueError(f"instance kind {self.kind.value!r} needs parameter {key!r}")
+            raise ValueError(f"instance kind {self.kind!r} needs parameter {key!r}")
         return value
 
     def _int(self, key: str, default: int | None = None) -> int:
+        """An integer parameter. A float of magnitude 2**53 or more is
+        refused: it cannot tell the integer the spec wrote from its
+        neighbour."""
         value = self._value(key, default)
         if not float(value).is_integer():
             raise ValueError(f"parameter {key!r} must be an integer")
+        if isinstance(value, float) and abs(value) >= 2.0 ** 53:
+            raise ValueError(f"parameter {key!r} must be below 2**53 in magnitude, "
+                             f"got {value:g}")
         return int(value)
 
     def build(self) -> ArrivalInstance:
-        if self.kind is GeneratorKind.BATCH:
+        if self.kind == "batch":
             return batch(self._int("n"), self._int("w", 1))
-        if self.kind is GeneratorKind.PERIODIC:
+        if self.kind == "periodic":
             return periodic(self._int("x"), self._int("k"))
-        if self.kind is GeneratorKind.SIGMA1:
+        if self.kind == "sigma1":
             return sigma1(self._int("n"))
-        if self.kind is GeneratorKind.SIGMA2:
+        if self.kind == "sigma2":
             return sigma2(self._int("n"), self._int("t"))
         return random_slotted(self._value("rate"), self._int("t"), self._int("seed"))
 
     @classmethod
     def parse(cls, spec: str) -> "GeneratorSpec":
         """Parse specs such as 'batch:N=4', 'random(rate=5,T=100,seed=1)'."""
-        kind, params = parse_spec(spec, "instance")
-        try:
-            kind = GeneratorKind(kind)
-        except ValueError:
-            raise ValueError(f"unknown instance kind {kind!r}") from None
-        return cls(kind, params)
-
-
-# the parameter keys each kind's build reads
-_PARAMETERS = {
-    GeneratorKind.BATCH: ("n", "w"),
-    GeneratorKind.PERIODIC: ("x", "k"),
-    GeneratorKind.SIGMA1: ("n",),
-    GeneratorKind.SIGMA2: ("n", "t"),
-    GeneratorKind.RANDOM_SLOTTED: ("rate", "t", "seed"),
-}
+        return cls(*parse_spec(spec, "instance"))
 
 
 def parse_instance_spec(spec: str) -> ArrivalInstance:

@@ -399,25 +399,22 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
     return best, ScheduleTrace(ns, ss)
 
 
-def exhaustive_opt(instance: ArrivalInstance, model: CostModel,
-                   t_cap: int | None = None) -> float:
+def exhaustive_opt(instance: ArrivalInstance, model: CostModel) -> float:
     """Brute-force minimum over every server-count sequence.
 
     Independent oracle for dp_opt: plain depth-first enumeration with no
-    memoization and no server cap beyond s <= n. Guarded to at most 6 jobs
-    and t_cap <= 8.
+    memoization and no server cap beyond s <= n, up to the ceiling
+    t_cap = last arrival + total work. Guarded to at most 6 jobs and
+    t_cap <= 8.
     """
     if not instance.all_unit:
         raise UnsupportedInstanceError("exhaustive_opt requires unit job sizes")
-    if t_cap is None:
-        t_cap = instance.last_slot + instance.total_work
+    t_cap = instance.last_slot + instance.total_work
     if instance.job_count > 6 or t_cap > 8:
         raise OracleSizeError(
             f"exhaustive_opt guard: {instance.job_count} jobs, t_cap={t_cap}")
     if instance.job_count == 0:
         return 0.0
-    if instance.last_slot > t_cap:
-        raise OracleSizeError("arrival beyond t_cap")
     arrivals = [0, *instance.slot_counts] + [0] * (t_cap + 1 - instance.last_slot)
     alpha = model.alpha
     cost_fn = model.transition_cost
@@ -508,15 +505,6 @@ def _unit_prefix_flows(instance: ArrivalInstance, policy: QuadAlg,
     return flows
 
 
-def dual_bound_from_flow(flow_time: float, beta: float) -> float:
-    """Weak-duality lower bound F * (4 beta^2 - 9) / (4 beta^2); ValueError
-    if 4 beta^2 is not finite."""
-    square = 4.0 * beta * beta
-    if not math.isfinite(square):
-        raise ValueError(f"beta must keep 4*beta**2 finite, got {beta:g}")
-    return flow_time * (square - 9.0) / square
-
-
 @dataclass(frozen=True)
 class DualCertificate:
     """Per-job duals and the resulting lower bound on the offline optimum.
@@ -544,14 +532,18 @@ class DualCertificate:
 
 def dual_lower_bound(instance: ArrivalInstance, alpha: float,
                      beta: float) -> DualCertificate:
-    """Build the dual certificate for the quadratic rule on this instance."""
+    """Build the dual certificate for the quadratic rule on this instance;
+    its bound is the weak-duality F * (4 beta^2 - 9) / (4 beta^2)."""
     if not instance.sizes_equal:
         raise UnsupportedInstanceError("dual_lower_bound requires equal job sizes")
     policy = QuadAlg(alpha=alpha, beta=beta)
     trace = simulate(instance, policy)
     flow_alg = sum(trace.n)
-    bound = dual_bound_from_flow(flow_alg, beta)  # checks beta before the prefix flows
-    degenerate = 4.0 * beta * beta <= 9.0
+    square = 4.0 * beta * beta
+    if not math.isfinite(square):  # checked before the prefix flows
+        raise ValueError(f"beta must keep 4*beta**2 finite, got {beta:g}")
+    bound = flow_alg * (square - 9.0) / square
+    degenerate = square <= 9.0
     size = instance.sizes[0] if instance.sizes else 1
     # prefix flows F(0..J); lambda_j = (F(j+1) - F(j)) / size is
     # delta_flow(j) / size exactly, since the flows are integers

@@ -24,9 +24,9 @@ def effective_alpha(alpha: float) -> float:
     return max(alpha, 1.0)
 
 
-# Several targets divide the job count n by a rule constant. From this
-# divisor up, n / divisor stays finite for every n up to 2**53; up to this
-# factor, factor * sqrt(n) does.
+# Every rule with an alpha divides the job count n by its constant. From
+# this divisor up, n / divisor stays finite for every n up to 2**53; up to
+# this factor, factor * sqrt(n) does.
 _MIN_DIVISOR = 2.0 ** 54 / sys.float_info.max
 _MAX_FACTOR = sys.float_info.max / 2.0 ** 27
 
@@ -36,22 +36,36 @@ class _Rule(ShapedRule):
 
     The name is the registry key followed by the dataclass fields, for
     example ``quad_alg(alpha=2,beta=1.732)``; a rule without fields prints
-    its bare key. It is built once per rule, on first use. So is a rule's
-    constant ``_divisor`` (``sqrt(alpha)``, ``alpha**0.25``,
-    ``alpha**gamma`` or quad_alg's effective alpha), the same float that
-    target(n) would compute inline; a rule made by ``dataclasses.replace``
-    computes its own.
+    its bare key. It is built once per rule, on first use.
+
+    A rule with an alpha reads it through one constant, ``_divisor``:
+    alpha itself unless the rule says otherwise (``sqrt(alpha)``,
+    ``alpha**0.25``, ``alpha**gamma`` or quad_alg's effective alpha). It is
+    computed once, at construction, where it must lie in
+    [``_MIN_DIVISOR``, inf); a rule made by ``dataclasses.replace``
+    computes its own. The default target is ceil(n / _divisor).
     """
 
     key: ClassVar[str]
-    divides_by_alpha: ClassVar[bool] = False  # target(n) computes n / alpha
 
     def __post_init__(self):
         if hasattr(self, "alpha"):
             check_positive("alpha", self.alpha)
-            if self.divides_by_alpha and self.alpha < _MIN_DIVISOR:
-                raise ValueError(f"alpha={self.alpha:g} is too small for "
-                                 f"{self.key}: n/alpha overflows")
+            try:
+                divisor = self._divisor
+            except OverflowError:
+                divisor = math.inf
+            if not _MIN_DIVISOR <= divisor < math.inf:
+                raise ValueError(f"{self.name} is out of range: its constant "
+                                 f"{divisor:g} must be finite and at least "
+                                 f"{_MIN_DIVISOR:.3g}")
+
+    @cached_property
+    def _divisor(self) -> float:
+        return self.alpha
+
+    def target(self, n: int) -> int:
+        return _ceil(n / self._divisor)
 
     @cached_property
     def name(self) -> str:
@@ -75,10 +89,6 @@ class BalanceValue(_Rule):
 
     alpha: float
     key, shape = "balance_value", "cap"
-    divides_by_alpha = True
-
-    def target(self, n: int) -> int:
-        return _ceil(n / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -92,10 +102,6 @@ class BalanceDelta(_Rule):
 
     alpha: float
     key, shape = "balance_delta", "add"
-    divides_by_alpha = True
-
-    def target(self, n: int) -> int:
-        return _ceil(n / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -128,9 +134,6 @@ class Lg(_Rule):
     def _divisor(self) -> float:
         return self.alpha ** 0.25
 
-    def target(self, n: int) -> int:
-        return _ceil(n / self._divisor)
-
 
 @dataclass(frozen=True)
 class GammaPolicy(_Rule):
@@ -140,24 +143,11 @@ class GammaPolicy(_Rule):
     gamma: float
     key, shape = "a_gamma", "cap"
 
-    def __post_init__(self):
-        super().__post_init__()
+    @cached_property
+    def _divisor(self) -> float:  # read at construction, so gamma is checked there
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        try:
-            divisor = self._divisor
-        except OverflowError:
-            divisor = math.inf
-        if not _MIN_DIVISOR <= divisor < math.inf:
-            raise ValueError(f"gamma={self.gamma:g} takes alpha**gamma out of "
-                             f"range (alpha={self.alpha:g})")
-
-    @cached_property
-    def _divisor(self) -> float:
         return self.alpha ** self.gamma
-
-    def target(self, n: int) -> int:
-        return _ceil(n / self._divisor)
 
 
 @dataclass(frozen=True)
@@ -190,10 +180,9 @@ class QuadBalance(_Rule):
 
     alpha: float
     key, shape = "quad_balance", "add"
-    divides_by_alpha = True
 
     def target(self, n: int) -> int:
-        return _ceil(math.sqrt(n / self.alpha))
+        return _ceil(math.sqrt(n / self._divisor))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from flowswitch import (MarkovPolicy, NonErgodicError, PolicyFaultError,
                         PolicyStallError, RateModel, TruncationError, cli)
-from flowswitch import CostModel, ScheduleTrace, cost_of_trace, dp_opt
+from flowswitch import CostModel, ScheduleTrace, cost_of_trace, dp_opt, simulate
 from flowswitch.cli import (FIGURE_IDS, figure_policies, figure_setup, main,
                             reproduce_figure)
-from flowswitch.instances import sigma2
+from flowswitch.instances import random_slotted, sigma2
+from flowswitch.policies import FullParallel
 
 
 def run_cli(capsys, *argv):
@@ -571,8 +572,8 @@ class TestOutputFiles:
     @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
     def test_output_to_a_directory_is_a_validation_error(self, capsys, tmp_path,
                                                          command):
-        code, _, err = run_cli(capsys, *OUTPUT_COMMANDS[command], "-o", str(tmp_path))
-        assert code == 2
+        code, out, err = run_cli(capsys, *OUTPUT_COMMANDS[command], "-o", str(tmp_path))
+        assert (code, out) == (2, "")  # no report of a write that failed
         assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
@@ -841,6 +842,10 @@ class TestInputErrors:
         (("gen", "sigma2:N=1e12,T=2"), 2, "job count N*T must be at most 10000000"),
         (("run", "--instance", "batch:N=1000,w=10000000", "--policy", "full_parallel"),
          2, "total work N*w must be at most 10000000, got 10000000000"),
+        (("gen", "random:rate=2,T=3,seed=9007199254740992"),
+         2, "error: parameter 'seed' must be below 2**53 in magnitude, got 9.0072e+15\n"),
+        (("gen", "random:rate=2,T=3,seed=9007199254740993"),
+         2, "error: parameter 'seed' must be below 2**53 in magnitude, got 9.0072e+15\n"),
     ], ids=["model-alpha-inf", "alg2-alpha-inf", "lambda-nan", "negative-seed",
             "policy-stall", "gamma-sweep-no-instance", "empty-rates", "gamma-nan",
             "beta-nan", "horizon-zero", "gamma-max-cells-negative",
@@ -871,7 +876,7 @@ class TestInputErrors:
             "batch-size-past-max-slot", "random-rate-past-poisson",
             "figure-rate-past-poisson", "opt-t-cap-before-last-arrival",
             "batch-jobs-past-max-slot", "sigma2-jobs-past-max-slot",
-            "batch-work-past-max-slot"])
+            "batch-work-past-max-slot", "spec-seed-at-2-53", "spec-seed-past-2-53"])
     def test_exit_code_without_traceback(self, capsys, argv, expected_code, needle):
         code, out, err = run_cli(capsys, *argv)
         assert code == expected_code
@@ -1026,6 +1031,17 @@ class TestSpecGrammar:
         _, totals = _run_totals(capsys, "random:rate=2,T=5,seed=1,seed=2",
                                 "--seed", "9")
         assert totals == _run_totals(capsys, "random:rate=2,T=5,seed=9")[1]
+
+    def test_seed_flag_keeps_an_exact_seed_past_2_53(self, capsys, tmp_path):
+        seed = 2 ** 53 + 1
+        report, totals = _run_totals(capsys, "random:rate=2,T=3,seed=1", "--seed",
+                                     str(seed), "--reps", "2", "--out-dir", str(tmp_path))
+        assert report["seed"] == seed
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [f"seed{seed}", f"seed{seed + 1}"]
+        assert totals == [cost_of_trace(simulate(random_slotted(2.0, 3, s), FullParallel()),
+                                        CostModel.quadratic(1.0)).total
+                          for s in (seed, seed + 1)]
 
     def test_reps_read_a_mixed_case_seed_key(self, capsys):
         report, totals = _run_totals(capsys, "random:rate=5,T=10,Seed=1",

@@ -132,8 +132,9 @@ class TestArrivalInstance:
         assert inst.sizes == (None if set(sizes) <= {1} else tuple(sizes))
         assert described(inst)[-1] == record_aggregates(records)
         # built from sorted records, from counts and sizes, and from counts
-        twins = [ArrivalInstance(records, name=name),
-                 inst.prefix(inst.job_count, name=name)]
+        twins = [ArrivalInstance(records, name=name)]
+        if not name:  # a prefix is unnamed
+            twins.append(inst.prefix(inst.job_count))
         if inst.all_unit:
             twins.append(ArrivalInstance.from_counts(counts, name=name))
         for twin in twins:
@@ -141,8 +142,8 @@ class TestArrivalInstance:
             assert described(twin) == described(inst)
             assert twin != ArrivalInstance(records, name=name + "y")
             for k in range(inst.job_count + 1):
-                head = twin.prefix(k, name="p")
-                expected = ArrivalInstance(records[:k], name="p")
+                head = twin.prefix(k)
+                expected = ArrivalInstance(records[:k])
                 assert head == expected and hash(head) == hash(expected)
                 assert described(head) == described(expected)
                 assert head.arrivals == records[:k]
@@ -193,9 +194,9 @@ class TestArrivalInstance:
                      ArrivalInstance(((2, 1), (2, 1), (4, 1), (4, 1), (4, 1))),
                      ArrivalInstance(((2, 2), (2, 2), (4, 2)))):
             for k in range(inst.job_count + 1):
-                head = inst.prefix(k, name="p")
+                head = inst.prefix(k)
                 assert head.arrivals == inst.arrivals[:k]
-                assert head.name == "p"
+                assert head.name == ""
         with pytest.raises(ValueError):
             inst.prefix(inst.job_count + 1)
 
@@ -205,6 +206,7 @@ class TestArrivalInstance:
         path.write_text(inst.to_text() + "# trailing comment\n")
         again = ArrivalInstance.from_file(path)
         assert again.arrivals == inst.arrivals
+        assert again.name == str(path)
 
     def test_to_text_writes_each_record_without_building_them(self):
         rng = random.Random(8)
@@ -373,7 +375,7 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel.quadratic(0)
         with pytest.raises(ValueError):
-            CostModel.linear(1, theta=-1)
+            CostModel(SwitchingKind.LINEAR, 1, theta=-1)
         with pytest.raises(ValueError):
             CostModel.parse("cubic:alpha=1")
         for alpha in (math.inf, math.nan):
@@ -399,7 +401,7 @@ class TestCostOfTrace:
 
     def test_energy_term(self):
         trace = ScheduleTrace((2, 1), (1, 1))
-        b = cost_of_trace(trace, CostModel.quadratic(2, theta=0.25))
+        b = cost_of_trace(trace, CostModel.parse("quad:alpha=2,theta=0.25"))
         assert b.energy_cost == 0.5
         assert b.total == b.flow_time + b.alpha * b.switching_cost + b.energy_cost
 

@@ -27,6 +27,7 @@ import math
 import operator
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ def outcome(call, *args):
                 getattr(exc, "slot", None))
 
 
-COST_MODELS = (CostModel.linear(2.0), CostModel.quadratic(0.5, theta=0.25),
+COST_MODELS = (CostModel.linear(2.0), CostModel.parse("quad:alpha=0.5,theta=0.25"),
                CostModel.quadratic(3.0))
 
 
@@ -440,40 +441,101 @@ PRE_HOIST_TARGETS = {
     QuadBalance: lambda rule, n: _ceil_reference(math.sqrt(n / rule.alpha)),
 }
 TARGET_NS = list(range(1, 5001)) + [2 ** k for k in range(13, 54)]
-ALPHAS = (math.ulp(0.0), policies._MIN_DIVISOR, 1e-300, 1e-3, 0.5, 1.0, 2.0,
-          math.pi, 1e3, 1e300)
+_FLOOR = policies._MIN_DIVISOR
+ALPHAS = (math.ulp(0.0), math.nextafter(_FLOOR, 0.0), _FLOOR, 1e-300, 1e-3, 0.5,
+          1.0, 2.0, math.pi, 1e3, 1e300, sys.float_info.max)
+BAD = (0.0, -1.0, math.inf, math.nan)
+# gamma 2.5 takes alpha**gamma past the largest float from alpha ~ 1e123 on
+GAMMAS = (0.0, 0.25, 0.5, 1.0, 2.5)
+BETAS = (1.0, math.sqrt(3.0), 2.177, 1e6, policies._MAX_FACTOR)
+
+
+def _parent_rejects(cls, alpha, gamma=None, beta=1.0) -> bool:
+    """The construction checks of the code before each rule had one
+    constant: alpha positive and finite, then n/alpha finite for the rules
+    that divided by alpha itself, or alpha**gamma in [_MIN_DIVISOR, inf)
+    for a_gamma, each a check of its own; and quad_alg's beta."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        return True
+    if cls in (BalanceValue, BalanceDelta, QuadBalance) and alpha < _FLOOR:
+        return True
+    if cls is GammaPolicy:
+        if not 0 <= gamma < math.inf:
+            return True
+        try:
+            divisor = alpha ** gamma
+        except OverflowError:
+            divisor = math.inf
+        return not _FLOOR <= divisor < math.inf
+    return cls is QuadAlg and not 1 <= beta <= policies._MAX_FACTOR
+
+
+def _grid(cls):
+    """Constructor arguments for ``cls``: ALPHAS and BAD alphas, with the
+    gammas and betas above and some bad ones; for a_gamma also the alphas
+    on either side of each gamma's smallest accepted alpha."""
+    if cls is FullParallel:
+        return [{}]
+    extras = {GammaPolicy: [{"gamma": g} for g in GAMMAS + (-0.1,) + BAD[2:]],
+              QuadAlg: [{"beta": b} for b in BETAS + (
+                  0.5, math.nextafter(policies._MAX_FACTOR, math.inf)) + BAD[2:]]}
+    grid = []
+    for extra in extras.get(cls, [{}]):
+        alphas = list(ALPHAS + BAD)
+        if extra.get("gamma", 0) > 0:  # a finite positive gamma
+            edge = _FLOOR ** (1 / extra["gamma"])
+            alphas += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        grid += [{"alpha": alpha, **extra} for alpha in alphas]
+    return grid
 
 
 def _rules(cls):
-    """Every accepted rule of ``cls`` over ALPHAS and a few gammas and betas;
-    for a_gamma also the smallest alpha each gamma accepts."""
-    if cls is FullParallel:
-        return [FullParallel()]
-    grids = {GammaPolicy: [{"gamma": g} for g in (0.0, 0.25, 0.5, 1.0, 2.5)],
-             QuadAlg: [{"beta": b} for b in (1.0, math.sqrt(3.0), 2.177, 1e6,
-                                             policies._MAX_FACTOR)]}
+    """Every rule of ``_grid(cls)`` that construction accepts."""
     rules = []
-    for extra in grids.get(cls, [{}]):
-        alphas = list(ALPHAS)
-        if extra.get("gamma"):
-            edge = policies._MIN_DIVISOR ** (1 / extra["gamma"])
-            alphas += [edge, math.nextafter(edge, math.inf)]
-        for alpha in alphas:
-            try:
-                rules.append(cls(alpha=alpha, **extra))
-            except ValueError:
-                pass  # rejected at construction, before any target
+    for kwargs in _grid(cls):
+        try:
+            rules.append(cls(**kwargs))
+        except ValueError:
+            pass  # rejected at construction, before any target
     return rules
+
+
+@pytest.mark.parametrize("cls", list(policies.POLICY_REGISTRY.values()),
+                         ids=lambda c: c.key)
+def test_construction_rejects_what_the_parent_checks_rejected(cls):
+    for kwargs in _grid(cls):
+        try:
+            cls(**kwargs)
+            raised = False
+        except ValueError:
+            raised = True
+        assert raised == (cls is not FullParallel and _parent_rejects(cls, **kwargs)), \
+            kwargs
+
+
+def test_one_check_raises_for_a_constant_out_of_range():
+    with pytest.raises(OverflowError):
+        1e300 ** 2.5
+    for rule, kwargs in ((GammaPolicy, {"alpha": 1e300, "gamma": 2.5}),
+                         (GammaPolicy, {"alpha": 1e-300, "gamma": 1.0}),
+                         (BalanceValue, {"alpha": math.nextafter(_FLOOR, 0.0)}),
+                         (QuadBalance, {"alpha": 1e-300})):
+        with pytest.raises(ValueError, match=r"^\w+\(.*\) is out of range: its "
+                                             r"constant \S+ must be finite"):
+            rule(**kwargs)
 
 
 @pytest.mark.parametrize("cls", list(PRE_HOIST_TARGETS), ids=lambda c: c.key)
 def test_targets_match_pre_hoist_expressions(cls):
+    assert set(PRE_HOIST_TARGETS) == set(policies.POLICY_REGISTRY.values())
     reference = PRE_HOIST_TARGETS[cls]
     rules = _rules(cls)
     if cls in (BalanceValue, BalanceDelta, QuadBalance):  # the smallest accepted alpha
-        assert min(rule.alpha for rule in rules) == policies._MIN_DIVISOR
+        assert min(rule.alpha for rule in rules) == _FLOOR
     elif cls in (SqrtOnline, Lg, QuadAlg):
         assert min(rule.alpha for rule in rules) == math.ulp(0.0)
+    if cls is not FullParallel:
+        assert max(rule.alpha for rule in rules) == sys.float_info.max
     for rule in rules:
         assert [rule.target(n) for n in TARGET_NS] == \
             [reference(rule, n) for n in TARGET_NS], rule
@@ -494,7 +556,8 @@ def test_ceil_refuses_what_the_max_form_refuses(x):
     assert outcome(engine._ceil, x)[0] is (ValueError if math.isnan(x) else OverflowError)
 
 
-@pytest.mark.parametrize("rule", [SqrtOnline(alpha=4.0), Lg(alpha=16.0),
+@pytest.mark.parametrize("rule", [BalanceValue(alpha=4.0), QuadBalance(alpha=4.0),
+                                  SqrtOnline(alpha=4.0), Lg(alpha=16.0),
                                   GammaPolicy(alpha=16.0, gamma=0.5),
                                   QuadAlg(alpha=9.0, beta=2.0)], ids=lambda r: r.key)
 def test_hoisted_constant_follows_copies(rule):
@@ -504,13 +567,13 @@ def test_hoisted_constant_follows_copies(rule):
     def assert_targets(r):
         assert [r.target(n) for n in ns] == [reference(r, n) for n in ns], r
 
-    unread = pickle.loads(pickle.dumps(rule))  # before the constant is computed
+    early = pickle.loads(pickle.dumps(rule))  # before any target is read
     assert_targets(rule)
     other = dataclasses.replace(rule, alpha=rule.alpha * 25)
     assert_targets(other)
     assert other._divisor != rule._divisor  # a new alpha, a new divisor
     for twin in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule)),
-                 unread, pickle.loads(pickle.dumps(other))):
+                 early, pickle.loads(pickle.dumps(other))):
         assert_targets(twin)
         assert twin == (other if twin.alpha != rule.alpha else rule)
         assert repr(twin) == repr(other if twin.alpha != rule.alpha else rule)

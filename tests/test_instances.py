@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from flowswitch import ArrivalInstance, core, instances, validate_trace, simulate
 from flowswitch.core import MAX_SLOT
-from flowswitch.instances import (GeneratorKind, GeneratorSpec, batch,
-                                  parse_instance_spec, periodic,
-                                  random_slotted, sigma1, sigma2)
+from flowswitch.instances import (GeneratorSpec, batch, parse_instance_spec,
+                                  periodic, random_slotted, sigma1, sigma2)
 from flowswitch.policies import FullParallel
 
 from conftest import EMPTY_SPEC_FORMS, MALFORMED_SPECS, SPEC_FORMS, spec_text
@@ -177,13 +176,29 @@ class TestParseSpec:
     @pytest.mark.parametrize("form", EMPTY_SPEC_FORMS)
     def test_empty_parameter_list(self, form):
         assert GeneratorSpec.parse(spec_text(form, "sigma1", "n")) == \
-            GeneratorSpec(GeneratorKind.SIGMA1, {})
+            GeneratorSpec("sigma1", {})
 
     @pytest.mark.parametrize("form, needle", MALFORMED_SPECS)
     def test_malformed_spec(self, form, needle):
         with pytest.raises(ValueError, match="instance") as err:
             parse_instance_spec(spec_text(form, "sigma1", "n", "3"))
         assert spec_text(needle, "sigma1", "n") in str(err.value)
+
+    def test_integer_parameters_below_2_53(self):
+        top = 2 ** 53
+        assert parse_instance_spec(f"random:rate=2,T=3,seed={top - 1}") == \
+            random_slotted(2.0, 3, top - 1)
+        for text in (f"batch:N={top}", f"random:rate=2,T=3,seed={top + 1}",
+                     "periodic:x=-1e300,k=1"):
+            with pytest.raises(ValueError, match=r"parameter '\w+' must be below 2\*\*53"):
+                parse_instance_spec(text)
+        # an int parameter is exact at any size
+        spec = GeneratorSpec("random", {"rate": 2.0, "t": 3, "seed": top + 1})
+        assert spec.build() == random_slotted(2.0, 3, top + 1)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown instance kind 'wat'$"):
+            GeneratorSpec("wat")
 
     def test_non_finite_integer_parameter(self):
         for value in ("nan", "inf"):
@@ -212,12 +227,11 @@ class TestParseSpec:
         with pytest.raises(ValueError, match="unknown instance parameter 'size'"):
             parse_instance_spec("batch:N=3,size=2")
         with pytest.raises(ValueError, match="unknown instance parameter 'seed'"):
-            GeneratorSpec(GeneratorKind.BATCH, {"n": 3, "seed": 1})
+            GeneratorSpec("batch", {"n": 3, "seed": 1})
 
     def test_generator_spec_round_trip(self):
-        from flowswitch.instances import GeneratorKind, GeneratorSpec
         spec = GeneratorSpec.parse("sigma2:N=3,T=2")
-        assert spec.kind is GeneratorKind.SIGMA2
+        assert spec.kind == "sigma2"
         assert spec.build().job_count == 6
-        direct = GeneratorSpec(GeneratorKind.BATCH, {"n": 2})
+        direct = GeneratorSpec("batch", {"n": 2})
         assert direct.build().arrivals == batch(2).arrivals

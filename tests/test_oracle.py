@@ -13,7 +13,7 @@ from flowswitch import (ArrivalInstance, CostModel, DpBudgetError, DpConfig,
                         OracleSizeError, PolicyStallError, ScheduleTrace,
                         UnsupportedInstanceError, certified_horizon,
                         convex_batch_solve, cost_of_trace, delta_flow, dp_opt,
-                        dual_bound_from_flow, dual_lower_bound, exhaustive_opt,
+                        dual_lower_bound, exhaustive_opt,
                         simulate, validate_trace)
 from flowswitch import oracle
 from flowswitch.instances import batch, periodic, random_slotted, sigma1, sigma2
@@ -450,10 +450,9 @@ class TestExhaustive:
     def test_size_guard(self):
         with pytest.raises(OracleSizeError):
             exhaustive_opt(batch(7), CostModel.linear(1))
-        with pytest.raises(OracleSizeError):
-            exhaustive_opt(batch(2), CostModel.linear(1), t_cap=9)
-        with pytest.raises(OracleSizeError, match="arrival beyond t_cap"):
-            exhaustive_opt(ArrivalInstance(((5, 1),)), CostModel.linear(1), t_cap=3)
+        # three jobs at slot 6: the ceiling is 6 + 3 = 9
+        with pytest.raises(OracleSizeError, match="3 jobs, t_cap=9"):
+            exhaustive_opt(ArrivalInstance(((6, 1),) * 3), CostModel.linear(1))
 
 
 class TestDeltaFlow:
@@ -661,7 +660,13 @@ def slack_by_loop(instance, cert):
 
 class TestDualCertificate:
     def test_bound_formula(self):
-        assert dual_bound_from_flow(40, math.sqrt(3.0)) == pytest.approx(10.0)
+        beta = math.sqrt(3.0)
+        square = 4.0 * beta * beta
+        cert = dual_lower_bound(batch(4), 1.0, beta)
+        assert cert.bound == cert.flow_alg * (square - 9.0) / square
+        assert cert.bound == pytest.approx(cert.flow_alg / 4)
+        with pytest.raises(ValueError, match=r"beta must keep 4\*beta\*\*2 finite"):
+            dual_lower_bound(batch(4), 1.0, 1e200)
 
     def test_degenerate_beta_flagged(self):
         with warnings.catch_warnings():
