@@ -450,11 +450,11 @@ GAMMAS = (0.0, 0.25, 0.5, 1.0, 2.5)
 BETAS = (1.0, math.sqrt(3.0), 2.177, 1e6, policies._MAX_FACTOR)
 
 
-def _parent_rejects(cls, alpha, gamma=None, beta=1.0) -> bool:
-    """The construction checks of the code before each rule had one
+def _former_checks_reject(cls, alpha, gamma=None, beta=1.0) -> bool:
+    """The construction checks from before each rule had one checked
     constant: alpha positive and finite, then n/alpha finite for the rules
-    that divided by alpha itself, or alpha**gamma in [_MIN_DIVISOR, inf)
-    for a_gamma, each a check of its own; and quad_alg's beta."""
+    that divided by alpha itself and alpha**gamma in [_MIN_DIVISOR, inf)
+    for a_gamma, two checks of their own, and quad_alg's beta."""
     if not (alpha > 0 and math.isfinite(alpha)):
         return True
     if cls in (BalanceValue, BalanceDelta, QuadBalance) and alpha < _FLOOR:
@@ -502,15 +502,15 @@ def _rules(cls):
 
 @pytest.mark.parametrize("cls", list(policies.POLICY_REGISTRY.values()),
                          ids=lambda c: c.key)
-def test_construction_rejects_what_the_parent_checks_rejected(cls):
+def test_construction_rejects_what_the_former_checks_rejected(cls):
     for kwargs in _grid(cls):
         try:
             cls(**kwargs)
             raised = False
         except ValueError:
             raised = True
-        assert raised == (cls is not FullParallel and _parent_rejects(cls, **kwargs)), \
-            kwargs
+        want = cls is not FullParallel and _former_checks_reject(cls, **kwargs)
+        assert raised == want, kwargs
 
 
 def test_one_check_raises_for_a_constant_out_of_range():
