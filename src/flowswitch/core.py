@@ -66,11 +66,6 @@ _BULK_MIN_VALUES = 600
 # unit of work, and to_text writes a line per job.
 MAX_SLOT = 10_000_000
 
-# Records a piece of the repr that ``ArrivalInstance.instance_id`` hashes
-# holds at most: about 10 bytes each, so a piece stays near 40 KB however many
-# jobs share one slot and size.
-_REPR_RUN = 4096
-
 
 def _check_size(size):
     """Raise ValueError unless ``size`` is a job size: an integer from 1 to
@@ -87,7 +82,7 @@ def check_positive(name: str, value: float):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False)
 class ArrivalInstance:
     """A job arrival schedule: per-slot arrival counts plus the job sizes.
 
@@ -178,9 +173,6 @@ class ArrivalInstance:
             sizes = None
         self.__dict__.update(slot_counts=counts, sizes=sizes, name=name)
 
-    def __repr__(self):
-        return f"ArrivalInstance(arrivals={self.arrivals!r}, name={self.name!r})"
-
     @cached_property
     def arrivals(self) -> tuple[tuple[int, int], ...]:
         slots = chain.from_iterable(map(repeat, range(1, self.last_slot + 1),
@@ -205,7 +197,7 @@ class ArrivalInstance:
 
     @cached_property
     def sizes_equal(self) -> bool:
-        return self.sizes is None or len(set(self.sizes)) == 1
+        return self.sizes is None or self.sizes.count(self.sizes[0]) == len(self.sizes)
 
     @cached_property
     def max_slot_arrivals(self) -> int:
@@ -215,33 +207,14 @@ class ArrivalInstance:
     @cached_property
     def instance_id(self) -> str:
         """The name, or for an unnamed instance ``custom-`` and the first 8
-        hex digits of the SHA-256 of ``repr(self.arrivals)``.
-
-        The repr is hashed in pieces of at most ``_REPR_RUN`` records, made
-        slot by slot from ``slot_counts`` and ``sizes`` as ``to_text`` makes
-        its lines, so no record is built: a slot whose jobs share one size
-        is one record repeated.
-        """
+        hex digits of the SHA-256 of ``repr((slot_counts, sizes))``, where
+        the sizes are None for unit jobs and the one size when every job
+        shares it."""
         if self.name:
             return self.name
-        digest = hashlib.sha256(b"(")
-        skip = len(", ")  # no separator before the first record
-        for slot, (end, jobs) in enumerate(zip(accumulate(self.slot_counts),
-                                               self.slot_counts), 1):
-            sizes = self.sizes[end - jobs:end] if self.sizes else ()
-            if not sizes or sizes.count(sizes[0]) == jobs:
-                record = f", ({slot}, {sizes[0] if sizes else 1})"
-                pieces = (record * min(_REPR_RUN, jobs - done)
-                          for done in range(0, jobs, _REPR_RUN))
-            else:
-                record = f", ({slot}, {{}})".format
-                pieces = ("".join(map(record, sizes[done:done + _REPR_RUN]))
-                          for done in range(0, jobs, _REPR_RUN))
-            for piece in pieces:
-                digest.update(piece[skip:].encode())
-                skip = 0
-        digest.update(b",)" if self.job_count == 1 else b")")
-        return f"custom-{digest.hexdigest()[:8]}"
+        sizes = self.sizes and (self.sizes[0] if self.sizes_equal else self.sizes)
+        key = repr((self.slot_counts, sizes)).encode()
+        return f"custom-{hashlib.sha256(key).hexdigest()[:8]}"
 
     def prefix(self, k: int) -> "ArrivalInstance":
         """The jobs with ids below k, as a new instance."""
@@ -396,6 +369,13 @@ def parse_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
     return kind.strip().lower(), params
 
 
+def format_number(x: float) -> str:
+    """``x`` as a spec value that reads back equal: its ``:g`` text when
+    that parses to ``x``, else the float's shortest exact repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Switching-cost family plus the tradeoff weight alpha.
@@ -444,8 +424,8 @@ class CostModel:
 
     @property
     def label(self) -> str:
-        base = f"{self.switching.value}:alpha={self.alpha:g}"
-        return base if self.theta == 0 else base + f",theta={self.theta:g}"
+        base = f"{self.switching.value}:alpha={format_number(self.alpha)}"
+        return base if self.theta == 0 else base + f",theta={format_number(self.theta)}"
 
 
 @dataclass(frozen=True)
@@ -585,9 +565,9 @@ class ScheduleTrace:
         """One row per slot: t, n, s and the served ids in ascending order.
 
         A trace of at least ``_BULK_MIN_VALUES`` values (t, n and s of each
-        row plus its served ids) whose values all fit int64 is formatted in
-        numpy by ``_csv_bulk_text``; any other goes through the row loop
-        ``_csv_row_text``. Both write the same bytes.
+        row plus its served ids) whose values are nonnegative and fit int64
+        is formatted in numpy by ``_csv_bulk_text``; any other goes through
+        the row loop ``_csv_row_text``. Both write the same bytes.
         """
         text = None
         if 3 * len(self.s) + self._offsets[-1] >= _BULK_MIN_VALUES:
@@ -709,14 +689,14 @@ def _csv_row_text(trace: ScheduleTrace) -> str:
 
 
 def _csv_bulk_text(trace: ScheduleTrace) -> str | None:
-    """The trace CSV built in numpy, or None when a value or the packed
-    (slot, id) sort key does not fit int64.
+    """The trace CSV built in numpy, or None when a value is negative or
+    it or the packed (slot, id) sort key does not fit int64.
 
     Every t, n, s and id becomes one int64 value with the byte that follows
     it (',' after t, n and s, ';' between ids, a newline ending the row; an
     idle row ends in a digitless value). Digits fill a (values x width)
-    byte matrix right to left, with NUL bytes for leading zeros and absent
-    signs, and one ``bytes.translate`` drops those.
+    byte matrix right to left, with NUL bytes for leading zeros, and one
+    ``bytes.translate`` drops those.
     """
     served = trace.served
     n, s = _int_column(trace.n), _int_column(trace.s)
@@ -751,23 +731,20 @@ def _csv_bulk_text(trace: ScheduleTrace) -> str | None:
     is_id[idle] = False
     values[is_id] = ids
     after[ends - 1] = ord("\n")
-    negative = values < 0
-    magnitude = np.abs(values, out=values)
-    if magnitude.min(initial=0) < 0:  # -2**63 has no int64 magnitude
+    if values.min(initial=0) < 0:  # signs are left to the row writer
         return None
-    width = len(str(magnitude.max(initial=0)))
+    width = len(str(values.max(initial=0)))
     if width < 10:  # a narrower type halves the work of every pass
-        magnitude = magnitude.astype(np.uint32)
-    chars = np.empty((values.size, width + 2), np.uint8)
-    chars[:, 0] = negative * ord("-")
-    for j in range(width, 0, -1):  # scalar // runs far faster than %
-        quotient = magnitude // 10
-        digits = magnitude - quotient * 10 + ord("0")
-        if j < width:
-            digits *= magnitude > 0  # a leading zero becomes a NUL pad
+        values = values.astype(np.uint32)
+    chars = np.empty((values.size, width + 1), np.uint8)
+    for j in range(width - 1, -1, -1):  # scalar // runs far faster than %
+        quotient = values // 10
+        digits = values - quotient * 10 + ord("0")
+        if j < width - 1:
+            digits *= values > 0  # a leading zero becomes a NUL pad
         chars[:, j] = digits
-        magnitude = quotient
-    chars[idle, width] = 0
+        values = quotient
+    chars[idle, width - 1] = 0
     chars[:, -1] = after
     body = chars.tobytes().translate(None, b"\0")  # drop the NUL pads
     return "t,n,s,served_ids\n" + body.decode()

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_SLOT, ArrivalInstance, check_positive, parse_spec
+from .core import (MAX_SLOT, ArrivalInstance, check_positive, format_number,
+                   parse_spec)
 
 
 def _check_jobs(what: str, jobs: int):
@@ -83,7 +84,7 @@ def random_slotted(rate: float, horizon: int, seed: int) -> ArrivalInstance:
     counts = counts.tolist()
     _check_jobs("rate*T (as drawn)", sum(counts))
     return ArrivalInstance.from_counts(
-        counts, name=f"random(rate={rate:g},T={horizon},seed={seed})")
+        counts, name=f"random(rate={format_number(rate)},T={horizon},seed={seed})")
 
 
 # the instance kinds, each with the parameter keys its build reads

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import ClassVar
 
-from .core import check_positive, parse_spec
+from .core import check_positive, format_number, parse_spec
 from .engine import ShapedRule, _ceil
 
 
@@ -69,7 +69,8 @@ class _Rule(ShapedRule):
 
     @cached_property
     def name(self) -> str:
-        params = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        params = ",".join(f"{f.name}={format_number(getattr(self, f.name))}"
+                          for f in fields(self))
         return f"{self.key}({params})" if params else self.key
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import check_positive
+from .core import check_positive, format_number
 
 TAIL_TOL = 1e-12
 MIN_BATCHES = 32  # the i.i.d. cycle groups behind every simulated estimate
@@ -83,7 +83,7 @@ def alg2(alpha: float) -> MarkovPolicy:
     """Proportional speed scaling: mu_i = i / cbrt(4 alpha)."""
     check_positive("alpha", alpha)
     c = (4.0 * alpha) ** (1.0 / 3.0)
-    return MarkovPolicy(lambda i: i / c, f"alg2(alpha={alpha:g})",
+    return MarkovPolicy(lambda i: i / c, f"alg2(alpha={format_number(alpha)})",
                         RateModel.SINGLE_SERVER_SPEED_SCALING)
 
 

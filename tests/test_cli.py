@@ -196,6 +196,16 @@ class TestRun:
             (2, "", "error: policy alpha 2.0 disagrees with cost model alpha 1.0\n")
         assert not list(out_dir.iterdir())
 
+    def test_policies_differing_past_six_digits_both_run(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "run", "--instance", "batch:N=5", "--policy", "quad_alg:beta=1.7320508",
+            "--policy", "quad_alg:beta=1.73205", "--out-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert [entry["policy"] for entry in json.loads(out)["policies"]] == \
+            ["quad_alg(alpha=1,beta=1.7320508)", "quad_alg(alpha=1,beta=1.73205)"]
+        assert sorted(os.listdir(tmp_path)) == ["trace_quad_alg_alpha=1_beta=1.73205.csv",
+                                                "trace_quad_alg_alpha=1_beta=1.7320508.csv"]
+
     def test_replicates_write_one_directory_each(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "run", "--instance", "random:rate=3,T=8,seed=2", "--policy", "lg",
@@ -264,6 +274,26 @@ class TestBudgetEnv:
         assert run_cli(capsys, *argv)[0] == 0
         monkeypatch.setenv("FLOWSWITCH_ORACLE_BUDGET", "3")
         assert run_cli(capsys, *argv)[0] == 3
+
+
+def test_commands_show_the_instance_they_were_given(capsys, tmp_path):
+    """gen, opt and run show an instance by its spec's name or its file
+    path, so no command prints the ``custom-`` id of an unnamed instance."""
+    spec, name = "random:rate=2.5,T=4,seed=3", "random(rate=2.5,T=4,seed=3)"
+    path = tmp_path / "inst.txt"
+    assert run_cli(capsys, "gen", spec, "-o", str(path))[:2] == (0, "")
+    printed = [path.read_text()]
+    assert printed[0].startswith(f"# instance {name}: ")
+    for given, shown in ((spec, name), (str(path), str(path))):
+        code, out, _ = run_cli(capsys, "opt", "--instance", given, "--model",
+                               "quad:alpha=1", "-o", str(tmp_path / "opt.csv"))
+        assert (code, json.loads(out)["instance"]) == (0, shown)
+        printed.append(out)
+        code, out, _ = run_cli(capsys, "run", "--instance", given, "--policy", "lg",
+                               "--model", "quad:alpha=1")
+        assert (code, json.loads(out)["instance"]) == (0, given)
+        printed.append(out)
+    assert not any("custom-" in text for text in printed)
 
 
 class TestOptDual:

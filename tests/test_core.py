@@ -842,17 +842,17 @@ class TestColumnarTraces:
             ScheduleTrace((), ()), ScheduleTrace((0, 0, 0), (0, 0, 0)),
             served_trace([]), served_trace([(0, 0, ()), (0, 0, ())]),
             served_trace([(2, 2, (1, 1, 0)), (1, 1, (3, 1))]),  # a repeated id
-            served_trace([(1, 1, (-5, 2)), (0, 0, ()), (1, 1, (7,))]),
             served_trace([(2, 2, (10**9 - 1, 10**10 - 1))]),  # 9 and 10 digits
             served_trace([(1, 1, (2**63 - 1,))]),
-            ScheduleTrace.from_csv("t,n,s,served_ids\n1,-2,3,0\n2,4,-1,\n3,0,0,1\n"),
             simulate(unit, Lg(alpha=2.0)),
         ] + [dp_opt(inst, CostModel.quadratic(2.0))[1]
              for inst in (unit, batch(5), ArrivalInstance.from_counts((2, 0, 3, 1)))]
         by_rows = [
             served_trace([(1, 1, (2**63,)), (2, 2, (2**64 + 5, 0))]),  # ids past int64
             served_trace([(1, 1, (0,)), (1, 1, (2**62,)), (0, 0, ())]),  # key past int64
-            ScheduleTrace.from_csv(f"t,n,s,served_ids\n1,{-2**63},0,\n"),  # no magnitude
+            served_trace([(1, 1, (-5, 2)), (0, 0, ()), (1, 1, (7,))]),  # signed values
+            ScheduleTrace.from_csv("t,n,s,served_ids\n1,-2,3,0\n2,4,-1,\n3,0,0,1\n"),
+            ScheduleTrace.from_csv(f"t,n,s,served_ids\n1,{-2**63},0,\n"),
             ScheduleTrace((1,), (-1,)),  # a FIFO trace with s < 0 serves no ids
         ]
         for trace in in_bulk:

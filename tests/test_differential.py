@@ -16,8 +16,8 @@ The accounting, instance-building and rule-target fast forms are checked
 the same way, against the code they replaced: ``cost_reference`` (a
 min(n) pass and a list of steps), ``from_counts_reference`` (one check per
 count), ``PRE_HOIST_TARGETS`` (each rule's constant recomputed per call,
-ceiled by ``max``) and ``id_reference`` (the hash of the built records'
-repr).
+ceiled by ``max``) and ``id_reference`` (the hash of the counts and sizes
+taken from the built records).
 """
 
 import copy
@@ -396,12 +396,18 @@ def test_from_counts_matches_reference_on_sequences(counts):
 
 
 def id_reference(instance) -> str:
-    """The id of an unnamed instance, from the repr of its built records."""
-    return "custom-" + hashlib.sha256(repr(instance.arrivals).encode()).hexdigest()[:8]
+    """The id of an unnamed instance, from its built (slot, size) records:
+    the hash of its counts and its sizes (None for unit jobs, the one size
+    when every job shares it)."""
+    slots = [slot for slot, _ in instance.arrivals]
+    sizes = tuple(size for _, size in instance.arrivals)
+    counts = tuple(map(slots.count, range(1, max(slots, default=0) + 1)))
+    shown = None if set(sizes) <= {1} else sizes[0] if len(set(sizes)) == 1 else sizes
+    return "custom-" + hashlib.sha256(repr((counts, shown)).encode()).hexdigest()[:8]
 
 
 def test_instance_id_matches_reference(corpus):
-    run = core._REPR_RUN
+    run = 4096  # shapes around a 4096-record boundary
     mixed = tuple((1, 1 + i % 3) for i in range(2 * run + 5))
     instances = [ArrivalInstance(()), ArrivalInstance.from_counts(()),
                  ArrivalInstance(((1, 1),)), ArrivalInstance(((4, 7),)),
@@ -418,11 +424,20 @@ def test_instance_id_matches_reference(corpus):
         sized = ArrivalInstance(tuple((slot, rng.randint(1, 3))
                                       for slot, _ in inst.arrivals))
         instances += [unnamed, sized, unnamed.prefix(1), sized.prefix(1)]
+    ids = {}
     for inst in instances:
         assert not inst.name
         got = inst.instance_id
+        shown = repr(inst)
+        text = inst.to_text()
         assert "arrivals" not in vars(inst)
+        assert shown == (f"ArrivalInstance(slot_counts={inst.slot_counts!r}, "
+                         f"sizes={inst.sizes!r}, name='')")
+        assert text.startswith(f"# instance {got}: ")
         assert got == id_reference(inst), inst.slot_counts[:4]
+        ids.setdefault(got, set()).add(inst)
+    assert len(instances) == 832
+    assert all(len(same) == 1 for same in ids.values())  # distinct ids
 
 
 def _ceil_reference(x: float) -> int:

@@ -1,14 +1,17 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowswitch import (ArrivalInstance, CostModel, cost_of_trace,
                         dual_lower_bound, simulate)
 from flowswitch.instances import batch, sigma2
-from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
-                                 GammaPolicy, Lg, QuadAlg, QuadBalance,
-                                 SqrtOnline, batch_quad_continuous,
+from flowswitch.policies import (POLICY_REGISTRY, BalanceDelta, BalanceValue,
+                                 FullParallel, GammaPolicy, Lg, QuadAlg,
+                                 QuadBalance, SqrtOnline, batch_quad_continuous,
                                  batch_quad_horizon_search, burst_objective,
                                  closed_form_burst_profile, make_policy)
 
@@ -120,6 +123,7 @@ class TestRegistry:
         ("lg:alpha=3", "lg(alpha=3)"),
         ("a_gamma:alpha=2,gamma=0.25", "a_gamma(alpha=2,gamma=0.25)"),
         ("quad_alg:alpha=2,beta=1.732", "quad_alg(alpha=2,beta=1.732)"),
+        ("quad_alg:alpha=2,beta=1.7320508", "quad_alg(alpha=2,beta=1.7320508)"),
         ("quad_balance:alpha=1.5", "quad_balance(alpha=1.5)"),
     ])
     def test_cached_name_leaves_identity_unchanged(self, spec, name):
@@ -132,6 +136,14 @@ class TestRegistry:
         # a read name does not enter ==, hash or repr
         assert rule == twin and hash(rule) == hash(twin) and repr(rule) == repr(twin)
         assert twin.name == name
+
+    @given(st.data())
+    def test_name_rebuilds_the_rule(self, data):
+        bounds = {"alpha": (1e-6, 1e6), "gamma": (0.0, 2.0), "beta": (1.0, 1e3)}
+        for cls in POLICY_REGISTRY.values():
+            rule = cls(**{f.name: data.draw(st.floats(*bounds[f.name]), label=f.name)
+                          for f in fields(cls)})
+            assert make_policy(rule.name) == rule
 
     @pytest.mark.parametrize("form", SPEC_FORMS)
     def test_spec_forms(self, form):
