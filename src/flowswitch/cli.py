@@ -16,7 +16,8 @@ import os
 import stat
 import sys
 
-from .core import ArrivalInstance, CostModel, check_positive, cost_of_trace
+from .core import (ArrivalInstance, CostModel, check_positive, cost_of_trace,
+                   format_number)
 from .engine import simulate
 from .instances import GeneratorSpec, parse_instance_spec, random_slotted
 from .oracle import (BUDGET_ENV_VAR, DpBudgetError, DpConfig, DualCertificate,
@@ -371,8 +372,8 @@ def _cmd_sweep(args) -> int:
                     opt_costs[alpha] = dp_opt(instance, model, _dp_config(args))[0]
                 opt_cost = opt_costs[alpha]
                 ratio = 1.0 if opt_cost == 0 else total / opt_cost
-                writer.writerow([f"{gamma:g}", f"{alpha:g}", f"{total:.6g}",
-                                 f"{opt_cost:.6g}", f"{ratio:.6g}"])
+                writer.writerow([format_number(gamma), format_number(alpha),
+                                 f"{total:.6g}", f"{opt_cost:.6g}", f"{ratio:.6g}"])
     else:  # alg3
         # an empty --lambdas grid reaches no library check of alpha
         check_positive("alpha", args.alpha)
@@ -388,7 +389,7 @@ def _cmd_sweep(args) -> int:
                                                f"alpha={args.alpha:g}")))
         slope = scaling_exponent(samples) if len(samples) >= 4 else ""
         for lam, cost in samples:
-            writer.writerow([f"{lam:g}", f"{cost:.6g}",
+            writer.writerow([format_number(lam), f"{cost:.6g}",
                              f"{slope:.6g}" if slope != "" else ""])
     _write(args.output, buf.getvalue())
     return EXIT_OK
@@ -474,7 +475,7 @@ def reproduce_figure(figure_id: str, seeds=(1, 2, 3), horizon: int | None = None
             p = means[(rate, "proposed")]
             ok = p <= means[(rate, "balance_value")] and \
                 p <= means[(rate, "balance_delta")]
-            checks.append((f"proposed<=balances@rate={rate:g}", ok,
+            checks.append((f"proposed<=balances@rate={format_number(rate)}", ok,
                            f"proposed={p:.4g} bal_value={means[(rate, 'balance_value')]:.4g} "
                            f"bal_delta={means[(rate, 'balance_delta')]:.4g}"))
     if figure_id == "linear_a1":
@@ -482,13 +483,13 @@ def reproduce_figure(figure_id: str, seeds=(1, 2, 3), horizon: int | None = None
             a, b = means[(rate, "s=n")], means[(rate, "balance_delta")]
             half = means[(rate, "s=n/2")]
             ok = abs(a - b) <= 0.05 * max(a, b) and a < half and b < half
-            checks.append((f"full~balance<half@rate={rate:g}", ok,
+            checks.append((f"full~balance<half@rate={format_number(rate)}", ok,
                            f"s=n={a:.4g} balance_delta={b:.4g} s=n/2={half:.4g}"))
     if figure_id == "quad_extreme":
         for rate in rates:
             balance = means[(rate, "quad_balance")]  # 0 only with no jobs
             ratio = 1.0 if balance == 0 else means[(rate, "beta=2")] / balance
-            checks.append((f"beta2/balance<2@rate={rate:g}", ratio < 2.0,
+            checks.append((f"beta2/balance<2@rate={format_number(rate)}", ratio < 2.0,
                            f"ratio={ratio:.4g}"))
     return rows, checks
 

@@ -511,6 +511,13 @@ class ScheduleTrace:
 
     ``complete_records`` is False for bulk simulation runs; such traces
     cost fine but cannot be validated.
+
+    ``_s_within_n``, the fact 0 <= s(t) <= n(t) in every slot, is worked
+    out by one scan on first use and cached. The two builders that clamp
+    s to [0, n] as they go, the engine and ``dp_opt``, build through
+    ``_clamped``, which records it as true; any other trace (this
+    constructor, ``from_csv``, ``dataclasses.replace``) scans. The fact is
+    not a field: equality and repr ignore it.
     """
 
     n: tuple[int, ...]
@@ -525,6 +532,21 @@ class ScheduleTrace:
             raise ValueError("n and s columns differ in length")
         if self.served is not None and len(self.served.counts) != len(self.s):
             raise ValueError("served columns and s differ in length")
+
+    @classmethod
+    def _clamped(cls, n, s, complete_records: bool = True,
+                 served: ServedColumns | None = None) -> "ScheduleTrace":
+        """A trace whose builder kept 0 <= s(t) <= n(t) in every slot,
+        with ``_s_within_n`` recorded as true."""
+        trace = cls(n, s, complete_records, served)
+        trace.__dict__["_s_within_n"] = True
+        return trace
+
+    @cached_property
+    def _s_within_n(self) -> bool:
+        """0 <= s(t) <= n(t) in every slot, which also gives n(t) >= 0."""
+        n, s = self.n, self.s
+        return not (s and (min(s) < 0 or any(map(operator.gt, s, n))))
 
     @property
     def _counts(self) -> tuple[int, ...]:
@@ -775,13 +797,15 @@ def cost_of_trace(trace: ScheduleTrace, model: CostModel) -> CostBreakdown:
 
     All transitions are charged, including 0 -> s(1) and the final drop back
     to zero. Raises TraceValidationError on internally inconsistent slots;
-    full validation against an instance is validate_trace's job. One check,
-    0 <= s <= n in every slot, also covers n >= 0; only when it fails does
-    the slot loop run, to report the first broken slot. Sums are exact
-    integer sums, converted to float once.
+    full validation against an instance is validate_trace's job. One fact,
+    the trace's ``_s_within_n`` (0 <= s <= n in every slot), also covers
+    n >= 0: the engine and ``dp_opt`` record it as they build, and any
+    other trace scans for it once. Only when it is false does the slot loop
+    run, to report the first broken slot. Sums are exact integer sums,
+    converted to float once.
     """
     n, s = trace.n, trace.s
-    if s and (min(s) < 0 or any(map(operator.gt, s, n))):
+    if not trace._s_within_n:
         for rec in trace.slots:  # report the first broken slot
             if rec.n < 0:
                 raise TraceValidationError("negative_occupancy", slot=rec.t)

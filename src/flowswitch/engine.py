@@ -116,7 +116,8 @@ def _simulate(instance: ArrivalInstance, policy: ShapedRule,
     is shortest remaining first with ties in arrival order, since ids run
     in arrival order. A slot serves the first s; a served job,
     decremented, still ranks ahead of every unserved one.
-    Served ids go to one flat list, s(t) of them per slot.
+    Served ids go to one flat list, s(t) of them per slot. Every s(t) is
+    clamped to [0, n(t)], so the trace records that fact as it is built.
     """
     counts = instance.slot_counts
     last_arrival = len(counts)
@@ -177,4 +178,4 @@ def _simulate(instance: ArrivalInstance, policy: ShapedRule,
         ns.append(n)
         ss.append(s)
     served = None if sizes is None else ServedColumns(served_ids, ss)
-    return ScheduleTrace(ns, ss, record_served, served)
+    return ScheduleTrace._clamped(ns, ss, record_served, served)

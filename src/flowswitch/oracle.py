@@ -396,7 +396,7 @@ def dp_opt(instance: ArrivalInstance, model: CostModel,
         s_prev = s_t
         if n_cur == 0 and t >= instance.last_slot:
             break
-    return best, ScheduleTrace(ns, ss)
+    return best, ScheduleTrace._clamped(ns, ss)  # the sheared read keeps s' <= n
 
 
 def exhaustive_opt(instance: ArrivalInstance, model: CostModel) -> float:

@@ -39,11 +39,13 @@ class _Rule(ShapedRule):
     its bare key. It is built once per rule, on first use.
 
     A rule with an alpha reads it through one constant, ``_divisor``:
-    alpha itself unless the rule says otherwise (``sqrt(alpha)``,
-    ``alpha**0.25``, ``alpha**gamma`` or quad_alg's effective alpha). It is
-    computed once, at construction, where it must lie in
-    [``_MIN_DIVISOR``, inf); a rule made by ``dataclasses.replace``
-    computes its own. The default target is ceil(n / _divisor).
+    alpha itself unless the rule's ``_constant`` says otherwise
+    (``sqrt(alpha)``, ``alpha**0.25``, ``alpha**gamma`` or quad_alg's
+    effective alpha). It is computed once, at construction, where it must
+    lie in [``_MIN_DIVISOR``, inf), and stored as a plain instance
+    attribute, the fastest read on a memo miss; a rule made by
+    ``dataclasses.replace`` computes its own. The default target is
+    ceil(n / _divisor).
     """
 
     key: ClassVar[str]
@@ -52,16 +54,16 @@ class _Rule(ShapedRule):
         if hasattr(self, "alpha"):
             check_positive("alpha", self.alpha)
             try:
-                divisor = self._divisor
+                divisor = self._constant()
             except OverflowError:
                 divisor = math.inf
             if not _MIN_DIVISOR <= divisor < math.inf:
                 raise ValueError(f"{self.name} is out of range: its constant "
                                  f"{divisor:g} must be finite and at least "
                                  f"{_MIN_DIVISOR:.3g}")
+            object.__setattr__(self, "_divisor", divisor)
 
-    @cached_property
-    def _divisor(self) -> float:
+    def _constant(self) -> float:
         return self.alpha
 
     def target(self, n: int) -> int:
@@ -112,8 +114,7 @@ class SqrtOnline(_Rule):
     alpha: float
     key, shape = "sqrt_online", "cap"
 
-    @cached_property
-    def _divisor(self) -> float:
+    def _constant(self) -> float:
         return math.sqrt(self.alpha)
 
     def target(self, n: int) -> int:
@@ -131,8 +132,7 @@ class Lg(_Rule):
     alpha: float
     key, shape = "lg", "lazy"
 
-    @cached_property
-    def _divisor(self) -> float:
+    def _constant(self) -> float:
         return self.alpha ** 0.25
 
 
@@ -144,8 +144,7 @@ class GammaPolicy(_Rule):
     gamma: float
     key, shape = "a_gamma", "cap"
 
-    @cached_property
-    def _divisor(self) -> float:  # read at construction, so gamma is checked there
+    def _constant(self) -> float:  # called at construction, so gamma is checked there
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         return self.alpha ** self.gamma
@@ -167,8 +166,7 @@ class QuadAlg(_Rule):
             raise ValueError(f"beta={self.beta:g} is too large for {self.key}: "
                              f"beta*sqrt(n/alpha) overflows")
 
-    @cached_property
-    def _divisor(self) -> float:
+    def _constant(self) -> float:
         return effective_alpha(self.alpha)
 
     def target(self, n: int) -> int:

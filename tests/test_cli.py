@@ -475,6 +475,18 @@ class TestSweep:
         slope = float(rows[0].split(",")[-1])
         assert 0.57 <= slope <= 0.77
 
+    @pytest.mark.parametrize("argv, values", [
+        (("--kind", "gamma", "--instance", "sigma1:N=3", "--gammas", "0.5",
+          "--alphas", "1.0000001,1.0000002"), [(0.5, 1.0000001), (0.5, 1.0000002)]),
+        (("--kind", "alg3", "--lambdas", "100.00001,100.00002"),
+         [(100.00001,), (100.00002,)])], ids=["gamma", "alg3"])
+    def test_grid_keys_read_back_as_given(self, capsys, argv, values):
+        code, out, _ = run_cli(capsys, "sweep", *argv)
+        assert code == 0
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [tuple(float(key) for key in row[:len(values[0])]) for row in rows] \
+            == values
+
     GRID_LIMIT = "grid limit error: the sweep grid has 4 cells, --max-cells is 3\n"
 
     def test_grid_budget(self, capsys):
@@ -510,6 +522,14 @@ class TestReproduceFigure:
                                  "--rates", "0.5", "--horizon", "1")
         assert code == 0, err
         assert "check beta2/balance<2@rate=0.5: ok (ratio=1)" in err
+
+    @pytest.mark.parametrize("figure", ["linear_a1", "linear_a2", "quad_extreme"])
+    def test_check_names_keep_the_rate(self, figure):
+        rates = (5.0, 1.0000001, 1.0000002)
+        _, checks = reproduce_figure(figure, seeds=(1,), horizon=20, rates=rates)
+        assert [float(name.rpartition("@rate=")[2]) for name, _, _ in checks] == \
+            list(rates)
+        assert checks[0][0].endswith("@rate=5")
 
     def test_linear_a1_columns_agree(self):
         rows, checks = reproduce_figure("linear_a1", seeds=(1,), horizon=120)

@@ -18,6 +18,12 @@ min(n) pass and a list of steps), ``from_counts_reference`` (one check per
 count), ``PRE_HOIST_TARGETS`` (each rule's constant recomputed per call,
 ceiled by ``max``) and ``id_reference`` (the hash of the counts and sizes
 taken from the built records).
+
+Two facts fixed when an object is built are checked against a fresh
+working-out: the bounds fact 0 <= s <= n that the engine and ``dp_opt``
+record on their traces, against a scan of the same columns (every other
+trace scans and costs as ``cost_reference`` does), and each rule's
+constant, set at construction, against ``DIVISOR_REFERENCE``.
 """
 
 import copy
@@ -37,7 +43,7 @@ from hypothesis import strategies as st
 from flowswitch import (ArrivalInstance, CostModel, ScheduleTrace, ShapedRule,
                         SwitchingKind, TraceValidationError, cost_of_trace,
                         validate_trace)
-from flowswitch import cli, core, engine, policies
+from flowswitch import cli, core, engine, oracle, policies
 from flowswitch.core import CostBreakdown
 from flowswitch.instances import random_slotted
 from flowswitch.policies import (BalanceDelta, BalanceValue, FullParallel,
@@ -592,3 +598,158 @@ def test_hoisted_constant_follows_copies(rule):
         assert_targets(twin)
         assert twin == (other if twin.alpha != rule.alpha else rule)
         assert repr(twin) == repr(other if twin.alpha != rule.alpha else rule)
+
+
+# The bounds fact a trace records, 0 <= s(t) <= n(t) in every slot. The
+# engine and dp_opt record it as they build; the constructor, from_csv and
+# dataclasses.replace leave it to a scan on first use.
+
+FACT = "_s_within_n"
+
+
+def bounds_scan(n, s) -> bool:
+    """0 <= s(t) <= n(t), slot by slot."""
+    return all(0 <= st <= nt for nt, st in zip(n, s))
+
+
+def assert_records_the_fact(trace, where=None):
+    assert FACT in vars(trace), where
+    fresh = ScheduleTrace(trace.n, trace.s)
+    assert FACT not in vars(fresh), where
+    assert trace._s_within_n == fresh._s_within_n == bounds_scan(trace.n, trace.s), where
+
+
+def assert_builders_record_the_fact(instance, alpha, dp=True):
+    """Every trace simulate (unit, bulk and SRPT) and dp_opt return."""
+    sized = _sized(instance)
+    for policy in all_policies(alpha):
+        for record_served in (True, False):
+            trace = engine.simulate(instance, policy, record_served=record_served)
+            assert_records_the_fact(trace, (instance.name, policy.name, record_served))
+        for trace in (per_job(instance, policy), engine.simulate(sized, policy)):
+            assert trace.served is not None
+            assert_records_the_fact(trace, (instance.name, policy.name, "srpt"))
+    if dp:
+        for model in (CostModel.linear(alpha), CostModel.quadratic(alpha)):
+            _, trace = oracle.dp_opt(instance, model)
+            assert_records_the_fact(trace, (instance.name, model.label))
+
+
+def test_builders_record_the_fact_on_the_corpus(corpus):
+    for i, inst in enumerate(corpus):
+        assert_builders_record_the_fact(inst, (0.5, 1.0, 2.0, 4.0)[i % 4])
+
+
+@pytest.mark.parametrize("figure", cli.FIGURE_IDS)
+def test_builders_record_the_fact_on_figure_cells(figure):
+    model, rates, _ = cli.figure_setup(figure)
+    for rate in rates:
+        inst = random_slotted(rate, 60, 1)
+        for _, policy in cli.figure_policies(figure, model.alpha):
+            for record_served in (True, False):
+                trace = engine.simulate(inst, policy, record_served=record_served)
+                assert_records_the_fact(trace, (figure, rate, policy.name))
+        assert_builders_record_the_fact(inst, model.alpha, dp=rate <= 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(0, 7), min_size=1, max_size=12).filter(any),
+       alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0, 16.0]))
+def test_builders_record_the_fact_on_generated(counts, alpha):
+    assert_builders_record_the_fact(ArrivalInstance.from_counts(counts), alpha)
+
+
+def test_a_run_without_jobs_scans():
+    trace = engine.simulate(ArrivalInstance(()), FullParallel())
+    assert FACT not in vars(trace)
+    assert trace._s_within_n
+
+
+def _unvouched_traces():
+    """Traces no builder vouched for, each with s > n or s < 0 somewhere,
+    and in-range twins of them."""
+    ran = engine.simulate(random_slotted(5.0, 60, 1), BalanceDelta(alpha=2.0))
+    assert ran._s_within_n and ran.served is None
+    last = len(ran.s) - 1
+    over = ran.s[:last] + (ran.n[last] + 1,)
+    out = [dataclasses.replace(ran, s=over),
+           dataclasses.replace(ran, s=ran.s[:3] + (-1,) + ran.s[4:]),
+           dataclasses.replace(ran, complete_records=False),
+           ScheduleTrace((3, 4, 2), (1, 5, 2)), ScheduleTrace((3, 4, 2), (1, 2, 2)),
+           ScheduleTrace.from_csv(ran.to_csv()),
+           ScheduleTrace.from_csv("t,n,s,served_ids\n1,2,1,0\n2,1,3,1;2;3\n"),
+           ScheduleTrace.from_csv("t,n,s,served_ids\n1,2,2,0;1\n2,1,-1,\n")]
+    sized = engine.simulate(_sized(random_slotted(3.0, 60, 5)), QuadAlg(alpha=2.0))
+    out += [ScheduleTrace.from_csv(sized.to_csv()),
+            dataclasses.replace(sized, s=sized.s[:-1] + (sized.n[-1] + 2,))]
+    return out
+
+
+def test_other_traces_scan_for_the_fact():
+    traces = _unvouched_traces()
+    assert sorted(bounds_scan(t.n, t.s) for t in traces) == [False] * 6 + [True] * 4
+    for i, trace in enumerate(traces):
+        assert FACT not in vars(trace), i
+        assert_cost_matches_reference(trace, i)
+        assert trace._s_within_n == bounds_scan(trace.n, trace.s), i
+
+
+@pytest.mark.parametrize("twin", [copy.copy, copy.deepcopy,
+                                  lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_fact_follows_copies(twin):
+    inst = random_slotted(5.0, 60, 1)
+    ran = [engine.simulate(inst, BalanceDelta(alpha=2.0), record_served=False),
+           engine.simulate(_sized(inst), QuadAlg(alpha=2.0)),
+           oracle.dp_opt(inst, CostModel.quadratic(2.0))[1]]
+    scanned = _unvouched_traces()
+    for trace in scanned[::2]:
+        trace._s_within_n  # worked out before the copy; the rest after it
+    for i, trace in enumerate(ran + scanned):
+        copied = twin(trace)
+        assert (FACT in vars(copied)) == (FACT in vars(trace)), i
+        assert copied == trace and repr(copied) == repr(trace), i
+        assert copied._s_within_n == bounds_scan(copied.n, copied.s), i
+        assert_cost_matches_reference(copied, i)
+
+
+def test_fact_leaves_equality_and_repr_alone():
+    for trace in _unvouched_traces()[:3] + [
+            engine.simulate(random_slotted(5.0, 60, 2), QuadAlg(alpha=2.0))]:
+        plain = ScheduleTrace(trace.n, trace.s, trace.complete_records, trace.served)
+        before = repr(trace)
+        trace._s_within_n
+        assert trace == plain and repr(trace) == repr(plain) == before
+        assert [f.name for f in dataclasses.fields(trace)] == \
+            ["n", "s", "complete_records", "served"]
+
+
+# Each rule's constant is a plain attribute set at construction, from
+# the rule's own fields, also for a rule made by dataclasses.replace.
+
+DIVISOR_REFERENCE = {
+    BalanceValue: lambda rule: rule.alpha,
+    BalanceDelta: lambda rule: rule.alpha,
+    QuadBalance: lambda rule: rule.alpha,
+    SqrtOnline: lambda rule: math.sqrt(rule.alpha),
+    Lg: lambda rule: rule.alpha ** 0.25,
+    GammaPolicy: lambda rule: rule.alpha ** rule.gamma,
+    QuadAlg: lambda rule: max(rule.alpha, 1.0),
+}
+
+
+@pytest.mark.parametrize("cls", list(DIVISOR_REFERENCE), ids=lambda c: c.key)
+def test_constant_is_an_attribute_set_from_the_fields(cls):
+    assert set(DIVISOR_REFERENCE) | {FullParallel} == set(policies.POLICY_REGISTRY.values())
+    for rule in _rules(cls):
+        assert vars(rule)["_divisor"] == DIVISOR_REFERENCE[cls](rule), rule
+    changes = [{"alpha": 16.0}, {"alpha": 0.25}]
+    changes += {GammaPolicy: [{"gamma": 0.5}, {"gamma": 2.0}],
+                QuadAlg: [{"beta": 3.0}]}.get(cls, [])
+    start = cls(alpha=4.0, **({"gamma": 0.25} if cls is GammaPolicy else {}))
+    for change in changes:
+        other = dataclasses.replace(start, **change)
+        assert vars(other)["_divisor"] == DIVISOR_REFERENCE[cls](other), change
+        assert [other.target(n) for n in range(1, 300)] == \
+            [PRE_HOIST_TARGETS[cls](other, n) for n in range(1, 300)], change
+    assert "_divisor" not in vars(FullParallel())

@@ -827,3 +827,17 @@ class TestRatioEnvelope:
             opt, _ = dp_opt(inst, model)
             ratios.append(total / opt)
         assert ratios[0] < ratios[1] < ratios[2]
+
+    def test_periodic_pair_breaks_the_main_theorem_constant(self):
+        # With n = 2, ceil(beta * sqrt(2 / alpha)) is 2 for every alpha below
+        # 2 beta^2 (about 9.479), so quad_alg turns two servers on and off
+        # each period while one steady server costs about 3 a period. The
+        # ratio passes criterion 02's 19.95, which only checks the corpus.
+        inst = periodic(2, 128)
+        model = CostModel.parse("quad:alpha=9.47")
+        total = cost_of_trace(simulate(inst, QuadAlg(alpha=9.47, beta=2.177)),
+                              model).total
+        opt, _ = dp_opt(inst, model, DpConfig(s_cap=2 * 128))
+        assert total == 9953.28
+        assert opt == 402.94000000000005 == dp_opt(inst, model)[0]
+        assert total / opt > 19.95
